@@ -5,12 +5,7 @@ and their gradient flows, blow-down scaling experiments, and the (m1, m2)
 phase diagram of boundedness predictions.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("conflictlab")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
+__version__ = "0.1.0"
 
 from .model import (
     FlowConfig,

@@ -38,7 +38,6 @@ from .blowdown import (
 )
 from .calculus import inv_laplacian
 from .errors import ParseError, UnknownKey
-from .flow import FlowConfig, initial_state, run_flow, trace_rows
 from .functionals import joint_free_energy, moser_trudinger
 from .liouville import residual, solve_pair
 from .model import Params, RadialField, make_grid, project_density, validate_params
@@ -338,6 +337,9 @@ def _cmd_steady(cfg: RunConfig, out: Path, header, threads: int) -> None:
 
 
 def _cmd_flow(cfg: RunConfig, out: Path, header, threads: int, seed: int) -> None:
+    # flow needs scipy.linalg; importing it here keeps scipy out of other commands
+    from .flow import FlowConfig, initial_state, run_flow, trace_rows
+
     p = cfg.params
     grid = make_grid(cfg.grid_n)
     limits = _FLOW_LIMITS[cfg.case]

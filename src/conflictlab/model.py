@@ -225,6 +225,10 @@ def project_density(f: RadialField, m: float) -> RadialField:
 
     if m <= 0:
         raise NonpositiveMass(f"target mass {m!r} must be > 0")
+    peak = float(np.max(f.values))
+    if 0.0 < peak < 2.0**-900:
+        # exact power-of-two rescale: tiny samples lose bits and overflow m / total
+        f = f.with_values(np.ldexp(f.values, -np.frexp(peak)[1]))
     total = integrate_disk(f)
     if total == 0.0:
         raise ZeroDensity("cannot normalize a field with zero disk integral")

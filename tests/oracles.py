@@ -6,6 +6,8 @@ root-finds on the center values until the boundary fluxes match the
 target masses.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import fsolve
@@ -67,3 +69,28 @@ def random_direction(grid, rng, amplitude=1.0):
     vals *= amplitude / np.max(np.abs(vals))
     vals[-1] = 0.0
     return vals
+
+
+def rk4_vector(b, gamma, v0, vt0, t):
+    """Classical RK4 for v_tt + exp((b-2) t - gamma v) = 0, stepping the
+    state (v, v_t) as a numpy two-vector: the reference the package's
+    scalar stepper must reproduce bit for bit."""
+
+    def rhs(tau, y):
+        return np.array([y[1], -math.exp((b - 2.0) * tau - gamma * y[0])])
+
+    n = t.size
+    vhat = np.empty(n)
+    vt = np.empty(n)
+    y = np.array([v0, vt0])
+    vhat[0], vt[0] = y
+    for j in range(1, n):
+        tau = t[j - 1]
+        dt = t[j] - tau
+        k1 = rhs(tau, y)
+        k2 = rhs(tau + 0.5 * dt, y + (0.5 * dt) * k1)
+        k3 = rhs(tau + 0.5 * dt, y + (0.5 * dt) * k2)
+        k4 = rhs(tau + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vhat[j], vt[j] = y
+    return vhat, vt

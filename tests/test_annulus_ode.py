@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
+from conflictlab import annulus_ode
 from conflictlab.annulus_ode import (
     AnnulusParams,
     asymptotic_ratio,
@@ -25,6 +27,8 @@ from conflictlab.errors import (
     NoRoot,
     TooCoarse,
 )
+
+from oracles import rk4_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -323,6 +327,49 @@ class TestAsymptoticRatio:
     def test_node_count_rounds_up(self):
         lp = frozen_instance(1e-2)
         assert asymptotic_ratio(lp, n=997) == asymptotic_ratio(lp, n=1000)
+
+
+class TestBitIdentity:
+    """The scalar RK4 and the numpy Simpson sum give the bits of their
+    references: the array-form RK4 and scipy.integrate.simpson."""
+
+    @pytest.mark.parametrize("n", [1000, 2048, 4096])
+    @pytest.mark.parametrize("lp", PROFILE_CASES, ids=lambda lp: f"psi={lp.psi:g}")
+    def test_rk4_matches_vector_form(self, lp, n):
+        t = np.arange(n) * (lp.log_width / n)
+        v0 = exact_solution(match_energy(lp), lp.gamma, lp.psi, 0.0)
+        args = (lp.beta_m / TWO_PI, lp.gamma, v0, lp.m2 / TWO_PI, t)
+        for got, want in zip(annulus_ode._rk4(*args), rk4_vector(*args)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1000, 4096])
+    @pytest.mark.parametrize("psi", [0.45, 1e-2, 1e-4, 1e-8])
+    def test_rk4_matches_vector_form_gamma_zero(self, psi, n):
+        # the integration linear_surrogate(10pi, 2pi, psi, n) runs; it raises
+        # MonotonicityLost for the smaller psi only after integrating
+        t = np.arange(n) * (-math.log(psi) / n)
+        args = (10 * math.pi / TWO_PI, 0.0, 0.0, 2 * math.pi / TWO_PI, t)
+        for got, want in zip(annulus_ode._rk4(*args), rk4_vector(*args)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_linear_surrogate_matches_vector_form(self):
+        n = 2048
+        sol = linear_surrogate(10 * math.pi, 2 * math.pi, 0.45, n)
+        t = np.arange(n) * (-math.log(0.45) / n)
+        vhat, vt = rk4_vector(10 * math.pi / TWO_PI, 0.0, 0.0, 2 * math.pi / TWO_PI, t)
+        assert sol.v.tobytes() == vhat[::-1].tobytes()
+        assert sol.rv_r.tobytes() == (-vt[::-1]).tobytes()
+
+    @pytest.mark.parametrize("n", [997, 1024, 4096])
+    @pytest.mark.parametrize("lp", PROFILE_CASES + [frozen_instance(1e-8)],
+                             ids=lambda lp: f"psi={lp.psi:g}")
+    def test_simpson_matches_scipy(self, lp, n):
+        n4 = 4 * ((n + 3) // 4)
+        sol = integrate_annulus(lp, n4)
+        integrand = sol.rv_r[(n4 - 1) - n4 // 2:][::-1] ** 2
+        assert integrand.size % 2 == 1
+        want = float(simpson(integrand, dx=lp.log_width / n4) / (0.5 * lp.log_width))
+        assert asymptotic_ratio(lp, n).hex() == want.hex()
 
 
 class TestIdentification:

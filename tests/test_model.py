@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -155,6 +155,11 @@ class TestProjectDensity:
         arrays(float, 33, elements=st.floats(0.0, 50.0)),
         st.floats(0.1, 20.0),
     )
+    # near-subnormal samples: m / total overflows and the quadrature loses
+    # bits unless the values are rescaled first
+    @example(np.full(33, 2.22507386e-311), 1.0)
+    @example(np.r_[5e-324, np.zeros(32)], 1.0)
+    @example(np.r_[np.zeros(32), 5e-324], 1.0)
     @settings(max_examples=50, deadline=None)
     def test_projection_hits_target_mass(self, vals, m):
         if vals.sum() == 0.0:
