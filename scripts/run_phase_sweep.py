@@ -32,7 +32,6 @@ def parse_args():
     ap.add_argument("--m1-max", type=float, default=40.0)
     ap.add_argument("--m2-max", type=float, default=40.0)
     ap.add_argument("--resolution", type=int, default=60)
-    ap.add_argument("--workers", type=int, default=4)
     return ap.parse_args()
 
 
@@ -46,17 +45,15 @@ def main():
         m1=1.0,
         m2=0.0,
     )
-    res = sweep(
-        p, (0.0, args.m1_max), (0.0, args.m2_max), args.resolution, workers=args.workers
-    )
+    res = sweep(p, (0.0, args.m1_max), (0.0, args.m2_max), args.resolution)
 
     print(f"m1 in ({res.m1s[0]:g}, {res.m1s[-1]:g}], m2 in [0, {res.m2s[-1]:g}], "
           f"{args.resolution}x{args.resolution}")
     for j in reversed(range(res.m2s.size)):
-        row = "".join(GLYPHS[res.verdicts[i, j].verdict] for i in range(res.m1s.size))
+        row = "".join(GLYPHS[v] for v in res.verdicts[:, j])
         print(f"  m2={res.m2s[j]:7.3f} |{row}|")
 
-    census = collections.Counter(v.verdict for v in res.verdicts.ravel())
+    census = collections.Counter(res.verdicts.ravel().tolist())
     print("verdicts:")
     for name, count in census.most_common():
         print(f"  {GLYPHS[name]} {name:16s} {count:6d}")

@@ -5,8 +5,8 @@ parameters and a command name, plus an optional section named after the
 command for its options.  Each command writes CSV tables with
 '#'-prefixed header comments carrying the resolved configuration, so a
 regression baseline can be reproduced from any output file.  Floats are
-written with 17 significant digits and rows in grid order, which makes
-the bytes independent of the worker count.
+written with 17 significant digits and rows in grid order, so repeated
+runs of one configuration write the same bytes.
 
 Exit codes: 0 success, 2 iterative solver failure, 3 configuration or
 validation error (including mathematically inadmissible parameters that
@@ -19,7 +19,6 @@ import argparse
 import configparser
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -274,7 +273,7 @@ def _base_fields(grid, p: Params):
     return rho, w
 
 
-def _cmd_classify(cfg: RunConfig, out: Path, header, threads: int) -> None:
+def _cmd_classify(cfg: RunConfig, out: Path, header) -> None:
     p = cfg.params
     verdict = classify_conflict(p) if p.theta == -1 else classify_conflict_free(p)
     columns = ["m1", "m2", "verdict", "rule"] + [name for name, _ in verdict.fired]
@@ -283,31 +282,15 @@ def _cmd_classify(cfg: RunConfig, out: Path, header, threads: int) -> None:
     _write_csv(out / "classify.csv", header, columns, [row])
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, header, threads: int) -> None:
-    res = sweep(
-        cfg.params, cfg.m1_range, cfg.m2_range, cfg.resolution, workers=threads
-    )
-    rows = []
-    for i in range(res.m1s.size):
-        for j in range(res.m2s.size):
-            v = res.verdicts[i, j]
-            fired = dict(v.fired)
-            rows.append(
-                (
-                    v.point[0],
-                    v.point[1],
-                    v.verdict,
-                    fired["lambda"],
-                    fired["lambda1"],
-                    fired["lambda2"],
-                    v.rule,
-                )
-            )
+def _cmd_sweep(cfg: RunConfig, out: Path, header) -> None:
+    res = sweep(cfg.params, cfg.m1_range, cfg.m2_range, cfg.resolution)
+    mm1, mm2 = np.meshgrid(res.m1s, res.m2s, indexing="ij")
+    columns = (mm1, mm2, res.verdicts, *res.lambdas, res.rules)
     _write_csv(
         out / "sweep.csv",
         header,
         ["m1", "m2", "verdict", "lambda", "lambda1", "lambda2", "rule_fired"],
-        rows,
+        zip(*(c.ravel().tolist() for c in columns)),
     )
     curve_rows = []
     for name in sorted(res.curves):
@@ -318,7 +301,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, header, threads: int) -> None:
     )
 
 
-def _cmd_steady(cfg: RunConfig, out: Path, header, threads: int) -> None:
+def _cmd_steady(cfg: RunConfig, out: Path, header) -> None:
     p = cfg.params
     grid = make_grid(cfg.grid_n)
     sol = solve_pair(p, grid)
@@ -336,7 +319,7 @@ def _cmd_steady(cfg: RunConfig, out: Path, header, threads: int) -> None:
     )
 
 
-def _cmd_flow(cfg: RunConfig, out: Path, header, threads: int, seed: int) -> None:
+def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
     # flow needs scipy.linalg; importing it here keeps scipy out of other commands
     from .flow import FlowConfig, initial_state, run_flow, trace_rows
 
@@ -382,7 +365,7 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, threads: int, seed: int) -> Non
     _write_csv(out / "flow_state.csv", header, columns, zip(*series))
 
 
-def _cmd_blowdown(cfg: RunConfig, out: Path, header, threads: int) -> None:
+def _cmd_blowdown(cfg: RunConfig, out: Path, header) -> None:
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
@@ -406,7 +389,7 @@ def _cmd_blowdown(cfg: RunConfig, out: Path, header, threads: int) -> None:
     )
 
 
-def _cmd_oracle(cfg: RunConfig, out: Path, header, threads: int) -> None:
+def _cmd_oracle(cfg: RunConfig, out: Path, header) -> None:
     p = cfg.params
     limit = (p.m2 / (2.0 * math.pi)) ** 2
     rows = []
@@ -419,7 +402,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path, header, threads: int) -> None:
     )
 
 
-def _cmd_functional(cfg: RunConfig, out: Path, header, threads: int) -> None:
+def _cmd_functional(cfg: RunConfig, out: Path, header) -> None:
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
@@ -450,15 +433,13 @@ def _cmd_functional(cfg: RunConfig, out: Path, header, threads: int) -> None:
     )
 
 
-def run(cfg: RunConfig, out_dir=".", threads=None, seed=0) -> int:
+def run(cfg: RunConfig, out_dir=".", seed=0) -> int:
     """Dispatch a parsed configuration and write its tables under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if threads is None:
-        threads = os.cpu_count() or 1
     header = _header_lines(cfg, seed)
     if cfg.command == "flow":
-        _cmd_flow(cfg, out, header, threads, seed)
+        _cmd_flow(cfg, out, header, seed)
         return 0
     dispatch = {
         "classify": _cmd_classify,
@@ -468,7 +449,7 @@ def run(cfg: RunConfig, out_dir=".", threads=None, seed=0) -> int:
         "oracle": _cmd_oracle,
         "functional": _cmd_functional,
     }
-    dispatch[cfg.command](cfg, out, header, threads)
+    dispatch[cfg.command](cfg, out, header)
     return 0
 
 
@@ -480,8 +461,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for parallel maps")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized initial data")
     args = parser.parse_args(argv)
@@ -496,7 +475,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     try:
-        return run(cfg, out_dir=args.out, threads=args.threads, seed=args.seed)
+        return run(cfg, out_dir=args.out, seed=args.seed)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

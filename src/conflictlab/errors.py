@@ -62,10 +62,6 @@ class AsymmetricMatrix(ValueError):
     """Interaction matrix is not symmetric."""
 
 
-class NoRealRoot(ValueError):
-    """Quadratic for the strip mass has no real root."""
-
-
 class UnsupportedRegime(ValueError):
     """Flow limit-combination (delta1, delta2, epsilon) is not one of the
     three supported limits (1,1,0), (1,0,0), (0,0,1)."""

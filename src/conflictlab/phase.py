@@ -2,11 +2,12 @@
 
 The quadratic forms here decide, per mass pair, whether the two-species
 free energy is bounded below, bounded only among radial candidates,
-unbounded, or not covered by any condition we implement.  classify_conflict
-handles the conflict sign convention through an ordered rule table with
-strict inequalities; classify_conflict_free handles the cooperative
-convention through the subset-positivity conditions specialized to two
-species.  sweep() evaluates either classifier over a mass grid and emits
+unbounded, or not covered by any condition we implement.  Each sign
+convention has one rule table that works on broadcast arrays of masses:
+the conflict table is an ordered list of strict inequalities, the
+cooperative table the subset-positivity conditions specialized to two
+species.  classify_conflict and classify_conflict_free evaluate a table at
+one point; sweep() evaluates it over a whole mass grid in one call and emits
 the analytic boundary curves alongside the verdicts.
 
 All comparisons that decide a verdict are strict: a point whose deciding
@@ -15,28 +16,23 @@ quantity sits within 1e-12 of its threshold is classified Unknown.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, NonpositiveMass, NoRealRoot
+from .errors import NonpositiveMass
 from .model import Params, validate_params
 
 __all__ = [
     "PhaseVerdict",
     "SweepResult",
     "VERDICTS",
-    "all_subsets_positive",
     "classify_conflict",
     "classify_conflict_free",
     "lambda_values",
-    "refined_condition",
     "strip_mass",
-    "subset_lambda",
     "sweep",
 ]
 
@@ -82,7 +78,9 @@ def lambda_values(m1, m2, p: Params):
 
     L1 = m2*((beta*m1 - gamma*m2)/2pi - 2), L2 = 2*m1 - alpha*m1^2/4pi
     + gamma*m2^2/4pi, and L = L1 + L2 exactly (the sum is how L is built).
-    Accepts scalars or broadcasting arrays for m1, m2.
+    Accepts scalars or broadcasting arrays for m1, m2.  Squares are plain
+    products x*x, correctly rounded; x**2 on a Python float goes through
+    libm pow, which is not always.  Scalars and arrays give the same bits.
     """
     p = validate_params(p)
     if np.any(np.asarray(m1) <= 0):
@@ -90,112 +88,24 @@ def lambda_values(m1, m2, p: Params):
     if np.any(np.asarray(m2) < 0):
         raise NonpositiveMass("lambda_values needs m2 >= 0")
     lam1 = m2 * ((p.beta * m1 - p.gamma * m2) / (2.0 * math.pi) - 2.0)
-    lam2 = 2.0 * m1 - p.alpha * m1**2 / _FOUR_PI + p.gamma * m2**2 / _FOUR_PI
+    lam2 = (
+        2.0 * m1 - p.alpha * (m1 * m1) / _FOUR_PI + p.gamma * (m2 * m2) / _FOUR_PI
+    )
     return lam1 + lam2, lam1, lam2
-
-
-def subset_lambda(masses, a, subset) -> float:
-    """4pi sum_{i in J} M_i - 1/2 sum_{i,j in J} a_ij M_i M_j.
-
-    ``subset`` holds 0-based indices.  For the two-species matrices used
-    elsewhere in the package, 2pi times the Lambda of lambda_values almost
-    matches this with J = {0, 1}, but the sign of the linear m2 term
-    differs; the two forms are related, not identical.
-    """
-    masses = np.asarray(masses, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != masses.size:
-        raise ValueError("a must be square and match the number of masses")
-    if not np.array_equal(a, a.T):
-        raise AsymmetricMatrix("interaction matrix must be symmetric")
-    idx = np.unique(np.asarray(list(subset), dtype=int))
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    if idx.min() < 0 or idx.max() >= masses.size:
-        raise ValueError("subset index out of range")
-    m = masses[idx]
-    sub = a[np.ix_(idx, idx)]
-    return float(_FOUR_PI * m.sum() - 0.5 * m @ sub @ m)
-
-
-def all_subsets_positive(masses, a) -> bool:
-    """Whether subset_lambda is positive over every nonempty index subset."""
-    n = np.asarray(masses).size
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 species")
-    indices = range(n)
-    for k in range(1, n + 1):
-        for J in itertools.combinations(indices, k):
-            if subset_lambda(masses, a, J) <= 0.0:
-                return False
-    return True
-
-
-def _box_candidates(masses, a):
-    """Values of the full-set quadratic at all critical points of the box.
-
-    Enumerates every face pattern (each coordinate pinned at 0, pinned at
-    its mass, or free), solves the stationarity system on the free
-    coordinates, and keeps candidates that land inside their face.  The
-    all-zero corner is excluded: the constraint set is open there.
-    """
-    masses = np.asarray(masses, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = masses.size
-    out = []
-    for pattern in itertools.product((0, 1, 2), repeat=n):
-        if all(s == 0 for s in pattern):
-            continue
-        m = np.where(np.asarray(pattern) == 1, masses, 0.0)
-        free = [i for i, s in enumerate(pattern) if s == 2]
-        if free:
-            sub = a[np.ix_(free, free)]
-            rhs = _FOUR_PI - a[np.ix_(free, range(n))] @ m
-            try:
-                sol = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(sol <= 0.0) or np.any(sol >= masses[free]):
-                continue
-            m[free] = sol
-        out.append(float(_FOUR_PI * m.sum() - 0.5 * m @ a @ m))
-    return out
-
-
-def refined_condition(masses, a) -> bool:
-    """Strict positivity of the full-set quadratic over the mass box.
-
-    The box condition replaces subset positivity when diagonal entries may
-    be negative; it is implied by all_subsets_positive whenever the
-    diagonal is nonnegative.  Checked by minimizing over the critical
-    points and faces of the closed box, excluding the origin.
-    """
-    masses = np.asarray(masses, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not np.array_equal(a, a.T):
-        raise AsymmetricMatrix("interaction matrix must be symmetric")
-    if np.any(masses <= 0):
-        raise NonpositiveMass("box condition needs positive masses")
-    if masses.size > 8:
-        raise ValueError("box enumeration is limited to 8 species")
-    return min(_box_candidates(masses, a)) > 0.0
-
-
-def _larger_root(b: float, c: float) -> float:
-    """Larger root of x^2 - b*x + c = 0; NoRealRoot when complex."""
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        raise NoRealRoot(f"discriminant {disc:.6g} < 0")
-    return 0.5 * (b + math.sqrt(disc))
 
 
 def strip_mass(p: Params) -> float:
     """Largest m1 the radial existence strip reaches, +inf when gamma = 0.
 
     The strip's top edge sits at m2* = (4pi/gamma)(2beta/alpha - 1); the
-    returned mass is the larger root of Lambda(., m2*) = 0.  Requires
-    alpha > 0 and beta > alpha/2; for beta > alpha/2 the discriminant is
-    provably positive, so NoRealRoot is defensive.
+    returned mass is the larger root of Lambda(., m2*) = 0,
+
+        (4pi + beta m2* + sqrt(16pi^2 - 4pi alpha m2* + beta^2 m2*^2)) / alpha.
+
+    The square root is the hypot of beta m2* - 2pi alpha/beta and
+    4pi sqrt(1 - (alpha/2beta)^2), real for beta > alpha/2, so no
+    intermediate overflows before the root itself does (as gamma -> 0).
+    Requires alpha > 0 and beta > alpha/2.
     """
     p = validate_params(p)
     if p.alpha <= 0:
@@ -205,63 +115,70 @@ def strip_mass(p: Params) -> float:
     if p.gamma == 0.0:
         return math.inf
     m2s = (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0)
-    b = (8.0 * math.pi + 2.0 * p.beta * m2s) / p.alpha
-    c = (8.0 * math.pi * m2s + p.gamma * m2s**2) / p.alpha
-    return _larger_root(b, c)
+    half = p.alpha / (2.0 * p.beta)
+    root = math.hypot(
+        p.beta * m2s - 2.0 * math.pi * p.alpha / p.beta,
+        _FOUR_PI * math.sqrt(1.0 - half * half),
+    )
+    return (_FOUR_PI + p.beta * m2s + root) / p.alpha
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
-    if hi <= lo:
-        return lo, f(lo)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    tol = 1e-10 * max(1.0, hi - lo)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
+def _decide(margins):
+    """Masks (fire, fail) of 'every margin holds strictly': fail where some
+    margin is at or below -tol, fire where none fails and all are at or
+    above +tol.  A point in neither sits on a fence."""
+    fire, fail = np.True_, np.False_
+    for m in margins:
+        fire = fire & (m >= _TOL)
+        fail = fail | (m <= -_TOL)
+    return fire & ~fail, fail
+
+
+class _Table:
+    """Verdict and rule arrays filled by an ordered list of rules.
+
+    Each rule settles the points that are still open: where it fires they
+    take its verdict, on its fence they stay Unknown with rule 0, and where
+    it fails they take ``fail_verdict`` or, without one, stay open for the
+    next rule.  Points no rule settles end Unknown.
+    """
+
+    def __init__(self, shape):
+        self.verdict = np.full(shape, "Unknown", dtype=object)
+        self.rule = np.zeros(shape, dtype=int)
+        self.open = np.ones(shape, dtype=bool)
+
+    def settle(self, decided, verdict, rule, fail_verdict=None):
+        fire, fail = decided
+        hit = self.open & fire
+        self.verdict[hit], self.rule[hit] = verdict, rule
+        if fail_verdict is None:
+            self.open = self.open & fail
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            miss = self.open & fail
+            self.verdict[miss], self.rule[miss] = fail_verdict, rule
+            self.open = np.zeros_like(self.open)
 
 
-def _decide(margins) -> str:
-    """'fire' when all margins clear +tol, 'fail' when any clears -tol,
-    'fence' otherwise (some margin is pinned to its threshold)."""
-    if any(m <= -_TOL for m in margins):
-        return "fail"
-    if all(m >= _TOL for m in margins):
-        return "fire"
-    return "fence"
-
-
-def classify_conflict(p: Params) -> PhaseVerdict:
+def _conflict_table(p: Params, m1, m2):
     """Ordered rule table for the conflict convention, first match wins.
 
     (1) m1 below the critical mass: BoundedBelow for every m2.
     (2) Lambda < 0 and Lambda2 < 0: UnboundedBelow.
     (3) beta > alpha/2, Lambda > 0, the strip condition
         2beta/alpha > gamma*m2/4pi + 1, and m1 < strip_mass: RadiallyBounded.
-    (4) some m2' <= m2 passes rule (3): RadiallyBounded (monotone
-        extension upward in m2; the search maximizes Lambda(m1, .) over the
-        admissible interval by golden section).
+    (4) some m2' <= m2 passes rule (3): RadiallyBounded (monotone extension
+        upward in m2).  Lambda(m1, .) is a concave quadratic with leading
+        coefficient -gamma/4pi, so its maximum over the admissible interval
+        [0, hi] sits at clip((beta*m1 - 4pi)/gamma, 0, hi), or at an end of
+        the interval when gamma = 0.
     (5) Unknown.
 
     Any rule that lands within 1e-12 of its threshold makes the point
     Unknown: the underlying statements are all strict inequalities.
+    Returns (verdicts, rules, fired) for broadcast m1, m2; ``fired`` maps
+    the name of each deciding quantity to its values.
     """
-    p = validate_params(p)
-    if p.theta != -1:
-        raise ValueError("classify_conflict needs theta = -1")
-    m1, m2 = p.m1, p.m2
     lam, lam1, lam2 = lambda_values(m1, m2, p)
     crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
     beta_gap = p.beta - p.alpha / 2.0
@@ -270,150 +187,136 @@ def classify_conflict(p: Params) -> PhaseVerdict:
         if p.alpha == 0.0
         else 2.0 * p.beta / p.alpha - p.gamma * m2 / _FOUR_PI - 1.0
     )
-    strip_edge = None
-    if p.alpha > 0.0 and beta_gap > 0.0:
-        try:
-            strip_edge = strip_mass(p)
-        except NoRealRoot:
-            strip_edge = None
+    strip_edge = strip_mass(p) if p.alpha > 0.0 and beta_gap > 0.0 else None
+    edge_gap = math.nan if strip_edge is None else strip_edge - m1
+    fired = {
+        "lambda": lam,
+        "lambda1": lam1,
+        "lambda2": lam2,
+        "critical_gap": crit_gap,
+        "strip_mass_gap": edge_gap,
+        "strip_gap": strip_gap,
+    }
 
-    fired = (
-        ("lambda", float(lam)),
-        ("lambda1", float(lam1)),
-        ("lambda2", float(lam2)),
-        ("critical_gap", crit_gap),
-        ("strip_mass_gap", math.nan if strip_edge is None else strip_edge - m1),
-        ("strip_gap", strip_gap),
+    table = _Table(np.shape(lam))
+    table.settle(_decide([crit_gap]), "BoundedBelow", 1)
+    table.settle(_decide([-lam, -lam2]), "UnboundedBelow", 2)
+    if strip_edge is None:
+        return table.verdict, table.rule, fired
+    table.settle(
+        _decide([beta_gap, lam, strip_gap, edge_gap]), "RadiallyBounded", 3
     )
-
-    def verdict(v, rule):
-        return PhaseVerdict(point=(m1, m2), verdict=v, fired=fired, rule=rule)
-
-    d = _decide([crit_gap])
-    if d == "fire":
-        return verdict("BoundedBelow", 1)
-    if d == "fence":
-        return verdict("Unknown", 0)
-
-    d = _decide([-lam, -lam2])
-    if d == "fire":
-        return verdict("UnboundedBelow", 2)
-    if d == "fence":
-        return verdict("Unknown", 0)
-
-    if beta_gap >= _TOL and strip_edge is None:
-        return verdict("Unknown", 0)
-    if strip_edge is not None:
-        d = _decide([beta_gap, lam, strip_gap, strip_edge - m1])
-        if d == "fire":
-            return verdict("RadiallyBounded", 3)
-        if d == "fence":
-            return verdict("Unknown", 0)
-
-        if beta_gap >= _TOL and strip_edge - m1 >= _TOL:
-            if p.gamma == 0.0:
-                hi = m2
-            else:
-                hi = min(m2, (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0))
-            _, best = _golden_max(lambda x: lambda_values(m1, x, p)[0], 0.0, hi)
-            d = _decide([best])
-            if d == "fire":
-                return verdict("RadiallyBounded", 4)
-            if d == "fence":
-                return verdict("Unknown", 0)
-
-    return verdict("Unknown", 0)
-
-
-def _existence_quadratic(m1: float, p: Params):
-    """Coefficients of q(m) = gamma/2 m^2 + (4pi - beta*m1) m + m1/2 (8pi - alpha*m1).
-
-    q(m) > 0 for all m in (0, m2] is the two-species specialization of the
-    box condition; q(m2) > 0 alone is the closed-curve condition.
-    """
-    return 0.5 * p.gamma, _FOUR_PI - p.beta * m1, 0.5 * m1 * (8.0 * math.pi - p.alpha * m1)
-
-
-def _box_min_on_interval(m1: float, m2: float, p: Params) -> float:
-    a2, a1, a0 = _existence_quadratic(m1, p)
-    ends = [a0, (a2 * m2 + a1) * m2 + a0]
-    if a2 > 0.0:
-        v = -a1 / (2.0 * a2)
-        if 0.0 < v < m2:
-            ends.append((a2 * v + a1) * v + a0)
-    return min(ends)
+    if beta_gap >= _TOL:
+        table.open = table.open & (edge_gap >= _TOL)
+        if p.gamma == 0.0:
+            best_m2 = np.where(p.beta * m1 / (2.0 * math.pi) - 2.0 > 0.0, m2, 0.0)
+        else:
+            top = (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0)
+            hi = np.minimum(m2, top)
+            best_m2 = np.clip((p.beta * m1 - _FOUR_PI) / p.gamma, 0.0, hi)
+        best = lambda_values(m1, best_m2, p)[0]
+        table.settle(_decide([best]), "RadiallyBounded", 4)
+    return table.verdict, table.rule, fired
 
 
 def _onset_mass(p: Params) -> float:
     """m1 where the existence conic first enters the positive quadrant.
 
     Larger root of (beta^2 + alpha*gamma) m1^2 - 8pi (beta + gamma) m1
-    + 16pi^2, from the discriminant of the quadratic in m2.
+    + 16pi^2, from the discriminant of the quadratic in m2.  The root's own
+    discriminant is taken as 64pi^2 gamma (2beta + gamma - alpha): expanded,
+    it cancels to a negative number when gamma is tiny.  When alpha = beta
+    = 0 every coefficient of the existence quadratic is positive, the conic
+    never enters, and the onset is +inf.
     """
     lead = p.beta**2 + p.alpha * p.gamma
-    b = 8.0 * math.pi * (p.beta + p.gamma) / lead
-    c = 16.0 * math.pi**2 / lead
-    return _larger_root(b, c)
+    if lead == 0.0:
+        return math.inf
+    root = math.sqrt(p.gamma * (2.0 * p.beta + p.gamma - p.alpha))
+    return _FOUR_PI * (p.beta + p.gamma + root) / lead
 
 
-def classify_conflict_free(p: Params) -> PhaseVerdict:
+def _cooperative_table(p: Params, m1, m2):
     """Existence cases for the cooperative convention.
 
     Case (a) 2beta < alpha: any m2 works below the critical mass.
     Case (b) 2beta >= alpha, gamma = 0: the interval condition decides.
     Case (c) 2beta >= alpha, gamma > 0: below the conic onset mass any m2
     works; between the onset and the critical mass the interval condition
-    decides.  The interval condition is evaluated by minimizing the
-    existence quadratic over [0, m2], which captures the universal
-    quantifier over intermediate masses.
+    decides.  The interval condition asks that the existence quadratic
+    q(m) = gamma/2 m^2 + (4pi - beta*m1) m + m1/2 (8pi - alpha*m1), the
+    two-species specialization of the box condition, be positive on
+    (0, m2]: its minimum there (``box_min``) captures the universal
+    quantifier over intermediate masses, while q(m2) > 0 alone
+    (``only_condition``) is the closed-curve condition.
+    Returns (verdicts, rules, fired) for broadcast m1, m2.
     """
+    lam, lam1, lam2 = lambda_values(m1, m2, p)
+    crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
+    a2 = 0.5 * p.gamma
+    a1 = _FOUR_PI - p.beta * m1
+    a0 = 0.5 * m1 * (8.0 * math.pi - p.alpha * m1)
+    only = (a2 * m2 + a1) * m2 + a0
+    box_min = np.minimum(a0, only)
+    if a2 > 0.0:
+        v = -a1 / (2.0 * a2)
+        inside = (0.0 < v) & (v < m2)
+        vertex = (a2 * v + a1) * v + a0
+        box_min = np.where(inside, np.minimum(box_min, vertex), box_min)
+    fired = {
+        "lambda": lam,
+        "lambda1": lam1,
+        "lambda2": lam2,
+        "critical_gap": crit_gap,
+        "only_condition": only,
+        "box_min": box_min,
+    }
+
+    table = _Table(np.shape(lam))
+    if 2.0 * p.beta < p.alpha:
+        table.settle(_decide([crit_gap]), "Exists", 1, "NotCovered")
+    elif p.gamma == 0.0:
+        table.settle(_decide([box_min]), "Exists", 2, "NotCovered")
+    else:
+        fired["onset_gap"] = onset_gap = _onset_mass(p) - m1
+        table.settle(_decide([onset_gap]), "Exists", 3)
+        table.settle(_decide([crit_gap, box_min]), "Exists", 3, "NotCovered")
+    return table.verdict, table.rule, fired
+
+
+def _at_point(p: Params, table) -> PhaseVerdict:
+    verdict, rule, fired = table(p, p.m1, p.m2)
+    return PhaseVerdict(
+        point=(p.m1, p.m2),
+        verdict=str(verdict[()]),
+        fired=tuple((name, float(value)) for name, value in fired.items()),
+        rule=int(rule[()]),
+    )
+
+
+def classify_conflict(p: Params) -> PhaseVerdict:
+    """The conflict rule table (see _conflict_table) at the point (p.m1, p.m2)."""
+    p = validate_params(p)
+    if p.theta != -1:
+        raise ValueError("classify_conflict needs theta = -1")
+    return _at_point(p, _conflict_table)
+
+
+def classify_conflict_free(p: Params) -> PhaseVerdict:
+    """The cooperative cases (see _cooperative_table) at the point (p.m1, p.m2)."""
     p = validate_params(p)
     if p.theta != 1:
         raise ValueError("classify_conflict_free needs theta = +1")
-    m1, m2 = p.m1, p.m2
-    lam, lam1, lam2 = lambda_values(m1, m2, p)
-    crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
-    a2, a1, a0 = _existence_quadratic(m1, p)
-    only = (a2 * m2 + a1) * m2 + a0
-    box_min = _box_min_on_interval(m1, m2, p)
-
-    def verdict(v, rule, extra=()):
-        fired = (
-            ("lambda", float(lam)),
-            ("lambda1", float(lam1)),
-            ("lambda2", float(lam2)),
-            ("critical_gap", crit_gap),
-            ("only_condition", only),
-            ("box_min", box_min),
-        ) + tuple(extra)
-        return PhaseVerdict(point=(m1, m2), verdict=v, fired=fired, rule=rule)
-
-    def from_margins(margins, rule, extra=()):
-        d = _decide(margins)
-        if d == "fire":
-            return verdict("Exists", rule, extra)
-        if d == "fail":
-            return verdict("NotCovered", rule, extra)
-        return verdict("Unknown", 0, extra)
-
-    if 2.0 * p.beta < p.alpha:
-        return from_margins([crit_gap], 1)
-    if p.gamma == 0.0:
-        return from_margins([box_min], 2)
-    onset = _onset_mass(p)
-    onset_gap = onset - m1
-    if onset_gap >= _TOL:
-        return verdict("Exists", 3, (("onset_gap", onset_gap),))
-    if abs(onset_gap) < _TOL:
-        return verdict("Unknown", 0, (("onset_gap", onset_gap),))
-    return from_margins([crit_gap, box_min], 3, (("onset_gap", onset_gap),))
+    return _at_point(p, _cooperative_table)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Verdict grid over the mass rectangle, plus analytic boundary curves.
 
-    ``verdicts[i, j]`` is the PhaseVerdict at (m1s[i], m2s[j]).  ``curves``
+    At (m1s[i], m2s[j]), ``verdicts[i, j]`` is the verdict string,
+    ``rules[i, j]`` the number of the rule that decided it (0 when none
+    did) and ``lambdas[:, i, j]`` is (Lambda, Lambda1, Lambda2).  ``curves``
     maps curve names to (k, 2) point arrays in the (m1, m2) plane; NaN rows
     separate disconnected branches.
     """
@@ -422,6 +325,8 @@ class SweepResult:
     m1s: np.ndarray
     m2s: np.ndarray
     verdicts: np.ndarray
+    rules: np.ndarray
+    lambdas: np.ndarray
     curves: dict
 
 
@@ -492,27 +397,18 @@ def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict
         )
     strip = np.empty((0, 2))
     if p.theta == -1 and p.alpha > 0.0 and p.beta > p.alpha / 2.0:
-        try:
-            strip = _vertical_line(strip_mass(p), m1_range, m2_range, samples)
-        except NoRealRoot:
-            pass
+        strip = _vertical_line(strip_mass(p), m1_range, m2_range, samples)
     curves["strip_mass"] = strip
     return curves
 
 
-def sweep(
-    p_base: Params,
-    m1_range,
-    m2_range,
-    resolution: int,
-    workers: int = 1,
-) -> SweepResult:
-    """Classify every point of a resolution^2 mass grid.
+def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:
+    """Classify every point of a resolution^2 mass grid in one table call.
 
     The m1 axis is sampled half-open from above, (lo, hi], so a zero lower
-    bound never produces a zero mass; the m2 axis is sampled closed.  Rows
-    are classified across a thread pool with deterministic ordering.  A
-    zero-width range on either axis yields an empty grid.
+    bound never produces a zero mass; the m2 axis is sampled closed.  A
+    zero-width range on either axis yields an empty grid; a range bound
+    that is not finite raises ValueError.
 
     For the conflict convention, the provable disjointness of rules (1)
     and (2) is re-checked on the grid; overlap raises RuntimeError.
@@ -520,6 +416,8 @@ def sweep(
     p_base = validate_params(p_base)
     lo1, hi1 = map(float, m1_range)
     lo2, hi2 = map(float, m2_range)
+    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2))):
+        raise ValueError(f"mass ranges must be finite: m1 {m1_range}, m2 {m2_range}")
     if resolution < 0:
         raise ValueError("resolution must be nonnegative")
     if hi1 > lo1 and resolution > 0:
@@ -531,31 +429,27 @@ def sweep(
     else:
         m2s = np.empty(0)
 
-    classify = classify_conflict if p_base.theta == -1 else classify_conflict_free
+    mm1, mm2 = np.meshgrid(m1s, m2s, indexing="ij")
+    table = _conflict_table if p_base.theta == -1 else _cooperative_table
+    verdicts, rules, fired = table(p_base, mm1, mm2)
+    lambdas = np.stack([fired["lambda"], fired["lambda1"], fired["lambda2"]])
 
-    def classify_row(m1):
-        return [classify(replace(p_base, m1=float(m1), m2=float(m2))) for m2 in m2s]
-
-    if m1s.size and m2s.size:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            rows = list(pool.map(classify_row, m1s))
-        verdicts = np.empty((m1s.size, m2s.size), dtype=object)
-        for i, row in enumerate(rows):
-            verdicts[i] = row
-    else:
-        verdicts = np.empty((m1s.size, m2s.size), dtype=object)
-
-    if p_base.theta == -1 and m1s.size and m2s.size:
-        mm1, mm2 = np.meshgrid(m1s, m2s, indexing="ij")
-        lam, _, lam2 = lambda_values(mm1, mm2, p_base)
+    if p_base.theta == -1:
         crit = math.inf if p_base.alpha == 0.0 else 8.0 * math.pi / p_base.alpha
+        lam, _, lam2 = lambdas
         overlap = (mm1 < crit - _TOL) & (lam < -_TOL) & (lam2 < -_TOL)
         if np.any(overlap):
             raise RuntimeError("rules (1) and (2) fired together; Lambda2 must "
                                "be positive below the critical mass")
 
     curves = _boundary_curves(p_base, (lo1, hi1), (lo2, hi2))
-    logger.info(
-        "swept %d x %d points with %d worker(s)", m1s.size, m2s.size, max(1, workers)
+    logger.info("swept %d x %d points", m1s.size, m2s.size)
+    return SweepResult(
+        params=p_base,
+        m1s=m1s,
+        m2s=m2s,
+        verdicts=verdicts,
+        rules=rules,
+        lambdas=lambdas,
+        curves=curves,
     )
-    return SweepResult(params=p_base, m1s=m1s, m2s=m2s, verdicts=verdicts, curves=curves)

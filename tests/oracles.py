@@ -3,16 +3,22 @@
 Nothing here touches the package discretization: the shooting oracle
 integrates the radial system as an initial value problem with scipy and
 root-finds on the center values until the boundary fluxes match the
-target masses.
+target masses.  The N-species existence conditions (subset positivity and
+the box condition) generalize the package's two-species cooperative table
+and check it from outside.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import fsolve
 
+from conflictlab.errors import AsymmetricMatrix, NonpositiveMass
+
 _R0 = 1e-8
+FOUR_PI = 4.0 * math.pi
 
 
 def shoot_pair(p, center_guess=(0.5, 0.1)):
@@ -94,3 +100,90 @@ def rk4_vector(b, gamma, v0, vt0, t):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         vhat[j], vt[j] = y
     return vhat, vt
+
+
+def subset_lambda(masses, a, subset) -> float:
+    """4pi sum_{i in J} M_i - 1/2 sum_{i,j in J} a_ij M_i M_j.
+
+    ``subset`` holds 0-based indices.  For two-species matrices, 2pi times
+    the Lambda of conflictlab.phase.lambda_values almost matches this with
+    J = {0, 1}, but the sign of the linear m2 term differs; the two forms
+    are related, not identical.
+    """
+    masses = np.asarray(masses, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != masses.size:
+        raise ValueError("a must be square and match the number of masses")
+    if not np.array_equal(a, a.T):
+        raise AsymmetricMatrix("interaction matrix must be symmetric")
+    idx = np.unique(np.asarray(list(subset), dtype=int))
+    if idx.size == 0:
+        raise ValueError("subset must be nonempty")
+    if idx.min() < 0 or idx.max() >= masses.size:
+        raise ValueError("subset index out of range")
+    m = masses[idx]
+    sub = a[np.ix_(idx, idx)]
+    return float(FOUR_PI * m.sum() - 0.5 * m @ sub @ m)
+
+
+def all_subsets_positive(masses, a) -> bool:
+    """Whether subset_lambda is positive over every nonempty index subset."""
+    n = np.asarray(masses).size
+    if n > 16:
+        raise ValueError("subset enumeration is limited to 16 species")
+    indices = range(n)
+    for k in range(1, n + 1):
+        for J in itertools.combinations(indices, k):
+            if subset_lambda(masses, a, J) <= 0.0:
+                return False
+    return True
+
+
+def _box_candidates(masses, a):
+    """Values of the full-set quadratic at all critical points of the box.
+
+    Enumerates every face pattern (each coordinate pinned at 0, pinned at
+    its mass, or free), solves the stationarity system on the free
+    coordinates, and keeps candidates that land inside their face.  The
+    all-zero corner is excluded: the constraint set is open there.
+    """
+    masses = np.asarray(masses, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = masses.size
+    out = []
+    for pattern in itertools.product((0, 1, 2), repeat=n):
+        if all(s == 0 for s in pattern):
+            continue
+        m = np.where(np.asarray(pattern) == 1, masses, 0.0)
+        free = [i for i, s in enumerate(pattern) if s == 2]
+        if free:
+            sub = a[np.ix_(free, free)]
+            rhs = FOUR_PI - a[np.ix_(free, range(n))] @ m
+            try:
+                sol = np.linalg.solve(sub, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(sol <= 0.0) or np.any(sol >= masses[free]):
+                continue
+            m[free] = sol
+        out.append(float(FOUR_PI * m.sum() - 0.5 * m @ a @ m))
+    return out
+
+
+def refined_condition(masses, a) -> bool:
+    """Strict positivity of the full-set quadratic over the mass box.
+
+    The box condition replaces subset positivity when diagonal entries may
+    be negative; it is implied by all_subsets_positive whenever the
+    diagonal is nonnegative.  Checked by minimizing over the critical
+    points and faces of the closed box, excluding the origin.
+    """
+    masses = np.asarray(masses, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if not np.array_equal(a, a.T):
+        raise AsymmetricMatrix("interaction matrix must be symmetric")
+    if np.any(masses <= 0):
+        raise NonpositiveMass("box condition needs positive masses")
+    if masses.size > 8:
+        raise ValueError("box enumeration is limited to 8 species")
+    return min(_box_candidates(masses, a)) > 0.0

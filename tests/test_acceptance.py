@@ -225,8 +225,8 @@ def _assert_changes_track_curves(res):
                 ii, jj = i + di, j + dj
                 if ii >= res.m1s.size or jj >= res.m2s.size:
                     continue
-                va = res.verdicts[i, j].verdict
-                vb = res.verdicts[ii, jj].verdict
+                va = res.verdicts[i, j]
+                vb = res.verdicts[ii, jj]
                 if va == vb or "Unknown" in (va, vb):
                     continue
                 fa = curve_fns(res.m1s[i], res.m2s[j])
@@ -249,7 +249,7 @@ def _assert_radial_monotone_up(res):
     for i in range(res.m1s.size):
         seen = False
         for j in range(res.m2s.size):
-            v = res.verdicts[i, j].verdict
+            v = res.verdicts[i, j]
             if seen:
                 assert v in ("RadiallyBounded", "Unknown")
             seen = seen or v == "RadiallyBounded"
@@ -263,7 +263,6 @@ def test_08_phase_sweep_alignment():
             (0.0, 40.0),
             (0.0, 40.0),
             200,
-            workers=8,
         )
         for g in (0.0, 1.0)
     ]

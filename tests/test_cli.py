@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conflictlab.cli import RunConfig, main, parse_config, run
-from conflictlab.errors import BadTheta, ParseError, UnknownKey
+from conflictlab.errors import BadTheta, NonpositiveMass, ParseError, UnknownKey
 from conflictlab.model import Params
 
 EIGHT_PI = 8.0 * math.pi
@@ -137,7 +137,7 @@ class TestSweepCommand:
     def test_tables_and_curves(self, tmp_path):
         sec = "[sweep]\nm1_range = 0, 40\nm2_range = 0, 40\nresolution = 20\n"
         cfg = parse_config(config_text("sweep", gamma=1.0, section=sec))
-        assert run(cfg, out_dir=tmp_path, threads=2) == 0
+        assert run(cfg, out_dir=tmp_path) == 0
         _, columns, rows = read_table(tmp_path / "sweep.csv")
         assert columns == ["m1", "m2", "verdict", "lambda", "lambda1",
                            "lambda2", "rule_fired"]
@@ -241,9 +241,9 @@ class TestDeterminism:
     def test_identical_bytes_across_runs_and_threads(self, tmp_path):
         sec = "[sweep]\nm1_range = 0, 40\nm2_range = 0, 40\nresolution = 25\n"
         cfg = parse_config(config_text("sweep", gamma=1.0, section=sec))
-        run(cfg, out_dir=tmp_path / "a", threads=1)
-        run(cfg, out_dir=tmp_path / "b", threads=4)
-        run(cfg, out_dir=tmp_path / "c", threads=4)
+        run(cfg, out_dir=tmp_path / "a")
+        run(cfg, out_dir=tmp_path / "b")
+        run(cfg, out_dir=tmp_path / "c")
         for name in ("sweep.csv", "sweep_curves.csv"):
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
@@ -274,6 +274,26 @@ class TestMain:
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            "m1_range = 0, 40\nm2_range = 0, nan\n",
+            "m1_range = 0, inf\nm2_range = 0, 40\n",
+        ],
+    )
+    def test_non_finite_sweep_range_exit(self, tmp_path, capsys, ranges):
+        path = tmp_path / "bad.cfg"
+        sec = "[sweep]\n" + ranges + "resolution = 8\n"
+        path.write_text(config_text("sweep", section=sec))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_negative_second_mass_range_is_nonpositive_mass(self, tmp_path):
+        sec = "[sweep]\nm1_range = 0, 40\nm2_range = -1, 40\nresolution = 8\n"
+        with pytest.raises(NonpositiveMass):
+            run(parse_config(config_text("sweep", section=sec)), out_dir=tmp_path)
+
     def test_success_exit(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text(config_text("classify"))
@@ -285,7 +305,7 @@ class TestMain:
         path.write_text(config_text("classify"))
         result = subprocess.run(
             [sys.executable, "-m", "conflictlab.cli", "--config", str(path),
-             "--out", str(tmp_path), "--threads", "2"],
+             "--out", str(tmp_path)],
             capture_output=True,
             text=True,
         )

@@ -1,27 +1,26 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.calculus import inv_laplacian
-from conflictlab.errors import AsymmetricMatrix, NonpositiveMass, NoRealRoot
+from conflictlab.errors import AsymmetricMatrix, NonpositiveMass
 from conflictlab.liouville import residual, solve_pair
 from conflictlab.model import Params, RadialField, make_grid, project_density
 from conflictlab.phase import (
     PhaseVerdict,
-    all_subsets_positive,
     classify_conflict,
     classify_conflict_free,
     lambda_values,
-    refined_condition,
     strip_mass,
-    subset_lambda,
     sweep,
 )
-from conflictlab.phase import _larger_root
+from oracles import all_subsets_positive, refined_condition, subset_lambda
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -209,6 +208,23 @@ class TestRefinedCondition:
         if all_subsets_positive(masses, a):
             assert refined_condition(masses, a)
 
+    @given(
+        m1=st.floats(0.1, 60.0),
+        m2=st.floats(0.1, 60.0),
+        alpha=st.floats(0.0, 4.0),
+        beta=st.floats(0.0, 4.0),
+        gamma=st.floats(0.0, 4.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_two_species_box_matches_cooperative_box_min(
+        self, m1, m2, alpha, beta, gamma
+    ):
+        v = classify_conflict_free(coop(alpha, beta, gamma, m1, m2))
+        box_min = v.value("box_min")
+        assume(abs(box_min) > 1e-9)
+        a = [[alpha, beta], [beta, -gamma]]
+        assert refined_condition([m1, m2], a) == (box_min > 0.0)
+
 
 class TestStripMass:
     def test_unit_couplings_give_twelve_pi(self):
@@ -239,9 +255,14 @@ class TestStripMass:
         with pytest.raises(ValueError):
             strip_mass(conflict(alpha, beta, 1.0))
 
-    def test_no_real_root_reported(self):
-        with pytest.raises(NoRealRoot):
-            _larger_root(1.0, 1.0)
+    @pytest.mark.parametrize("alpha, gamma", [(1.0, 1e-200), (1e-300, 1.0)])
+    def test_huge_strip_mass_does_not_overflow(self, alpha, gamma):
+        # the strip mass grows like 1/gamma and 1/alpha: it must come out
+        # huge or +inf, not overflow an intermediate
+        ms = strip_mass(conflict(alpha, 2.0, gamma))
+        assert ms > 1e150
+        v = classify_conflict(conflict(alpha, 2.0, gamma, 1e12, 1.0))
+        assert v.value("strip_mass_gap") > 0.0
 
 
 class TestClassifyConflict:
@@ -371,6 +392,20 @@ class TestClassifyConflictFree:
         with pytest.raises(ValueError, match="theta"):
             classify_conflict_free(conflict(1.0, 1.0, 1.0))
 
+    def test_tiny_gamma_onset_is_real(self):
+        # the expanded onset discriminant cancels below zero at tiny gamma
+        v = classify_conflict_free(coop(0.0, 3.0, 5.279800547705063e-27, 1.0, 1.0))
+        assert (v.verdict, v.rule) == ("Exists", 3)
+        # onset at 4pi (beta + gamma + sqrt(gamma (2beta + gamma))) / beta^2
+        assert np.isclose(v.value("onset_gap"), FOUR_PI / 3.0 - 1.0, rtol=1e-12)
+
+    def test_uncoupled_first_species_exists_everywhere(self):
+        # alpha = beta = 0: every coefficient of the existence quadratic is
+        # positive, so the conic never enters the quadrant
+        v = classify_conflict_free(coop(0.0, 0.0, 1.0, 50.0, 30.0))
+        assert (v.verdict, v.rule) == ("Exists", 3)
+        assert v.value("onset_gap") == math.inf
+
     def test_fired_includes_interval_minimum(self):
         v = classify_conflict_free(coop(1.0, 1.0, 1.0, 22.0, 8.0))
         assert v.value("box_min") < 0.0
@@ -404,7 +439,7 @@ class TestPhaseVerdict:
 
 @pytest.fixture(scope="module")
 def conflict_sweep():
-    return sweep(conflict(1.0, 2.0, 1.0), (0.0, 40.0), (0.0, 40.0), 40, workers=4)
+    return sweep(conflict(1.0, 2.0, 1.0), (0.0, 40.0), (0.0, 40.0), 40)
 
 
 class TestSweep:
@@ -458,8 +493,8 @@ class TestSweep:
                     ii, jj = i + di, j + dj
                     if ii >= res.m1s.size or jj >= res.m2s.size:
                         continue
-                    va = res.verdicts[i, j].verdict
-                    vb = res.verdicts[ii, jj].verdict
+                    va = res.verdicts[i, j]
+                    vb = res.verdicts[ii, jj]
                     if va == vb or "Unknown" in (va, vb):
                         continue
                     fa = fns(res.m1s[i], res.m2s[j])
@@ -471,7 +506,7 @@ class TestSweep:
         for i in range(res.m1s.size):
             seen = False
             for j in range(res.m2s.size):
-                v = res.verdicts[i, j].verdict
+                v = res.verdicts[i, j]
                 if seen:
                     assert v in ("RadiallyBounded", "Unknown")
                 seen = seen or v == "RadiallyBounded"
@@ -480,21 +515,32 @@ class TestSweep:
         res = conflict_sweep
         assert res.m2s[0] == 0.0
         for i in range(res.m1s.size):
-            v = res.verdicts[i, 0].verdict
+            v = res.verdicts[i, 0]
             m1 = res.m1s[i]
             if m1 < EIGHT_PI - 1e-9:
                 assert v == "BoundedBelow"
             elif m1 > EIGHT_PI + 1e-9:
                 assert v == "UnboundedBelow"
 
-    def test_deterministic_across_worker_counts(self):
-        p = conflict(1.0, 2.0, 1.0)
-        a = sweep(p, (0.0, 40.0), (0.0, 40.0), 25, workers=1)
-        b = sweep(p, (0.0, 40.0), (0.0, 40.0), 25, workers=4)
-        for va, vb in zip(a.verdicts.ravel(), b.verdicts.ravel()):
-            assert va.verdict == vb.verdict
-            assert va.rule == vb.rule
-            assert va.fired == vb.fired
+    @given(
+        alpha=st.floats(0.0, 4.0),
+        beta=st.floats(0.0, 4.0),
+        gamma=st.floats(0.0, 4.0),
+        theta=st.sampled_from((-1, 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_cell_matches_the_point_classifier(self, alpha, beta, gamma, theta):
+        p = Params(alpha=alpha, beta=beta, gamma=gamma, theta=theta, m1=1.0, m2=0.0)
+        res = sweep(p, (0.0, 40.0), (0.0, 40.0), 12)
+        classify = classify_conflict if theta == -1 else classify_conflict_free
+        for i, m1 in enumerate(res.m1s.tolist()):
+            for j, m2 in enumerate(res.m2s.tolist()):
+                v = classify(replace(p, m1=m1, m2=m2))
+                assert res.verdicts[i, j] == v.verdict
+                assert res.rules[i, j] == v.rule
+                got = [x.hex() for x in res.lambdas[:, i, j].tolist()]
+                want = [v.value(n).hex() for n in ("lambda", "lambda1", "lambda2")]
+                assert got == want
 
     def test_zero_width_range_gives_empty_grid(self):
         res = sweep(conflict(1.0, 2.0, 1.0), (10.0, 10.0), (0.0, 40.0), 30)
@@ -508,11 +554,34 @@ class TestSweep:
 
     def test_cooperative_sweep_exists_only_below_critical(self):
         res = sweep(coop(1.0, 0.4, 1.0), (0.0, 40.0), (0.0, 40.0), 30)
-        verdicts = {v.verdict for v in res.verdicts.ravel()}
-        assert verdicts == {"Exists", "NotCovered"}
-        for v in res.verdicts.ravel():
-            if v.verdict == "Exists":
-                assert v.point[0] < EIGHT_PI
+        assert set(res.verdicts.ravel()) == {"Exists", "NotCovered"}
+        rows = np.nonzero(res.verdicts == "Exists")[0]
+        assert np.all(res.m1s[rows] < EIGHT_PI)
+
+
+# sha256 of the "verdict rule" lines of a 200 x 200 sweep over (0, 80] x
+# [0, 80], in grid order, recorded from the point-by-point classifier that
+# the array rule tables replaced (rule (4) then searched by golden section).
+PINNED_GRIDS = {
+    (1.0, 2.0, 0.0, -1): "8dbed3155d0a5cfb6acaaf16dd9698879f3a477d17efb3a304903776b84120c1",
+    (0.5, 3.0, 2.0, -1): "d18683973e9e3ecea56c4748e12a1e5653647a295601c7f024de5a2ed69d0217",
+    (0.0, 2.0, 1.0, -1): "3be8437fe8e07c138dcd21b4066d15d02813d50204bfa4b693882e24644bc0ad",
+    (1.0, 2.0, 1.0, -1): "0cc683937452d0ce8904c74ae08ed83f8eee1556e27fdc05296c7a7029068a21",
+    (1.0, 2.0, 0.0, 1): "0805ee58d8b635289fa64d621ec4dad1fb5fffc2330261fa758e37fa17269773",
+    (0.5, 3.0, 2.0, 1): "c1f0d28c44f3f520f3ec8307e7cfc01bdad3fcbd4b02726fdf015e82af03d6ba",
+    (0.0, 2.0, 1.0, 1): "5d66ccd945cf066cba3a742b06f0cb03970aac4446a0565aeda1b6b9a99f5ef4",
+    (1.0, 0.4, 1.0, 1): "786bc81a0f773d2b91051683e1d50088458ac03090042058c7df5e9b79c06684",
+}
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, theta", list(PINNED_GRIDS))
+def test_verdict_grid_is_pinned(alpha, beta, gamma, theta):
+    p = Params(alpha=alpha, beta=beta, gamma=gamma, theta=theta, m1=1.0, m2=0.0)
+    res = sweep(p, (0.0, 80.0), (0.0, 80.0), 200)
+    pairs = zip(res.verdicts.ravel().tolist(), res.rules.ravel().tolist())
+    text = "\n".join(f"{v} {r}" for v, r in pairs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_GRIDS[alpha, beta, gamma, theta]
 
 
 @pytest.fixture(scope="module")
