@@ -22,7 +22,6 @@ reproduce exactly by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +30,8 @@ from .errors import BadRadius, GridMismatch, NegativeDensity
 from .model import RadialField, RadialGrid
 
 __all__ = [
-    "QuadratureRule",
     "cross_dirichlet",
     "dirichlet_energy",
-    "disk_quadrature",
     "entropy",
     "exterior_potential",
     "face_flux",
@@ -47,17 +44,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodal weights with sum(w_i f_i) ~ 2*pi*int_0^1 f r dr; sum(w) = pi."""
-
-    weights: np.ndarray
-
-
-def disk_quadrature(grid: RadialGrid) -> QuadratureRule:
-    return QuadratureRule(grid.weights)
-
-
 def integrate_disk(f: RadialField) -> float:
     """2*pi*int_0^1 f(r) r dr by the cell-volume rule (exact for constants)."""
     return float(np.dot(f.grid.weights, f.values))
@@ -65,7 +51,7 @@ def integrate_disk(f: RadialField) -> float:
 
 def face_masses(rho: RadialField) -> np.ndarray:
     """Running mass / 2pi at the cell faces: mtilde_{j+1/2}, j = 0..n-1."""
-    return np.cumsum(rho.grid.volumes * rho.values)[:-1]
+    return (rho.grid.volumes * rho.values).cumsum()[:-1]
 
 
 def inv_laplacian(rho: RadialField, with_flux: bool = False):
@@ -78,15 +64,20 @@ def inv_laplacian(rho: RadialField, with_flux: bool = False):
     For rho >= 0 the output is >= 0 everywhere (maximum principle); signed
     input is accepted for operator-level tests.
     """
-    grid = rho.grid
-    mtilde = face_masses(rho)
-    u = np.zeros_like(grid.r)
+    u, mtilde = _green(rho.grid, rho.values)
+    out = RadialField.potential(rho.grid, u)
+    return (out, mtilde) if with_flux else out
+
+
+def _green(grid: RadialGrid, rho_vals: np.ndarray):
+    """inv_laplacian on raw arrays: the potential values and face masses."""
+    mtilde = (grid.volumes * rho_vals).cumsum()[:-1]
+    u = np.zeros(grid.r.size)
     if grid.n > 1:
         terms = mtilde[1:] * grid.log_ratio[1:]
-        u[1:-1] = np.cumsum(terms[::-1])[::-1]
+        u[1:-1] = terms[::-1].cumsum()[::-1]
     u[0] = u[1] + 2.0 * mtilde[0]
-    out = RadialField.potential(grid, u)
-    return (out, mtilde) if with_flux else out
+    return u, mtilde
 
 
 def face_flux(w: RadialField) -> np.ndarray:
@@ -119,10 +110,10 @@ def entropy(rho: RadialField) -> float:
     Raises NegativeDensity for signed input.
     """
     v = rho.values
-    if np.any(v < 0):
+    if (v < 0).any():
         raise NegativeDensity("entropy needs rho >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
+    pos = v > 0
+    integrand = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
     return float(np.dot(rho.grid.weights, integrand))
 
 
@@ -175,5 +166,5 @@ def log_partition(fields: Sequence[tuple[float, RadialField]]) -> float:
         if not f.grid.same_as(grid):
             raise GridMismatch("log_partition needs all fields on one grid")
         g = g + coef * f.values
-    top = float(np.max(g))
+    top = float(g.max())
     return top + float(np.log(np.dot(grid.weights, np.exp(g - top))))

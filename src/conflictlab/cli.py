@@ -38,7 +38,7 @@ from .blowdown import (
 from .calculus import inv_laplacian
 from .errors import ParseError, UnknownKey
 from .functionals import joint_free_energy, moser_trudinger
-from .liouville import residual, solve_pair
+from .liouville import _exponents, residual, solve_pair
 from .model import Params, RadialField, make_grid, project_density, validate_params
 from .phase import classify_conflict, classify_conflict_free, sweep
 
@@ -306,8 +306,7 @@ def _cmd_steady(cfg: RunConfig, out: Path, header) -> None:
     grid = make_grid(cfg.grid_n)
     sol = solve_pair(p, grid)
     res1, res2 = residual(sol, p)
-    g1 = p.alpha * sol.u1.values - p.beta * sol.u2.values
-    g2 = -p.gamma * sol.u2.values - p.theta * p.beta * sol.u1.values
+    g1, g2 = _exponents(p, sol.u1.values, sol.u2.values)
     rho1 = sol.multipliers[0] * np.exp(g1)
     rho2 = sol.multipliers[1] * np.exp(g2)
     rows = zip(grid.r, sol.u1.values, sol.u2.values, rho1, rho2)

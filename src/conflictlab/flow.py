@@ -12,30 +12,44 @@ satisfy the same discrete steady equations the elliptic solvers produce.
 
 Potential equations advance by implicit diffusion with the normalized
 exponential source recomputed each step; the wall value stays exactly
-zero.  Each accepted step appends to the state's energy, mass and
-supremum traces; the monitored energy is enforced only in the regimes
-where the underlying system is a gradient flow for it.
+zero.  The monitored energy is enforced only in the regimes where the
+underlying system is a gradient flow for it.
+
+Each accepted step appends a row (t, m1, m2, energy, sup rho1) to a trace
+buffer shared with the state's ancestors, doubling it when full, so an
+append costs O(1) amortised.  The buffer's owner counts the rows claimed;
+a state whose next row another child has claimed copies its own rows
+first.  The three traces are read-only views of the rows a state owns.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .calculus import face_flux, integrate_disk, inv_laplacian
-from .errors import DegenerateQuadraticForm, Stalled, StepRejected
-from .functionals import (
-    joint_free_energy,
-    two_species_energy_rho,
-    two_species_energy_u,
+from .calculus import (
+    dirichlet_energy,
+    entropy,
+    face_flux,
+    integrate_disk,
+    interaction_energy,
+    inv_laplacian,
+    log_partition,
 )
-from .liouville import Solution, minimize_w
-from .model import FlowConfig, Params, RadialField, RadialGrid, validate_params
+from .errors import DegenerateQuadraticForm, Stalled, StepRejected
+from .functionals import two_species_energy_rho, two_species_energy_u
+from .liouville import (
+    Solution,
+    SolveOptions,
+    _exponents,
+    _minimize_w,
+    _normalized_density,
+)
+from .model import FlowConfig, Params, RadialField, validate_params
 
 __all__ = [
     "FlowState",
@@ -57,12 +71,32 @@ _GROWTH = 1.2
 _DEGENERATE_TOL = 1e-12
 
 
+class _Trace:
+    """Trace rows shared along a chain of states; ``used`` rows are claimed."""
+
+    __slots__ = ("rows", "used")
+
+    def __init__(self, rows=np.empty((0, 5))):  # never written: appends grow it
+        self.rows = rows
+        self.used = len(rows)
+
+    def appended(self, k: int, row) -> "_Trace":
+        """The trace of a state owning the first k rows, extended by row."""
+        out = self if self.used == k else _Trace(self.rows[:k])
+        if k == len(out.rows):
+            out.rows = np.concatenate([out.rows, np.empty((max(k, 8), 5))])
+        out.rows[k] = row
+        out.used = k + 1
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """Immutable snapshot of a flow, with its accumulated traces.
 
     ``energy_trace`` rows are (t, monitored energy), ``mass_trace`` rows
-    are (t, m1, m2) and ``sup_trace`` rows are (t, sup rho1).  The
+    are (t, m1, m2) and ``sup_trace`` rows are (t, sup rho1): read-only
+    views of the first ``_rows`` rows of the shared trace buffer.  The
     command line layer reports all three side by side.
     """
 
@@ -71,9 +105,8 @@ class FlowState:
     u1: RadialField
     u2: RadialField
     rho2: RadialField | None = None
-    energy_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    mass_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
-    sup_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    _trace: _Trace = field(default_factory=_Trace, repr=False)
+    _rows: int = 0
 
     def __post_init__(self) -> None:
         if self.rho1.kind != "density":
@@ -82,9 +115,17 @@ class FlowState:
             raise ValueError("u1 and u2 must be potential-tagged")
         grid = self.rho1.grid
         others = [self.u1, self.u2] + ([self.rho2] if self.rho2 is not None else [])
-        for f in others:
-            if not f.grid.same_as(grid):
-                raise ValueError("all state fields must share one grid")
+        if not all(f.grid.same_as(grid) for f in others):
+            raise ValueError("all state fields must share one grid")
+
+    def _columns(self, cols: slice) -> np.ndarray:
+        view = self._trace.rows[: self._rows, cols]
+        view.flags.writeable = False
+        return view
+
+    energy_trace = property(lambda self: self._columns(slice(None, None, 3)))
+    mass_trace = property(lambda self: self._columns(slice(0, 3)))
+    sup_trace = property(lambda self: self._columns(slice(None, None, 4)))
 
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:
@@ -98,78 +139,91 @@ def _bernoulli(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transmissibilities(grid: RadialGrid) -> np.ndarray:
+def _tridiag(grid, dt, fp=1.0, fm=1.0):
+    """Banded (3, n+1) matrix of V/dt plus the face couplings t fp, t fm,
+    with t the face transmissibilities (1/2 at the axis cell)."""
     t = np.empty(grid.n)
     t[0] = 0.5
     t[1:] = 1.0 / grid.log_ratio[1:]
-    return t
-
-
-def _sg_step(rho_vals, phi_vals, grid, dt):
-    """Implicit exponential-fitting step for rho_t = div(grad rho + rho grad phi)."""
-    pe = phi_vals[1:] - phi_vals[:-1]
-    t = _transmissibilities(grid)
-    bp = t * _bernoulli(pe)
-    bm = t * _bernoulli(-pe)
-    k = grid.n + 1
-    ab = np.zeros((3, k))
+    bp, bm = t * fp, t * fm
+    ab = np.zeros((3, grid.n + 1))
     ab[1] = grid.volumes / dt
     ab[1][:-1] += bp
     ab[1][1:] += bm
     ab[0][1:] = -bm
     ab[2][:-1] = -bp
-    new = solve_banded((1, 1), ab, grid.volumes * rho_vals / dt)
-    floor = -1e-13 * max(float(np.max(new)), 1.0)
-    if np.any(new < floor):
+    return ab
+
+
+def _solve_tridiag(ab, b):
+    """scipy.linalg.solve_banded((1, 1), ab, b) as one LAPACK gtsv call: the
+    same bits, and ValueError for non-finite input and LinAlgError for a
+    singular matrix alike, without the wrapper's per-call cost."""
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
+def _sg_step(rho_vals, phi_vals, grid, dt):
+    """Implicit exponential-fitting step for rho_t = div(grad rho + rho grad phi)."""
+    pe = phi_vals[1:] - phi_vals[:-1]
+    ab = _tridiag(grid, dt, _bernoulli(pe), _bernoulli(-pe))
+    new = _solve_tridiag(ab, grid.volumes * rho_vals / dt)
+    floor = -1e-13 * max(float(new.max()), 1.0)
+    if (new < floor).any():
         raise StepRejected("positivity lost in the density solve")
-    return np.clip(new, 0.0, None)
+    return new.clip(0.0, None)
 
 
 def _heat_step(u_vals, source_vals, grid, dt):
     """Implicit diffusion with explicit source; the wall value stays zero."""
-    t = _transmissibilities(grid)
-    k = grid.n + 1
-    ab = np.zeros((3, k))
-    ab[1] = grid.volumes / dt
-    ab[1][:-1] += t
-    ab[1][1:] += t
-    ab[0][1:] = -t
-    ab[2][:-1] = -t
+    ab = _tridiag(grid, dt)
     rhs = grid.volumes * (u_vals / dt + source_vals)
     ab[0][-1] = 0.0
     ab[1][-1] = 1.0
     ab[2][-2] = 0.0
     rhs[-1] = 0.0
-    new = solve_banded((1, 1), ab, rhs)
+    new = _solve_tridiag(ab, rhs)
     new[-1] = 0.0
     return new
 
 
-def _boltzmann(grid, g, m):
-    """Density m e^g / integral(e^g) with its multiplier, overflow-safe."""
-    top = float(np.max(g))
-    e = np.exp(g - top)
-    z = float(np.dot(grid.weights, e))
-    return (m / z) * e, m * math.exp(-top) / z
-
-
 def _induced_density(grid, g, m):
-    if m == 0.0:
-        return RadialField.density(grid, np.zeros_like(grid.r))
-    vals, _ = _boltzmann(grid, g, m)
+    vals = _normalized_density(grid, g, m)[0] if m > 0 else np.zeros_like(grid.r)
     return RadialField.density(grid, vals)
 
 
+def _densities(u1, u2, p):
+    """The normalized Boltzmann densities of both exponents."""
+    g1, g2 = _exponents(p, u1.values, u2.values)
+    return _induced_density(u1.grid, g1, p.m1), _induced_density(u1.grid, g2, p.m2)
+
+
 def _slaved_density(u1, u2, p):
-    g = -p.gamma * u2.values - p.theta * p.beta * u1.values
-    return _induced_density(u1.grid, g, p.m2)
+    return _induced_density(u1.grid, _exponents(p, u1.values, u2.values)[1], p.m2)
 
 
-def _energy_single(rho, w, p):
-    """F of the density-plus-chemical system, with the sign of the w-block
-    flipped in the cooperative case (the functional module fixes theta=-1)."""
-    rep = joint_free_energy(rho, w, p)
-    return rep.entropy1 + rep.interaction - p.theta * (rep.dirichlet + rep.log_terms)
+def _chemical(rho, u1, p, w0=None):
+    """The chemical-energy minimizer for rho, whose potential is u1; it is
+    zero when gamma or m2 is.  Values w0 warm-start the minimizer."""
+    grid = rho.grid
+    if p.gamma == 0.0 or p.m2 == 0.0:
+        return RadialField.potential(grid, np.zeros_like(grid.r))
+    w = _minimize_w(grid, rho.values, u1.values, p, SolveOptions(), w0)
+    return RadialField.potential(grid, w)
+
+
+def _energy_single(rho, u, w, p):
+    """F of the density-plus-chemical system for rho with potential u, with
+    the sign of the w-block flipped in the cooperative case: the terms of
+    functionals.joint_free_energy (which fixes theta=-1), summed alike."""
+    dirichlet = 0.5 * p.gamma * dirichlet_energy(w)
+    log_terms = p.m2 * log_partition([(-p.gamma, w), (-p.theta * p.beta, u)])
+    interaction = 0.5 * p.alpha * interaction_energy(rho)
+    return entropy(rho) + interaction - p.theta * (dirichlet + log_terms)
 
 
 def _check_energy(e_new, e_old, enforced):
@@ -183,16 +237,9 @@ def _advanced(s, dt, rho1, u1, u2, rho2, energy):
     t = s.t + dt
     m1 = integrate_disk(rho1)
     m2 = integrate_disk(rho2) if rho2 is not None else 0.0
-    return FlowState(
-        t=t,
-        rho1=rho1,
-        u1=u1,
-        u2=u2,
-        rho2=rho2,
-        energy_trace=np.vstack([s.energy_trace, (t, energy)]),
-        mass_trace=np.vstack([s.mass_trace, (t, m1, m2)]),
-        sup_trace=np.vstack([s.sup_trace, (t, float(np.max(rho1.values)))]),
-    )
+    row = (t, m1, m2, energy, float(rho1.values.max()))
+    trace = s._trace.appended(s._rows, row)
+    return FlowState(t, rho1, u1, u2, rho2, trace, s._rows + 1)
 
 
 def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
@@ -207,14 +254,10 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     p = validate_params(p)
     grid = s.rho1.grid
     phi = p.beta * s.u2.values - p.alpha * s.u1.values
-    new_vals = _sg_step(s.rho1.values, phi, grid, dt)
-    rho = RadialField.density(grid, new_vals)
+    rho = RadialField.density(grid, _sg_step(s.rho1.values, phi, grid, dt))
     u1 = inv_laplacian(rho)
-    if p.gamma == 0.0 or p.m2 == 0.0:
-        w = RadialField.potential(grid, np.zeros_like(grid.r))
-    else:
-        w = minimize_w(rho, p, grid, w0=s.u2)
-    energy = _energy_single(rho, w, p)
+    w = _chemical(rho, u1, p, w0=s.u2.values)
+    energy = _energy_single(rho, u1, w, p)
     _check_energy(energy, float(s.energy_trace[-1, 1]), enforced=True)
     return _advanced(s, dt, rho, u1, w, _slaved_density(u1, w, p), energy)
 
@@ -248,10 +291,9 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     """
     p = validate_params(p)
     grid = s.u1.grid
-    g1 = p.alpha * s.u1.values - p.beta * s.u2.values
-    g2 = -p.gamma * s.u2.values - p.theta * p.beta * s.u1.values
-    s1, _ = _boltzmann(grid, g1, p.m1) if p.m1 > 0 else (np.zeros_like(grid.r), 0.0)
-    s2, _ = _boltzmann(grid, g2, p.m2) if p.m2 > 0 else (np.zeros_like(grid.r), 0.0)
+    g1, g2 = _exponents(p, s.u1.values, s.u2.values)
+    s1 = _normalized_density(grid, g1, p.m1)[0] if p.m1 > 0 else np.zeros_like(grid.r)
+    s2 = _normalized_density(grid, g2, p.m2)[0] if p.m2 > 0 else np.zeros_like(grid.r)
     u1 = RadialField.potential(grid, _heat_step(s.u1.values, s1, grid, dt))
     u2 = RadialField.potential(grid, _heat_step(s.u2.values, s2, grid, dt))
     enforced = False
@@ -269,8 +311,7 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
             enforced = disc > 0
     energy = two_species_energy_u(u1, u2, p).total
     _check_energy(energy, float(s.energy_trace[-1, 1]), enforced)
-    rho1 = _induced_density(grid, p.alpha * u1.values - p.beta * u2.values, p.m1)
-    rho2 = _slaved_density(u1, u2, p)
+    rho1, rho2 = _densities(u1, u2, p)
     return _advanced(s, dt, rho1, u1, u2, rho2, energy)
 
 
@@ -300,14 +341,10 @@ def initial_state(
     if regime == (1.0, 0.0, 0.0):
         if rho1 is None or rho2 is not None or u1 is not None or u2 is not None:
             raise ValueError("the single-density regime takes exactly rho1")
-        grid = rho1.grid
         u1 = inv_laplacian(rho1)
-        if p.gamma == 0.0 or p.m2 == 0.0:
-            u2 = RadialField.potential(grid, np.zeros_like(grid.r))
-        else:
-            u2 = minimize_w(rho1, p, grid)
+        u2 = _chemical(rho1, u1, p)
         rho2 = _slaved_density(u1, u2, p)
-        energy = _energy_single(rho1, u2, p)
+        energy = _energy_single(rho1, u1, u2, p)
     elif regime == (1.0, 1.0, 0.0):
         if rho1 is None or rho2 is None or u1 is not None or u2 is not None:
             raise ValueError("the two-density regime takes exactly rho1 and rho2")
@@ -317,22 +354,10 @@ def initial_state(
     else:
         if u1 is None or u2 is None or rho1 is not None or rho2 is not None:
             raise ValueError("the potential regime takes exactly u1 and u2")
-        grid = u1.grid
-        rho1 = _induced_density(grid, p.alpha * u1.values - p.beta * u2.values, p.m1)
-        rho2 = _slaved_density(u1, u2, p)
+        rho1, rho2 = _densities(u1, u2, p)
         energy = two_species_energy_u(u1, u2, p).total
-    m1 = integrate_disk(rho1)
-    m2 = integrate_disk(rho2) if rho2 is not None else 0.0
-    return FlowState(
-        t=0.0,
-        rho1=rho1,
-        u1=u1,
-        u2=u2,
-        rho2=rho2,
-        energy_trace=np.array([(0.0, energy)]),
-        mass_trace=np.array([(0.0, m1, m2)]),
-        sup_trace=np.array([(0.0, float(np.max(rho1.values)))]),
-    )
+    empty = FlowState(0.0, rho1, u1, u2, rho2)
+    return _advanced(empty, 0.0, rho1, u1, u2, rho2, energy)
 
 
 def _state_change(old: FlowState, new: FlowState) -> float:
@@ -341,8 +366,8 @@ def _state_change(old: FlowState, new: FlowState) -> float:
         pairs.append((old.rho2, new.rho2))
     out = 0.0
     for a, b in pairs:
-        scale = max(1.0, float(np.max(np.abs(a.values))))
-        out = max(out, float(np.max(np.abs(b.values - a.values))) / scale)
+        scale = max(1.0, float(abs(a.values).max()))
+        out = max(out, float(abs(b.values - a.values).max()) / scale)
     return out
 
 
@@ -389,12 +414,9 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
     """
     p = validate_params(p)
     grid = s.rho1.grid
-    _, lam1 = _boltzmann(grid, p.alpha * s.u1.values - p.beta * s.u2.values, p.m1)
-    _, lam2 = (
-        _boltzmann(grid, -p.gamma * s.u2.values - p.theta * p.beta * s.u1.values, p.m2)
-        if p.m2 > 0
-        else (None, 0.0)
-    )
+    g1, g2 = _exponents(p, s.u1.values, s.u2.values)
+    _, lam1 = _normalized_density(grid, g1, p.m1)
+    _, lam2 = _normalized_density(grid, g2, p.m2) if p.m2 > 0 else (None, 0.0)
     return Solution(
         u1=s.u1,
         u2=s.u2,
@@ -408,12 +430,4 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
 
 def trace_rows(s: FlowState) -> np.ndarray:
     """Rows (t, m1, m2, energy, sup rho1) for reporting layers."""
-    return np.column_stack(
-        [
-            s.energy_trace[:, 0],
-            s.mass_trace[:, 1],
-            s.mass_trace[:, 2],
-            s.energy_trace[:, 1],
-            s.sup_trace[:, 1],
-        ]
-    )
+    return s._trace.rows[: s._rows].copy()

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import face_masses, inv_laplacian
+from .calculus import _green, face_masses
 from .errors import (
     GammaZero,
+    GridMismatch,
     NonpositiveMass,
     Oscillation,
     SolverDiverged,
@@ -139,19 +140,24 @@ def _flux_defect(grid, delta_flux):
     div = np.empty(n)
     div[0] = delta_flux[0] / grid.volumes[0]
     div[1:] = (delta_flux[1:] - delta_flux[:-1]) / grid.volumes[1:n]
-    return float(np.max(np.abs(div)))
+    return float(abs(div).max())
 
 
 def _normalized_density(grid, g, m):
     """Density m e^g / integral(e^g) and its multiplier, overflow-safe."""
-    top = float(np.max(g))
+    top = float(g.max())
     e = np.exp(g - top)
     z = float(np.dot(grid.weights, e))
     lam = m * math.exp(-top) / z
     return (m / z) * e, lam
 
 
-def _picard_loop(grid, masses, exponents, state, opts, iter_budget):
+def _exponents(p, u1, u2):
+    """The exponents (alpha u1 - beta u2, -gamma u2 - theta beta u1)."""
+    return p.alpha * u1 - p.beta * u2, -p.gamma * u2 - p.theta * p.beta * u1
+
+
+def _picard_loop(grid, masses, exponents, state, opts):
     """Core damped fixed-point iteration shared by all solvers.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
@@ -168,7 +174,7 @@ def _picard_loop(grid, masses, exponents, state, opts, iter_budget):
     cool = 0
     res = math.inf
     lams = [0.0] * nsp
-    for it in range(iter_budget):
+    for it in range(opts.max_iter):
         new_us = []
         new_cs = []
         res = 0.0
@@ -181,8 +187,8 @@ def _picard_loop(grid, masses, exponents, state, opts, iter_budget):
                 res = max(res, _flux_defect(grid, -cs[s]))
                 continue
             rho_vals, lam = _normalized_density(grid, gs[s], masses[s])
-            u_new, c_new = inv_laplacian(RadialField(grid, rho_vals), with_flux=True)
-            new_us.append(u_new.values)
+            u_new, c_new = _green(grid, rho_vals)
+            new_us.append(u_new)
             new_cs.append(c_new)
             lams[s] = lam
             res = max(res, _flux_defect(grid, c_new - cs[s]))
@@ -210,7 +216,7 @@ def _picard_loop(grid, masses, exponents, state, opts, iter_budget):
         du_prev = du
     raise SolverDiverged(
         f"residual {res:.3e} above tol {opts.tol:.1e} "
-        f"after {iter_budget} iterations"
+        f"after {opts.max_iter} iterations"
     )
 
 
@@ -254,14 +260,7 @@ def solve_single(m, alpha, grid, opts=None):
         )
 
     def run(mass, state):
-        return _picard_loop(
-            grid,
-            (mass,),
-            lambda us: (alpha * us[0],),
-            state,
-            opts,
-            opts.max_iter,
-        )
+        return _picard_loop(grid, (mass,), lambda us: (alpha * us[0],), state, opts)
 
     ladder = [m / 2.0**j for j in range(opts.continuation_steps - 1, -1, -1)]
     state = _warm_state(grid, ladder[0], alpha)
@@ -289,8 +288,8 @@ def _warm_state(grid, m, alpha):
     delta = m * alpha / (8.0 * math.pi - m * alpha)
     u0 = bubble(alpha, delta, grid)
     rho_vals, _ = _normalized_density(grid, alpha * u0.values, m)
-    u, c = inv_laplacian(RadialField(grid, rho_vals), with_flux=True)
-    return [u.values], [c]
+    u, c = _green(grid, rho_vals)
+    return [u], [c]
 
 
 def solve_pair(p, grid, opts=None):
@@ -303,21 +302,9 @@ def solve_pair(p, grid, opts=None):
     opts = opts or SolveOptions()
     p = validate_params(p)
 
-    def exponents(us):
-        return (
-            p.alpha * us[0] - p.beta * us[1],
-            -p.gamma * us[1] - p.theta * p.beta * us[0],
-        )
-
     def run_at(scale, state):
-        return _picard_loop(
-            grid,
-            (p.m1 * scale, p.m2 * scale),
-            exponents,
-            state,
-            opts,
-            opts.max_iter,
-        )
+        masses = (p.m1 * scale, p.m2 * scale)
+        return _picard_loop(grid, masses, lambda us: _exponents(p, *us), state, opts)
 
     zeros = lambda: (
         [np.zeros_like(grid.r), np.zeros_like(grid.r)],
@@ -358,42 +345,39 @@ def minimize_w(rho, p, grid, opts=None, w0=None):
     of ``w0`` seeds the loop), which time steppers use to re-solve for
     ``w`` cheaply after a small change in ``rho``.
     """
-    opts = opts or SolveOptions()
     p = validate_params(p)
     if p.gamma == 0.0:
         raise GammaZero("gamma=0 has minimizer w=0; handle in the caller")
     if not rho.grid.same_as(grid):
-        from .errors import GridMismatch
-
         raise GridMismatch("rho lives on a different grid")
     if p.m2 == 0.0:
         return RadialField.potential(grid, np.zeros_like(grid.r))
-    u = inv_laplacian(rho).values
-    drive = -p.theta * p.beta * u
+    if w0 is not None and not w0.grid.same_as(grid):
+        raise GridMismatch("w0 lives on a different grid")
+    u = _green(grid, rho.values)[0]
+    w0 = None if w0 is None else w0.values
+    w = _minimize_w(grid, rho.values, u, p, opts or SolveOptions(), w0)
+    return RadialField.potential(grid, w)
 
+
+def _minimize_w(grid, rho_vals, u, p, opts, w0):
+    """minimize_w on raw arrays for validated ``p`` with gamma, m2 > 0;
+    ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start."""
+    drive = -p.theta * p.beta * u
     if w0 is None:
         state = ([np.zeros_like(grid.r)], [np.zeros(grid.n)])
     else:
-        if not w0.grid.same_as(grid):
-            from .errors import GridMismatch
+        seed_vals, _ = _normalized_density(grid, -p.gamma * w0 + drive, p.m2)
+        seed_u, seed_c = _green(grid, seed_vals)
+        state = ([seed_u], [seed_c])
 
-            raise GridMismatch("w0 lives on a different grid")
-        seed_vals, _ = _normalized_density(grid, -p.gamma * w0.values + drive, p.m2)
-        seed_u, seed_c = inv_laplacian(RadialField(grid, seed_vals), with_flux=True)
-        state = ([seed_u.values], [seed_c])
-
-    us, cs, res, it, lams = _picard_loop(
-        grid,
-        (p.m2,),
-        lambda ws: (-p.gamma * ws[0] + drive,),
-        state,
-        opts,
-        opts.max_iter,
+    us, *_ = _picard_loop(
+        grid, (p.m2,), lambda ws: (-p.gamma * ws[0] + drive,), state, opts
     )
     w = us[0]
-    if np.all(np.diff(rho.values) <= 1e-12) and np.any(np.diff(w) > 1e-10):
+    if np.all(np.diff(rho_vals) <= 1e-12) and np.any(np.diff(w) > 1e-10):
         logger.warning("w-minimizer not radially nonincreasing for nonincreasing rho")
-    return RadialField.potential(grid, w)
+    return w
 
 
 def _central_laplacian(grid, u):
@@ -419,8 +403,7 @@ def residual(sol, p):
     grid = sol.u1.grid
     u1 = sol.u1.values
     u2 = sol.u2.values
-    g1 = p.alpha * u1 - p.beta * u2
-    g2 = -p.gamma * u2 - p.theta * p.beta * u1
+    g1, g2 = _exponents(p, u1, u2)
     out = []
     for u, g, m, flux in ((u1, g1, p.m1, sol._flux1), (u2, g2, p.m2, sol._flux2)):
         if m == 0.0:

@@ -11,6 +11,7 @@ accounting, the Green operator and the Dirichlet form all agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,15 +64,15 @@ def validate_params(p: Params) -> Params:
     """
     for name in ("alpha", "beta", "gamma"):
         v = getattr(p, name)
-        if not np.isfinite(v) or v < 0:
+        if not math.isfinite(v) or v < 0:
             raise NegativeConstant(f"{name} = {v!r} must be finite and >= 0")
-    if not np.isfinite(p.m1) or p.m1 <= 0:
+    if not math.isfinite(p.m1) or p.m1 <= 0:
         raise NonpositiveMass(f"m1 = {p.m1!r} must be > 0")
-    if not np.isfinite(p.m2) or p.m2 < 0:
+    if not math.isfinite(p.m2) or p.m2 < 0:
         raise NonpositiveMass(f"m2 = {p.m2!r} must be >= 0")
     if p.theta not in (-1, 1):
         raise BadTheta(f"theta = {p.theta!r} must be -1 or +1")
-    return replace(p, theta=int(p.theta))
+    return p if type(p.theta) is int else replace(p, theta=int(p.theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +163,7 @@ class RadialField:
             )
         object.__setattr__(self, "values", v)
         if self.kind == "density":
-            if np.any(v < 0):
+            if (v < 0).any():
                 raise NegativeDensity("density tag requires values >= 0")
         elif self.kind == "potential":
             if v[-1] != 0.0:

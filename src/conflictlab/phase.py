@@ -82,7 +82,10 @@ def lambda_values(m1, m2, p: Params):
     products x*x, correctly rounded; x**2 on a Python float goes through
     libm pow, which is not always.  Scalars and arrays give the same bits.
     """
-    p = validate_params(p)
+    return _lambda_values(m1, m2, validate_params(p))
+
+
+def _lambda_values(m1, m2, p: Params):
     if np.any(np.asarray(m1) <= 0):
         raise NonpositiveMass("lambda_values needs m1 > 0")
     if np.any(np.asarray(m2) < 0):
@@ -107,7 +110,10 @@ def strip_mass(p: Params) -> float:
     intermediate overflows before the root itself does (as gamma -> 0).
     Requires alpha > 0 and beta > alpha/2.
     """
-    p = validate_params(p)
+    return _strip_mass(validate_params(p))
+
+
+def _strip_mass(p: Params) -> float:
     if p.alpha <= 0:
         raise ValueError("strip_mass needs alpha > 0")
     if p.beta <= p.alpha / 2.0:
@@ -179,7 +185,7 @@ def _conflict_table(p: Params, m1, m2):
     Returns (verdicts, rules, fired) for broadcast m1, m2; ``fired`` maps
     the name of each deciding quantity to its values.
     """
-    lam, lam1, lam2 = lambda_values(m1, m2, p)
+    lam, lam1, lam2 = _lambda_values(m1, m2, p)
     crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
     beta_gap = p.beta - p.alpha / 2.0
     strip_gap = (
@@ -187,7 +193,7 @@ def _conflict_table(p: Params, m1, m2):
         if p.alpha == 0.0
         else 2.0 * p.beta / p.alpha - p.gamma * m2 / _FOUR_PI - 1.0
     )
-    strip_edge = strip_mass(p) if p.alpha > 0.0 and beta_gap > 0.0 else None
+    strip_edge = _strip_mass(p) if p.alpha > 0.0 and beta_gap > 0.0 else None
     edge_gap = math.nan if strip_edge is None else strip_edge - m1
     fired = {
         "lambda": lam,
@@ -213,8 +219,9 @@ def _conflict_table(p: Params, m1, m2):
         else:
             top = (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0)
             hi = np.minimum(m2, top)
-            best_m2 = np.clip((p.beta * m1 - _FOUR_PI) / p.gamma, 0.0, hi)
-        best = lambda_values(m1, best_m2, p)[0]
+            with np.errstate(over="ignore"):  # subnormal gamma: an end of [0, hi]
+                best_m2 = np.clip((p.beta * m1 - _FOUR_PI) / p.gamma, 0.0, hi)
+        best = _lambda_values(m1, best_m2, p)[0]
         table.settle(_decide([best]), "RadiallyBounded", 4)
     return table.verdict, table.rule, fired
 
@@ -251,7 +258,7 @@ def _cooperative_table(p: Params, m1, m2):
     (``only_condition``) is the closed-curve condition.
     Returns (verdicts, rules, fired) for broadcast m1, m2.
     """
-    lam, lam1, lam2 = lambda_values(m1, m2, p)
+    lam, lam1, lam2 = _lambda_values(m1, m2, p)
     crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
     a2 = 0.5 * p.gamma
     a1 = _FOUR_PI - p.beta * m1
@@ -259,9 +266,10 @@ def _cooperative_table(p: Params, m1, m2):
     only = (a2 * m2 + a1) * m2 + a0
     box_min = np.minimum(a0, only)
     if a2 > 0.0:
-        v = -a1 / (2.0 * a2)
+        with np.errstate(over="ignore", invalid="ignore"):  # subnormal gamma
+            v = -a1 / (2.0 * a2)  # an infinite vertex is never inside
+            vertex = (a2 * v + a1) * v + a0
         inside = (0.0 < v) & (v < m2)
-        vertex = (a2 * v + a1) * v + a0
         box_min = np.where(inside, np.minimum(box_min, vertex), box_min)
     fired = {
         "lambda": lam,
@@ -338,6 +346,8 @@ def _vertical_line(x: float, m1_range, m2_range, samples: int) -> np.ndarray:
     return np.column_stack([np.full(samples, x), ys])
 
 
+# a subnormal gamma sends the roots to +-inf or NaN: out of range, so NaN rows
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _lambda_zero_curve(p: Params, m1_range, m2_range, samples: int) -> np.ndarray:
     lo, hi = m2_range
     m1s = np.linspace(max(m1_range[0], 1e-9), m1_range[1], samples)
@@ -367,6 +377,7 @@ def _lambda_zero_curve(p: Params, m1_range, m2_range, samples: int) -> np.ndarra
     return np.asarray(pts)
 
 
+@np.errstate(over="ignore")  # subnormal gamma: lambda1_zero out of range
 def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict:
     curves = {
         "m1_critical": _vertical_line(
@@ -397,7 +408,7 @@ def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict
         )
     strip = np.empty((0, 2))
     if p.theta == -1 and p.alpha > 0.0 and p.beta > p.alpha / 2.0:
-        strip = _vertical_line(strip_mass(p), m1_range, m2_range, samples)
+        strip = _vertical_line(_strip_mass(p), m1_range, m2_range, samples)
     curves["strip_mass"] = strip
     return curves
 

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from conflictlab.calculus import (
     cross_dirichlet,
     dirichlet_energy,
-    disk_quadrature,
     entropy,
     exterior_potential,
     face_flux,
@@ -43,9 +42,6 @@ class TestIntegrateDisk:
             errs.append(abs(integrate_disk(f) - np.pi / 2))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
-
-    def test_quadrature_rule_exposes_weights(self, g1024):
-        assert disk_quadrature(g1024).weights is g1024.weights
 
 
 class TestInvLaplacian:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -183,6 +184,38 @@ class TestFlowCommand:
         c = (tmp_path / "c" / "flow_trace.csv").read_bytes()
         assert a == b
         assert a != c
+
+
+# sha256 of the data lines (everything below the '#' header, which carries
+# the package version) of flow_trace.csv and flow_state.csv on 64 cells, as
+# written before the flow engine moved to raw arrays, the shared trace
+# buffer and direct gtsv calls (numpy 2.4, scipy 1.17, x86-64).
+PINNED_FLOWS = {
+    ("single", -1, "bump"): ("3f2eb91529a22ea97d0c394516a19de304cf75b9d061d42ffcf4ba7ce4e36f64", "3242cc07220c1f416552df8d096b54c4af029a1f4773902f3dacdfeeaa7cace1"),
+    ("single", -1, "random"): ("95fba4944a3902c91b88c11092acc01523606773954b6782e58070329de0d71f", "36870e5b05129c7823dfd7e08b187d25d264b0bea27076f1533e24734fdf0623"),
+    ("pair", 1, "bump"): ("b5e543da1f7e9dfdd0b3790238e41a525dd7a4c409d97732a6efc553cb661a2c", "452cd41ef4a51af3d611f2921756f06dc6ba4ceb2f4d212b6be0000156bc277f"),
+    ("pair", 1, "random"): ("dce2cd84a56e88dffc1c7c84b5aa4fcdd243278685dcd7306fb27124c0789209", "22150de652504deec6001583b5e206d82892622757661424c2fd81e97345e2e1"),
+    ("pair", -1, "bump"): ("45d8706639582ce0ce4fe81e101ea88bd48b603c898809827b1b574625b0ed65", "773ad1c48b03db7368389ca0b4f43884d0e3d43535ea12992dc25ccb37398a34"),
+    ("pair", -1, "random"): ("49b015fa23bde5298299239727ee471b4ec10b3d4b1e8c41d5fe0ad3121ed0e7", "5569f6dafbe903010079d519940e08b39db2022a3e2c1833bc80d562bb7249d5"),
+    ("potentials", -1, "bump"): ("6786bf8e25c1639ef7b5913d7ccb6ca3ccbbc1985092be4c20bcf290c1bfe964", "c18e241a87c8ea5e0effd676febd866ccefa222977564913d6936c6d508c27e3"),
+    ("potentials", -1, "random"): ("a8c910ea792868efaeb32e74b6eb7ce30631deb57ae852bf1dcacb19a90f6798", "5e6e5da7b4a64a53fd538da917cd153bc69463cb219b8f54c3fe0b1577a32ce6"),
+}
+
+
+@pytest.mark.parametrize("case, theta, init", list(PINNED_FLOWS))
+def test_flow_csvs_are_pinned(tmp_path, case, theta, init):
+    sec = f"[flow]\ncase = {case}\ndt = 0.001\nt_end = 0.2\ninit = {init}\n"
+    cfg = parse_config(
+        config_text("flow", beta=0.5, gamma=1.0, theta=theta, m1=8.0, m2=4.0,
+                    grid_n=64, section=sec)
+    )
+    assert run(cfg, out_dir=tmp_path, seed=7) == 0
+    digests = []
+    for name in ("flow_trace.csv", "flow_state.csv"):
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        data = "".join(line for line in lines if not line.startswith("#"))
+        digests.append(hashlib.sha256(data.encode()).hexdigest())
+    assert tuple(digests) == PINNED_FLOWS[case, theta, init]
 
 
 class TestBlowdownCommand:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_banded
+
 from conflictlab import flow
-from conflictlab.calculus import integrate_disk
+from conflictlab.calculus import integrate_disk, inv_laplacian
 from conflictlab.errors import DegenerateQuadraticForm, Stalled, StepRejected
 from conflictlab.liouville import minimize_w, residual, solve_pair, solve_single
 from conflictlab.model import (
@@ -49,6 +51,144 @@ class TestBernoulli:
         b = flow._bernoulli(np.array([800.0, -800.0]))
         assert b[0] == 0.0
         assert np.isclose(b[1], 800.0)
+
+
+class TestSolveTridiag:
+    @staticmethod
+    def system(k, seed):
+        rng = np.random.default_rng([k, seed])
+        ab = rng.uniform(-1.0, 1.0, (3, k)) * 10.0 ** rng.uniform(-3, 3)
+        ab[1] = np.abs(ab[0]) + np.abs(ab[2]) + rng.uniform(0.1, 2.0, k)
+        ab[1] *= rng.choice([-1.0, 1.0])
+        return ab, rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 33, 64, 257, 1000, 4096, 4097])
+    def test_bits_match_solve_banded(self, k):
+        for seed in range(4):
+            ab, b = self.system(k, seed)
+            want = solve_banded((1, 1), ab, b)
+            got = flow._solve_tridiag(ab, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["upper", "diag", "lower", "corner", "rhs"])
+    def test_non_finite_input_raises_value_error(self, bad, where):
+        ab, b = self.system(9, 0)
+        if where == "rhs":
+            b[4] = bad
+        else:
+            row, col = {"upper": (0, 3), "diag": (1, 3), "lower": (2, 3), "corner": (0, 0)}[where]
+            ab[row, col] = bad
+        with pytest.raises(ValueError):
+            solve_banded((1, 1), ab, b)
+        with pytest.raises(ValueError):
+            flow._solve_tridiag(ab, b)
+
+    @pytest.mark.parametrize("row", [0, 4, 8])
+    def test_singular_matrix_raises_lin_alg_error(self, row):
+        ab, b = self.system(9, 1)
+        ab[1, row] = 0.0
+        ab[0, row] = 0.0
+        if row + 1 < 9:
+            ab[0, row + 1] = 0.0
+        ab[2, row] = 0.0
+        if row > 0:
+            ab[2, row - 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded((1, 1), ab, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            flow._solve_tridiag(ab, b)
+
+
+def isolated(s):
+    """The same state holding its own copy of the trace rows."""
+    rows = flow.trace_rows(s)
+    return flow.FlowState(s.t, s.rho1, s.u1, s.u2, s.rho2, flow._Trace(rows), len(rows))
+
+
+def same_state(a, b):
+    assert a.t == b.t
+    assert flow.trace_rows(a).tobytes() == flow.trace_rows(b).tobytes()
+    for name in ("rho1", "u1", "u2", "rho2"):
+        fa, fb = getattr(a, name), getattr(b, name)
+        assert (fa is None) == (fb is None)
+        if fa is not None:
+            assert fa.values.tobytes() == fb.values.tobytes()
+
+
+class TestTraceSharing:
+    # theta = -1 with beta^2 > alpha*gamma: neither the pair nor the
+    # potential regime enforces its energy, so each can step the other's state.
+    P = Params(alpha=1.0, beta=2.0, gamma=1.0, theta=-1, m1=6.0, m2=3.0)
+
+    @pytest.fixture
+    def parent(self):
+        g = make_grid(64)
+        s = flow.initial_state(
+            self.P, CFG_FULL, rho1=bump_density(g, 6.0), rho2=bump_density(g, 3.0, width=1.0)
+        )
+        for _ in range(5):
+            s = flow.step_two_densities(s, self.P, 1e-3)
+        return s
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("step_two_densities", 1e-3), ("step_two_densities", 3e-3)),
+            (("step_two_densities", 1e-3), ("step_potentials", 1e-3)),
+            (("step_potentials", 2e-3), ("step_two_densities", 2e-3)),
+        ],
+    )
+    def test_sibling_steps_keep_their_own_rows(self, parent, first, second):
+        before = flow.trace_rows(parent)
+        children = [getattr(flow, name)(parent, self.P, dt) for name, dt in (first, second)]
+        grandchild = flow.step_two_densities(children[0], self.P, 1e-3)
+        for (name, dt), child in zip((first, second), children):
+            rows = flow.trace_rows(child)
+            assert rows.shape == (len(before) + 1, 5)
+            assert rows[:-1].tobytes() == before.tobytes()
+            same_state(child, getattr(flow, name)(isolated(parent), self.P, dt))
+        same_state(grandchild, flow.step_two_densities(isolated(children[0]), self.P, 1e-3))
+        assert flow.trace_rows(parent).tobytes() == before.tobytes()
+        assert parent.mass_trace.shape == (len(before), 3)
+
+    def test_traces_are_read_only_views_of_the_rows(self, parent):
+        rows = flow.trace_rows(parent)
+        np.testing.assert_array_equal(parent.energy_trace, rows[:, [0, 3]])
+        np.testing.assert_array_equal(parent.mass_trace, rows[:, :3])
+        np.testing.assert_array_equal(parent.sup_trace, rows[:, [0, 4]])
+        for trace in (parent.energy_trace, parent.mass_trace, parent.sup_trace):
+            with pytest.raises(ValueError):
+                trace[0, 1] = 0.0
+
+    def test_rejected_children_leave_no_rows(self, monkeypatch):
+        g = make_grid(64)
+        p = Params(alpha=1.0, beta=2.0, gamma=1.0, theta=-1, m1=10.0, m2=5.0)
+        cfg = FlowConfig(1.0, 0.0, 0.0, dt=1e-3, t_end=0.03, adapt=True)
+        start = flow.initial_state(p, cfg, rho1=bump_density(g, 10.0))
+        real = flow.step_single_density
+
+        def run(build_first):
+            calls = []
+
+            def flaky(s, p, dt):
+                calls.append(dt)
+                child = real(s, p, dt) if build_first else None
+                if len(calls) in (3, 7, 8):
+                    raise StepRejected("forced")
+                return child or real(s, p, dt)
+
+            monkeypatch.setitem(flow._STEPPERS, (1.0, 0.0, 0.0), flaky)
+            return flow.run_flow(start, p, cfg), len(calls)
+
+        built, attempts = run(build_first=True)
+        clean, _ = run(build_first=False)
+        same_state(built, clean)
+        accepted = len(built.mass_trace) - 1
+        assert attempts == accepted + 3
+        assert np.all(np.diff(built.energy_trace[:, 0]) > 0)
+        assert len(start.mass_trace) == 1
 
 
 class TestInitialState:

@@ -1,6 +1,6 @@
 """Which scipy modules each command loads.
 
-Only ``flow`` needs scipy (``scipy.linalg.solve_banded``); every other
+Only ``flow`` needs scipy (``scipy.linalg.lapack.dgtsv``); every other
 command must start without importing any of it, which is most of a cold
 start's cost.  Each command runs in a fresh interpreter so that modules
 already imported by the test run do not leak in.

@@ -68,6 +68,10 @@ class TestValidateParams:
         p = validate_params(Params(1.0, 2.0, 0.5, theta=1.0, m1=3.0, m2=0.0))
         assert p.theta == 1 and isinstance(p.theta, int)
 
+    def test_returns_valid_params_with_int_theta_unchanged(self):
+        p = Params(1.0, 2.0, 0.5, theta=-1, m1=3.0, m2=0.0)
+        assert validate_params(p) is p
+
     @pytest.mark.parametrize(
         "kwargs, err",
         [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conflictlab import phase
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.calculus import inv_laplacian
 from conflictlab.errors import AsymmetricMatrix, NonpositiveMass
@@ -552,6 +554,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="resolution"):
             sweep(conflict(1.0, 2.0, 1.0), (0.0, 40.0), (0.0, 40.0), -1)
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("theta", [-1, 1])
+    def test_subnormal_gamma_curves_are_nan_without_warnings(self, gamma, theta):
+        p = Params(alpha=1.0, beta=2.0, gamma=gamma, theta=theta, m1=1.0, m2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sweep(p, (0.0, 40.0), (0.0, 40.0), 8)
+        # the line Lambda1 = 0 sits at m2 beyond 1e300, out of range
+        assert np.all(np.isnan(res.curves["lambda1_zero"][:, 1]))
+        assert res.curves["lambda1_zero"].shape == (1024, 2)
+        if gamma == 5e-324:  # gamma/4pi underflows to zero: no finite root
+            assert np.all(np.isnan(res.curves["lambda_zero"][:, 1]))
+
     def test_cooperative_sweep_exists_only_below_critical(self):
         res = sweep(coop(1.0, 0.4, 1.0), (0.0, 40.0), (0.0, 40.0), 30)
         assert set(res.verdicts.ravel()) == {"Exists", "NotCovered"}
@@ -620,3 +635,32 @@ class TestCrossValidation:
         assert classify_conflict(p).verdict == verdict
         sol = solve_pair(p, coarse)
         assert max(residual(sol, p)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "classify, points",
+    [
+        # rules 1 to 4 and an Unknown point (rule 0)
+        (classify_conflict, [(1.0, 0.3, 0.5, 10.0, 7.0), (1.0, 2.0, 0.0, 30.0, 1.0),
+                             (1.0, 2.0, 0.0, 30.0, 4.0), (1.0, 2.0, 1.0, 30.0, 39.0),
+                             (1.0, 0.6, 1.0, 26.0, 8.0)]),
+        # cases (a), (b) and (c)
+        (classify_conflict_free, [(1.0, 0.4, 1.0, 10.0, 5.0), (1.0, 1.0, 0.0, 10.0, 1.0),
+                                  (1.0, 1.0, 1.0, 22.0, 8.0)]),
+    ],
+)
+def test_one_point_classify_validates_once(monkeypatch, classify, points):
+    calls = []
+    real = phase.validate_params
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(phase, "validate_params", counting)
+    theta = -1 if classify is classify_conflict else 1
+    rules = set()
+    for alpha, beta, gamma, m1, m2 in points:
+        rules.add(classify(Params(alpha, beta, gamma, theta, m1, m2)).rule)
+    assert len(calls) == len(points)
+    assert len(rules) == len(points)
