@@ -12,6 +12,10 @@ nodes, one epsilon node that terminates the core support, and a geometric
 tail out to the wall.  On that grid the disk mass and the entropy, pairing
 and Dirichlet shift identities hold to roundoff; resampling onto a fixed
 grid would bury them under interpolation error.
+
+One private walk, _ladder, scales the fields, solves for the potential and
+evaluates the raw energy terms once per rung; the shift table, the slope fit
+and the CLI's functional table all read their rungs from it.
 """
 
 from __future__ import annotations
@@ -22,15 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (
-    dirichlet_energy,
-    entropy,
-    interaction_energy,
-    inv_laplacian,
-    log_partition,
-)
+from .calculus import inv_laplacian
 from .errors import GridMismatch, TooFewPoints
-from .functionals import joint_free_energy
+from .functionals import _joint, _joint_terms
 from .model import Params, RadialField, RadialGrid, validate_params
 
 __all__ = [
@@ -153,8 +151,27 @@ class ShiftRow:
     measured: float
 
 
-def _log_fields(p: Params, w: RadialField, u: RadialField):
-    return [(-p.gamma, w), (-float(p.theta) * p.beta, u)]
+def _ladder(base_rho: RadialField, base_w: RadialField, p: Params, psis, mode: str):
+    """Walk the blow-down ladder of psis in the given order.
+
+    For each psi yields (psi, s, u_s, terms, report): the effective scale s,
+    the potential u_s of the scaled density, the four raw terms of the joint
+    free energy of the scaled fields (entropy, pairing, Dirichlet,
+    log-partition) and their FunctionalReport.  psi = 1 gives the base fields.
+    """
+    for psi in psis:
+        psi = float(psi)
+        s = _effective_scale(psi, mode)
+        rho_s = blowdown_density(base_rho, psi, mode)
+        w_s = blowdown_potential(base_w, p.m2, s)
+        u_s = inv_laplacian(rho_s)
+        terms = _joint_terms(rho_s, w_s, u_s, p)
+        yield psi, s, u_s, terms, _joint(p, *terms)
+
+
+def _log_exponent(p: Params) -> float:
+    """Core scaling exponent of the chemical integrand, per unit ln s."""
+    return (-p.theta * p.beta * p.m1 - p.gamma * p.m2) / TWO_PI - 2.0
 
 
 def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
@@ -169,15 +186,10 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
     the last two hold asymptotically in psi.
     """
     p = validate_params(p)
-    u0 = inv_laplacian(fam.base_rho)
-    e0 = entropy(fam.base_rho)
-    i0 = interaction_energy(fam.base_rho)
-    d0 = dirichlet_energy(fam.base_w)
-    lp0 = log_partition(_log_fields(p, fam.base_w, u0))
-    f0 = joint_free_energy(fam.base_rho, fam.base_w, p).total
+    base = _joint_terms(fam.base_rho, fam.base_w, inv_laplacian(fam.base_rho), p)
+    f0 = _joint(p, *base).total
 
-    # core scaling exponent of the chemical integrand, per unit ln s
-    x = (-p.theta * p.beta * p.m1 - p.gamma * p.m2) / TWO_PI - 2.0
+    x = _log_exponent(p)
     log_coef = p.m2 * x if x > 0 else None
     total_coef = (
         2.0 * p.m1
@@ -185,48 +197,22 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
         + p.gamma * p.m2**2 / (2.0 * TWO_PI)
         + (p.m2 * x if x > 0 else 0.0)
     )
+    # per raw term: row name, ln s coefficient, factor on the measured shift
+    shifts = (
+        ("entropy", 2.0 * p.m1, 1.0),
+        ("interaction", -(p.m1**2 / TWO_PI), 1.0),
+        ("dirichlet", p.m2**2 / TWO_PI, 1.0),
+        ("log_term", log_coef, p.m2),
+    )
 
     rows = []
-    for psi in fam.psis:
-        psi = float(psi)
-        s = _effective_scale(psi, fam.mode)
+    rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
+    for psi, s, _, terms, report in rungs:
         ln_s = math.log(s)
-        rho_s = blowdown_density(fam.base_rho, psi, fam.mode)
-        w_s = blowdown_potential(fam.base_w, p.m2, s)
-        u_s = inv_laplacian(rho_s)
-        rows.append(ShiftRow(psi, "entropy", 2.0 * p.m1 * ln_s, entropy(rho_s) - e0))
-        rows.append(
-            ShiftRow(
-                psi,
-                "interaction",
-                -(p.m1**2 / TWO_PI) * ln_s,
-                interaction_energy(rho_s) - i0,
-            )
-        )
-        rows.append(
-            ShiftRow(
-                psi,
-                "dirichlet",
-                (p.m2**2 / TWO_PI) * ln_s,
-                dirichlet_energy(w_s) - d0,
-            )
-        )
-        rows.append(
-            ShiftRow(
-                psi,
-                "log_term",
-                None if log_coef is None else log_coef * ln_s,
-                p.m2 * (log_partition(_log_fields(p, w_s, u_s)) - lp0),
-            )
-        )
-        rows.append(
-            ShiftRow(
-                psi,
-                "total",
-                total_coef * ln_s,
-                joint_free_energy(rho_s, w_s, p).total - f0,
-            )
-        )
+        for (name, coef, factor), term, term0 in zip(shifts, terms, base):
+            predicted = None if coef is None else coef * ln_s
+            rows.append(ShiftRow(psi, name, predicted, factor * (term - term0)))
+        rows.append(ShiftRow(psi, "total", total_coef * ln_s, report.total - f0))
     return rows
 
 
@@ -241,18 +227,10 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
     p = validate_params(p)
     if fam.psis.size < 4:
         raise TooFewPoints(f"need at least 4 rungs, got {fam.psis.size}")
-    log_scales = []
-    totals = []
-    for psi in fam.psis:
-        psi = float(psi)
-        s = _effective_scale(psi, fam.mode)
-        rho_s = blowdown_density(fam.base_rho, psi, fam.mode)
-        w_s = blowdown_potential(fam.base_w, p.m2, s)
-        log_scales.append(math.log(s))
-        totals.append(joint_free_energy(rho_s, w_s, p).total)
+    rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
+    log_scales, totals = zip(*((math.log(s), rep.total) for _, s, _, _, rep in rungs))
     slope = float(np.polyfit(log_scales[2:], totals[2:], 1)[0])
-    x = (-p.theta * p.beta * p.m1 - p.gamma * p.m2) / TWO_PI - 2.0
-    regime = "concentration-dominated" if x > 0 else "tail-dominated"
+    regime = "concentration-dominated" if _log_exponent(p) > 0 else "tail-dominated"
     logger.info(
         "blow-down slope %.6g over %d rungs (%s regime)",
         slope,

@@ -54,19 +54,13 @@ def face_masses(rho: RadialField) -> np.ndarray:
     return (rho.grid.volumes * rho.values).cumsum()[:-1]
 
 
-def inv_laplacian(rho: RadialField, with_flux: bool = False):
+def inv_laplacian(rho: RadialField) -> RadialField:
     """Solve Delta u = -rho on the disk with u(1) = 0, radially.
-
-    Returns the potential field; with with_flux=True, also the face-mass
-    array mtilde (equal to -r u_r at the faces), which downstream solvers
-    keep alongside the potential to assemble round-off-clean residuals.
 
     For rho >= 0 the output is >= 0 everywhere (maximum principle); signed
     input is accepted for operator-level tests.
     """
-    u, mtilde = _green(rho.grid, rho.values)
-    out = RadialField.potential(rho.grid, u)
-    return (out, mtilde) if with_flux else out
+    return RadialField.potential(rho.grid, _green(rho.grid, rho.values)[0])
 
 
 def _green(grid: RadialGrid, rho_vals: np.ndarray):

@@ -8,6 +8,10 @@ regression baseline can be reproduced from any output file.  Floats are
 written with 17 significant digits and rows in grid order, so repeated
 runs of one configuration write the same bytes.
 
+Options and headers come from one table: each command's tuple of option
+keys gives the keys its section accepts, the order they are parsed in and
+the order of its header lines, and one map gives each key's parser.
+
 Exit codes: 0 success, 2 iterative solver failure, 3 configuration or
 validation error (including mathematically inadmissible parameters that
 the solvers reject up front).
@@ -30,14 +34,13 @@ from .annulus_ode import AnnulusParams, asymptotic_ratio
 from .blowdown import (
     DEFAULT_LADDER,
     BlowdownFamily,
-    blowdown_density,
-    blowdown_potential,
+    _ladder,
     slope_estimate,
     verify_identities,
 )
 from .calculus import inv_laplacian
 from .errors import ParseError, UnknownKey
-from .functionals import joint_free_energy, moser_trudinger
+from .functionals import moser_trudinger
 from .liouville import _exponents, residual, solve_pair
 from .model import Params, RadialField, make_grid, project_density, validate_params
 from .phase import classify_conflict, classify_conflict_free, sweep
@@ -46,23 +49,24 @@ __all__ = ["RunConfig", "main", "parse_config", "run"]
 
 logger = logging.getLogger(__name__)
 
+# The options of each command's section, in parse and header order.
 _COMMAND_KEYS = {
-    "classify": frozenset(),
-    "steady": frozenset(),
-    "sweep": frozenset({"m1_range", "m2_range", "resolution"}),
-    "flow": frozenset({"case", "dt", "t_end", "adapt", "init"}),
-    "blowdown": frozenset({"psis", "mode"}),
-    "functional": frozenset({"psis", "mode"}),
-    "oracle": frozenset({"scales"}),
+    "classify": (),
+    "steady": (),
+    "sweep": ("m1_range", "m2_range", "resolution"),
+    "flow": ("case", "dt", "t_end", "adapt", "init"),
+    "blowdown": ("psis", "mode"),
+    "functional": ("psis", "mode"),
+    "oracle": ("scales",),
 }
-_RUN_KEYS = frozenset(
-    {"command", "alpha", "beta", "gamma", "theta", "m1", "m2", "grid_n"}
-)
+_PARAM_KEYS = ("alpha", "beta", "gamma", "theta", "m1", "m2")
+_RUN_KEYS = frozenset({"command", *_PARAM_KEYS, "grid_n"})
 _FLOW_LIMITS = {
     "single": (1.0, 0.0, 0.0),
     "pair": (1.0, 1.0, 0.0),
     "potentials": (0.0, 0.0, 1.0),
 }
+_CHOICES = {"case": _FLOW_LIMITS, "mode": ("full", "half"), "init": ("bump", "random")}
 
 
 @dataclass(frozen=True)
@@ -127,11 +131,38 @@ def _bool(section, key):
     raise ParseError(f"{key} = {section[key]!r} is not a boolean")
 
 
-def _choice(section, key, allowed):
+def _choice(section, key):
     raw = section[key].strip()
-    if raw not in allowed:
-        raise ParseError(f"{key} = {raw!r}; expected one of {sorted(allowed)}")
+    if raw not in _CHOICES[key]:
+        raise ParseError(f"{key} = {raw!r}; expected one of {sorted(_CHOICES[key])}")
     return raw
+
+
+_PARSERS = {
+    "alpha": _float,
+    "beta": _float,
+    "gamma": _float,
+    "theta": _int,
+    "m1": _float,
+    "m2": _float,
+    "grid_n": _int,
+    "m1_range": _pair,
+    "m2_range": _pair,
+    "resolution": _int,
+    "psis": _floats,
+    "mode": _choice,
+    "scales": _floats,
+    "case": _choice,
+    "dt": _float,
+    "t_end": _float,
+    "adapt": _bool,
+    "init": _choice,
+}
+
+
+def _parsed(section, keys) -> dict:
+    """The values of those keys present in the section, parsed in key order."""
+    return {key: _PARSERS[key](section, key) for key in keys if key in section}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,50 +188,17 @@ def parse_config(text: str) -> RunConfig:
     extra = set(cp.sections()) - {"run", command}
     if extra:
         raise UnknownKey(f"unknown sections: {sorted(extra)}")
-    missing = [k for k in ("alpha", "beta", "gamma", "theta", "m1", "m2")
-               if k not in run_sec]
+    missing = [k for k in _PARAM_KEYS if k not in run_sec]
     if missing:
         raise ParseError(f"[run] is missing {missing}")
-    params = validate_params(
-        Params(
-            alpha=_float(run_sec, "alpha"),
-            beta=_float(run_sec, "beta"),
-            gamma=_float(run_sec, "gamma"),
-            theta=_int(run_sec, "theta"),
-            m1=_float(run_sec, "m1"),
-            m2=_float(run_sec, "m2"),
-        )
-    )
-    kwargs = {}
-    if "grid_n" in run_sec:
-        kwargs["grid_n"] = _int(run_sec, "grid_n")
+    params = validate_params(Params(**_parsed(run_sec, _PARAM_KEYS)))
+    kwargs = _parsed(run_sec, ("grid_n",))
     if cp.has_section(command):
         sec = cp[command]
-        stray = set(sec) - _COMMAND_KEYS[command]
+        stray = set(sec) - set(_COMMAND_KEYS[command])
         if stray:
             raise UnknownKey(f"unknown [{command}] keys: {sorted(stray)}")
-        if "m1_range" in sec:
-            kwargs["m1_range"] = _pair(sec, "m1_range")
-        if "m2_range" in sec:
-            kwargs["m2_range"] = _pair(sec, "m2_range")
-        if "resolution" in sec:
-            kwargs["resolution"] = _int(sec, "resolution")
-        if "psis" in sec:
-            kwargs["psis"] = _floats(sec, "psis")
-        if "scales" in sec:
-            kwargs["scales"] = _floats(sec, "scales")
-        if "mode" in sec:
-            kwargs["mode"] = _choice(sec, "mode", {"full", "half"})
-        if "case" in sec:
-            kwargs["case"] = _choice(sec, "case", set(_FLOW_LIMITS))
-        if "init" in sec:
-            kwargs["init"] = _choice(sec, "init", {"bump", "random"})
-        if "dt" in sec:
-            kwargs["dt"] = _float(sec, "dt")
-        if "t_end" in sec:
-            kwargs["t_end"] = _float(sec, "t_end")
-        if "adapt" in sec:
-            kwargs["adapt"] = _bool(sec, "adapt")
+        kwargs.update(_parsed(sec, _COMMAND_KEYS[command]))
     return RunConfig(command=command, params=params, **kwargs)
 
 
@@ -211,40 +209,19 @@ def _fmt(value) -> str:
 
 
 def _header_lines(cfg: RunConfig, seed: int) -> list:
-    p = cfg.params
-    lines = [
-        f"conflictlab {__version__}",
-        f"command = {cfg.command}",
-        f"alpha = {_fmt(p.alpha)}",
-        f"beta = {_fmt(p.beta)}",
-        f"gamma = {_fmt(p.gamma)}",
-        f"theta = {p.theta}",
-        f"m1 = {_fmt(p.m1)}",
-        f"m2 = {_fmt(p.m2)}",
-        f"grid_n = {cfg.grid_n}",
-        f"seed = {seed}",
+    """The resolved configuration: the [run] values, the seed and every
+    option of the command, defaults included."""
+    items = [
+        ("command", cfg.command),
+        *((key, getattr(cfg.params, key)) for key in _PARAM_KEYS),
+        ("grid_n", cfg.grid_n),
+        ("seed", seed),
+        *((key, getattr(cfg, key)) for key in _COMMAND_KEYS[cfg.command]),
     ]
-    if cfg.command == "sweep":
-        lines += [
-            f"m1_range = {_fmt(cfg.m1_range[0])}, {_fmt(cfg.m1_range[1])}",
-            f"m2_range = {_fmt(cfg.m2_range[0])}, {_fmt(cfg.m2_range[1])}",
-            f"resolution = {cfg.resolution}",
-        ]
-    elif cfg.command in ("blowdown", "functional"):
-        lines += [
-            "psis = " + ", ".join(_fmt(x) for x in cfg.psis),
-            f"mode = {cfg.mode}",
-        ]
-    elif cfg.command == "oracle":
-        lines.append("scales = " + ", ".join(_fmt(x) for x in cfg.scales))
-    elif cfg.command == "flow":
-        lines += [
-            f"case = {cfg.case}",
-            f"dt = {_fmt(cfg.dt)}",
-            f"t_end = {_fmt(cfg.t_end)}",
-            f"adapt = {cfg.adapt}",
-            f"init = {cfg.init}",
-        ]
+    lines = [f"conflictlab {__version__}"]
+    for key, value in items:
+        shown = ", ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
+        lines.append(f"{key} = {shown}")
     return lines
 
 
@@ -405,24 +382,11 @@ def _cmd_functional(cfg: RunConfig, out: Path, header) -> None:
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
-    rows = []
-    for psi in cfg.psis:
-        scale = psi if cfg.mode == "full" else math.sqrt(psi)
-        rho_s = blowdown_density(rho, psi, cfg.mode)
-        w_s = blowdown_potential(w, p.m2, scale)
-        rep = joint_free_energy(rho_s, w_s, p)
-        mt = moser_trudinger(inv_laplacian(rho_s), p.m1, p.alpha)
-        rows.append(
-            (
-                psi,
-                rep.entropy1,
-                rep.interaction,
-                rep.dirichlet,
-                rep.log_terms,
-                rep.total,
-                mt,
-            )
-        )
+    rows = [
+        (psi, rep.entropy1, rep.interaction, rep.dirichlet, rep.log_terms,
+         rep.total, moser_trudinger(u_s, p.m1, p.alpha))
+        for psi, _, u_s, _, rep in _ladder(rho, w, p, cfg.psis, cfg.mode)
+    ]
     _write_csv(
         out / "functional.csv",
         header,

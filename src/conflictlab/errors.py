@@ -58,10 +58,6 @@ class TooFewPoints(ValueError):
     """Not enough scale points for a slope fit."""
 
 
-class AsymmetricMatrix(ValueError):
-    """Interaction matrix is not symmetric."""
-
-
 class UnsupportedRegime(ValueError):
     """Flow limit-combination (delta1, delta2, epsilon) is not one of the
     three supported limits (1,1,0), (1,0,0), (0,0,1)."""

@@ -93,16 +93,31 @@ def chemical_energy(rho: RadialField, w: RadialField, m: float, p: Params) -> fl
     return grad_term + log_term
 
 
+def _joint_terms(rho, w, u, p):
+    """The raw terms of the joint free energy, u being the potential of rho:
+    entropy, pairing, Dirichlet integral of w and log-partition."""
+    return (
+        entropy(rho),
+        interaction_energy(rho),
+        dirichlet_energy(w),
+        log_partition([(-p.gamma, w), (-p.theta * p.beta, u)]),
+    )
+
+
+def _joint(p, entropy1, pairing, dirichlet, log_z) -> FunctionalReport:
+    """The joint free-energy report of raw terms from _joint_terms."""
+    return _report(
+        entropy1=entropy1,
+        interaction=0.5 * p.alpha * pairing,
+        dirichlet=0.5 * p.gamma * dirichlet,
+        log_terms=p.m2 * log_z,
+    )
+
+
 def joint_free_energy(rho: RadialField, w: RadialField, p: Params) -> FunctionalReport:
     """free_energy(rho) plus chemical_energy(rho, w, m2) in one itemized report."""
     p = validate_params(p)
-    u = inv_laplacian(rho)
-    return _report(
-        entropy1=entropy(rho),
-        interaction=0.5 * p.alpha * interaction_energy(rho),
-        dirichlet=0.5 * p.gamma * dirichlet_energy(w),
-        log_terms=p.m2 * log_partition([(-p.gamma, w), (-p.theta * p.beta, u)]),
-    )
+    return _joint(p, *_joint_terms(rho, w, inv_laplacian(rho), p))
 
 
 def relaxed_free_energy(rho: RadialField, p: Params, opts=None):

@@ -368,9 +368,9 @@ def _lambda_zero_curve(p: Params, m1_range, m2_range, samples: int) -> np.ndarra
                 lower.append((m1, math.nan))
                 upper.append((m1, math.nan))
                 continue
-            r1 = (-lin + math.sqrt(disc)) / (2.0 * quad)
-            r2 = (-lin - math.sqrt(disc)) / (2.0 * quad)
-            r1, r2 = min(r1, r2), max(r1, r2)
+            # the root pair without cancellation between lin and sqrt(disc)
+            q = -lin - math.copysign(math.sqrt(disc), lin)
+            r1, r2 = sorted((q / (2.0 * quad), 2.0 * const / q))
             lower.append((m1, r1 if lo <= r1 <= hi else math.nan))
             upper.append((m1, r2 if lo <= r2 <= hi else math.nan))
     pts = lower + ([(math.nan, math.nan)] + upper if upper else [])

@@ -15,10 +15,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import fsolve
 
-from conflictlab.errors import AsymmetricMatrix, NonpositiveMass
+from conflictlab.errors import NonpositiveMass
 
 _R0 = 1e-8
 FOUR_PI = 4.0 * math.pi
+
+
+class AsymmetricMatrix(ValueError):
+    """Interaction matrix is not symmetric."""
 
 
 def shoot_pair(p, center_guess=(0.5, 0.1)):

@@ -64,12 +64,6 @@ class TestInvLaplacian:
         expect = (m / (2 * np.pi)) * np.log(1 / g1024.r[outside])
         np.testing.assert_allclose(u.values[outside], expect, atol=1e-14)
 
-    def test_with_flux_returns_face_masses(self, g1024):
-        rho = RadialField.density(g1024, np.exp(-g1024.r))
-        u, c = inv_laplacian(rho, with_flux=True)
-        np.testing.assert_array_equal(c, face_masses(rho))
-        assert u.kind == "potential"
-
     @given(density_arrays)
     @settings(max_examples=50, deadline=None)
     def test_maximum_principle_and_monotonicity(self, vals):
@@ -184,8 +178,9 @@ class TestPairingAndDirichlet:
 
     def test_face_flux_reproduces_face_masses(self, g256):
         rho = RadialField.density(g256, np.exp(-3 * g256.r**2))
-        u, c = inv_laplacian(rho, with_flux=True)
-        np.testing.assert_allclose(face_flux(u), c, rtol=1e-7, atol=1e-12)
+        np.testing.assert_allclose(
+            face_flux(inv_laplacian(rho)), face_masses(rho), rtol=1e-7, atol=1e-12
+        )
 
 
 class TestLogPartition:

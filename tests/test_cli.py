@@ -218,6 +218,95 @@ def test_flow_csvs_are_pinned(tmp_path, case, theta, init):
     assert tuple(digests) == PINNED_FLOWS[case, theta, init]
 
 
+def _sections(command, **options):
+    return f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+
+
+_FLOW = dict(beta=0.5, gamma=1.0, m1=8.0, m2=4.0, grid_n=64)
+_SWEEP = _sections("sweep", m1_range="0, 40", m2_range="0, 40", resolution=12)
+_LADDER = dict(m1=30.0, m2=1.0, grid_n=128)
+
+# Every command on a small grid: the config text and, per CSV written, the
+# sha256 of its lines without the '# conflictlab <version>' line (the
+# resolved-config header lines and the data lines), recorded before the
+# option table and the shared blow-down ladder replaced the per-command
+# branches (numpy 2.4, scipy 1.17, x86-64).  The sweep_curves.csv pins of
+# the gamma > 0 sweeps were re-recorded when the lambda_zero roots moved to
+# the cancellation-free form: 477 of their 5121 rows, all lambda_zero rows,
+# moved by at most 8.4e-15 in m2.
+PINNED_TABLES = {
+    "classify-conflict": (config_text("classify"), {
+        "classify.csv": "51c6559c9e3f23c55746426b1500f8205d06e63f000d50cef3f27b979b921e1e",
+    }),
+    "classify-cooperative": (config_text("classify", beta=0.4, gamma=1.0, theta=1, m1=10.0, m2=5.0), {
+        "classify.csv": "030a44f7a9ce130701ef790752479559e55c75ff55dda6d675c90e9eedeafad7",
+    }),
+    "sweep-conflict": (config_text("sweep", gamma=1.0, section=_SWEEP), {
+        "sweep.csv": "cf8a930956d09595bf4e4fb86b41b76a4761116ac3deeeb335f15d78659282b2",
+        "sweep_curves.csv": "5beb77ea9effcabc491f2224cc305aca413aad70e685a160dc00b6fd6f8a6316",
+    }),
+    "sweep-cooperative": (config_text("sweep", gamma=1.0, theta=1, section=_SWEEP), {
+        "sweep.csv": "5484791f22591624146757b58cbdbb8a6b57cb34f24dc04f55294275f60c607e",
+        "sweep_curves.csv": "f13e53efe09f748d0547c257448ebab7d393ec46c2f5c58d97f175fbccef3196",
+    }),
+    "sweep-gamma0": (config_text("sweep", section=_SWEEP), {
+        "sweep.csv": "4d7727e160de281dd233bf2fb1c56d9aa99157bee995a68e99055e4f60208290",
+        "sweep_curves.csv": "c1557d11e614aa6678dadb73fcddf9870cce91e418dddd36d5899afd35ad9573",
+    }),
+    "steady": (config_text("steady", beta=0.0, m1=4.0 * math.pi, m2=0.0, grid_n=256), {
+        "steady.csv": "bcc0b8ecfcb360d56feae6d3e0406b15de0800793796119f80e1a9d4a4cdc780",
+    }),
+    "blowdown-full": (config_text("blowdown", **_LADDER), {
+        "blowdown.csv": "a553fe892fe2bca597f58b87a28512163cdeda1fb11620c4884d34da7dd3b09f",
+    }),
+    "blowdown-half": (config_text("blowdown", **_LADDER, section=_sections("blowdown", mode="half")), {
+        "blowdown.csv": "71ee6c1532f345593d4cff9f2f5e4936a9389568d3fef51b60b6067b1cb3c8bb",
+    }),
+    "blowdown-psis": (config_text("blowdown", **_LADDER, section=_sections("blowdown", psis="1.5, 3, 9, 27, 81")), {
+        "blowdown.csv": "9600acbe88fbe64e729b84ca48eb63ab8edc96a58e51889bcfd2bbd1b552d277",
+    }),
+    "functional-full": (config_text("functional", **_LADDER), {
+        "functional.csv": "25d83e0749a308bd6320500283f72734ad2fe3179171470a21dcc2b8e29afe73",
+    }),
+    "functional-half": (config_text("functional", **_LADDER, section=_sections("functional", mode="half")), {
+        "functional.csv": "a77286bac0c0a46d6a898f3be99ae1aafaf534f93c42fcccd17b5757a62313a4",
+    }),
+    "functional-psis": (config_text("functional", **_LADDER, section=_sections("functional", psis="1, 2, 8, 4, 1024")), {
+        "functional.csv": "7cdd8770a265ed1af79441d5339cef742945f99e1f777ff34c974541b69fa484",
+    }),
+    "oracle": (config_text("oracle", beta=10.0 * math.pi, gamma=1.0, m1=1.0, m2=2.0 * math.pi, grid_n=1000), {
+        "oracle.csv": "5e69503c07aedf7d9fa78c51e25a95af3d0ffb2c172acb5c34f80c4a727b4ec4",
+    }),
+    "flow-single": (config_text("flow", **_FLOW, section=_sections("flow", case="single", dt=0.001, t_end=0.05)), {
+        "flow_trace.csv": "7546955f4edf7ff8f65bfa023c120ef9e173085dd3c1949f9adf436eb0e9e57f",
+        "flow_state.csv": "c1c13723747b8ef4b753eb36acff018675d94476c69352e4350012ee74a82464",
+    }),
+    "flow-pair": (config_text("flow", **_FLOW, theta=1, section=_sections("flow", case="pair", dt=0.001, t_end=0.05, adapt="no", init="random")), {
+        "flow_trace.csv": "add0c4eaffdd8917e66f0c8d1240f38939f1b83d42a58ba38afea74df3ea8cca",
+        "flow_state.csv": "87a24db700193cf3dc4208c4b8f4841e2e7bc38d7aae9b93f265d5a48ab63131",
+    }),
+    "flow-potentials": (config_text("flow", **_FLOW, section=_sections("flow", case="potentials", dt=0.001, t_end=0.05)), {
+        "flow_trace.csv": "d1b6f25afc04d160774a657caf45af2b5aa9aea313dbd36932372952937a7b5b",
+        "flow_state.csv": "428dfbbeb917817af8347a0f1b4f02891891329496303c7789022047b540ac9c",
+    }),
+}
+
+
+def _table_digest(path):
+    lines = path.read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("# conflictlab "))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_TABLES))
+def test_command_csvs_are_pinned(tmp_path, name):
+    text, pins = PINNED_TABLES[name]
+    assert run(parse_config(text), out_dir=tmp_path, seed=7) == 0
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written == sorted(pins)
+    assert {f: _table_digest(tmp_path / f) for f in pins} == pins
+
+
 class TestBlowdownCommand:
     def test_shift_table(self, tmp_path):
         sec = "[blowdown]\npsis = 4, 8, 16, 32\n"

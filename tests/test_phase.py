@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conflictlab import phase
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.calculus import inv_laplacian
-from conflictlab.errors import AsymmetricMatrix, NonpositiveMass
+from conflictlab.errors import NonpositiveMass
 from conflictlab.liouville import residual, solve_pair
 from conflictlab.model import Params, RadialField, make_grid, project_density
 from conflictlab.phase import (
@@ -22,7 +22,7 @@ from conflictlab.phase import (
     strip_mass,
     sweep,
 )
-from oracles import all_subsets_positive, refined_condition, subset_lambda
+from oracles import AsymmetricMatrix, all_subsets_positive, refined_condition, subset_lambda
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -564,8 +564,18 @@ class TestSweep:
         # the line Lambda1 = 0 sits at m2 beyond 1e300, out of range
         assert np.all(np.isnan(res.curves["lambda1_zero"][:, 1]))
         assert res.curves["lambda1_zero"].shape == (1024, 2)
-        if gamma == 5e-324:  # gamma/4pi underflows to zero: no finite root
-            assert np.all(np.isnan(res.curves["lambda_zero"][:, 1]))
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-320, 1e-310, 1e-6])
+    @pytest.mark.parametrize("theta", [-1, 1])
+    def test_small_gamma_lambda_zero_rows_solve_lambda(self, gamma, theta):
+        # gamma/4pi underflows to zero at 5e-324, leaving the linear root
+        p = Params(alpha=1.0, beta=2.0, gamma=gamma, theta=theta, m1=1.0, m2=1.0)
+        pts = sweep(p, (0.0, 40.0), (0.0, 40.0), 8).curves["lambda_zero"]
+        m1, m2 = pts[np.isfinite(pts).all(axis=1)].T
+        assert m1.size > 100
+        lam, _, _ = lambda_values(m1, m2, p)
+        assert np.all(np.abs(lam) <= 1e-12 * (1.0 + m1 + m2 * m2))
+        assert not np.any((pts[:, 1] == 0.0) & np.signbit(pts[:, 1]))
 
     def test_cooperative_sweep_exists_only_below_critical(self):
         res = sweep(coop(1.0, 0.4, 1.0), (0.0, 40.0), (0.0, 40.0), 30)
