@@ -31,24 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .calculus import (
-    dirichlet_energy,
-    entropy,
-    face_flux,
-    integrate_disk,
-    interaction_energy,
-    inv_laplacian,
-    log_partition,
-)
+from .calculus import face_flux, integrate_disk, inv_laplacian
 from .errors import DegenerateQuadraticForm, Stalled, StepRejected
-from .functionals import two_species_energy_rho, two_species_energy_u
-from .liouville import (
-    Solution,
-    SolveOptions,
-    _exponents,
-    _minimize_w,
-    _normalized_density,
-)
+from .functionals import _joint_terms, two_species_energy_rho, two_species_energy_u
+from .liouville import Solution, _exponents, _minimize_w, _normalized_density
 from .model import FlowConfig, Params, RadialField, validate_params
 
 __all__ = [
@@ -192,8 +178,7 @@ def _heat_step(u_vals, source_vals, grid, dt):
 
 
 def _induced_density(grid, g, m):
-    vals = _normalized_density(grid, g, m)[0] if m > 0 else np.zeros_like(grid.r)
-    return RadialField.density(grid, vals)
+    return RadialField.density(grid, _normalized_density(grid, g, m)[0])
 
 
 def _densities(u1, u2, p):
@@ -209,21 +194,17 @@ def _slaved_density(u1, u2, p):
 def _chemical(rho, u1, p, w0=None):
     """The chemical-energy minimizer for rho, whose potential is u1; it is
     zero when gamma or m2 is.  Values w0 warm-start the minimizer."""
-    grid = rho.grid
-    if p.gamma == 0.0 or p.m2 == 0.0:
-        return RadialField.potential(grid, np.zeros_like(grid.r))
-    w = _minimize_w(grid, rho.values, u1.values, p, SolveOptions(), w0)
-    return RadialField.potential(grid, w)
+    w = _minimize_w(rho.grid, rho.values, u1.values, p, w0=w0)
+    return RadialField.potential(rho.grid, w)
 
 
 def _energy_single(rho, u, w, p):
     """F of the density-plus-chemical system for rho with potential u, with
     the sign of the w-block flipped in the cooperative case: the terms of
     functionals.joint_free_energy (which fixes theta=-1), summed alike."""
-    dirichlet = 0.5 * p.gamma * dirichlet_energy(w)
-    log_terms = p.m2 * log_partition([(-p.gamma, w), (-p.theta * p.beta, u)])
-    interaction = 0.5 * p.alpha * interaction_energy(rho)
-    return entropy(rho) + interaction - p.theta * (dirichlet + log_terms)
+    ent, pairing, dirichlet, log_z = _joint_terms(rho, w, u, p)
+    interaction = 0.5 * p.alpha * pairing
+    return ent + interaction - p.theta * (0.5 * p.gamma * dirichlet + p.m2 * log_z)
 
 
 def _check_energy(e_new, e_old, enforced):
@@ -292,8 +273,8 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     p = validate_params(p)
     grid = s.u1.grid
     g1, g2 = _exponents(p, s.u1.values, s.u2.values)
-    s1 = _normalized_density(grid, g1, p.m1)[0] if p.m1 > 0 else np.zeros_like(grid.r)
-    s2 = _normalized_density(grid, g2, p.m2)[0] if p.m2 > 0 else np.zeros_like(grid.r)
+    s1 = _normalized_density(grid, g1, p.m1)[0]
+    s2 = _normalized_density(grid, g2, p.m2)[0]
     u1 = RadialField.potential(grid, _heat_step(s.u1.values, s1, grid, dt))
     u2 = RadialField.potential(grid, _heat_step(s.u2.values, s2, grid, dt))
     enforced = False
@@ -416,13 +397,13 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
     grid = s.rho1.grid
     g1, g2 = _exponents(p, s.u1.values, s.u2.values)
     _, lam1 = _normalized_density(grid, g1, p.m1)
-    _, lam2 = _normalized_density(grid, g2, p.m2) if p.m2 > 0 else (None, 0.0)
+    _, lam2 = _normalized_density(grid, g2, p.m2)
     return Solution(
         u1=s.u1,
         u2=s.u2,
         residual=float("nan"),
         iterations=0,
-        multipliers=(lam1 if p.m1 > 0 else 0.0, lam2),
+        multipliers=(lam1, lam2),
         _flux1=face_flux(s.u1),
         _flux2=face_flux(s.u2),
     )

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calculus import (
     cross_dirichlet,
     dirichlet_energy,
@@ -24,6 +22,7 @@ from .calculus import (
     log_partition,
 )
 from .errors import NonpositiveMass
+from .liouville import _minimize_w
 from .model import Params, RadialField, validate_params
 
 __all__ = [
@@ -128,14 +127,11 @@ def relaxed_free_energy(rho: RadialField, p: Params, opts=None):
     solver module.
     """
     p = validate_params(p)
-    grid = rho.grid
-    if p.gamma == 0.0 or p.m2 == 0.0:
-        w_star = RadialField.potential(grid, np.zeros_like(grid.r))
-    else:
-        from .liouville import minimize_w
-
-        w_star = minimize_w(rho, p, grid, opts)
-    return joint_free_energy(rho, w_star, p).total, w_star
+    u = inv_laplacian(rho)
+    w_star = RadialField.potential(
+        rho.grid, _minimize_w(rho.grid, rho.values, u.values, p, opts)
+    )
+    return _joint(p, *_joint_terms(rho, w_star, u, p)).total, w_star
 
 
 def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> FunctionalReport:

@@ -1,19 +1,20 @@
-"""Damped Picard solvers for the radial Liouville equation and system.
+"""One damped Picard solver for the radial Liouville equation and system.
 
 The single-species equation is ``laplacian(u) + m e^{alpha u}/Z = 0`` with
 ``Z`` the disk integral of ``e^{alpha u}`` and ``u = 0`` on the boundary.
 The two-species system couples the exponents ``alpha u1 - beta u2`` and
 ``-gamma u2 - theta beta u1``.
 
-All iterations are fixed points on potentials: form the normalized density
-from the current potentials, invert the Laplacian, and mix with a damping
-factor.  The damping adapts geometrically (growth on sustained residual
-decrease, reduction on growth), and a dominant-mode extrapolation kicks in
-once the undamped iteration is stable, which removes the critical slowing
-near ``m = 8 pi / alpha``.  Residuals are measured in flux form: each
-iterate carries the face fluxes that generated it, so the defect between
-those fluxes and the face masses of the current density is the exact
-finite-volume residual of the iterate, free of re-differencing noise.
+Every solve runs one fixed-point loop on potentials: form the normalized
+density from the current potentials, invert the Laplacian, and mix with a
+damping factor.  The damping starts at 1/2 and adapts geometrically
+(growth on sustained residual decrease, reduction on growth), and a
+dominant-mode extrapolation kicks in once the undamped iteration is
+stable, which removes the critical slowing near ``m = 8 pi / alpha``.
+Residuals are measured in flux form: each iterate carries the face fluxes
+that generated it, so the defect between those fluxes and the face masses
+of the current density is the exact finite-volume residual of the
+iterate, free of re-differencing noise.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import RadialField, validate_params
 
 logger = logging.getLogger(__name__)
 
+_DAMPING = 0.5
 _MIN_DAMPING = 1.0 / 64.0
 _GROW_STREAK = 5
 _GROW_FACTOR = 1.4
@@ -51,20 +53,12 @@ class SolveOptions:
 
     tol: float = 1e-10
     max_iter: int = 500
-    damping: float = 0.5
-    continuation_steps: int = 1
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.continuation_steps < 1:
-            raise ValueError(
-                f"continuation_steps must be at least 1, got {self.continuation_steps}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +138,10 @@ def _flux_defect(grid, delta_flux):
 
 
 def _normalized_density(grid, g, m):
-    """Density m e^g / integral(e^g) and its multiplier, overflow-safe."""
+    """Density m e^g / integral(e^g) and its multiplier, overflow-safe;
+    both are zero at zero mass."""
+    if m == 0.0:
+        return np.zeros_like(grid.r), 0.0
     top = float(g.max())
     e = np.exp(g - top)
     z = float(np.dot(grid.weights, e))
@@ -161,14 +158,16 @@ def _picard_loop(grid, masses, exponents, state, opts):
     """Core damped fixed-point iteration shared by all solvers.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
-    tuple of exponent arrays, one per species; species with zero mass are
-    carried along at zero cost.  ``state`` is ``(us, cs)`` with ``cs`` the
-    face fluxes that generated ``us``; mixing both with the same damping
-    keeps them consistent, which is what makes the flux-form residual the
-    exact finite-volume defect of the iterate.
+    tuple of exponent arrays, one per species; a species with zero mass has
+    zero density, so its potential stays zero.  ``state`` is ``(us, cs)``
+    with ``cs`` the face fluxes that generated ``us``; mixing both with the
+    same damping keeps them consistent, which is what makes the flux-form
+    residual the exact finite-volume defect of the iterate.  Raises
+    SolverDiverged after ``opts.max_iter`` iterations and Oscillation when
+    the damping controller gives up.
     """
     us, cs = state
-    ctrl = _DampingController(opts.damping)
+    ctrl = _DampingController(_DAMPING)
     nsp = len(masses)
     du_prev = None
     cool = 0
@@ -180,12 +179,6 @@ def _picard_loop(grid, masses, exponents, state, opts):
         res = 0.0
         gs = exponents(us)
         for s in range(nsp):
-            if masses[s] == 0.0:
-                new_us.append(np.zeros_like(us[s]))
-                new_cs.append(np.zeros(grid.n))
-                lams[s] = 0.0
-                res = max(res, _flux_defect(grid, -cs[s]))
-                continue
             rho_vals, lam = _normalized_density(grid, gs[s], masses[s])
             u_new, c_new = _green(grid, rho_vals)
             new_us.append(u_new)
@@ -259,120 +252,90 @@ def solve_single(m, alpha, grid, opts=None):
             f"for alpha={alpha:.6g}"
         )
 
-    def run(mass, state):
-        return _picard_loop(grid, (mass,), lambda us: (alpha * us[0],), state, opts)
-
-    ladder = [m / 2.0**j for j in range(opts.continuation_steps - 1, -1, -1)]
-    state = _warm_state(grid, ladder[0], alpha)
-    us = cs = None
-    total_iters = 0
-    for mass in ladder:
-        if us is not None:
-            state = ([us[0]], [cs[0]])
-        us, cs, res, it, lams = run(mass, state)
-        total_iters += it
-    zero = np.zeros_like(grid.r)
-    return Solution(
-        u1=RadialField.potential(grid, us[0]),
-        u2=RadialField.potential(grid, zero),
-        residual=res,
-        iterations=total_iters,
-        multipliers=(lams[0], 0.0),
-        _flux1=cs[0],
-        _flux2=np.zeros(grid.n),
-    )
-
-
-def _warm_state(grid, m, alpha):
-    """Bubble-generated initial potentials and fluxes at mass ``m``."""
     delta = m * alpha / (8.0 * math.pi - m * alpha)
-    u0 = bubble(alpha, delta, grid)
-    rho_vals, _ = _normalized_density(grid, alpha * u0.values, m)
-    u, c = _green(grid, rho_vals)
+    state = _seeded(grid, alpha * bubble(alpha, delta, grid).values, m)
+    us, cs, res, it, lams = _picard_loop(
+        grid, (m,), lambda us: (alpha * us[0],), state, opts
+    )
+    us, cs = [us[0], np.zeros_like(grid.r)], [cs[0], np.zeros(grid.n)]
+    return _solution(grid, us, cs, res, it, (lams[0], 0.0))
+
+
+def _seeded(grid, g, m):
+    """Initial potentials and fluxes: one Green application of the
+    normalized density of exponent ``g`` at mass ``m``."""
+    u, c = _green(grid, _normalized_density(grid, g, m)[0])
     return [u], [c]
 
 
-def solve_pair(p, grid, opts=None):
-    """Solve the coupled two-species system for validated parameters.
-
-    Direct damped iteration from rest; when it diverges or oscillates and
-    ``opts.continuation_steps > 1``, retries along a mass ladder
-    ``(m1, m2)/2^j`` with warm starts between rungs.
-    """
-    opts = opts or SolveOptions()
-    p = validate_params(p)
-
-    def run_at(scale, state):
-        masses = (p.m1 * scale, p.m2 * scale)
-        return _picard_loop(grid, masses, lambda us: _exponents(p, *us), state, opts)
-
-    zeros = lambda: (
-        [np.zeros_like(grid.r), np.zeros_like(grid.r)],
-        [np.zeros(grid.n), np.zeros(grid.n)],
-    )
-    try:
-        us, cs, res, it, lams = run_at(1.0, zeros())
-        total = it
-    except (SolverDiverged, Oscillation):
-        if opts.continuation_steps <= 1:
-            raise
-        logger.info("direct iteration stalled, entering mass continuation")
-        state = zeros()
-        total = 0
-        for j in range(opts.continuation_steps - 1, -1, -1):
-            us, cs, res, it, lams = run_at(2.0**-j, state)
-            state = (us, cs)
-            total += it
+def _solution(grid, us, cs, res, iterations, lams):
+    """Package both species' potential and flux arrays as a Solution."""
     return Solution(
         u1=RadialField.potential(grid, us[0]),
         u2=RadialField.potential(grid, us[1]),
         residual=res,
-        iterations=total,
-        multipliers=(lams[0], lams[1]),
+        iterations=iterations,
+        multipliers=lams,
         _flux1=cs[0],
         _flux2=cs[1],
     )
 
 
+def solve_pair(p, grid, opts=None):
+    """Solve the coupled two-species system for validated parameters.
+
+    Damped iteration from rest; raises SolverDiverged or Oscillation when
+    it does not converge.
+    """
+    opts = opts or SolveOptions()
+    p = validate_params(p)
+    rest = (
+        [np.zeros_like(grid.r), np.zeros_like(grid.r)],
+        [np.zeros(grid.n), np.zeros(grid.n)],
+    )
+    us, cs, res, it, lams = _picard_loop(
+        grid, (p.m1, p.m2), lambda us: _exponents(p, *us), rest, opts
+    )
+    return _solution(grid, us, cs, res, it, lams)
+
+
 def minimize_w(rho, p, grid, opts=None, w0=None):
     """Minimizer of the chemical energy at fixed density ``rho``.
 
-    Damped fixed point on ``w -> inv_laplacian(m2 e^g / integral(e^g))``
+    The Picard loop on ``w -> inv_laplacian(m2 e^g / integral(e^g))``
     with exponent ``g = -gamma w - theta beta u`` and ``u`` the potential
-    of ``rho``.  Requires ``gamma > 0``; the ``gamma = 0`` case has the
-    closed-form minimizer ``w = 0`` and is handled by the caller.  An
-    optional ``w0`` warm-starts the iteration (one fixed-point application
-    of ``w0`` seeds the loop), which time steppers use to re-solve for
-    ``w`` cheaply after a small change in ``rho``.
+    of ``rho``; ``w = 0`` at ``m2 = 0``.  Requires ``gamma > 0``: the
+    ``gamma = 0`` case has the closed-form minimizer ``w = 0``, and asking
+    for it raises GammaZero.  An optional ``w0`` warm-starts the iteration
+    (one fixed-point application of ``w0`` seeds the loop), which time
+    steppers use to re-solve for ``w`` cheaply after a small change in
+    ``rho``.
     """
     p = validate_params(p)
     if p.gamma == 0.0:
         raise GammaZero("gamma=0 has minimizer w=0; handle in the caller")
     if not rho.grid.same_as(grid):
         raise GridMismatch("rho lives on a different grid")
-    if p.m2 == 0.0:
-        return RadialField.potential(grid, np.zeros_like(grid.r))
     if w0 is not None and not w0.grid.same_as(grid):
         raise GridMismatch("w0 lives on a different grid")
     u = _green(grid, rho.values)[0]
     w0 = None if w0 is None else w0.values
-    w = _minimize_w(grid, rho.values, u, p, opts or SolveOptions(), w0)
-    return RadialField.potential(grid, w)
+    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p, opts, w0))
 
 
-def _minimize_w(grid, rho_vals, u, p, opts, w0):
-    """minimize_w on raw arrays for validated ``p`` with gamma, m2 > 0;
-    ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start."""
+def _minimize_w(grid, rho_vals, u, p, opts=None, w0=None):
+    """minimize_w on raw arrays for validated ``p``, zero when gamma or m2
+    is; ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start."""
+    if p.gamma == 0.0 or p.m2 == 0.0:
+        return np.zeros_like(grid.r)
     drive = -p.theta * p.beta * u
     if w0 is None:
         state = ([np.zeros_like(grid.r)], [np.zeros(grid.n)])
     else:
-        seed_vals, _ = _normalized_density(grid, -p.gamma * w0 + drive, p.m2)
-        seed_u, seed_c = _green(grid, seed_vals)
-        state = ([seed_u], [seed_c])
-
+        state = _seeded(grid, -p.gamma * w0 + drive, p.m2)
     us, *_ = _picard_loop(
-        grid, (p.m2,), lambda ws: (-p.gamma * ws[0] + drive,), state, opts
+        grid, (p.m2,), lambda ws: (-p.gamma * ws[0] + drive,), state,
+        opts or SolveOptions(),
     )
     w = us[0]
     if np.all(np.diff(rho_vals) <= 1e-12) and np.any(np.diff(w) > 1e-10):
@@ -406,10 +369,7 @@ def residual(sol, p):
     g1, g2 = _exponents(p, u1, u2)
     out = []
     for u, g, m, flux in ((u1, g1, p.m1, sol._flux1), (u2, g2, p.m2, sol._flux2)):
-        if m == 0.0:
-            rho_vals = np.zeros_like(grid.r)
-        else:
-            rho_vals, _ = _normalized_density(grid, g, m)
+        rho_vals, _ = _normalized_density(grid, g, m)
         if flux is not None:
             c_new = face_masses(RadialField(grid, rho_vals))
             out.append(_flux_defect(grid, c_new - flux))

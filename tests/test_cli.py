@@ -378,6 +378,13 @@ class TestMain:
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe[run]\n")
+        assert main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config") and err.count("\n") == 1
+
     def test_config_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(config_text("classify", theta=0))

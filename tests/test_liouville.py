@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from conflictlab.errors import (
     SolverDiverged,
     Supercritical,
 )
+from conflictlab.flow import initial_state, run_flow, steady_solution
+from conflictlab.functionals import relaxed_free_energy
 from conflictlab.liouville import (
     SolveOptions,
     Solution,
@@ -22,7 +27,7 @@ from conflictlab.liouville import (
     solve_pair,
     solve_single,
 )
-from conflictlab.model import Params, RadialField, make_grid
+from conflictlab.model import FlowConfig, Params, RadialField, make_grid
 
 from oracles import boundary_mass_flux, shoot_pair
 
@@ -34,16 +39,18 @@ def zero_potential(grid):
 
 
 class TestSolveOptions:
+    # Explicit ids keep each case under the name it has always had; the
+    # numbers of the cases for the removed damping and continuation fields
+    # (kwargs3, kwargs5) are not reused.
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(tol=0.0),
             dict(tol=-1e-10),
-            dict(damping=0.0),
-            dict(damping=1.5),
+            dict(tol=float("nan")),
             dict(max_iter=0),
-            dict(continuation_steps=0),
         ],
+        ids=["kwargs0", "kwargs1", "kwargs2", "kwargs4"],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
@@ -134,12 +141,6 @@ class TestSolveSingle:
         sol = solve_single(m, 1.0, g1024)
         r1, r2 = residual(sol, Params(1.0, 0.0, 0.0, -1, m, 0.0))
         assert r1 <= 1e-10 and r2 == 0.0
-
-    def test_continuation_ladder_agrees_with_direct(self, g1024):
-        m = 4 * np.pi
-        direct = solve_single(m, 1.0, g1024)
-        laddered = solve_single(m, 1.0, g1024, SolveOptions(continuation_steps=3))
-        np.testing.assert_allclose(laddered.u1.values, direct.u1.values, atol=1e-9)
 
     @given(st.floats(0.05, 0.9), st.floats(0.5, 3.0))
     @settings(max_examples=10, deadline=None)
@@ -252,3 +253,116 @@ class TestDampingController:
         for i in range(20):
             ctrl.update(1.0 / (i + 1))
         assert ctrl.d == 1.0
+
+
+def _digest(*arrays):
+    d = hashlib.sha256()
+    for a in arrays:
+        d.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return d.hexdigest()
+
+
+def _solution_print(sol):
+    fields = (sol.u1.values, sol.u2.values, sol._flux1, sol._flux2)
+    return _digest(*fields), repr((sol.residual, sol.multipliers, sol.iterations))
+
+
+_RHO = RadialField.density(G256, np.exp(-2 * G256.r**2))
+_PW = Params(1.0, 1.5, 1.0, -1, 1.0, math.pi)
+
+
+def _pair_print(*args):
+    p = Params(*args)
+    sol = solve_pair(p, G256)
+    return _solution_print(sol) + (repr(residual(sol, p)),)
+
+
+def _warm_w():
+    w0 = RadialField.potential(G256, 0.5 * minimize_w(_RHO, _PW, G256).values)
+    return (_digest(minimize_w(_RHO, _PW, G256, w0=w0).values),)
+
+
+def _relaxed_print(*args):
+    val, w = relaxed_free_energy(_RHO, Params(*args))
+    return _digest(w.values), repr(val)
+
+
+def _steady_multipliers():
+    p = Params(1.0, 0.5, 1.0, -1, 8.0, 0.0)
+    cfg = FlowConfig(1.0, 0.0, 0.0, dt=0.001, t_end=0.02)
+    rho1 = RadialField.density(G256, np.exp(-G256.r**2))
+    s = run_flow(initial_state(p, cfg, rho1=rho1), p, cfg)
+    return (repr(steady_solution(s, p).multipliers),)
+
+
+def _oscillation():
+    with pytest.raises(Oscillation) as err:
+        solve_pair(Params(1.0, 2.0, 1.0, -1, 24.0, 0.0), G256)
+    return (type(err.value).__name__, str(err.value))
+
+
+# Solver outputs on 256 cells: the sha256 of the raw float64 bytes of the
+# fields, and the repr of every scalar (residual, multipliers, iterations,
+# the residual() pair, energy values), recorded before the Picard entry
+# points shared one seed, one package step and one zero-mass rule
+# (numpy 2.4, x86-64).  Any change in a bit of a solve shows up here.
+PINNED_SOLVES = {
+    "single-5": (lambda: _solution_print(solve_single(5.0, 1.0, G256)), (
+        "89164a1dfcbaa1d819adf4b65d941474675ef9db1f21baa36659aac0456e84ac",
+        "(6.888223325063336e-11, (1.274920131734214, 0.0), 11)",
+    )),
+    "single-24": (lambda: _solution_print(solve_single(24.0, 1.0, G256)), (
+        "a8f58f37224097129b80c6196e9dcc10aa00add3ef9d539fa41e08b8829597e9",
+        "(1.3088197192701045e-11, (0.3438049098176474, 0.0), 35)",
+    )),
+    "pair-cooperative": (lambda: _pair_print(1.0, 2.0, 1.0, 1, 10.0, 4.0), (
+        "a85432bf16f2d3758f57ec65b3158621f1af44ebdd9d96064c8a6d0ff4572922",
+        "(5.7280402643300476e-11, (2.529020037531184, 2.889781297914054), 29)",
+        "(5.7280402643300476e-11, 9.216212977965672e-12)",
+    )),
+    "pair-conflict": (lambda: _pair_print(1.0, 2.0, 1.0, -1, 10.0, 4.0), (
+        "7d066fae281ba1bf350deaecd26fd6dffcb9ae8addb339a730e0290791c3ffe3",
+        "(4.973577105715776e-11, (3.1269908361028844, 0.6598553655562286), 22)",
+        "(3.942351535971896e-12, 4.973577105715776e-11)",
+    )),
+    "pair-gamma-zero": (lambda: _pair_print(1.0, 2.0, 0.0, -1, 20.0, 5.0), (
+        "df3fd683b9f2965f4eea06e435fee62fda791d04c83a44c2b13fd9246419b9fb",
+        "(7.744915819785092e-11, (4.974086401572978, 0.19941202080014256), 37)",
+        "(7.744915819785092e-11, 4.007942753575616e-12)",
+    )),
+    "pair-m2-zero": (lambda: _pair_print(1.0, 0.0, 0.0, -1, 5.0, 0.0), (
+        "76a5e100bde9bd9551e37ccef4622051813a8a866c821a1a00ddbedff3fc2e4a",
+        "(2.6999513735859182e-11, (1.2749201317327181, 0.0), 18)",
+        "(2.6999513735859182e-11, 0.0)",
+    )),
+    "minimize_w-cold": (lambda: (_digest(minimize_w(_RHO, _PW, G256).values),), (
+        "cd422af772605567ddb94731bdcb71b2966cc5c8993f97058d00d32a576c388d",
+    )),
+    "minimize_w-warm": (_warm_w, (
+        "014612dc2f94508528cf68401a3fd82194bb4718e294aa488f10ad26563d840b",
+    )),
+    "relaxed-gamma": (lambda: _relaxed_print(1.0, 1.5, 1.0, -1, 1.0, math.pi), (
+        "cd422af772605567ddb94731bdcb71b2966cc5c8993f97058d00d32a576c388d",
+        "2.7354708086801063",
+    )),
+    "relaxed-gamma-zero": (lambda: _relaxed_print(1.0, 1.5, 0.0, -1, 1.0, math.pi), (
+        "d5fe696dc1aa5c0a800bf800ce8fc6e26ab622c7dd7de4b9fd0c304fe4036256",
+        "2.939607024350808",
+    )),
+    "relaxed-m2-zero": (lambda: _relaxed_print(1.0, 1.5, 1.0, -1, 1.0, 0.0), (
+        "d5fe696dc1aa5c0a800bf800ce8fc6e26ab622c7dd7de4b9fd0c304fe4036256",
+        "-0.9989379095211782",
+    )),
+    "steady-m2-zero": (_steady_multipliers, ("(2.326018592343506, 0.0)",)),
+    "oscillation": (_oscillation, (
+        "Oscillation",
+        "no residual improvement over 50 iterations at minimum damping "
+        "(residual 9.630e+00)",
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SOLVES))
+def test_solver_outputs_are_pinned(case):
+    compute, expected = PINNED_SOLVES[case]
+    assert compute() == expected
