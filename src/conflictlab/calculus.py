@@ -18,10 +18,15 @@ Three useful identities then hold to round-off rather than to O(h^2):
 The face value mtilde equals -r u_r, so the boundary flux identity
 u_r(1) = -M/2pi is the statement mtilde(1) = M/2pi, which the prefix sums
 reproduce exactly by construction.
+
+The underscored cores work on raw arrays, so a solver or a time step that
+already holds the face masses, face fluxes or Boltzmann exponential of a
+field reuses them; the public functions wrap the same cores.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +56,11 @@ def integrate_disk(f: RadialField) -> float:
 
 def face_masses(rho: RadialField) -> np.ndarray:
     """Running mass / 2pi at the cell faces: mtilde_{j+1/2}, j = 0..n-1."""
-    return (rho.grid.volumes * rho.values).cumsum()[:-1]
+    return _face_masses(rho.grid, rho.values)
+
+
+def _face_masses(grid: RadialGrid, rho_vals: np.ndarray) -> np.ndarray:
+    return (grid.volumes * rho_vals).cumsum()[:-1]
 
 
 def inv_laplacian(rho: RadialField) -> RadialField:
@@ -65,7 +74,7 @@ def inv_laplacian(rho: RadialField) -> RadialField:
 
 def _green(grid: RadialGrid, rho_vals: np.ndarray):
     """inv_laplacian on raw arrays: the potential values and face masses."""
-    mtilde = (grid.volumes * rho_vals).cumsum()[:-1]
+    mtilde = _face_masses(grid, rho_vals)
     u = np.zeros(grid.r.size)
     if grid.n > 1:
         terms = mtilde[1:] * grid.log_ratio[1:]
@@ -80,8 +89,10 @@ def face_flux(w: RadialField) -> np.ndarray:
     Defined through the same cell integrals the Green operator uses, so
     face_flux(inv_laplacian(rho)) reproduces face_masses(rho) up to round-off.
     """
-    grid = w.grid
-    v = w.values
+    return _face_flux(w.grid, w.values)
+
+
+def _face_flux(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     c = np.empty(grid.n)
     c[0] = 0.5 * (v[0] - v[1])
     c[1:] = (v[1:-1] - v[2:]) / grid.log_ratio[1:]
@@ -103,29 +114,38 @@ def entropy(rho: RadialField) -> float:
 
     Raises NegativeDensity for signed input.
     """
-    v = rho.values
+    return _entropy(rho.grid, rho.values)
+
+
+def _entropy(grid: RadialGrid, v: np.ndarray) -> float:
     if (v < 0).any():
         raise NegativeDensity("entropy needs rho >= 0")
     pos = v > 0
     integrand = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
-    return float(np.dot(rho.grid.weights, integrand))
+    return float(np.dot(grid.weights, integrand))
 
 
 def cross_dirichlet(w1: RadialField, w2: RadialField) -> float:
     """2*pi*int w1_r w2_r r dr via the shared face-gradient quadrature."""
     if not w1.grid.same_as(w2.grid):
         raise GridMismatch("cross_dirichlet needs a shared grid")
-    grid = w1.grid
-    c1, c2 = face_flux(w1), face_flux(w2)
-    body = np.dot(c1[1:] * grid.log_ratio[1:], c2[1:])
-    return float(2.0 * np.pi * (body + 2.0 * c1[0] * c2[0]))
+    return _pairing(w1.grid, face_flux(w1), face_flux(w2))
 
 
 def dirichlet_energy(w: RadialField) -> float:
     """2*pi*int |w_r|^2 r dr for a potential-tagged field."""
     if w.kind != "potential":
         raise ValueError("dirichlet_energy expects a potential-tagged field")
-    return cross_dirichlet(w, w)
+    c = face_flux(w)
+    return _pairing(w.grid, c, c)
+
+
+def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """2*pi*(2 a_0 b_0 + sum_j a_j b_j ln(r_{j+1}/r_j)) for face arrays a, b:
+    the Dirichlet pairing of face fluxes and the Green pairing of face
+    masses alike."""
+    body = np.dot(a[1:] * grid.log_ratio[1:], b[1:])
+    return float(2.0 * np.pi * (body + 2.0 * a[0] * b[0]))
 
 
 def green_pairing(f: RadialField, g: RadialField) -> float:
@@ -134,16 +154,14 @@ def green_pairing(f: RadialField, g: RadialField) -> float:
     bit-for-bit up to commutative rounding)."""
     if not f.grid.same_as(g.grid):
         raise GridMismatch("green_pairing needs a shared grid")
-    grid = f.grid
-    mf, mg = face_masses(f), face_masses(g)
-    body = np.dot(mf[1:] * grid.log_ratio[1:], mg[1:])
-    return float(2.0 * np.pi * (body + 2.0 * mf[0] * mg[0]))
+    return _pairing(f.grid, face_masses(f), face_masses(g))
 
 
 def interaction_energy(rho: RadialField) -> float:
     """The raw pairing (rho, Delta^-1 rho) <= 0, without any coupling factor
     (the functional layer applies alpha/2 and friends)."""
-    return -green_pairing(rho, rho)
+    m = face_masses(rho)
+    return -_pairing(rho.grid, m, m)
 
 
 def log_partition(fields: Sequence[tuple[float, RadialField]]) -> float:
@@ -160,5 +178,59 @@ def log_partition(fields: Sequence[tuple[float, RadialField]]) -> float:
         if not f.grid.same_as(grid):
             raise GridMismatch("log_partition needs all fields on one grid")
         g = g + coef * f.values
+    return _normalized_density(grid, g, 1.0)[2]
+
+
+def _normalized_density(grid: RadialGrid, g: np.ndarray, m: float):
+    """The density m e^g / integral(e^g), its multiplier m / integral(e^g)
+    and the log-partition term m ln integral(e^g), from one overflow-safe
+    exponential; all three are zero at zero mass."""
+    if m == 0.0:
+        return np.zeros_like(grid.r), 0.0, 0.0
     top = float(g.max())
-    return top + float(np.log(np.dot(grid.weights, np.exp(g - top))))
+    e = np.exp(g - top)
+    z = float(np.dot(grid.weights, e))
+    return (m / z) * e, m * math.exp(-top) / z, m * (top + float(np.log(z)))
+
+
+def _tridiag(grid: RadialGrid, diag, fp=1.0, fm=1.0) -> np.ndarray:
+    """Banded (3, k(n+1)) matrix of diag plus the face couplings t fp and
+    t fm, with t the face transmissibilities 1/ln(r_{j+1}/r_j), 1/2 at the
+    axis cell.
+
+    fp and fm of shape (k, n) give k independent blocks side by side, one
+    per row: the couplings across a block junction are zero."""
+    t = np.empty(grid.n)
+    t[0] = 0.5
+    t[1:] = 1.0 / grid.log_ratio[1:]
+    bp, bm = t * fp, t * fm
+    ab = np.zeros((3, *bp.shape[:-1], grid.n + 1))
+    ab[1] = diag
+    ab[1, ..., :-1] += bp
+    ab[1, ..., 1:] += bm
+    ab[0, ..., 1:] = -bm
+    ab[2, ..., :-1] = -bp
+    return ab.reshape(3, -1)
+
+
+def _pin_wall(ab: np.ndarray) -> None:
+    """Make the last row of a banded system the identity, decoupled from
+    the rest: its unknown then takes the right-hand side's wall value."""
+    ab[0][-1] = 0.0
+    ab[1][-1] = 1.0
+    ab[2][-2] = 0.0
+
+
+def _solve_tridiag(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve_banded((1, 1), ab, b) as one LAPACK gtsv call: the
+    same bits, for one right-hand side or a column of them, and ValueError
+    for non-finite input and LinAlgError for a singular matrix alike,
+    without the wrapper's per-call cost.  scipy loads on the first call."""
+    from scipy.linalg.lapack import dgtsv
+
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x

@@ -296,7 +296,7 @@ def _cmd_steady(cfg: RunConfig, out: Path, header) -> None:
 
 
 def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
-    # flow needs scipy.linalg; importing it here keeps scipy out of other commands
+    # only this command steps flows; the other commands skip importing the module
     from .flow import FlowConfig, initial_state, run_flow, trace_rows
 
     p = cfg.params

@@ -3,7 +3,8 @@
 Density equations advance by a semi-implicit finite-volume step: the
 drift-diffusion flux through each cell face uses exponential fitting in
 the same logarithmic face metric the Green operator integrates, and the
-density solve is a single tridiagonal system per species.  That choice
+density solve is one tridiagonal system per step, with a block per
+species and zero coupling between the blocks.  That choice
 makes three structural facts exact rather than approximate: cell masses
 telescope (conservation to roundoff), the step matrix is an M-matrix
 (positivity for any dt), and the zero-flux stationary profile is the
@@ -11,9 +12,13 @@ discrete Boltzmann density of the frozen potential, so flow fixed points
 satisfy the same discrete steady equations the elliptic solvers produce.
 
 Potential equations advance by implicit diffusion with the normalized
-exponential source recomputed each step; the wall value stays exactly
-zero.  The monitored energy is enforced only in the regimes where the
-underlying system is a gradient flow for it.
+exponential source recomputed each step, both in one solve with a column
+each; the wall value stays exactly zero.  The monitored energy is
+enforced only in the regimes where the underlying system is a gradient
+flow for it.  A step evaluates each exponential, Green sum and face flux
+once, on raw arrays, and derives the new fields, the energy and the
+trace row from them, through the same array cores as the public
+functionals.
 
 Each accepted step appends a row (t, m1, m2, energy, sup rho1) to a trace
 buffer shared with the state's ancestors, doubling it when full, so an
@@ -29,12 +34,21 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
-from .calculus import face_flux, integrate_disk, inv_laplacian
-from .errors import DegenerateQuadraticForm, Stalled, StepRejected
-from .functionals import _joint_terms, two_species_energy_rho, two_species_energy_u
-from .liouville import Solution, _exponents, _minimize_w, _normalized_density
+from .calculus import (
+    _entropy,
+    _face_flux,
+    _green,
+    _normalized_density,
+    _pairing,
+    _pin_wall,
+    _solve_tridiag,
+    _tridiag,
+    face_flux,
+)
+from .errors import DegenerateQuadraticForm, GridMismatch, Stalled, StepRejected
+from .functionals import _energy_rho, _energy_u
+from .liouville import Solution, _exponents, _minimize_w
 from .model import FlowConfig, Params, RadialField, validate_params
 
 __all__ = [
@@ -116,95 +130,67 @@ class FlowState:
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:
     """x / (e^x - 1), stably through 0 and into both exponential tails."""
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-5
-    xs = x[small]
-    out[small] = 1.0 - 0.5 * xs + xs * xs / 12.0
-    with np.errstate(over="ignore"):
-        out[~small] = x[~small] / np.expm1(x[~small])
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.abs(x) < 1e-5, 1.0 - 0.5 * x + x * x / 12.0, x / np.expm1(x))
 
 
-def _tridiag(grid, dt, fp=1.0, fm=1.0):
-    """Banded (3, n+1) matrix of V/dt plus the face couplings t fp, t fm,
-    with t the face transmissibilities (1/2 at the axis cell)."""
-    t = np.empty(grid.n)
-    t[0] = 0.5
-    t[1:] = 1.0 / grid.log_ratio[1:]
-    bp, bm = t * fp, t * fm
-    ab = np.zeros((3, grid.n + 1))
-    ab[1] = grid.volumes / dt
-    ab[1][:-1] += bp
-    ab[1][1:] += bm
-    ab[0][1:] = -bm
-    ab[2][:-1] = -bp
-    return ab
-
-
-def _solve_tridiag(ab, b):
-    """scipy.linalg.solve_banded((1, 1), ab, b) as one LAPACK gtsv call: the
-    same bits, and ValueError for non-finite input and LinAlgError for a
-    singular matrix alike, without the wrapper's per-call cost."""
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
-
-
-def _sg_step(rho_vals, phi_vals, grid, dt):
-    """Implicit exponential-fitting step for rho_t = div(grad rho + rho grad phi)."""
-    pe = phi_vals[1:] - phi_vals[:-1]
-    ab = _tridiag(grid, dt, _bernoulli(pe), _bernoulli(-pe))
-    new = _solve_tridiag(ab, grid.volumes * rho_vals / dt)
-    floor = -1e-13 * max(float(new.max()), 1.0)
-    if (new < floor).any():
+def _sg_step(grid, dt, rhos, phis):
+    """Implicit exponential-fitting steps for rho_t = div(grad rho + rho
+    grad phi), one per row of rhos and phis, as one block tridiagonal
+    solve; the new densities come back as rows."""
+    pe = phis[:, 1:] - phis[:, :-1]
+    fp, fm = _bernoulli(np.array([pe, -pe]))
+    ab = _tridiag(grid, grid.volumes / dt, fp, fm)
+    new = _solve_tridiag(ab, (grid.volumes * rhos / dt).ravel()).reshape(rhos.shape)
+    floor = -1e-13 * np.maximum(new.max(axis=1), 1.0)
+    if (new < floor[:, None]).any():
         raise StepRejected("positivity lost in the density solve")
     return new.clip(0.0, None)
 
 
-def _heat_step(u_vals, source_vals, grid, dt):
-    """Implicit diffusion with explicit source; the wall value stays zero."""
-    ab = _tridiag(grid, dt)
-    rhs = grid.volumes * (u_vals / dt + source_vals)
-    ab[0][-1] = 0.0
-    ab[1][-1] = 1.0
-    ab[2][-2] = 0.0
+def _heat_step(grid, dt, us, sources):
+    """Implicit diffusion with explicit source for each row of us and
+    sources, as one solve with a column per row; wall values stay zero."""
+    ab = _tridiag(grid, grid.volumes / dt)
+    _pin_wall(ab)
+    rhs = (grid.volumes * (us / dt + sources)).T
     rhs[-1] = 0.0
-    new = _solve_tridiag(ab, rhs)
-    new[-1] = 0.0
+    new = _solve_tridiag(ab, rhs).T
+    new[:, -1] = 0.0
     return new
 
 
-def _induced_density(grid, g, m):
-    return RadialField.density(grid, _normalized_density(grid, g, m)[0])
+def _single_fields(grid, rho, p, w0=None):
+    """Potential, chemical minimizer (warm-started from w0), slaved density
+    and monitored energy of the single-density regime at density rho.
 
-
-def _densities(u1, u2, p):
-    """The normalized Boltzmann densities of both exponents."""
-    g1, g2 = _exponents(p, u1.values, u2.values)
-    return _induced_density(u1.grid, g1, p.m1), _induced_density(u1.grid, g2, p.m2)
-
-
-def _slaved_density(u1, u2, p):
-    return _induced_density(u1.grid, _exponents(p, u1.values, u2.values)[1], p.m2)
-
-
-def _chemical(rho, u1, p, w0=None):
-    """The chemical-energy minimizer for rho, whose potential is u1; it is
-    zero when gamma or m2 is.  Values w0 warm-start the minimizer."""
-    w = _minimize_w(rho.grid, rho.values, u1.values, p, w0=w0)
-    return RadialField.potential(rho.grid, w)
-
-
-def _energy_single(rho, u, w, p):
-    """F of the density-plus-chemical system for rho with potential u, with
-    the sign of the w-block flipped in the cooperative case: the terms of
+    The energy is F of the density-plus-chemical system, with the sign of
+    the w-block flipped in the cooperative case: the terms of
     functionals.joint_free_energy (which fixes theta=-1), summed alike."""
-    ent, pairing, dirichlet, log_z = _joint_terms(rho, w, u, p)
-    interaction = 0.5 * p.alpha * pairing
-    return ent + interaction - p.theta * (0.5 * p.gamma * dirichlet + p.m2 * log_z)
+    u, mt = _green(grid, rho)
+    w = _minimize_w(grid, rho, u, p, w0=w0)
+    rho2, _, m_log_z = _normalized_density(grid, _exponents(p, u, w)[1], p.m2)
+    c = _face_flux(grid, w)
+    interaction = 0.5 * p.alpha * -_pairing(grid, mt, mt)
+    dirichlet = _pairing(grid, c, c)
+    energy = _entropy(grid, rho) + interaction - p.theta * (0.5 * p.gamma * dirichlet + m_log_z)
+    return u, w, rho2, energy
+
+
+def _pair_fields(grid, rho1, rho2, p):
+    """Potentials and density-form energy of the two-density regime."""
+    u1, mt1 = _green(grid, rho1)
+    u2, mt2 = _green(grid, rho2)
+    return u1, u2, _energy_rho(grid, rho1, rho2, mt1, mt2, p).total
+
+
+def _potential_fields(grid, u1, u2, p):
+    """Boltzmann densities and potential-form energy of the potential regime."""
+    g1, g2 = _exponents(p, u1, u2)
+    rho1, _, m_log_z1 = _normalized_density(grid, g1, p.m1)
+    rho2, _, m_log_z2 = _normalized_density(grid, g2, p.m2)
+    c1, c2 = _face_flux(grid, u1), _face_flux(grid, u2)
+    return rho1, rho2, _energy_u(grid, c1, c2, m_log_z1, m_log_z2, p).total
 
 
 def _check_energy(e_new, e_old, enforced):
@@ -214,13 +200,21 @@ def _check_energy(e_new, e_old, enforced):
         )
 
 
-def _advanced(s, dt, rho1, u1, u2, rho2, energy):
-    t = s.t + dt
-    m1 = integrate_disk(rho1)
-    m2 = integrate_disk(rho2) if rho2 is not None else 0.0
-    row = (t, m1, m2, energy, float(rho1.values.max()))
-    trace = s._trace.appended(s._rows, row)
-    return FlowState(t, rho1, u1, u2, rho2, trace, s._rows + 1)
+def _advanced(grid, t, trace, k, rho1, u1, u2, rho2, energy):
+    """The state at time t of the given raw arrays (rho2 may be None),
+    owning the first k rows of trace plus its own row."""
+    m1 = float(np.dot(grid.weights, rho1))
+    m2 = float(np.dot(grid.weights, rho2)) if rho2 is not None else 0.0
+    row = (t, m1, m2, energy, float(rho1.max()))
+    return FlowState(
+        t,
+        RadialField.density(grid, rho1),
+        RadialField.potential(grid, u1),
+        RadialField.potential(grid, u2),
+        None if rho2 is None else RadialField.density(grid, rho2),
+        trace.appended(k, row),
+        k + 1,
+    )
 
 
 def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
@@ -235,30 +229,29 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     p = validate_params(p)
     grid = s.rho1.grid
     phi = p.beta * s.u2.values - p.alpha * s.u1.values
-    rho = RadialField.density(grid, _sg_step(s.rho1.values, phi, grid, dt))
-    u1 = inv_laplacian(rho)
-    w = _chemical(rho, u1, p, w0=s.u2.values)
-    energy = _energy_single(rho, u1, w, p)
-    _check_energy(energy, float(s.energy_trace[-1, 1]), enforced=True)
-    return _advanced(s, dt, rho, u1, w, _slaved_density(u1, w, p), energy)
+    (rho,) = _sg_step(grid, dt, s.rho1.values[None], phi[None])
+    u1, w, rho2, energy = _single_fields(grid, rho, p, w0=s.u2.values)
+    _check_energy(energy, float(s._trace.rows[s._rows - 1, 3]), enforced=True)
+    return _advanced(grid, s.t + dt, s._trace, s._rows, rho, u1, w, rho2, energy)
 
 
 def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
-    """One step of the two-density regime; both species use the same scheme."""
+    """One step of the two-density regime; both species use the same scheme,
+    in one block solve."""
     p = validate_params(p)
     if s.rho2 is None:
         raise ValueError("the two-density regime needs rho2 in the state")
     grid = s.rho1.grid
-    phi1 = p.beta * s.u2.values - p.alpha * s.u1.values
-    phi2 = p.theta * p.beta * s.u1.values + p.gamma * s.u2.values
-    rho1 = RadialField.density(grid, _sg_step(s.rho1.values, phi1, grid, dt))
-    rho2 = RadialField.density(grid, _sg_step(s.rho2.values, phi2, grid, dt))
-    u1 = inv_laplacian(rho1)
-    u2 = inv_laplacian(rho2)
-    energy = two_species_energy_rho(rho1, rho2, p).total
+    u1, u2 = s.u1.values, s.u2.values
+    phis = np.array([
+        p.beta * u2 - p.alpha * u1,
+        p.theta * p.beta * u1 + p.gamma * u2,
+    ])
+    rho1, rho2 = _sg_step(grid, dt, np.array([s.rho1.values, s.rho2.values]), phis)
+    u1, u2, energy = _pair_fields(grid, rho1, rho2, p)
     enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
-    _check_energy(energy, float(s.energy_trace[-1, 1]), enforced)
-    return _advanced(s, dt, rho1, u1, u2, rho2, energy)
+    _check_energy(energy, float(s._trace.rows[s._rows - 1, 3]), enforced)
+    return _advanced(grid, s.t + dt, s._trace, s._rows, rho1, u1, u2, rho2, energy)
 
 
 def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
@@ -273,10 +266,11 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     p = validate_params(p)
     grid = s.u1.grid
     g1, g2 = _exponents(p, s.u1.values, s.u2.values)
-    s1 = _normalized_density(grid, g1, p.m1)[0]
-    s2 = _normalized_density(grid, g2, p.m2)[0]
-    u1 = RadialField.potential(grid, _heat_step(s.u1.values, s1, grid, dt))
-    u2 = RadialField.potential(grid, _heat_step(s.u2.values, s2, grid, dt))
+    sources = np.array([
+        _normalized_density(grid, g1, p.m1)[0],
+        _normalized_density(grid, g2, p.m2)[0],
+    ])
+    u1, u2 = _heat_step(grid, dt, np.array([s.u1.values, s.u2.values]), sources)
     enforced = False
     if p.theta == -1:
         disc = p.alpha * p.gamma - p.beta**2
@@ -290,10 +284,9 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
             )
         else:
             enforced = disc > 0
-    energy = two_species_energy_u(u1, u2, p).total
-    _check_energy(energy, float(s.energy_trace[-1, 1]), enforced)
-    rho1, rho2 = _densities(u1, u2, p)
-    return _advanced(s, dt, rho1, u1, u2, rho2, energy)
+    rho1, rho2, energy = _potential_fields(grid, u1, u2, p)
+    _check_energy(energy, float(s._trace.rows[s._rows - 1, 3]), enforced)
+    return _advanced(grid, s.t + dt, s._trace, s._rows, rho1, u1, u2, rho2, energy)
 
 
 _STEPPERS = {
@@ -322,34 +315,45 @@ def initial_state(
     if regime == (1.0, 0.0, 0.0):
         if rho1 is None or rho2 is not None or u1 is not None or u2 is not None:
             raise ValueError("the single-density regime takes exactly rho1")
-        u1 = inv_laplacian(rho1)
-        u2 = _chemical(rho1, u1, p)
-        rho2 = _slaved_density(u1, u2, p)
-        energy = _energy_single(rho1, u1, u2, p)
+        grid = rho1.grid
+        u1, u2, rho2, energy = _single_fields(grid, _tagged(rho1, "density"), p)
+        fields = rho1.values, u1, u2, rho2
     elif regime == (1.0, 1.0, 0.0):
         if rho1 is None or rho2 is None or u1 is not None or u2 is not None:
             raise ValueError("the two-density regime takes exactly rho1 and rho2")
-        u1 = inv_laplacian(rho1)
-        u2 = inv_laplacian(rho2)
-        energy = two_species_energy_rho(rho1, rho2, p).total
+        grid = _shared_grid(rho1, rho2)
+        u1, u2, energy = _pair_fields(grid, _tagged(rho1, "density"), _tagged(rho2, "density"), p)
+        fields = rho1.values, u1, u2, rho2.values
     else:
         if u1 is None or u2 is None or rho1 is not None or rho2 is not None:
             raise ValueError("the potential regime takes exactly u1 and u2")
-        rho1, rho2 = _densities(u1, u2, p)
-        energy = two_species_energy_u(u1, u2, p).total
-    empty = FlowState(0.0, rho1, u1, u2, rho2)
-    return _advanced(empty, 0.0, rho1, u1, u2, rho2, energy)
+        grid = _shared_grid(u1, u2)
+        rho1, rho2, energy = _potential_fields(grid, _tagged(u1, "potential"), _tagged(u2, "potential"), p)
+        fields = rho1, u1.values, u2.values, rho2
+    return _advanced(grid, 0.0, _Trace(), 0, *fields, energy)
+
+
+def _shared_grid(f1, f2):
+    if not f1.grid.same_as(f2.grid):
+        raise GridMismatch("the initial fields need a shared grid")
+    return f1.grid
+
+
+def _tagged(f, kind):
+    if f.kind != kind:
+        raise ValueError(f"the initial field must be {kind}-tagged")
+    return f.values
 
 
 def _state_change(old: FlowState, new: FlowState) -> float:
-    pairs = [(old.rho1, new.rho1), (old.u1, new.u1), (old.u2, new.u2)]
+    """The largest change of a field relative to max(1, its old sup norm)."""
+    names = ["rho1", "u1", "u2"]
     if old.rho2 is not None and new.rho2 is not None:
-        pairs.append((old.rho2, new.rho2))
-    out = 0.0
-    for a, b in pairs:
-        scale = max(1.0, float(abs(a.values).max()))
-        out = max(out, float(abs(b.values - a.values).max()) / scale)
-    return out
+        names.append("rho2")
+    a = np.array([getattr(old, name).values for name in names])
+    b = np.array([getattr(new, name).values for name in names])
+    scale = np.maximum(1.0, abs(a).max(axis=1))
+    return float((abs(b - a).max(axis=1) / scale).max())
 
 
 def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
@@ -396,8 +400,8 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
     p = validate_params(p)
     grid = s.rho1.grid
     g1, g2 = _exponents(p, s.u1.values, s.u2.values)
-    _, lam1 = _normalized_density(grid, g1, p.m1)
-    _, lam2 = _normalized_density(grid, g2, p.m2)
+    lam1 = _normalized_density(grid, g1, p.m1)[1]
+    lam2 = _normalized_density(grid, g2, p.m2)[1]
     return Solution(
         u1=s.u1,
         u2=s.u2,

@@ -13,16 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculus import (
-    cross_dirichlet,
+    _entropy,
+    _normalized_density,
+    _pairing,
     dirichlet_energy,
     entropy,
-    green_pairing,
+    face_flux,
+    face_masses,
     interaction_energy,
     inv_laplacian,
     log_partition,
 )
-from .errors import NonpositiveMass
-from .liouville import _minimize_w
+from .errors import GridMismatch, NonpositiveMass
+from .liouville import _exponents, _minimize_w
 from .model import Params, RadialField, validate_params
 
 __all__ = [
@@ -143,12 +146,26 @@ def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> Functio
     point of this report's total.
     """
     p = validate_params(p)
+    if u1.kind != "potential" or u2.kind != "potential":
+        raise ValueError("two_species_energy_u expects potential-tagged fields")
+    if not u1.grid.same_as(u2.grid):
+        raise GridMismatch("two_species_energy_u needs a shared grid")
+    grid = u1.grid
+    g1, g2 = _exponents(p, u1.values, u2.values)
+    return _energy_u(
+        grid, face_flux(u1), face_flux(u2),
+        _normalized_density(grid, g1, p.m1)[2], _normalized_density(grid, g2, p.m2)[2], p,
+    )
+
+
+def _energy_u(grid, c1, c2, m_log_z1, m_log_z2, p) -> FunctionalReport:
+    """two_species_energy_u from the face fluxes of u1, u2 and the
+    log-partition terms m_i ln int e^{g_i} of their exponents."""
     return _report(
-        dirichlet=0.5 * p.alpha * dirichlet_energy(u1)
-        - 0.5 * p.theta * p.gamma * dirichlet_energy(u2),
-        cross=-p.beta * cross_dirichlet(u1, u2),
-        log_terms=-p.m1 * log_partition([(p.alpha, u1), (-p.beta, u2)])
-        - p.theta * p.m2 * log_partition([(-p.gamma, u2), (-p.theta * p.beta, u1)]),
+        dirichlet=0.5 * p.alpha * _pairing(grid, c1, c1)
+        - 0.5 * p.theta * p.gamma * _pairing(grid, c2, c2),
+        cross=-p.beta * _pairing(grid, c1, c2),
+        log_terms=-m_log_z1 - p.theta * m_log_z2,
     )
 
 
@@ -160,10 +177,19 @@ def two_species_energy_rho(rho1: RadialField, rho2: RadialField, p: Params) -> F
     the (negative) inverse Dirichlet Laplacian pairing.
     """
     p = validate_params(p)
+    if not rho1.grid.same_as(rho2.grid):
+        raise GridMismatch("two_species_energy_rho needs a shared grid")
+    return _energy_rho(
+        rho1.grid, rho1.values, rho2.values, face_masses(rho1), face_masses(rho2), p
+    )
+
+
+def _energy_rho(grid, rho1, rho2, mt1, mt2, p) -> FunctionalReport:
+    """two_species_energy_rho from the densities and their face masses."""
     return _report(
-        entropy1=entropy(rho1),
-        entropy2=p.theta * entropy(rho2),
-        interaction=0.5 * p.alpha * interaction_energy(rho1)
-        - 0.5 * p.theta * p.gamma * interaction_energy(rho2),
-        cross=p.beta * green_pairing(rho2, rho1),
+        entropy1=_entropy(grid, rho1),
+        entropy2=p.theta * _entropy(grid, rho2),
+        interaction=0.5 * p.alpha * -_pairing(grid, mt1, mt1)
+        - 0.5 * p.theta * p.gamma * -_pairing(grid, mt2, mt2),
+        cross=p.beta * _pairing(grid, mt2, mt1),
     )

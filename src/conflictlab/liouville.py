@@ -1,16 +1,27 @@
-"""One damped Picard solver for the radial Liouville equation and system.
+"""Solvers for the radial Liouville equation, system and chemical equation.
 
 The single-species equation is ``laplacian(u) + m e^{alpha u}/Z = 0`` with
 ``Z`` the disk integral of ``e^{alpha u}`` and ``u = 0`` on the boundary.
 The two-species system couples the exponents ``alpha u1 - beta u2`` and
 ``-gamma u2 - theta beta u1``.
 
-Every solve runs one fixed-point loop on potentials: form the normalized
-density from the current potentials, invert the Laplacian, and mix with a
-damping factor.  The damping starts at 1/2 and adapts geometrically
-(growth on sustained residual decrease, reduction on growth), and a
-dominant-mode extrapolation kicks in once the undamped iteration is
-stable, which removes the critical slowing near ``m = 8 pi / alpha``.
+The single equation and the system are solved by one fixed-point loop on
+potentials: form the normalized density from the current potentials,
+invert the Laplacian, and mix with a damping factor.  The damping starts
+at 1/2 and adapts geometrically (growth on sustained residual decrease,
+reduction on growth), and a dominant-mode extrapolation kicks in once the
+undamped iteration is stable, which removes the critical slowing near
+``m = 8 pi / alpha``.
+
+The chemical equation ``-laplacian(w) = m2 e^{-gamma w - theta beta u}/Z``
+at a fixed density, whose potential is ``u``, is the gradient of a convex
+energy and is solved by Newton's method with step halving.  Its finite-
+volume Jacobian is tridiagonal plus a rank-one term from the
+normalization, so each step is one tridiagonal solve with two right-hand
+sides and a Sherman-Morrison correction.  It stops once the defect is at
+most ``tol * max(1, max rho)``, relative to the peak of the density it
+solves for.
+
 Residuals are measured in flux form: each iterate carries the face fluxes
 that generated it, so the defect between those fluxes and the face masses
 of the current density is the exact finite-volume residual of the
@@ -25,7 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _green, face_masses
+from .calculus import (
+    _face_flux,
+    _face_masses,
+    _green,
+    _normalized_density,
+    _pin_wall,
+    _solve_tridiag,
+    _tridiag,
+)
 from .errors import (
     GammaZero,
     GridMismatch,
@@ -45,11 +64,14 @@ _GROW_FACTOR = 1.4
 _BAD_LIMIT = 3
 _OSCILLATION_WINDOW = 50
 _ACCEL_COOLDOWN = 10
+_HALVINGS = 10
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration controls shared by all solvers in this module."""
+    """Iteration controls shared by all solvers in this module: the defect
+    tolerance, and the number of Picard iterations or, for the chemical
+    equation, of Newton steps."""
 
     tol: float = 1e-10
     max_iter: int = 500
@@ -137,25 +159,13 @@ def _flux_defect(grid, delta_flux):
     return float(abs(div).max())
 
 
-def _normalized_density(grid, g, m):
-    """Density m e^g / integral(e^g) and its multiplier, overflow-safe;
-    both are zero at zero mass."""
-    if m == 0.0:
-        return np.zeros_like(grid.r), 0.0
-    top = float(g.max())
-    e = np.exp(g - top)
-    z = float(np.dot(grid.weights, e))
-    lam = m * math.exp(-top) / z
-    return (m / z) * e, lam
-
-
 def _exponents(p, u1, u2):
     """The exponents (alpha u1 - beta u2, -gamma u2 - theta beta u1)."""
     return p.alpha * u1 - p.beta * u2, -p.gamma * u2 - p.theta * p.beta * u1
 
 
 def _picard_loop(grid, masses, exponents, state, opts):
-    """Core damped fixed-point iteration shared by all solvers.
+    """Core damped fixed-point iteration of solve_single and solve_pair.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
     tuple of exponent arrays, one per species; a species with zero mass has
@@ -179,7 +189,7 @@ def _picard_loop(grid, masses, exponents, state, opts):
         res = 0.0
         gs = exponents(us)
         for s in range(nsp):
-            rho_vals, lam = _normalized_density(grid, gs[s], masses[s])
+            rho_vals, lam, _ = _normalized_density(grid, gs[s], masses[s])
             u_new, c_new = _green(grid, rho_vals)
             new_us.append(u_new)
             new_cs.append(c_new)
@@ -302,14 +312,17 @@ def solve_pair(p, grid, opts=None):
 def minimize_w(rho, p, grid, opts=None, w0=None):
     """Minimizer of the chemical energy at fixed density ``rho``.
 
-    The Picard loop on ``w -> inv_laplacian(m2 e^g / integral(e^g))``
-    with exponent ``g = -gamma w - theta beta u`` and ``u`` the potential
-    of ``rho``; ``w = 0`` at ``m2 = 0``.  Requires ``gamma > 0``: the
-    ``gamma = 0`` case has the closed-form minimizer ``w = 0``, and asking
-    for it raises GammaZero.  An optional ``w0`` warm-starts the iteration
-    (one fixed-point application of ``w0`` seeds the loop), which time
-    steppers use to re-solve for ``w`` cheaply after a small change in
-    ``rho``.
+    Solves ``-laplacian(w) = m2 e^g / integral(e^g)`` with exponent
+    ``g = -gamma w - theta beta u`` and ``u`` the potential of ``rho`` by
+    Newton's method, stopping once the finite-volume defect is at most
+    ``tol * max(1, max of the right-hand side density)``; ``max_iter``
+    counts Newton steps, and running out of them, or a step along which
+    ten halvings find no decrease of the defect, raises SolverDiverged.
+    ``w = 0`` at ``m2 = 0``.  Requires ``gamma > 0``: the ``gamma = 0``
+    case has the closed-form minimizer ``w = 0``, and asking for it raises
+    GammaZero.  An optional ``w0`` warm-starts the iteration (one
+    fixed-point application of ``w0`` seeds it), which time steppers use
+    to re-solve for ``w`` cheaply after a small change in ``rho``.
     """
     p = validate_params(p)
     if p.gamma == 0.0:
@@ -329,17 +342,64 @@ def _minimize_w(grid, rho_vals, u, p, opts=None, w0=None):
     if p.gamma == 0.0 or p.m2 == 0.0:
         return np.zeros_like(grid.r)
     drive = -p.theta * p.beta * u
-    if w0 is None:
-        state = ([np.zeros_like(grid.r)], [np.zeros(grid.n)])
-    else:
-        state = _seeded(grid, -p.gamma * w0 + drive, p.m2)
-    us, *_ = _picard_loop(
-        grid, (p.m2,), lambda ws: (-p.gamma * ws[0] + drive,), state,
-        opts or SolveOptions(),
-    )
-    w = us[0]
-    if np.all(np.diff(rho_vals) <= 1e-12) and np.any(np.diff(w) > 1e-10):
+    g0 = drive if w0 is None else -p.gamma * w0 + drive
+    (w,), (c,) = _seeded(grid, g0, p.m2)
+    w = _newton_w(grid, w, c, drive, p, opts or SolveOptions())
+    if (rho_vals[1:] - rho_vals[:-1] <= 1e-12).all() and (w[1:] - w[:-1] > 1e-10).any():
         logger.warning("w-minimizer not radially nonincreasing for nonincreasing rho")
+    return w
+
+
+def _newton_w(grid, w, c, drive, p, opts):
+    """Newton's method on the chemical equation T w = V rho(w), w_n = 0.
+
+    T is the Green operator's tridiagonal matrix and V the cell volumes;
+    with rho = m2 e^{-gamma w + drive}/Z the Jacobian is
+    T + gamma diag(V rho) - (gamma/m2)(V rho)(2 pi V rho)^T.  The face
+    fluxes ``c`` of the iterate ``w`` advance by the face fluxes of each
+    step, so the defect stays the exact finite-volume residual.
+    """
+    gamma, m2 = p.gamma, p.m2
+    rho, _, _ = _normalized_density(grid, -gamma * w + drive, m2)
+    d = _face_masses(grid, rho) - c
+    res = _flux_defect(grid, d)
+    steps = 0
+    while res > opts.tol * max(1.0, float(rho.max())):
+        if steps == opts.max_iter:
+            raise SolverDiverged(
+                f"residual {res:.3e} above tol {opts.tol:.1e} "
+                f"after {opts.max_iter} Newton steps"
+            )
+        steps += 1
+        vr = grid.volumes * rho
+        ab = _tridiag(grid, gamma * vr)
+        _pin_wall(ab)
+        # the wall row is the identity with zero right-hand sides, so y and z
+        # vanish there and the rank-one term needs no restriction
+        rhs = np.zeros((grid.n + 1, 2))
+        rhs[0, 0] = d[0]
+        rhs[1:-1, 0] = d[1:] - d[:-1]
+        rhs[:-1, 1] = vr[:-1]
+        y, z = _solve_tridiag(ab, rhs).T
+        b = grid.weights * rho
+        k = gamma / m2
+        dw = y + (k * np.dot(b, y) / (1.0 - k * np.dot(b, z))) * z
+        dc = _face_flux(grid, dw)
+        step = 1.0
+        for _ in range(_HALVINGS + 1):
+            w_t, c_t = w + step * dw, c + step * dc
+            rho_t, _, _ = _normalized_density(grid, -gamma * w_t + drive, m2)
+            d_t = _face_masses(grid, rho_t) - c_t
+            res_t = _flux_defect(grid, d_t)
+            if res_t < res:
+                break
+            step *= 0.5
+        else:
+            raise SolverDiverged(
+                f"residual {res:.3e} above tol {opts.tol:.1e} and not "
+                f"decreasing along the Newton step"
+            )
+        w, c, rho, d, res = w_t, c_t, rho_t, d_t, res_t
     return w
 
 
@@ -369,9 +429,9 @@ def residual(sol, p):
     g1, g2 = _exponents(p, u1, u2)
     out = []
     for u, g, m, flux in ((u1, g1, p.m1, sol._flux1), (u2, g2, p.m2, sol._flux2)):
-        rho_vals, _ = _normalized_density(grid, g, m)
+        rho_vals, _, _ = _normalized_density(grid, g, m)
         if flux is not None:
-            c_new = face_masses(RadialField(grid, rho_vals))
+            c_new = _face_masses(grid, rho_vals)
             out.append(_flux_defect(grid, c_new - flux))
         else:
             lap = _central_laplacian(grid, u)

@@ -189,10 +189,12 @@ class TestFlowCommand:
 # sha256 of the data lines (everything below the '#' header, which carries
 # the package version) of flow_trace.csv and flow_state.csv on 64 cells, as
 # written before the flow engine moved to raw arrays, the shared trace
-# buffer and direct gtsv calls (numpy 2.4, scipy 1.17, x86-64).
+# buffer and direct gtsv calls (numpy 2.4, scipy 1.17, x86-64).  The two
+# single-regime pins were re-recorded when the chemical solve moved from
+# Picard to Newton: their values moved by at most 3.2e-12 relative.
 PINNED_FLOWS = {
-    ("single", -1, "bump"): ("3f2eb91529a22ea97d0c394516a19de304cf75b9d061d42ffcf4ba7ce4e36f64", "3242cc07220c1f416552df8d096b54c4af029a1f4773902f3dacdfeeaa7cace1"),
-    ("single", -1, "random"): ("95fba4944a3902c91b88c11092acc01523606773954b6782e58070329de0d71f", "36870e5b05129c7823dfd7e08b187d25d264b0bea27076f1533e24734fdf0623"),
+    ("single", -1, "bump"): ("ce5d8647255cdb2f001b6984b13b89c8ad9e10baf1d72c998e5ea620fee800a4", "f1e20798dbecc08fb718c4387c888edf8ca662c1fd32efd87de67635514493ad"),
+    ("single", -1, "random"): ("a9fcf11603f9cb07b2a5a79739f021fc2a2853787ae57988ec521d8a43658b39", "386d1e85a2088b0c1bc7285abe04720380ce30d5c72504564e5e413f8633db66"),
     ("pair", 1, "bump"): ("b5e543da1f7e9dfdd0b3790238e41a525dd7a4c409d97732a6efc553cb661a2c", "452cd41ef4a51af3d611f2921756f06dc6ba4ceb2f4d212b6be0000156bc277f"),
     ("pair", 1, "random"): ("dce2cd84a56e88dffc1c7c84b5aa4fcdd243278685dcd7306fb27124c0789209", "22150de652504deec6001583b5e206d82892622757661424c2fd81e97345e2e1"),
     ("pair", -1, "bump"): ("45d8706639582ce0ce4fe81e101ea88bd48b603c898809827b1b574625b0ed65", "773ad1c48b03db7368389ca0b4f43884d0e3d43535ea12992dc25ccb37398a34"),
@@ -233,7 +235,9 @@ _LADDER = dict(m1=30.0, m2=1.0, grid_n=128)
 # branches (numpy 2.4, scipy 1.17, x86-64).  The sweep_curves.csv pins of
 # the gamma > 0 sweeps were re-recorded when the lambda_zero roots moved to
 # the cancellation-free form: 477 of their 5121 rows, all lambda_zero rows,
-# moved by at most 8.4e-15 in m2.
+# moved by at most 8.4e-15 in m2.  The flow-single pins were re-recorded
+# when the chemical solve moved from Picard to Newton: its values moved by
+# at most 1.7e-12 relative.
 PINNED_TABLES = {
     "classify-conflict": (config_text("classify"), {
         "classify.csv": "51c6559c9e3f23c55746426b1500f8205d06e63f000d50cef3f27b979b921e1e",
@@ -278,8 +282,8 @@ PINNED_TABLES = {
         "oracle.csv": "5e69503c07aedf7d9fa78c51e25a95af3d0ffb2c172acb5c34f80c4a727b4ec4",
     }),
     "flow-single": (config_text("flow", **_FLOW, section=_sections("flow", case="single", dt=0.001, t_end=0.05)), {
-        "flow_trace.csv": "7546955f4edf7ff8f65bfa023c120ef9e173085dd3c1949f9adf436eb0e9e57f",
-        "flow_state.csv": "c1c13723747b8ef4b753eb36acff018675d94476c69352e4350012ee74a82464",
+        "flow_trace.csv": "23a3b4b227cd3b764cfe085824328aac22e54d03622c3454dc8c628902ab5986",
+        "flow_state.csv": "43feaa64ee4c526b79930ede0813d93c77eb04c1162ff390b7b786ebafe4c890",
     }),
     "flow-pair": (config_text("flow", **_FLOW, theta=1, section=_sections("flow", case="pair", dt=0.001, t_end=0.05, adapt="no", init="random")), {
         "flow_trace.csv": "add0c4eaffdd8917e66f0c8d1240f38939f1b83d42a58ba38afea74df3ea8cca",

@@ -11,6 +11,7 @@ from scipy.linalg import solve_banded
 from conflictlab import flow
 from conflictlab.calculus import integrate_disk, inv_laplacian
 from conflictlab.errors import DegenerateQuadraticForm, Stalled, StepRejected
+from conflictlab.functionals import _joint_terms, two_species_energy_rho, two_species_energy_u
 from conflictlab.liouville import minimize_w, residual, solve_pair, solve_single
 from conflictlab.model import (
     FlowConfig,
@@ -52,6 +53,20 @@ class TestBernoulli:
         assert b[0] == 0.0
         assert np.isclose(b[1], 800.0)
 
+    def test_bits_match_masked_reference(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            [0.0, -0.0, 1e-5, -1e-5, 1e-300, 709.0, 710.0, -745.0, 1e200],
+            rng.standard_normal(501) * 10.0 ** rng.uniform(-8, 3, 501),
+        ]).reshape(2, -1)
+        want = np.empty_like(x)
+        small = np.abs(x) < 1e-5
+        xs = x[small]
+        want[small] = 1.0 - 0.5 * xs + xs * xs / 12.0
+        with np.errstate(over="ignore"):
+            want[~small] = x[~small] / np.expm1(x[~small])
+        assert flow._bernoulli(x).tobytes() == want.tobytes()
+
 
 class TestSolveTridiag:
     @staticmethod
@@ -70,6 +85,27 @@ class TestSolveTridiag:
             got = flow._solve_tridiag(ab, b)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 9, 257, 4097])
+    def test_two_columns_match_solve_banded(self, k):
+        for seed in range(4):
+            ab, b = self.system(k, seed)
+            b = np.column_stack([b, self.system(k, seed + 10)[1]])
+            want = solve_banded((1, 1), ab, b)
+            got = flow._solve_tridiag(ab, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 9, 257, 4097])
+    def test_block_with_zero_junction_matches_solve_banded(self, k):
+        for seed in range(4):
+            (ab1, b1), (ab2, b2) = self.system(k, seed), self.system(k + 3, seed + 10)
+            ab = np.concatenate([ab1, ab2], axis=1)
+            ab[0, k] = 0.0
+            ab[2, k - 1] = 0.0
+            b = np.concatenate([b1, b2])
+            want = solve_banded((1, 1), ab, b)
+            assert flow._solve_tridiag(ab, b).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["upper", "diag", "lower", "corner", "rhs"])
@@ -383,6 +419,45 @@ class TestPotentialStep:
         end = flow.run_flow(s, p, cfg)
         e = end.energy_trace[:, 1]
         assert np.all(np.diff(e) <= 1e-10 * np.maximum(1.0, np.abs(e[:-1])))
+
+
+class TestSharedEvaluation:
+    """A step derives its energy from the values it already holds; the
+    public functionals of the new state must give the same bits."""
+
+    @pytest.mark.parametrize("theta", [-1, 1])
+    def test_single_energy_is_the_joint_terms_sum(self, theta):
+        g = make_grid(64)
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=theta, m1=8.0, m2=4.0)
+        s = flow.initial_state(p, CFG2, rho1=bump_density(g, 8.0))
+        for _ in range(4):
+            ent, pairing, dirichlet, log_z = _joint_terms(s.rho1, s.u2, s.u1, p)
+            expect = ent + 0.5 * p.alpha * pairing - p.theta * (
+                0.5 * p.gamma * dirichlet + p.m2 * log_z
+            )
+            assert s.energy_trace[-1, 1] == expect
+            s = flow.step_single_density(s, p, 1e-3)
+
+    @pytest.mark.parametrize("theta", [-1, 1])
+    def test_pair_energy_is_the_public_functional(self, theta):
+        g = make_grid(64)
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=theta, m1=8.0, m2=4.0)
+        s = flow.initial_state(
+            p, CFG_FULL, rho1=bump_density(g, 8.0), rho2=bump_density(g, 4.0, width=1.0)
+        )
+        for _ in range(4):
+            assert s.energy_trace[-1, 1] == two_species_energy_rho(s.rho1, s.rho2, p).total
+            s = flow.step_two_densities(s, p, 1e-3)
+
+    @pytest.mark.parametrize("theta, m2", [(-1, 4.0), (1, 4.0), (-1, 0.0)])
+    def test_potential_energy_is_the_public_functional(self, theta, m2):
+        g = make_grid(64)
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=theta, m1=8.0, m2=m2)
+        u1 = RadialField.potential(g, 0.3 * (1.0 - g.r**2))
+        s = flow.initial_state(p, CFG_POT, u1=u1, u2=zero_potential(g))
+        for _ in range(4):
+            assert s.energy_trace[-1, 1] == two_species_energy_u(s.u1, s.u2, p).total
+            s = flow.step_potentials(s, p, 0.01)
 
 
 class TestRunFlow:

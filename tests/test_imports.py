@@ -1,8 +1,8 @@
 """Which scipy modules each command loads.
 
-Only ``flow`` needs scipy (``scipy.linalg.lapack.dgtsv``); every other
-command must start without importing any of it, which is most of a cold
-start's cost.  Each command runs in a fresh interpreter so that modules
+Only ``flow`` needs scipy (``scipy.linalg.lapack.dgtsv``, loaded on the
+first tridiagonal solve); every other command must run without importing
+any of it, which is most of a cold start's cost.  Each command runs in a fresh interpreter so that modules
 already imported by the test run do not leak in.
 """
 
