@@ -15,7 +15,9 @@ grid would bury them under interpolation error.
 
 One private walk, _ladder, scales the fields, solves for the potential and
 evaluates the raw energy terms once per rung; the shift table, the slope fit
-and the CLI's functional table all read their rungs from it.
+and the CLI's functional table all read their rungs from it, and the CLI's
+blow-down table fits its slope to the totals of the walk that made its
+shift rows.
 """
 
 from __future__ import annotations
@@ -185,7 +187,12 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
     scale.  The first three identities are exact on the transform grids;
     the last two hold asymptotically in psi.
     """
-    p = validate_params(p)
+    return _shift_table(fam, validate_params(p))[0]
+
+
+def _shift_table(fam: BlowdownFamily, p: Params):
+    """verify_identities for validated p, with the (ln s, total) pair of
+    every rung that slope_estimate fits, from one walk of the ladder."""
     base = _joint_terms(fam.base_rho, fam.base_w, inv_laplacian(fam.base_rho), p)
     f0 = _joint(p, *base).total
 
@@ -206,6 +213,7 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
     )
 
     rows = []
+    fit = []
     rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
     for psi, s, _, terms, report in rungs:
         ln_s = math.log(s)
@@ -213,7 +221,8 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
             predicted = None if coef is None else coef * ln_s
             rows.append(ShiftRow(psi, name, predicted, factor * (term - term0)))
         rows.append(ShiftRow(psi, "total", total_coef * ln_s, report.total - f0))
-    return rows
+        fit.append((ln_s, report.total))
+    return rows, fit
 
 
 def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
@@ -225,16 +234,21 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
     family.  Raises TooFewPoints when the ladder has fewer than 4 rungs.
     """
     p = validate_params(p)
-    if fam.psis.size < 4:
-        raise TooFewPoints(f"need at least 4 rungs, got {fam.psis.size}")
     rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
-    log_scales, totals = zip(*((math.log(s), rep.total) for _, s, _, _, rep in rungs))
+    return _fitted_slope([(math.log(s), rep.total) for _, s, _, _, rep in rungs], p)
+
+
+def _fitted_slope(fit, p: Params) -> float:
+    """slope_estimate of the (ln s, total) pairs of a walk of the ladder."""
+    if len(fit) < 4:
+        raise TooFewPoints(f"need at least 4 rungs, got {len(fit)}")
+    log_scales, totals = zip(*fit)
     slope = float(np.polyfit(log_scales[2:], totals[2:], 1)[0])
     regime = "concentration-dominated" if _log_exponent(p) > 0 else "tail-dominated"
     logger.info(
         "blow-down slope %.6g over %d rungs (%s regime)",
         slope,
-        fam.psis.size - 2,
+        len(fit) - 2,
         regime,
     )
     return slope

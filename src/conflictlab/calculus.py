@@ -21,7 +21,9 @@ reproduce exactly by construction.
 
 The underscored cores work on raw arrays, so a solver or a time step that
 already holds the face masses, face fluxes or Boltzmann exponential of a
-field reuses them; the public functions wrap the same cores.
+field reuses them; the public functions wrap the same cores.  _green,
+_face_flux, _entropy and _pairing also take fields stacked as rows and
+give, row by row, the same bits as one call per row.
 """
 
 from __future__ import annotations
@@ -73,14 +75,15 @@ def inv_laplacian(rho: RadialField) -> RadialField:
 
 
 def _green(grid: RadialGrid, rho_vals: np.ndarray):
-    """inv_laplacian on raw arrays: the potential values and face masses."""
-    mtilde = _face_masses(grid, rho_vals)
-    u = np.zeros(grid.r.size)
-    if grid.n > 1:
-        terms = mtilde[1:] * grid.log_ratio[1:]
-        u[1:-1] = terms[::-1].cumsum()[::-1]
-    u[0] = u[1] + 2.0 * mtilde[0]
-    return u, mtilde
+    """inv_laplacian on raw arrays: the potential values and face masses,
+    or their rows for densities stacked as rows."""
+    mt = (grid.volumes * rho_vals).cumsum(axis=-1)
+    u = np.zeros(rho_vals.shape)
+    terms = mt[..., 1:-1] * grid.log_ratio[1:]
+    # the suffix sums of terms, written from the wall inwards into u[1:-1]
+    terms[..., ::-1].cumsum(axis=-1, out=u[..., -2:0:-1])
+    u.T[0] = u.T[1] + 2.0 * mt.T[0]
+    return u, mt[..., :-1]
 
 
 def face_flux(w: RadialField) -> np.ndarray:
@@ -93,9 +96,10 @@ def face_flux(w: RadialField) -> np.ndarray:
 
 
 def _face_flux(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
-    c = np.empty(grid.n)
-    c[0] = 0.5 * (v[0] - v[1])
-    c[1:] = (v[1:-1] - v[2:]) / grid.log_ratio[1:]
+    """face_flux on raw arrays, or its rows for fields stacked as rows."""
+    c = np.empty((*v.shape[:-1], grid.n))
+    c.T[0] = 0.5 * (v.T[0] - v.T[1])
+    c[..., 1:] = (v[..., 1:-1] - v[..., 2:]) / grid.log_ratio[1:]
     return c
 
 
@@ -117,12 +121,15 @@ def entropy(rho: RadialField) -> float:
     return _entropy(rho.grid, rho.values)
 
 
-def _entropy(grid: RadialGrid, v: np.ndarray) -> float:
+def _entropy(grid: RadialGrid, v: np.ndarray):
+    """entropy of a density's values, or an array of them for a stack of
+    rows; each row's sum is the one dot product a single field gets."""
     if (v < 0).any():
         raise NegativeDensity("entropy needs rho >= 0")
     pos = v > 0
     integrand = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
-    return float(np.dot(grid.weights, integrand))
+    out = np.vecdot(integrand, grid.weights)
+    return out if v.ndim > 1 else float(out)
 
 
 def cross_dirichlet(w1: RadialField, w2: RadialField) -> float:
@@ -140,12 +147,15 @@ def dirichlet_energy(w: RadialField) -> float:
     return _pairing(w.grid, c, c)
 
 
-def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
+def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray):
     """2*pi*(2 a_0 b_0 + sum_j a_j b_j ln(r_{j+1}/r_j)) for face arrays a, b:
     the Dirichlet pairing of face fluxes and the Green pairing of face
-    masses alike."""
-    body = np.dot(a[1:] * grid.log_ratio[1:], b[1:])
-    return float(2.0 * np.pi * (body + 2.0 * a[0] * b[0]))
+    masses alike.  Stacks of face arrays pair row by row, into an array;
+    a[:, None] and b[None] give the matrix of every row of a with every
+    row of b."""
+    body = np.vecdot(a[..., 1:] * grid.log_ratio[1:], b[..., 1:])
+    out = 2.0 * np.pi * (body + 2.0 * a[..., 0] * b[..., 0])
+    return out if a.ndim > 1 else float(out)
 
 
 def green_pairing(f: RadialField, g: RadialField) -> float:
@@ -193,17 +203,15 @@ def _normalized_density(grid: RadialGrid, g: np.ndarray, m: float):
     return (m / z) * e, m * math.exp(-top) / z, m * (top + float(np.log(z)))
 
 
-def _tridiag(grid: RadialGrid, diag, fp=1.0, fm=1.0) -> np.ndarray:
+def _tridiag(grid: RadialGrid, diag, fpm=None) -> np.ndarray:
     """Banded (3, k(n+1)) matrix of diag plus the face couplings t fp and
-    t fm, with t the face transmissibilities 1/ln(r_{j+1}/r_j), 1/2 at the
-    axis cell.
+    t fm, with t the grid's face transmissibilities 1/ln(r_{j+1}/r_j), 1/2
+    at the axis cell, and (fp, fm) = fpm; fp and fm default to 1.
 
     fp and fm of shape (k, n) give k independent blocks side by side, one
     per row: the couplings across a block junction are zero."""
-    t = np.empty(grid.n)
-    t[0] = 0.5
-    t[1:] = 1.0 / grid.log_ratio[1:]
-    bp, bm = t * fp, t * fm
+    t = grid._transmissibility
+    bp, bm = (t, t) if fpm is None else t * fpm
     ab = np.zeros((3, *bp.shape[:-1], grid.n + 1))
     ab[1] = diag
     ab[1, ..., :-1] += bp
@@ -221,16 +229,21 @@ def _pin_wall(ab: np.ndarray) -> None:
     ab[2][-2] = 0.0
 
 
+_gtsv = None
+
+
 def _solve_tridiag(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.linalg.solve_banded((1, 1), ab, b) as one LAPACK gtsv call: the
     same bits, for one right-hand side or a column of them, and ValueError
     for non-finite input and LinAlgError for a singular matrix alike,
     without the wrapper's per-call cost.  scipy loads on the first call."""
-    from scipy.linalg.lapack import dgtsv
+    global _gtsv
+    if _gtsv is None:
+        from scipy.linalg.lapack import dgtsv as _gtsv
 
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x

@@ -31,13 +31,7 @@ import numpy as np
 
 from . import __version__
 from .annulus_ode import AnnulusParams, asymptotic_ratio
-from .blowdown import (
-    DEFAULT_LADDER,
-    BlowdownFamily,
-    _ladder,
-    slope_estimate,
-    verify_identities,
-)
+from .blowdown import DEFAULT_LADDER, BlowdownFamily, _fitted_slope, _ladder, _shift_table
 from .calculus import inv_laplacian
 from .errors import ParseError, UnknownKey
 from .functionals import moser_trudinger
@@ -225,13 +219,28 @@ def _header_lines(cfg: RunConfig, seed: int) -> list:
     return lines
 
 
+def _table_lines(rows):
+    """The CSV lines of a table's rows, each cell as _fmt writes it: one
+    %-format for the table, %.17g for a column of floats and %s for a
+    column of other values; the cells of a column mixing the two go
+    through _fmt one by one."""
+    cols = list(zip(*rows))
+    fmts = []
+    for i, col in enumerate(cols):
+        floats = {issubclass(t, (float, np.floating)) for t in set(map(type, col))}
+        if floats == {True, False}:
+            cols[i] = list(map(_fmt, col))
+        fmts.append("%.17g" if floats == {True} else "%s")
+    fmt = ",".join(fmts) + "\n"
+    return [fmt % row for row in zip(*cols)]
+
+
 def _write_csv(path: Path, header, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(_table_lines(rows))
     logger.info("wrote %s", path)
 
 
@@ -342,12 +351,12 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
 
 
 def _cmd_blowdown(cfg: RunConfig, out: Path, header) -> None:
-    p = cfg.params
+    p = validate_params(cfg.params)
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
     fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis), mode=cfg.mode)
-    rows = verify_identities(fam, p)
-    slope = slope_estimate(fam, p)
+    rows, fit = _shift_table(fam, p)
+    slope = _fitted_slope(fit, p)
     table = [
         (
             r.psi,

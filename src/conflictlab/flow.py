@@ -12,13 +12,26 @@ discrete Boltzmann density of the frozen potential, so flow fixed points
 satisfy the same discrete steady equations the elliptic solvers produce.
 
 Potential equations advance by implicit diffusion with the normalized
-exponential source recomputed each step, both in one solve with a column
-each; the wall value stays exactly zero.  The monitored energy is
+exponential sources of the current potentials, both in one solve with a
+column each; the wall value stays exactly zero.  The monitored energy is
 enforced only in the regimes where the underlying system is a gradient
 flow for it.  A step evaluates each exponential, Green sum and face flux
 once, on raw arrays, and derives the new fields, the energy and the
 trace row from them, through the same array cores as the public
-functionals.
+functionals; the two species of the pair regime go through the Green
+sum, the entropy and the pairings as the rows of one stack.
+
+A state keeps its fields as the rows (rho1, u1, u2, rho2) of one stacked
+array, checked once when the state is made (densities >= 0, potentials
+exactly zero at the wall); the four RadialFields are views of those rows,
+and the per-row sup norms that the steady-state test divides by are
+computed once per state.  The single-density step takes the chemical
+density and its log-partition term from the chemical Newton solve.  A
+state made by the potential regime remembers the Params whose Boltzmann
+densities its rho1 and rho2 are; the next potential step with equal
+Params takes its sources from them, and any other state (a density
+regime's, a hand-built one, or one under other Params) has its sources
+recomputed.
 
 Each accepted step appends a row (t, m1, m2, energy, sup rho1) to a trace
 buffer shared with the state's ancestors, doubling it when full, so an
@@ -46,8 +59,8 @@ from .calculus import (
     _tridiag,
     face_flux,
 )
-from .errors import DegenerateQuadraticForm, GridMismatch, Stalled, StepRejected
-from .functionals import _energy_rho, _energy_u
+from .errors import DegenerateQuadraticForm, GridMismatch, NegativeDensity, Stalled, StepRejected
+from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _exponents, _minimize_w
 from .model import FlowConfig, Params, RadialField, validate_params
 
@@ -69,6 +82,7 @@ _STEADY_TOL = 1e-10
 _DT_FLOOR = 1e-14
 _GROWTH = 1.2
 _DEGENERATE_TOL = 1e-12
+_FIELDS = (("rho1", "density"), ("u1", "potential"), ("u2", "potential"), ("rho2", "density"))
 
 
 class _Trace:
@@ -98,6 +112,11 @@ class FlowState:
     are (t, m1, m2) and ``sup_trace`` rows are (t, sup rho1): read-only
     views of the first ``_rows`` rows of the shared trace buffer.  The
     command line layer reports all three side by side.
+
+    The fields are copied into the rows of one stacked array and replaced
+    by views of those rows.  Only initial_state and the steppers give a
+    state its first trace row; a state built here without one cannot be
+    stepped.
     """
 
     t: float
@@ -107,16 +126,20 @@ class FlowState:
     rho2: RadialField | None = None
     _trace: _Trace = field(default_factory=_Trace, repr=False)
     _rows: int = 0
+    _stack: np.ndarray = field(init=False, repr=False)
+    _scale: np.ndarray = field(init=False, repr=False)
+    _boltzmann: Params | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rho1.kind != "density":
-            raise ValueError("rho1 must be density-tagged")
+        if self.rho1.kind != "density" or (self.rho2 is not None and self.rho2.kind != "density"):
+            raise ValueError("rho1 and rho2 must be density-tagged")
         if self.u1.kind != "potential" or self.u2.kind != "potential":
             raise ValueError("u1 and u2 must be potential-tagged")
         grid = self.rho1.grid
-        others = [self.u1, self.u2] + ([self.rho2] if self.rho2 is not None else [])
-        if not all(f.grid.same_as(grid) for f in others):
+        fields = [self.rho1, self.u1, self.u2] + ([self.rho2] if self.rho2 is not None else [])
+        if not all(f.grid.same_as(grid) for f in fields[1:]):
             raise ValueError("all state fields must share one grid")
+        _bind(self, grid, np.array([f.values for f in fields]))
 
     def _columns(self, cols: slice) -> np.ndarray:
         view = self._trace.rows[: self._rows, cols]
@@ -128,10 +151,30 @@ class FlowState:
     sup_trace = property(lambda self: self._columns(slice(None, None, 4)))
 
 
+def _bind(s: FlowState, grid, stack: np.ndarray) -> None:
+    """Check the stacked rows (rho1, u1, u2[, rho2]) of s once and make
+    them its fields, with their sup norms floored at 1."""
+    # fmin skips NaN as (x < 0).any() does, and a NaN wall value is nonzero
+    if np.fmin.reduce(stack[::3], axis=None) < 0:
+        raise NegativeDensity("density tag requires values >= 0")
+    if stack[1, -1] or stack[2, -1]:
+        raise ValueError("potential tag requires an exact zero at r = 1")
+    fields = s.__dict__  # frozen: set as dataclass __init__ would
+    for (name, kind), row in zip(_FIELDS, stack):
+        fields[name] = RadialField._checked(grid, row, kind)
+    fields["_stack"] = stack
+    fields["_scale"] = np.maximum(1.0, abs(stack).max(axis=1))
+
+
 def _bernoulli(x: np.ndarray) -> np.ndarray:
     """x / (e^x - 1), stably through 0 and into both exponential tails."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(np.abs(x) < 1e-5, 1.0 - 0.5 * x + x * x / 12.0, x / np.expm1(x))
+        b = x / np.expm1(x)
+    small = np.abs(x) < 1e-5
+    if small.any():
+        xs = x[small]
+        b[small] = 1.0 - 0.5 * xs + xs * xs / 12.0
+    return b
 
 
 def _sg_step(grid, dt, rhos, phis):
@@ -139,13 +182,12 @@ def _sg_step(grid, dt, rhos, phis):
     grad phi), one per row of rhos and phis, as one block tridiagonal
     solve; the new densities come back as rows."""
     pe = phis[:, 1:] - phis[:, :-1]
-    fp, fm = _bernoulli(np.array([pe, -pe]))
-    ab = _tridiag(grid, grid.volumes / dt, fp, fm)
+    ab = _tridiag(grid, grid.volumes / dt, _bernoulli(np.array([pe, -pe])))
     new = _solve_tridiag(ab, (grid.volumes * rhos / dt).ravel()).reshape(rhos.shape)
     floor = -1e-13 * np.maximum(new.max(axis=1), 1.0)
     if (new < floor[:, None]).any():
         raise StepRejected("positivity lost in the density solve")
-    return new.clip(0.0, None)
+    return np.maximum(new, 0.0)
 
 
 def _heat_step(grid, dt, us, sources):
@@ -161,36 +203,45 @@ def _heat_step(grid, dt, us, sources):
 
 
 def _single_fields(grid, rho, p, w0=None):
-    """Potential, chemical minimizer (warm-started from w0), slaved density
-    and monitored energy of the single-density regime at density rho.
+    """The stacked fields (rho, u, w, rho2) and the monitored energy of the
+    single-density regime at density rho: its potential u, the chemical
+    minimizer w (warm-started from w0) and the slaved density rho2.
 
     The energy is F of the density-plus-chemical system, with the sign of
     the w-block flipped in the cooperative case: the terms of
     functionals.joint_free_energy (which fixes theta=-1), summed alike."""
     u, mt = _green(grid, rho)
-    w = _minimize_w(grid, rho, u, p, w0=w0)
-    rho2, _, m_log_z = _normalized_density(grid, _exponents(p, u, w)[1], p.m2)
-    c = _face_flux(grid, w)
-    interaction = 0.5 * p.alpha * -_pairing(grid, mt, mt)
-    dirichlet = _pairing(grid, c, c)
+    w, rho2, m_log_z = _minimize_w(grid, rho, u, p, w0=w0)
+    faces = np.array([mt, _face_flux(grid, w)])
+    pairing, dirichlet = _pairing(grid, faces, faces).tolist()
+    interaction = 0.5 * p.alpha * -pairing
     energy = _entropy(grid, rho) + interaction - p.theta * (0.5 * p.gamma * dirichlet + m_log_z)
-    return u, w, rho2, energy
+    return np.array([rho, u, w, rho2]), energy
 
 
-def _pair_fields(grid, rho1, rho2, p):
-    """Potentials and density-form energy of the two-density regime."""
-    u1, mt1 = _green(grid, rho1)
-    u2, mt2 = _green(grid, rho2)
-    return u1, u2, _energy_rho(grid, rho1, rho2, mt1, mt2, p).total
+def _pair_fields(grid, rhos, p):
+    """The stacked fields (rho1, u1, u2, rho2) and the density-form energy
+    of the two-density regime at the densities rhos, as rows."""
+    us, mts = _green(grid, rhos)
+    return np.array([rhos[0], us[0], us[1], rhos[1]]), _total(_energy_rho(grid, rhos, mts, p))
 
 
-def _potential_fields(grid, u1, u2, p):
-    """Boltzmann densities and potential-form energy of the potential regime."""
-    g1, g2 = _exponents(p, u1, u2)
+def _potential_fields(grid, us, p):
+    """The stacked fields (rho1, u1, u2, rho2) and the potential-form energy
+    of the potential regime at the potentials us, as rows: rho1 and rho2
+    are the Boltzmann densities."""
+    g1, g2 = _exponents(p, *us)
     rho1, _, m_log_z1 = _normalized_density(grid, g1, p.m1)
     rho2, _, m_log_z2 = _normalized_density(grid, g2, p.m2)
-    c1, c2 = _face_flux(grid, u1), _face_flux(grid, u2)
-    return rho1, rho2, _energy_u(grid, c1, c2, m_log_z1, m_log_z2, p).total
+    energy = _total(_energy_u(grid, _face_flux(grid, us), m_log_z1, m_log_z2, p))
+    return np.array([rho1, us[0], us[1], rho2]), energy
+
+
+def _last_energy(s: FlowState) -> float:
+    """The monitored energy of the state's last trace row."""
+    if s._rows == 0:
+        raise ValueError("the state has no trace row: build it with initial_state")
+    return float(s._trace.rows[s._rows - 1, 3])
 
 
 def _check_energy(e_new, e_old, enforced):
@@ -200,21 +251,20 @@ def _check_energy(e_new, e_old, enforced):
         )
 
 
-def _advanced(grid, t, trace, k, rho1, u1, u2, rho2, energy):
-    """The state at time t of the given raw arrays (rho2 may be None),
-    owning the first k rows of trace plus its own row."""
-    m1 = float(np.dot(grid.weights, rho1))
-    m2 = float(np.dot(grid.weights, rho2)) if rho2 is not None else 0.0
-    row = (t, m1, m2, energy, float(rho1.max()))
-    return FlowState(
-        t,
-        RadialField.density(grid, rho1),
-        RadialField.potential(grid, u1),
-        RadialField.potential(grid, u2),
-        None if rho2 is None else RadialField.density(grid, rho2),
-        trace.appended(k, row),
-        k + 1,
+def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
+    """The state at time t of the stacked fields (rho1, u1, u2, rho2),
+    owning the first k rows of trace plus its own row; boltzmann is the
+    Params whose Boltzmann densities of u1, u2 are rho1, rho2, if any."""
+    s = object.__new__(FlowState)
+    _bind(s, grid, stack)
+    m1, m2 = np.vecdot(stack[::3], grid.weights).tolist()
+    s.__dict__.update(
+        t=t,
+        _trace=trace.appended(k, (t, m1, m2, energy, stack[0].max())),
+        _rows=k + 1,
+        _boltzmann=boltzmann,
     )
+    return s
 
 
 def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
@@ -227,12 +277,14 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     relative slack raises StepRejected so the driver can halve dt.
     """
     p = validate_params(p)
+    e_old = _last_energy(s)
     grid = s.rho1.grid
-    phi = p.beta * s.u2.values - p.alpha * s.u1.values
-    (rho,) = _sg_step(grid, dt, s.rho1.values[None], phi[None])
-    u1, w, rho2, energy = _single_fields(grid, rho, p, w0=s.u2.values)
-    _check_energy(energy, float(s._trace.rows[s._rows - 1, 3]), enforced=True)
-    return _advanced(grid, s.t + dt, s._trace, s._rows, rho, u1, w, rho2, energy)
+    u2 = s.u2.values
+    phi = p.beta * u2 - p.alpha * s.u1.values
+    (rho,) = _sg_step(grid, dt, s._stack[:1], phi[None])
+    stack, energy = _single_fields(grid, rho, p, w0=u2)
+    _check_energy(energy, e_old, enforced=True)
+    return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy)
 
 
 def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
@@ -241,17 +293,18 @@ def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     p = validate_params(p)
     if s.rho2 is None:
         raise ValueError("the two-density regime needs rho2 in the state")
+    e_old = _last_energy(s)
     grid = s.rho1.grid
     u1, u2 = s.u1.values, s.u2.values
-    phis = np.array([
-        p.beta * u2 - p.alpha * u1,
-        p.theta * p.beta * u1 + p.gamma * u2,
-    ])
-    rho1, rho2 = _sg_step(grid, dt, np.array([s.rho1.values, s.rho2.values]), phis)
-    u1, u2, energy = _pair_fields(grid, rho1, rho2, p)
+    # (beta u2 - alpha u1, theta beta u1 + gamma u2), the same bits as rows
+    phis = (
+        np.multiply.outer((p.beta, p.gamma), u2)
+        + np.multiply.outer((-p.alpha, p.theta * p.beta), u1)
+    )
+    stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
     enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
-    _check_energy(energy, float(s._trace.rows[s._rows - 1, 3]), enforced)
-    return _advanced(grid, s.t + dt, s._trace, s._rows, rho1, u1, u2, rho2, energy)
+    _check_energy(energy, e_old, enforced)
+    return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy)
 
 
 def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
@@ -264,13 +317,14 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     step proceeds unmonitored.
     """
     p = validate_params(p)
+    e_old = _last_energy(s)
     grid = s.u1.grid
-    g1, g2 = _exponents(p, s.u1.values, s.u2.values)
-    sources = np.array([
-        _normalized_density(grid, g1, p.m1)[0],
-        _normalized_density(grid, g2, p.m2)[0],
-    ])
-    u1, u2 = _heat_step(grid, dt, np.array([s.u1.values, s.u2.values]), sources)
+    us = s._stack[1:3]
+    if s._boltzmann == p:
+        sources = s._stack[::3]
+    else:
+        sources = _potential_fields(grid, us, p)[0][::3]
+    us = _heat_step(grid, dt, us, sources)
     enforced = False
     if p.theta == -1:
         disc = p.alpha * p.gamma - p.beta**2
@@ -284,9 +338,9 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
             )
         else:
             enforced = disc > 0
-    rho1, rho2, energy = _potential_fields(grid, u1, u2, p)
-    _check_energy(energy, float(s._trace.rows[s._rows - 1, 3]), enforced)
-    return _advanced(grid, s.t + dt, s._trace, s._rows, rho1, u1, u2, rho2, energy)
+    stack, energy = _potential_fields(grid, us, p)
+    _check_energy(energy, e_old, enforced)
+    return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy, boltzmann=p)
 
 
 _STEPPERS = {
@@ -312,25 +366,26 @@ def initial_state(
     """
     p = validate_params(p)
     regime = (cfg.delta1, cfg.delta2, cfg.epsilon)
+    boltzmann = None
     if regime == (1.0, 0.0, 0.0):
         if rho1 is None or rho2 is not None or u1 is not None or u2 is not None:
             raise ValueError("the single-density regime takes exactly rho1")
         grid = rho1.grid
-        u1, u2, rho2, energy = _single_fields(grid, _tagged(rho1, "density"), p)
-        fields = rho1.values, u1, u2, rho2
+        stack, energy = _single_fields(grid, _tagged(rho1, "density"), p)
     elif regime == (1.0, 1.0, 0.0):
         if rho1 is None or rho2 is None or u1 is not None or u2 is not None:
             raise ValueError("the two-density regime takes exactly rho1 and rho2")
         grid = _shared_grid(rho1, rho2)
-        u1, u2, energy = _pair_fields(grid, _tagged(rho1, "density"), _tagged(rho2, "density"), p)
-        fields = rho1.values, u1, u2, rho2.values
+        rhos = np.array([_tagged(rho1, "density"), _tagged(rho2, "density")])
+        stack, energy = _pair_fields(grid, rhos, p)
     else:
         if u1 is None or u2 is None or rho1 is not None or rho2 is not None:
             raise ValueError("the potential regime takes exactly u1 and u2")
         grid = _shared_grid(u1, u2)
-        rho1, rho2, energy = _potential_fields(grid, _tagged(u1, "potential"), _tagged(u2, "potential"), p)
-        fields = rho1, u1.values, u2.values, rho2
-    return _advanced(grid, 0.0, _Trace(), 0, *fields, energy)
+        us = np.array([_tagged(u1, "potential"), _tagged(u2, "potential")])
+        stack, energy = _potential_fields(grid, us, p)
+        boltzmann = p
+    return _advanced(grid, 0.0, _Trace(), 0, stack, energy, boltzmann)
 
 
 def _shared_grid(f1, f2):
@@ -346,14 +401,10 @@ def _tagged(f, kind):
 
 
 def _state_change(old: FlowState, new: FlowState) -> float:
-    """The largest change of a field relative to max(1, its old sup norm)."""
-    names = ["rho1", "u1", "u2"]
-    if old.rho2 is not None and new.rho2 is not None:
-        names.append("rho2")
-    a = np.array([getattr(old, name).values for name in names])
-    b = np.array([getattr(new, name).values for name in names])
-    scale = np.maximum(1.0, abs(a).max(axis=1))
-    return float((abs(b - a).max(axis=1) / scale).max())
+    """The largest change of a field relative to max(1, its old sup norm);
+    rho2 counts only when both states have it."""
+    k = min(len(old._stack), len(new._stack))
+    return float((abs(new._stack[:k] - old._stack[:k]) / old._scale[:k, None]).max())
 
 
 def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calculus import (
     _entropy,
     _normalized_density,
@@ -57,8 +59,12 @@ class FunctionalReport:
 
 
 def _report(**parts) -> FunctionalReport:
-    total = sum(parts.values())
-    return FunctionalReport(total=total, **parts)
+    return FunctionalReport(total=_total(parts), **parts)
+
+
+def _total(parts: dict) -> float:
+    """The total of a report of these parts, without building the report."""
+    return sum(parts.values())
 
 
 def free_energy(rho: RadialField, p: Params) -> FunctionalReport:
@@ -132,7 +138,7 @@ def relaxed_free_energy(rho: RadialField, p: Params, opts=None):
     p = validate_params(p)
     u = inv_laplacian(rho)
     w_star = RadialField.potential(
-        rho.grid, _minimize_w(rho.grid, rho.values, u.values, p, opts)
+        rho.grid, _minimize_w(rho.grid, rho.values, u.values, p, opts)[0]
     )
     return _joint(p, *_joint_terms(rho, w_star, u, p)).total, w_star
 
@@ -152,19 +158,20 @@ def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> Functio
         raise GridMismatch("two_species_energy_u needs a shared grid")
     grid = u1.grid
     g1, g2 = _exponents(p, u1.values, u2.values)
-    return _energy_u(
-        grid, face_flux(u1), face_flux(u2),
+    return _report(**_energy_u(
+        grid, np.array([face_flux(u1), face_flux(u2)]),
         _normalized_density(grid, g1, p.m1)[2], _normalized_density(grid, g2, p.m2)[2], p,
-    )
+    ))
 
 
-def _energy_u(grid, c1, c2, m_log_z1, m_log_z2, p) -> FunctionalReport:
-    """two_species_energy_u from the face fluxes of u1, u2 and the
-    log-partition terms m_i ln int e^{g_i} of their exponents."""
-    return _report(
-        dirichlet=0.5 * p.alpha * _pairing(grid, c1, c1)
-        - 0.5 * p.theta * p.gamma * _pairing(grid, c2, c2),
-        cross=-p.beta * _pairing(grid, c1, c2),
+def _energy_u(grid, cs, m_log_z1, m_log_z2, p) -> dict:
+    """The parts of two_species_energy_u from the face fluxes of u1, u2 as
+    the rows of cs and the log-partition terms m_i ln int e^{g_i} of their
+    exponents."""
+    (c11, c12), (_, c22) = _pairing(grid, cs[:, None], cs[None]).tolist()
+    return dict(
+        dirichlet=0.5 * p.alpha * c11 - 0.5 * p.theta * p.gamma * c22,
+        cross=-p.beta * c12,
         log_terms=-m_log_z1 - p.theta * m_log_z2,
     )
 
@@ -179,17 +186,22 @@ def two_species_energy_rho(rho1: RadialField, rho2: RadialField, p: Params) -> F
     p = validate_params(p)
     if not rho1.grid.same_as(rho2.grid):
         raise GridMismatch("two_species_energy_rho needs a shared grid")
-    return _energy_rho(
-        rho1.grid, rho1.values, rho2.values, face_masses(rho1), face_masses(rho2), p
-    )
+    return _report(**_energy_rho(
+        rho1.grid,
+        np.array([rho1.values, rho2.values]),
+        np.array([face_masses(rho1), face_masses(rho2)]),
+        p,
+    ))
 
 
-def _energy_rho(grid, rho1, rho2, mt1, mt2, p) -> FunctionalReport:
-    """two_species_energy_rho from the densities and their face masses."""
-    return _report(
-        entropy1=_entropy(grid, rho1),
-        entropy2=p.theta * _entropy(grid, rho2),
-        interaction=0.5 * p.alpha * -_pairing(grid, mt1, mt1)
-        - 0.5 * p.theta * p.gamma * -_pairing(grid, mt2, mt2),
-        cross=p.beta * _pairing(grid, mt2, mt1),
+def _energy_rho(grid, rhos, mts, p) -> dict:
+    """The parts of two_species_energy_rho from the densities rho1, rho2
+    and their face masses, each pair stacked as rows."""
+    e1, e2 = _entropy(grid, rhos).tolist()
+    (m11, _), (m21, m22) = _pairing(grid, mts[:, None], mts[None]).tolist()
+    return dict(
+        entropy1=e1,
+        entropy2=p.theta * e2,
+        interaction=0.5 * p.alpha * -m11 - 0.5 * p.theta * p.gamma * -m22,
+        cross=p.beta * m21,
     )

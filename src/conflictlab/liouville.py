@@ -333,21 +333,26 @@ def minimize_w(rho, p, grid, opts=None, w0=None):
         raise GridMismatch("w0 lives on a different grid")
     u = _green(grid, rho.values)[0]
     w0 = None if w0 is None else w0.values
-    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p, opts, w0))
+    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p, opts, w0)[0])
 
 
 def _minimize_w(grid, rho_vals, u, p, opts=None, w0=None):
     """minimize_w on raw arrays for validated ``p``, zero when gamma or m2
-    is; ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start."""
-    if p.gamma == 0.0 or p.m2 == 0.0:
-        return np.zeros_like(grid.r)
+    is; ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start.
+
+    Returns w with the chemical density m2 e^g / integral(e^g) at w and its
+    m2 ln integral(e^g), for the exponent g = -gamma w - theta beta u."""
     drive = -p.theta * p.beta * u
+    if p.gamma == 0.0 or p.m2 == 0.0:
+        w = np.zeros_like(grid.r)
+        rho, _, m_log_z = _normalized_density(grid, -p.gamma * w + drive, p.m2)
+        return w, rho, m_log_z
     g0 = drive if w0 is None else -p.gamma * w0 + drive
     (w,), (c,) = _seeded(grid, g0, p.m2)
-    w = _newton_w(grid, w, c, drive, p, opts or SolveOptions())
-    if (rho_vals[1:] - rho_vals[:-1] <= 1e-12).all() and (w[1:] - w[:-1] > 1e-10).any():
+    w, rho, m_log_z = _newton_w(grid, w, c, drive, p, opts or SolveOptions())
+    if (w[1:] - w[:-1] > 1e-10).any() and (rho_vals[1:] - rho_vals[:-1] <= 1e-12).all():
         logger.warning("w-minimizer not radially nonincreasing for nonincreasing rho")
-    return w
+    return w, rho, m_log_z
 
 
 def _newton_w(grid, w, c, drive, p, opts):
@@ -357,10 +362,11 @@ def _newton_w(grid, w, c, drive, p, opts):
     with rho = m2 e^{-gamma w + drive}/Z the Jacobian is
     T + gamma diag(V rho) - (gamma/m2)(V rho)(2 pi V rho)^T.  The face
     fluxes ``c`` of the iterate ``w`` advance by the face fluxes of each
-    step, so the defect stays the exact finite-volume residual.
+    step, so the defect stays the exact finite-volume residual.  Returns
+    w with its density rho and m2 ln Z.
     """
     gamma, m2 = p.gamma, p.m2
-    rho, _, _ = _normalized_density(grid, -gamma * w + drive, m2)
+    rho, _, m_log_z = _normalized_density(grid, -gamma * w + drive, m2)
     d = _face_masses(grid, rho) - c
     res = _flux_defect(grid, d)
     steps = 0
@@ -388,7 +394,7 @@ def _newton_w(grid, w, c, drive, p, opts):
         step = 1.0
         for _ in range(_HALVINGS + 1):
             w_t, c_t = w + step * dw, c + step * dc
-            rho_t, _, _ = _normalized_density(grid, -gamma * w_t + drive, m2)
+            rho_t, _, m_log_z_t = _normalized_density(grid, -gamma * w_t + drive, m2)
             d_t = _face_masses(grid, rho_t) - c_t
             res_t = _flux_defect(grid, d_t)
             if res_t < res:
@@ -399,8 +405,8 @@ def _newton_w(grid, w, c, drive, p, opts):
                 f"residual {res:.3e} above tol {opts.tol:.1e} and not "
                 f"decreasing along the Newton step"
             )
-        w, c, rho, d, res = w_t, c_t, rho_t, d_t, res_t
-    return w
+        w, c, rho, m_log_z, d, res = w_t, c_t, rho_t, m_log_z_t, d_t, res_t
+    return w, rho, m_log_z
 
 
 def _central_laplacian(grid, u):

@@ -89,6 +89,9 @@ class RadialGrid:
     weights    disk quadrature weights 2*pi*V_i; sum = pi exactly
     log_ratio  ln(r_{j+1}/r_j) per cell j = 0..n-1; entry 0 is NaN (the
                center cell is handled by the axis regularity rule instead)
+
+    The face transmissibilities 1/log_ratio, 1/2 at the axis cell, that
+    every tridiagonal assembly reads are kept as ``_transmissibility``.
     """
 
     r: np.ndarray
@@ -97,6 +100,7 @@ class RadialGrid:
     volumes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     log_ratio: np.ndarray = field(init=False, repr=False)
+    _transmissibility: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
@@ -117,6 +121,10 @@ class RadialGrid:
         lr[0] = np.nan
         np.log(r[2:] / r[1:-1], out=lr[1:])
         object.__setattr__(self, "log_ratio", lr)
+        t = np.empty(r.size - 1)
+        t[0] = 0.5
+        np.divide(1.0, lr[1:], out=t[1:])
+        object.__setattr__(self, "_transmissibility", t)
 
     @property
     def n(self) -> int:
@@ -186,6 +194,14 @@ class RadialField:
 
     def with_values(self, values: np.ndarray) -> "RadialField":
         return RadialField(self.grid, values, self.kind)
+
+    @classmethod
+    def _checked(cls, grid: RadialGrid, values: np.ndarray, kind: str) -> "RadialField":
+        """A field over a float array of the grid's shape that the caller
+        has already checked for the kind: no copy, no checks."""
+        f = object.__new__(cls)
+        f.__dict__.update(grid=grid, values=values, kind=kind)
+        return f
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conflictlab.calculus import (
+    _entropy,
+    _face_flux,
+    _green,
+    _pairing,
     cross_dirichlet,
     dirichlet_energy,
     entropy,
@@ -207,3 +211,52 @@ class TestLogPartition:
         g = RadialField(g1024, np.ones_like(g1024.r))
         with pytest.raises(GridMismatch):
             log_partition([(1.0, f), (1.0, g)])
+
+
+class TestStackedRows:
+    """The cores give each row of a stack the bits of its own 1-D call."""
+
+    @staticmethod
+    def rows(data, n, k, low=0.0, faces=False):
+        """A grid of n cells and k rows of nodal values (face values if faces)."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3, (k, 1))
+        width = n if faces else n + 1
+        return make_grid(n, data.draw(st.sampled_from(["uniform", "graded"]))), (
+            rng.uniform(low, 1.0, (k, width)) * scale
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 4096), data=st.data())
+    def test_green_rows(self, n, data):
+        grid, rhos = self.rows(data, n, 2, low=-0.5)
+        us, mts = _green(grid, rhos)
+        for rho, u, mt in zip(rhos, us, mts):
+            u1, mt1 = _green(grid, rho)
+            assert u.tobytes() == u1.tobytes()
+            assert mt.tobytes() == mt1.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 4096), data=st.data())
+    def test_face_flux_rows(self, n, data):
+        grid, vs = self.rows(data, n, 2, low=-1.0)
+        for c, v in zip(_face_flux(grid, vs), vs):
+            assert c.tobytes() == _face_flux(grid, v).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 4096), data=st.data())
+    def test_entropy_rows(self, n, data):
+        grid, rhos = self.rows(data, n, 3)
+        rhos[1, ::3] = 0.0
+        got = _entropy(grid, rhos)
+        assert got.tolist() == [_entropy(grid, rho) for rho in rhos]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 4096), data=st.data())
+    def test_pairing_rows_and_matrix(self, n, data):
+        grid, faces = self.rows(data, n, 3, low=-1.0, faces=True)
+        a, b = faces[:2], faces[1:]
+        assert _pairing(grid, a, b).tolist() == [_pairing(grid, x, y) for x, y in zip(a, b)]
+        gram = _pairing(grid, faces[:, None], faces[None]).tolist()
+        assert gram == [[_pairing(grid, x, y) for y in faces] for x in faces]

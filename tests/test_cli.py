@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from conflictlab.cli import RunConfig, main, parse_config, run
+from conflictlab import blowdown
+from conflictlab.blowdown import BlowdownFamily, slope_estimate
+from conflictlab.cli import RunConfig, _base_fields, _fmt, _table_lines, main, parse_config, run
 from conflictlab.errors import BadTheta, NonpositiveMass, ParseError, UnknownKey
-from conflictlab.model import Params
+from conflictlab.model import Params, make_grid
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -327,6 +329,67 @@ class TestBlowdownCommand:
         assert applicable
         for r in applicable:
             assert np.isclose(float(r[2]), float(r[3]), rtol=1e-6)
+
+    def test_walks_the_ladder_once(self, tmp_path, monkeypatch):
+        walks = []
+        real = blowdown._ladder
+
+        def counted(*args):
+            walks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blowdown, "_ladder", counted)
+        sec = "[blowdown]\npsis = 4, 8, 16, 32, 64\nmode = half\n"
+        cfg = parse_config(config_text("blowdown", m1=30.0, m2=1.0, grid_n=256, section=sec))
+        assert run(cfg, out_dir=tmp_path) == 0
+        assert len(walks) == 1
+        rho, w = _base_fields(make_grid(256, kind="graded"), cfg.params)
+        fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis), mode=cfg.mode)
+        header, _, _ = read_table(tmp_path / "blowdown.csv")
+        assert f"slope = {_fmt(slope_estimate(fam, cfg.params))}" in header
+
+
+class TestTableFormat:
+    """One %-format per table writes what _fmt writes cell by cell."""
+
+    CELLS = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-7, 0.1,
+        1.0 / 3.0, 2.0**53 + 2.0, np.float64(math.nan), np.float64(-0.0), np.float64(2.0 / 3.0),
+        np.float32(0.1), 0, 7, -3, 10**20, np.int64(12), True, "conflict", "rule 4", "",
+    ]
+
+    @staticmethod
+    def by_cell(rows):
+        return [",".join(_fmt(v) for v in row) + "\n" for row in rows]
+
+    def test_every_kind_of_cell(self):
+        rows = [tuple(self.CELLS), tuple(self.CELLS)]
+        assert _table_lines(rows) == self.by_cell(rows)
+
+    def test_columns_of_one_kind(self):
+        rows = [(1.5, "a", 3), (math.nan, "b", -4), (-0.0, "", 10**30), (5e-324, "c", 0)]
+        assert _table_lines(rows) == self.by_cell(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 0.5), (1e-6, 0.25)],  # an int above a float, as oracle scales = 1, 1e-6
+            [(0.1, 1), ("x", 2), (math.nan, 3)],  # a float above a string
+            [(np.int64(3), "a"), (np.float64(1.0 / 3.0), "b"), (True, "c")],
+        ],
+    )
+    def test_columns_mixing_floats_with_other_values(self, rows):
+        assert _table_lines(rows) == self.by_cell(rows)
+
+    def test_a_float_below_an_int_keeps_17_digits(self):
+        assert _table_lines([(1, 0.5), (1e-6, 0.25)])[1] == "9.9999999999999995e-07,0.25\n"
+
+    def test_array_rows(self):
+        table = np.array([[0.1, -0.0, np.inf], [np.nan, 1e22, 5e-324]])
+        assert _table_lines(table) == self.by_cell(table)
+
+    def test_no_rows(self):
+        assert _table_lines([]) == []
 
 
 class TestOracleCommand:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.linalg import solve_banded
 
 from conflictlab import flow
 from conflictlab.calculus import integrate_disk, inv_laplacian
-from conflictlab.errors import DegenerateQuadraticForm, Stalled, StepRejected
+from conflictlab.errors import DegenerateQuadraticForm, NegativeDensity, Stalled, StepRejected
 from conflictlab.functionals import _joint_terms, two_species_energy_rho, two_species_energy_u
 from conflictlab.liouville import minimize_w, residual, solve_pair, solve_single
 from conflictlab.model import (
@@ -274,6 +275,10 @@ class TestInitialState:
             flow.FlowState(t=0.0, rho1=u, u1=u, u2=u)
         with pytest.raises(ValueError):
             flow.FlowState(t=0.0, rho1=rho, u1=rho, u2=u)
+        with pytest.raises(ValueError):
+            flow.FlowState(t=0.0, rho1=rho, u1=u, u2=u, rho2=u)
+        with pytest.raises(ValueError):
+            flow.FlowState(t=0.0, rho1=rho, u1=u, u2=u, rho2=RadialField(g256, -rho.values))
 
     def test_state_rejects_mixed_grids(self, g256):
         other = make_grid(128)
@@ -284,6 +289,101 @@ class TestInitialState:
                 u1=zero_potential(other),
                 u2=zero_potential(other),
             )
+
+
+class TestHandBuiltState:
+    """A state built with the FlowState constructor has no trace row, so
+    stepping it names initial_state instead of failing on the empty trace."""
+
+    P = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=5.0)
+
+    @pytest.fixture
+    def state(self, g256):
+        rho, u = bump_density(g256, 5.0), zero_potential(g256)
+        return flow.FlowState(t=0.0, rho1=rho, u1=u, u2=u, rho2=rho)
+
+    @pytest.mark.parametrize(
+        "name", ["step_single_density", "step_two_densities", "step_potentials"]
+    )
+    def test_steppers_name_initial_state(self, state, name):
+        with pytest.raises(ValueError, match="initial_state"):
+            getattr(flow, name)(state, self.P, 1e-3)
+
+    @pytest.mark.parametrize("cfg", [CFG2, CFG_FULL, CFG_POT])
+    def test_run_flow_names_initial_state(self, state, cfg):
+        with pytest.raises(ValueError, match="initial_state"):
+            flow.run_flow(state, self.P, cfg)
+
+    def test_fields_are_rows_of_one_checked_copy(self, state):
+        for row, name in zip(state._stack, ("rho1", "u1", "u2", "rho2")):
+            assert getattr(state, name).values.base is state._stack
+            assert getattr(state, name).values.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("row, col", [(0, 3), (3, 0), (1, -1), (2, -1)])
+    def test_new_stacks_are_checked_once(self, state, row, col):
+        stack = state._stack.copy()
+        stack[row, col] = -1e-300 if row in (0, 3) else 1e-300
+        with pytest.raises(NegativeDensity if row in (0, 3) else ValueError):
+            flow._advanced(state.rho1.grid, 0.0, flow._Trace(), 0, stack, 0.0)
+
+
+class TestPotentialSources:
+    """step_potentials reuses the densities stored by the potential regime
+    under equal Params and recomputes them for any other state."""
+
+    P = Params(alpha=2.0, beta=1.0, gamma=1.0, theta=-1, m1=6.0, m2=2.0)
+
+    def start(self, grid):
+        u1 = RadialField.potential(grid, 0.3 * (1.0 - grid.r**2))
+        return flow.initial_state(self.P, CFG_POT, u1=u1, u2=zero_potential(grid))
+
+    @staticmethod
+    def counted_densities(monkeypatch):
+        calls = []
+        real = flow._normalized_density
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flow, "_normalized_density", counted)
+        return calls
+
+    def test_reused_sources_equal_recomputed(self, g256):
+        s = self.start(g256)
+        for _ in range(5):
+            reused = flow.step_potentials(s, self.P, 0.01)
+            same_state(reused, flow.step_potentials(isolated(s), self.P, 0.01))
+            s = reused
+
+    def test_equal_params_reuse_the_stored_densities(self, g256, monkeypatch):
+        s = self.start(g256)
+        calls = self.counted_densities(monkeypatch)
+        flow.step_potentials(s, replace(self.P), 0.01)
+        assert len(calls) == 2  # the new state's densities only
+
+    @pytest.mark.parametrize(
+        "changes", [{"m1": 6.5}, {"m2": 0.0}, {"beta": 1.5}, {"gamma": 0.75}, {"alpha": 2.5}]
+    )
+    def test_other_params_recompute(self, g256, monkeypatch, changes):
+        s = self.start(g256)
+        other = replace(self.P, **changes)
+        calls = self.counted_densities(monkeypatch)
+        got = flow.step_potentials(s, other, 0.01)
+        assert len(calls) == 4
+        same_state(got, flow.step_potentials(isolated(s), other, 0.01))
+
+    def test_other_regime_recomputes(self, monkeypatch):
+        g = make_grid(64)
+        p = TestTraceSharing.P
+        s = flow.initial_state(
+            p, CFG_FULL, rho1=bump_density(g, 6.0), rho2=bump_density(g, 3.0, width=1.0)
+        )
+        calls = self.counted_densities(monkeypatch)
+        s = flow.step_potentials(s, p, 1e-3)
+        assert len(calls) == 4
+        flow.step_potentials(s, p, 1e-3)
+        assert len(calls) == 6
 
 
 class TestSingleDensityStep:

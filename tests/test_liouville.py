@@ -303,7 +303,7 @@ class TestNewtonChemicalSolve:
         except (Oscillation, SolverDiverged):
             assume(False)
         w0 = 0.5 * ref if warm else None
-        w = _minimize_w(grid, rho.values, u, p, w0=w0)
+        w = _minimize_w(grid, rho.values, u, p, w0=w0)[0]
         assert np.max(np.abs(w - ref)) <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
