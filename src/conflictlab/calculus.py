@@ -234,15 +234,14 @@ _gtsv = None
 
 def _solve_tridiag(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.linalg.solve_banded((1, 1), ab, b) as one LAPACK gtsv call: the
-    same bits, for one right-hand side or a column of them, and ValueError
-    for non-finite input and LinAlgError for a singular matrix alike,
-    without the wrapper's per-call cost.  scipy loads on the first call."""
+    same bits, for one right-hand side or a column of them, and LinAlgError
+    for a singular matrix alike, without the wrapper's per-call cost or its
+    finiteness checks: callers pass finite systems.  scipy loads on the
+    first call."""
     global _gtsv
     if _gtsv is None:
         from scipy.linalg.lapack import dgtsv as _gtsv
 
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

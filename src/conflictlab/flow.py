@@ -22,8 +22,10 @@ functionals; the two species of the pair regime go through the Green
 sum, the entropy and the pairings as the rows of one stack.
 
 A state keeps its fields as the rows (rho1, u1, u2, rho2) of one stacked
-array, checked once when the state is made (densities >= 0, potentials
-exactly zero at the wall); the four RadialFields are views of those rows,
+array, checked once when the state is made (every sample finite, densities
+>= 0, potentials exactly zero at the wall; ValueError otherwise), so the
+solves of a step need no checks of their own; the four RadialFields are
+views of those rows,
 and the per-row sup norms that the steady-state test divides by are
 computed once per state.  The single-density step takes the chemical
 density and its log-partition term from the chemical Newton solve.  A
@@ -43,6 +45,7 @@ first.  The three traces are read-only views of the rows a state owns.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -154,8 +157,10 @@ class FlowState:
 def _bind(s: FlowState, grid, stack: np.ndarray) -> None:
     """Check the stacked rows (rho1, u1, u2[, rho2]) of s once and make
     them its fields, with their sup norms floored at 1."""
-    # fmin skips NaN as (x < 0).any() does, and a NaN wall value is nonzero
-    if np.fmin.reduce(stack[::3], axis=None) < 0:
+    scale = np.maximum(1.0, abs(stack).max(axis=1))
+    if not math.isfinite(scale.max()):  # abs and max carry NaN and inf through
+        raise ValueError("state fields must be finite")
+    if stack[::3].min() < 0:
         raise NegativeDensity("density tag requires values >= 0")
     if stack[1, -1] or stack[2, -1]:
         raise ValueError("potential tag requires an exact zero at r = 1")
@@ -163,7 +168,7 @@ def _bind(s: FlowState, grid, stack: np.ndarray) -> None:
     for (name, kind), row in zip(_FIELDS, stack):
         fields[name] = RadialField._checked(grid, row, kind)
     fields["_stack"] = stack
-    fields["_scale"] = np.maximum(1.0, abs(stack).max(axis=1))
+    fields["_scale"] = scale
 
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,10 @@ between nodes. Around each node sits a finite-volume cell bounded by the
 midpoints of neighboring nodes (half cells at the center and the wall), and
 the cell r-volumes V_i drive every quadrature in the package, so that mass
 accounting, the Green operator and the Dirichlet form all agree exactly.
+
+Fields that enter the solvers must be finite: a density or potential tag
+rejects NaN and infinite samples, and a grid rejects a NaN node, both with
+ValueError.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class RadialGrid:
             raise ValueError("grid needs a 1-d array of at least two radii")
         if r[0] != 0.0 or r[-1] != 1.0:
             raise ValueError("grid must span [0, 1] with exact endpoints")
-        if np.any(np.diff(r) <= 0):
+        if not np.all(np.diff(r) > 0):  # NaN-safe: a NaN node fails
             raise ValueError("grid nodes must be strictly increasing")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "h", np.diff(r))
@@ -155,8 +159,9 @@ def make_grid(n: int, kind: str = "uniform") -> RadialGrid:
 class RadialField:
     """Nodal samples of a radial scalar on a grid, optionally tagged.
 
-    kind 'density' asserts nonnegativity; kind 'potential' asserts the
-    homogeneous Dirichlet value at the wall (values[-1] == 0).
+    Both tags assert finite samples; kind 'density' asserts nonnegativity,
+    kind 'potential' the homogeneous Dirichlet value at the wall
+    (values[-1] == 0).
     """
 
     grid: RadialGrid
@@ -170,14 +175,14 @@ class RadialField:
                 f"field has {v.size} samples for {self.grid.r.size} nodes"
             )
         object.__setattr__(self, "values", v)
-        if self.kind == "density":
-            if (v < 0).any():
-                raise NegativeDensity("density tag requires values >= 0")
-        elif self.kind == "potential":
-            if v[-1] != 0.0:
-                raise ValueError("potential tag requires an exact zero at r = 1")
-        elif self.kind is not None:
+        if self.kind not in (None, "density", "potential"):
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.kind and not np.isfinite(v).all():
+            raise ValueError(f"{self.kind} tag requires finite values")
+        if self.kind == "density" and (v < 0).any():
+            raise NegativeDensity("density tag requires values >= 0")
+        if self.kind == "potential" and v[-1] != 0.0:
+            raise ValueError("potential tag requires an exact zero at r = 1")
 
     @classmethod
     def density(cls, grid: RadialGrid, values: np.ndarray) -> "RadialField":

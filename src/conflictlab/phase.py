@@ -338,79 +338,48 @@ class SweepResult:
     curves: dict
 
 
-def _vertical_line(x: float, m1_range, m2_range, samples: int) -> np.ndarray:
-    lo1, hi1 = m1_range
-    if not (math.isfinite(x) and lo1 < x <= hi1):
-        return np.empty((0, 2))
-    ys = np.linspace(m2_range[0], m2_range[1], samples)
-    return np.column_stack([np.full(samples, x), ys])
-
-
 # a subnormal gamma sends the roots to +-inf or NaN: out of range, so NaN rows
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _lambda_zero_curve(p: Params, m1_range, m2_range, samples: int) -> np.ndarray:
+def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict:
+    """The analytic boundaries as (k, 2) point arrays, the sloped ones over
+    one set of m1 samples; a vertical line outside m1_range is empty."""
     lo, hi = m2_range
     m1s = np.linspace(max(m1_range[0], 1e-9), m1_range[1], samples)
-    lower, upper = [], []
-    for m1 in m1s:
-        const = 2.0 * m1 - p.alpha * m1**2 / _FOUR_PI
-        lin = p.beta * m1 / (2.0 * math.pi) - 2.0
-        if p.gamma == 0.0:
-            if abs(lin) < 1e-12:
-                lower.append((m1, math.nan))
-                continue
-            root = -const / lin
-            lower.append((m1, root if lo <= root <= hi else math.nan))
-        else:
-            quad = -p.gamma / _FOUR_PI
-            disc = lin * lin - 4.0 * quad * const
-            if disc < 0.0:
-                lower.append((m1, math.nan))
-                upper.append((m1, math.nan))
-                continue
-            # the root pair without cancellation between lin and sqrt(disc)
-            q = -lin - math.copysign(math.sqrt(disc), lin)
-            r1, r2 = sorted((q / (2.0 * quad), 2.0 * const / q))
-            lower.append((m1, r1 if lo <= r1 <= hi else math.nan))
-            upper.append((m1, r2 if lo <= r2 <= hi else math.nan))
-    pts = lower + ([(math.nan, math.nan)] + upper if upper else [])
-    return np.asarray(pts)
 
+    def vertical(x):
+        if not (math.isfinite(x) and m1_range[0] < x <= m1_range[1]):
+            return np.empty((0, 2))
+        return np.column_stack([np.full(samples, x), np.linspace(lo, hi, samples)])
 
-@np.errstate(over="ignore")  # subnormal gamma: lambda1_zero out of range
-def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict:
-    curves = {
-        "m1_critical": _vertical_line(
-            math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha,
-            m1_range,
-            m2_range,
-            samples,
-        ),
-        "m1_half_critical": _vertical_line(
-            math.inf if p.beta == 0.0 else _FOUR_PI / p.beta,
-            m1_range,
-            m2_range,
-            samples,
-        ),
-        "lambda_zero": _lambda_zero_curve(p, m1_range, m2_range, samples),
-    }
-    if p.gamma > 0.0:
-        m1s = np.linspace(max(m1_range[0], 1e-9), m1_range[1], samples)
-        m2s = (p.beta * m1s - _FOUR_PI) / p.gamma
-        keep = (m2s >= m2_range[0]) & (m2s <= m2_range[1])
-        curves["lambda1_zero"] = np.column_stack([m1s, np.where(keep, m2s, np.nan)])
+    def in_range(m2s):
+        return np.column_stack([m1s, np.where((lo <= m2s) & (m2s <= hi), m2s, np.nan)])
+
+    half_critical = math.inf if p.beta == 0.0 else _FOUR_PI / p.beta
+    # Lambda(m1, m2) = 0 as a quadratic in m2; the square goes through libm
+    # pow (float_power), whose bits the written curves carry
+    const = 2.0 * m1s - p.alpha * np.float_power(m1s, 2.0) / _FOUR_PI
+    lin = p.beta * m1s / (2.0 * math.pi) - 2.0
+    if p.gamma == 0.0:
+        lambda_zero = in_range(np.where(np.abs(lin) < 1e-12, np.nan, -const / lin))
+        lambda1_zero = vertical(half_critical)
     else:
-        curves["lambda1_zero"] = _vertical_line(
-            math.inf if p.beta == 0.0 else _FOUR_PI / p.beta,
-            m1_range,
-            m2_range,
-            samples,
-        )
-    strip = np.empty((0, 2))
-    if p.theta == -1 and p.alpha > 0.0 and p.beta > p.alpha / 2.0:
-        strip = _vertical_line(_strip_mass(p), m1_range, m2_range, samples)
-    curves["strip_mass"] = strip
-    return curves
+        quad = -p.gamma / _FOUR_PI
+        # the root pair without cancellation between lin and sqrt(disc); a
+        # negative discriminant gives NaN roots
+        q = -lin - np.copysign(np.sqrt(lin * lin - 4.0 * quad * const), lin)
+        r1, r2 = q / (2.0 * quad), 2.0 * const / q
+        swap = r2 < r1
+        lower, upper = np.where(swap, r2, r1), np.where(swap, r1, r2)
+        lambda_zero = np.vstack([in_range(lower), [(math.nan, math.nan)], in_range(upper)])
+        lambda1_zero = in_range((p.beta * m1s - _FOUR_PI) / p.gamma)
+    has_strip = p.theta == -1 and p.alpha > 0.0 and p.beta > p.alpha / 2.0
+    return {
+        "m1_critical": vertical(math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha),
+        "m1_half_critical": vertical(half_critical),
+        "lambda_zero": lambda_zero,
+        "lambda1_zero": lambda1_zero,
+        "strip_mass": vertical(_strip_mass(p)) if has_strip else np.empty((0, 2)),
+    }
 
 
 def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:

@@ -5,7 +5,9 @@ integrates the radial system as an initial value problem with scipy and
 root-finds on the center values until the boundary fluxes match the
 target masses.  The N-species existence conditions (subset positivity and
 the box condition) generalize the package's two-species cooperative table
-and check it from outside.
+and check it from outside.  boundary_curves_by_sample builds the sweep's
+boundary curves one m1 sample at a time in scalar arithmetic, a bit-level
+reference for the array construction in the package.
 """
 
 import itertools
@@ -191,3 +193,56 @@ def refined_condition(masses, a) -> bool:
     if masses.size > 8:
         raise ValueError("box enumeration is limited to 8 species")
     return min(_box_candidates(masses, a)) > 0.0
+
+
+def _vertical_rows(x, m1_range, m2_range, samples):
+    if not (math.isfinite(x) and m1_range[0] < x <= m1_range[1]):
+        return np.empty((0, 2))
+    return np.column_stack([np.full(samples, x), np.linspace(*m2_range, samples)])
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def boundary_curves_by_sample(p, m1_range, m2_range, strip, samples=1024):
+    """The sweep's boundary curves with the Lambda = 0 roots taken one m1
+    sample at a time in scalar arithmetic; ``strip`` is the strip mass or
+    None where the conflict strip does not exist."""
+    lo, hi = m2_range
+    m1s = np.linspace(max(m1_range[0], 1e-9), m1_range[1], samples)
+    lower, upper = [], []
+    for m1 in m1s:
+        const = 2.0 * m1 - p.alpha * m1**2 / FOUR_PI
+        lin = p.beta * m1 / (2.0 * math.pi) - 2.0
+        if p.gamma == 0.0:
+            if abs(lin) < 1e-12:
+                lower.append((m1, math.nan))
+                continue
+            root = -const / lin
+            lower.append((m1, root if lo <= root <= hi else math.nan))
+        else:
+            quad = -p.gamma / FOUR_PI
+            disc = lin * lin - 4.0 * quad * const
+            if disc < 0.0:
+                lower.append((m1, math.nan))
+                upper.append((m1, math.nan))
+                continue
+            q = -lin - math.copysign(math.sqrt(disc), lin)
+            r1, r2 = sorted((q / (2.0 * quad), 2.0 * const / q))
+            lower.append((m1, r1 if lo <= r1 <= hi else math.nan))
+            upper.append((m1, r2 if lo <= r2 <= hi else math.nan))
+    half = math.inf if p.beta == 0.0 else FOUR_PI / p.beta
+    if p.gamma > 0.0:
+        m2s = (p.beta * m1s - FOUR_PI) / p.gamma
+        keep = (m2s >= lo) & (m2s <= hi)
+        lambda1_zero = np.column_stack([m1s, np.where(keep, m2s, np.nan)])
+    else:
+        lambda1_zero = _vertical_rows(half, m1_range, m2_range, samples)
+    critical = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha
+    return {
+        "m1_critical": _vertical_rows(critical, m1_range, m2_range, samples),
+        "m1_half_critical": _vertical_rows(half, m1_range, m2_range, samples),
+        "lambda_zero": np.asarray(lower + ([(math.nan, math.nan)] + upper if upper else [])),
+        "lambda1_zero": lambda1_zero,
+        "strip_mass": np.empty((0, 2)) if strip is None else _vertical_rows(
+            strip, m1_range, m2_range, samples
+        ),
+    }

@@ -108,20 +108,6 @@ class TestSolveTridiag:
             want = solve_banded((1, 1), ab, b)
             assert flow._solve_tridiag(ab, b).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["upper", "diag", "lower", "corner", "rhs"])
-    def test_non_finite_input_raises_value_error(self, bad, where):
-        ab, b = self.system(9, 0)
-        if where == "rhs":
-            b[4] = bad
-        else:
-            row, col = {"upper": (0, 3), "diag": (1, 3), "lower": (2, 3), "corner": (0, 0)}[where]
-            ab[row, col] = bad
-        with pytest.raises(ValueError):
-            solve_banded((1, 1), ab, b)
-        with pytest.raises(ValueError):
-            flow._solve_tridiag(ab, b)
-
     @pytest.mark.parametrize("row", [0, 4, 8])
     def test_singular_matrix_raises_lin_alg_error(self, row):
         ab, b = self.system(9, 1)
@@ -325,6 +311,54 @@ class TestHandBuiltState:
         stack[row, col] = -1e-300 if row in (0, 3) else 1e-300
         with pytest.raises(NegativeDensity if row in (0, 3) else ValueError):
             flow._advanced(state.rho1.grid, 0.0, flow._Trace(), 0, stack, 0.0)
+
+
+class TestNonFiniteStates:
+    """Every state passes one finiteness check, so a NaN or an infinity
+    that reaches a field raises ValueError instead of flowing on."""
+
+    P = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=3.0)
+
+    @staticmethod
+    def fields(grid):
+        return {
+            "rho1": bump_density(grid, 5.0),
+            "rho2": bump_density(grid, 3.0),
+            "u1": RadialField.potential(grid, 0.3 * (1.0 - grid.r**2)),
+            "u2": RadialField.potential(grid, 0.1 * (1.0 - grid.r**2)),
+        }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["rho1", "u1", "u2", "rho2"])
+    def test_state_rejects_non_finite_field(self, g256, name, bad):
+        fields = self.fields(g256)
+        fields[name].values[5] = bad  # after the field's own check
+        with pytest.raises(ValueError, match="finite"):
+            flow.FlowState(t=0.0, **fields)
+
+    @pytest.mark.parametrize(
+        "cfg, names",
+        [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))],
+        ids=["single", "pair", "potentials"],
+    )
+    def test_initial_state_rejects_non_finite_field(self, g256, cfg, names):
+        fields = self.fields(g256)
+        fields[names[-1]].values[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
+
+    @pytest.mark.parametrize(
+        "cfg, names",
+        [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))],
+        ids=["single", "pair", "potentials"],
+    )
+    def test_step_with_nan_solve_raises(self, g256, monkeypatch, cfg, names):
+        fields = self.fields(g256)
+        s = flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
+        monkeypatch.setattr(flow, "_solve_tridiag", lambda ab, b: np.full(b.shape, np.nan))
+        step = flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon]
+        with pytest.raises(ValueError, match="finite"):
+            step(s, self.P, cfg.dt)
 
 
 class TestPotentialSources:

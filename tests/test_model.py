@@ -62,6 +62,10 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             RadialGrid(np.array([0.0, 0.5, 0.9]))
 
+    def test_rejects_nan_node(self):
+        with pytest.raises(ValueError, match="increasing"):
+            RadialGrid(np.array([0.0, 0.25, np.nan, 0.75, 1.0]))
+
 
 class TestValidateParams:
     def test_passes_and_normalizes_theta(self):
@@ -99,6 +103,14 @@ class TestRadialField:
         vals[3] = -1e-12
         with pytest.raises(NegativeDensity):
             RadialField.density(G32, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["density", "potential"])
+    def test_tags_reject_non_finite_samples(self, kind, bad):
+        vals = np.zeros_like(G32.r)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RadialField(G32, vals, kind=kind)
 
     def test_potential_requires_zero_at_wall(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conflictlab import phase
@@ -22,7 +22,13 @@ from conflictlab.phase import (
     strip_mass,
     sweep,
 )
-from oracles import AsymmetricMatrix, all_subsets_positive, refined_condition, subset_lambda
+from oracles import (
+    AsymmetricMatrix,
+    all_subsets_positive,
+    boundary_curves_by_sample,
+    refined_condition,
+    subset_lambda,
+)
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -582,6 +588,71 @@ class TestSweep:
         assert set(res.verdicts.ravel()) == {"Exists", "NotCovered"}
         rows = np.nonzero(res.verdicts == "Exists")[0]
         assert np.all(res.m1s[rows] < EIGHT_PI)
+
+
+coupling = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+
+
+class TestBoundaryCurves:
+    @given(
+        alpha=coupling,
+        beta=coupling,
+        gamma=st.one_of(
+            st.just(0.0),
+            st.sampled_from((5e-324, 1e-320, 1e-310)),
+            st.floats(1e-12, 4.0),
+        ),
+        theta=st.sampled_from((-1, 1)),
+        m1_range=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 100.0)),
+        m2_range=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 100.0)),
+        samples=st.sampled_from((1, 2, 17, 1024)),
+    )
+    @example(4.0, 1.0, 1.0, -1, (11.0, 3.0), (0.0, 40.0), 1024)  # disc < 0 throughout
+    @example(1.0, 2.0, 5e-324, 1, (0.0, 40.0), (0.0, 40.0), 1024)
+    @example(1.0, 2.0, 0.0, -1, (5.0, 35.0), (2.0, 38.0), 1024)
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_the_per_sample_reference(
+        self, alpha, beta, gamma, theta, m1_range, m2_range, samples
+    ):
+        p = Params(alpha=alpha, beta=beta, gamma=gamma, theta=theta, m1=1.0, m2=1.0)
+        m1_range = (m1_range[0], m1_range[0] + m1_range[1])
+        m2_range = (m2_range[0], m2_range[0] + m2_range[1])
+        has_strip = theta == -1 and alpha > 0.0 and beta > alpha / 2.0
+        want = boundary_curves_by_sample(
+            p, m1_range, m2_range, strip_mass(p) if has_strip else None, samples
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phase._boundary_curves(p, m1_range, m2_range, samples)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_negative_discriminant_gives_nan_rows(self):
+        # Lambda(m1, .) < 0 for every m2 when 11 <= m1 <= 14 at these couplings
+        p = Params(alpha=4.0, beta=1.0, gamma=1.0, theta=-1, m1=1.0, m2=1.0)
+        pts = phase._boundary_curves(p, (11.0, 14.0), (0.0, 40.0))["lambda_zero"]
+        assert pts.shape == (2049, 2)
+        assert np.all(np.isnan(pts[:, 1]))
+
+
+def test_no_existence_verdict_violates_the_pohozaev_bound():
+    """A steady state needs alpha m1 < 8pi + 2 beta m2 (the Pohozaev
+    identity): no cell at or beyond that line may carry a verdict of
+    existence or boundedness, in either convention."""
+    rng = np.random.default_rng(12)
+    beyond_cells = 0
+    for k in range(60):
+        alpha, beta, gamma = rng.uniform(0.0, 4.0, 3) * (rng.uniform(size=3) > 0.15)
+        p = Params(alpha, beta, gamma, (-1, 1)[k % 2], m1=1.0, m2=0.0)
+        res = sweep(p, (0.0, 150.0), (0.0, 150.0), 60)
+        mm1, mm2 = np.meshgrid(res.m1s, res.m2s, indexing="ij")
+        beyond = alpha * mm1 >= EIGHT_PI + 2.0 * beta * mm2
+        existence = np.isin(res.verdicts, ("Exists", "BoundedBelow", "RadiallyBounded"))
+        assert not np.any(beyond & existence), p
+        beyond_cells += np.count_nonzero(beyond)
+    assert beyond_cells > 10_000
 
 
 # sha256 of the "verdict rule" lines of a 200 x 200 sweep over (0, 80] x
