@@ -14,7 +14,7 @@ the order of its header lines, and one map gives each key's parser.
 
 Exit codes: 0 success, 2 iterative solver failure, 3 configuration or
 validation error (including mathematically inadmissible parameters that
-the solvers reject up front).
+the solvers reject up front, as ``steady`` at m2 = 0 with alpha m1 >= 8 pi).
 """
 
 from __future__ import annotations

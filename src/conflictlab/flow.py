@@ -65,7 +65,7 @@ from .calculus import (
 from .errors import DegenerateQuadraticForm, GridMismatch, NegativeDensity, Stalled, StepRejected
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _exponents, _minimize_w
-from .model import FlowConfig, Params, RadialField, validate_params
+from .model import _DT_FLOOR, FlowConfig, Params, RadialField, validate_params
 
 __all__ = [
     "FlowState",
@@ -82,7 +82,6 @@ logger = logging.getLogger(__name__)
 
 _ENERGY_SLACK = 1e-10
 _STEADY_TOL = 1e-10
-_DT_FLOOR = 1e-14
 _GROWTH = 1.2
 _DEGENERATE_TOL = 1e-12
 _FIELDS = (("rho1", "density"), ("u1", "potential"), ("u2", "potential"), ("rho2", "density"))

@@ -53,7 +53,7 @@ from .errors import (
     SolverDiverged,
     Supercritical,
 )
-from .model import RadialField, validate_params
+from .model import Params, RadialField, validate_params
 
 logger = logging.getLogger(__name__)
 
@@ -165,7 +165,7 @@ def _exponents(p, u1, u2):
 
 
 def _picard_loop(grid, masses, exponents, state, opts):
-    """Core damped fixed-point iteration of solve_single and solve_pair.
+    """Core damped fixed-point iteration of solve_pair.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
     tuple of exponent arrays, one per species; a species with zero mass has
@@ -244,31 +244,25 @@ def bubble_mass(alpha, delta):
 
 
 def solve_single(m, alpha, grid, opts=None):
-    """Solve the single-species equation at mass ``m`` and coupling ``alpha``.
-
-    Refuses masses at or above the critical value ``8 pi / alpha``.  The
-    iteration warm-starts from the analytic bubble at the target mass, so
-    only the discretization gap remains to be contracted.
-    """
-    opts = opts or SolveOptions()
+    """Solve the single-species equation at mass ``m`` and coupling ``alpha``:
+    ``solve_pair`` with no second species, after refusing masses at or above
+    the critical value ``8 pi / alpha``."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if m <= 0:
         raise NonpositiveMass(f"mass must be positive, got {m}")
+    _refuse_supercritical(m, alpha)
+    return solve_pair(Params(alpha, 0.0, 0.0, -1, m, 0.0), grid, opts)
+
+
+def _refuse_supercritical(m, alpha):
+    """Refuse a single-species mass at or above ``8 pi / alpha``, alpha > 0."""
     m_crit = 8.0 * math.pi / alpha
     if m >= m_crit:
         raise Supercritical(
             f"mass {m:.6g} at or above the critical value {m_crit:.6g} "
             f"for alpha={alpha:.6g}"
         )
-
-    delta = m * alpha / (8.0 * math.pi - m * alpha)
-    state = _seeded(grid, alpha * bubble(alpha, delta, grid).values, m)
-    us, cs, res, it, lams = _picard_loop(
-        grid, (m,), lambda us: (alpha * us[0],), state, opts
-    )
-    us, cs = [us[0], np.zeros_like(grid.r)], [cs[0], np.zeros(grid.n)]
-    return _solution(grid, us, cs, res, it, (lams[0], 0.0))
 
 
 def _seeded(grid, g, m):
@@ -278,35 +272,39 @@ def _seeded(grid, g, m):
     return [u], [c]
 
 
-def _solution(grid, us, cs, res, iterations, lams):
-    """Package both species' potential and flux arrays as a Solution."""
-    return Solution(
-        u1=RadialField.potential(grid, us[0]),
-        u2=RadialField.potential(grid, us[1]),
-        residual=res,
-        iterations=iterations,
-        multipliers=lams,
-        _flux1=cs[0],
-        _flux2=cs[1],
-    )
+def _start_exponent(p, grid):
+    """Species 1's start exponent: alpha bubble(m1) if 0 < alpha m1 < 8 pi, else 0."""
+    load = p.alpha * p.m1
+    if 0.0 < load < 8.0 * math.pi:
+        return p.alpha * bubble(p.alpha, load / (8.0 * math.pi - load), grid).values
+    return np.zeros_like(grid.r)
 
 
 def solve_pair(p, grid, opts=None):
     """Solve the coupled two-species system for validated parameters.
 
-    Damped iteration from rest; raises SolverDiverged or Oscillation when
-    it does not converge.
+    Species 1 starts from one Green application of the Boltzmann density
+    at mass m1 of exponent alpha times the analytic bubble of that mass
+    when 0 < alpha m1 < 8 pi, and of exponent 0 otherwise; species 2 starts
+    at rest.  At m2 = 0 species 1 is solved alone, which is solve_single,
+    and alpha m1 >= 8 pi raises Supercritical up front.  Raises
+    SolverDiverged or Oscillation when the iteration does not converge.
     """
     opts = opts or SolveOptions()
     p = validate_params(p)
-    rest = (
-        [np.zeros_like(grid.r), np.zeros_like(grid.r)],
-        [np.zeros(grid.n), np.zeros(grid.n)],
-    )
-    us, cs, res, it, lams = _picard_loop(
-        grid, (p.m1, p.m2), lambda us: _exponents(p, *us), rest, opts
-    )
-    return _solution(grid, us, cs, res, it, lams)
+    alone = p.m2 == 0.0
+    if alone and p.alpha > 0.0:
+        _refuse_supercritical(p.m1, p.alpha)
+    us, cs = _seeded(grid, _start_exponent(p, grid), p.m1)
+    if alone:
+        masses, exponents = (p.m1,), lambda us: (p.alpha * us[0],)
+    else:
+        masses, exponents = (p.m1, p.m2), lambda us: _exponents(p, *us)
+        us, cs = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)]
+    us, cs, res, it, lams = _picard_loop(grid, masses, exponents, (us, cs), opts)
+    if alone:
+        us, cs, lams = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)], (*lams, 0.0)
+    return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
 
 
 def minimize_w(rho, p, grid, opts=None, w0=None):

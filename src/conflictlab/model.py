@@ -231,11 +231,14 @@ class FlowConfig:
                 f"{(self.delta1, self.delta2, self.epsilon)} is not one of "
                 f"{sorted(_SUPPORTED_LIMITS)}"
             )
-        if not (self.dt > 0 and self.t_end > 0):
-            raise ValueError("dt and t_end must be positive")
+        if not (self.dt >= _DT_FLOOR and self.t_end > 0):
+            raise ValueError(
+                f"dt = {self.dt!r} must be >= {_DT_FLOOR:g} and t_end = {self.t_end!r} > 0"
+            )
 
 
 _SUPPORTED_LIMITS = {(1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)}
+_DT_FLOOR = 1e-14  # smallest flow dt: configs start at or above it, run_flow stalls below
 
 
 def project_density(f: RadialField, m: float) -> RadialField:

@@ -239,7 +239,9 @@ _LADDER = dict(m1=30.0, m2=1.0, grid_n=128)
 # the cancellation-free form: 477 of their 5121 rows, all lambda_zero rows,
 # moved by at most 8.4e-15 in m2.  The flow-single pins were re-recorded
 # when the chemical solve moved from Picard to Newton: its values moved by
-# at most 1.7e-12 relative.
+# at most 1.7e-12 relative.  The steady pin (m2 = 0) was re-recorded when
+# species 1 began to start from its bubble: 29 iterations became 18, and its
+# values moved by at most 1.2e-11.
 PINNED_TABLES = {
     "classify-conflict": (config_text("classify"), {
         "classify.csv": "51c6559c9e3f23c55746426b1500f8205d06e63f000d50cef3f27b979b921e1e",
@@ -260,7 +262,7 @@ PINNED_TABLES = {
         "sweep_curves.csv": "c1557d11e614aa6678dadb73fcddf9870cce91e418dddd36d5899afd35ad9573",
     }),
     "steady": (config_text("steady", beta=0.0, m1=4.0 * math.pi, m2=0.0, grid_n=256), {
-        "steady.csv": "bcc0b8ecfcb360d56feae6d3e0406b15de0800793796119f80e1a9d4a4cdc780",
+        "steady.csv": "cd1f0cf260ba8b6413fca5fbe05dc8e25f9a8b5536b0ff5adc219221ec0ab708",
     }),
     "blowdown-full": (config_text("blowdown", **_LADDER), {
         "blowdown.csv": "a553fe892fe2bca597f58b87a28512163cdeda1fb11620c4884d34da7dd3b09f",
@@ -469,6 +471,26 @@ class TestMain:
         path.write_text(config_text("steady", m1=30.0, m2=1.0, grid_n=256))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_supercritical_steady_alone_exit(self, tmp_path, capsys):
+        path = tmp_path / "super.cfg"
+        path.write_text(config_text("steady", m1=EIGHT_PI, m2=0.0, grid_n=256))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "critical value" in capsys.readouterr().err
+        assert not (tmp_path / "steady.csv").exists()
+
+    def test_subnormal_dt_exit(self, tmp_path):
+        path = tmp_path / "tiny.cfg"
+        sec = "[flow]\ncase = single\ndt = 5e-324\nt_end = 0.01\nadapt = no\n"
+        path.write_text(config_text("flow", gamma=1.0, m1=8.0, grid_n=32, section=sec))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "conflictlab.cli",
+             "--config", str(path), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3, result.stderr
+        assert "dt = 5e-324" in result.stderr
 
     @pytest.mark.parametrize(
         "ranges",

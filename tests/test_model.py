@@ -150,6 +150,12 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(**base)
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 9.9e-15])
+    def test_dt_below_the_floor(self, dt):
+        with pytest.raises(ValueError, match=f"dt = {dt!r}"):
+            FlowConfig(1.0, 0.0, 0.0, dt=dt, t_end=1.0)
+        FlowConfig(1.0, 0.0, 0.0, dt=1e-14, t_end=1.0)
+
 
 class TestProjectDensity:
     def test_constant_hits_target_exactly(self):

@@ -55,6 +55,16 @@ def test_critical_mass_scan_table():
     ]
 
 
+def test_steady_scan_table():
+    lines = _run("steady_scan.py", "--theta", "1", "--grid-n", "64")
+    failed = [line for line in lines if line.startswith("failed m1=")]
+    table = lines[len(failed):]
+    assert table[0].split()[:3] == ["m1", "\\", "m2"] and len(table[0].split()) == 16
+    assert [len(row.split()) for row in table[1:-1]] == [14] * 11
+    assert table[-1] == f"{len(failed)} of 143 failed"
+    assert sum(row.split().count("-") for row in table[1:-1]) == len(failed)
+
+
 def test_annulus_limit_table():
     lines = _run("annulus_limit.py", "--psis", "1e-2,1e-3", "--grid-n", "1024")
     assert lines[0].startswith("limit (m2/2pi)^2 = ")
