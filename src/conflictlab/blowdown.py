@@ -31,7 +31,7 @@ import numpy as np
 from .calculus import inv_laplacian
 from .errors import GridMismatch, TooFewPoints
 from .functionals import _joint, _joint_terms
-from .model import Params, RadialField, RadialGrid, validate_params
+from .model import DEFAULT_LADDER, Params, RadialField, RadialGrid, validate_params
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -46,9 +46,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
-
-DEFAULT_LADDER = tuple(float(2**k) for k in range(1, 11))
-"""Dyadic psi rungs 2..1024: three decades of ln psi, exponents still tame."""
 
 _EPS_GAP = 2e-12
 

@@ -8,9 +8,10 @@ regression baseline can be reproduced from any output file.  Floats are
 written with 17 significant digits and rows in grid order, so repeated
 runs of one configuration write the same bytes.
 
-Options and headers come from one table: each command's tuple of option
-keys gives the keys its section accepts, the order they are parsed in and
-the order of its header lines, and one map gives each key's parser.
+Commands come from one table, _COMMANDS: each command's row holds the
+option keys its section accepts, in parse and header order, and its
+handler; one map gives each key's parser.  A handler imports the modules
+it calls when it runs, so a command loads only its own part of the package.
 
 Exit codes: 0 success, 2 iterative solver failure, 3 configuration or
 validation error (including mathematically inadmissible parameters that
@@ -30,37 +31,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annulus_ode import AnnulusParams, asymptotic_ratio
-from .blowdown import DEFAULT_LADDER, BlowdownFamily, _fitted_slope, _ladder, _shift_table
-from .calculus import inv_laplacian
 from .errors import ParseError, UnknownKey
-from .functionals import moser_trudinger
-from .liouville import _exponents, residual, solve_pair
-from .model import Params, RadialField, make_grid, project_density, validate_params
-from .phase import classify_conflict, classify_conflict_free, sweep
+from .model import (
+    DEFAULT_LADDER,
+    FLOW_LIMITS,
+    Params,
+    RadialField,
+    make_grid,
+    project_density,
+    validate_params,
+)
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
 
 logger = logging.getLogger(__name__)
 
-# The options of each command's section, in parse and header order.
-_COMMAND_KEYS = {
-    "classify": (),
-    "steady": (),
-    "sweep": ("m1_range", "m2_range", "resolution"),
-    "flow": ("case", "dt", "t_end", "adapt", "init"),
-    "blowdown": ("psis", "mode"),
-    "functional": ("psis", "mode"),
-    "oracle": ("scales",),
-}
 _PARAM_KEYS = ("alpha", "beta", "gamma", "theta", "m1", "m2")
 _RUN_KEYS = frozenset({"command", *_PARAM_KEYS, "grid_n"})
-_FLOW_LIMITS = {
-    "single": (1.0, 0.0, 0.0),
-    "pair": (1.0, 1.0, 0.0),
-    "potentials": (0.0, 0.0, 1.0),
-}
-_CHOICES = {"case": _FLOW_LIMITS, "mode": ("full", "half"), "init": ("bump", "random")}
+_CHOICES = {"case": FLOW_LIMITS, "mode": ("full", "half"), "init": ("bump", "random")}
 
 
 @dataclass(frozen=True)
@@ -175,9 +163,9 @@ def parse_config(text: str) -> RunConfig:
     if "command" not in run_sec:
         raise ParseError("[run] needs a command")
     command = run_sec["command"].strip()
-    if command not in _COMMAND_KEYS:
+    if command not in _COMMANDS:
         raise ParseError(
-            f"unknown command {command!r}; expected one of {sorted(_COMMAND_KEYS)}"
+            f"unknown command {command!r}; expected one of {sorted(_COMMANDS)}"
         )
     extra = set(cp.sections()) - {"run", command}
     if extra:
@@ -189,10 +177,11 @@ def parse_config(text: str) -> RunConfig:
     kwargs = _parsed(run_sec, ("grid_n",))
     if cp.has_section(command):
         sec = cp[command]
-        stray = set(sec) - set(_COMMAND_KEYS[command])
+        keys = _COMMANDS[command][0]
+        stray = set(sec) - set(keys)
         if stray:
             raise UnknownKey(f"unknown [{command}] keys: {sorted(stray)}")
-        kwargs.update(_parsed(sec, _COMMAND_KEYS[command]))
+        kwargs.update(_parsed(sec, keys))
     return RunConfig(command=command, params=params, **kwargs)
 
 
@@ -210,7 +199,7 @@ def _header_lines(cfg: RunConfig, seed: int) -> list:
         *((key, getattr(cfg.params, key)) for key in _PARAM_KEYS),
         ("grid_n", cfg.grid_n),
         ("seed", seed),
-        *((key, getattr(cfg, key)) for key in _COMMAND_KEYS[cfg.command]),
+        *((key, getattr(cfg, key)) for key in _COMMANDS[cfg.command][0]),
     ]
     lines = [f"conflictlab {__version__}"]
     for key, value in items:
@@ -244,22 +233,22 @@ def _write_csv(path: Path, header, columns, rows) -> None:
     logger.info("wrote %s", path)
 
 
+def _density(grid, shape, m):
+    return project_density(RadialField.density(grid, shape), m)
+
+
 def _base_fields(grid, p: Params):
-    rho = project_density(
-        RadialField.density(grid, 2.0 - grid.r**2), p.m1
-    )
+    from .calculus import inv_laplacian
+
+    rho = _density(grid, 2.0 - grid.r**2, p.m1)
     if p.m2 > 0:
-        w = inv_laplacian(
-            project_density(
-                RadialField.density(grid, np.exp(-3.0 * grid.r**2)), p.m2
-            )
-        )
-    else:
-        w = RadialField.potential(grid, np.zeros(grid.r.size))
-    return rho, w
+        return rho, inv_laplacian(_density(grid, np.exp(-3.0 * grid.r**2), p.m2))
+    return rho, RadialField.potential(grid, np.zeros(grid.r.size))
 
 
-def _cmd_classify(cfg: RunConfig, out: Path, header) -> None:
+def _cmd_classify(cfg: RunConfig, out: Path, header, seed: int) -> None:
+    from .phase import classify_conflict, classify_conflict_free
+
     p = cfg.params
     verdict = classify_conflict(p) if p.theta == -1 else classify_conflict_free(p)
     columns = ["m1", "m2", "verdict", "rule"] + [name for name, _ in verdict.fired]
@@ -268,7 +257,9 @@ def _cmd_classify(cfg: RunConfig, out: Path, header) -> None:
     _write_csv(out / "classify.csv", header, columns, [row])
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, header) -> None:
+def _cmd_sweep(cfg: RunConfig, out: Path, header, seed: int) -> None:
+    from .phase import sweep
+
     res = sweep(cfg.params, cfg.m1_range, cfg.m2_range, cfg.resolution)
     mm1, mm2 = np.meshgrid(res.m1s, res.m2s, indexing="ij")
     columns = (mm1, mm2, res.verdicts, *res.lambdas, res.rules)
@@ -278,16 +269,13 @@ def _cmd_sweep(cfg: RunConfig, out: Path, header) -> None:
         ["m1", "m2", "verdict", "lambda", "lambda1", "lambda2", "rule_fired"],
         zip(*(c.ravel().tolist() for c in columns)),
     )
-    curve_rows = []
-    for name in sorted(res.curves):
-        for m1, m2 in res.curves[name]:
-            curve_rows.append((name, m1, m2))
-    _write_csv(
-        out / "sweep_curves.csv", header, ["curve", "m1", "m2"], curve_rows
-    )
+    curve_rows = [(name, m1, m2) for name in sorted(res.curves) for m1, m2 in res.curves[name]]
+    _write_csv(out / "sweep_curves.csv", header, ["curve", "m1", "m2"], curve_rows)
 
 
-def _cmd_steady(cfg: RunConfig, out: Path, header) -> None:
+def _cmd_steady(cfg: RunConfig, out: Path, header, seed: int) -> None:
+    from .liouville import _exponents, residual, solve_pair
+
     p = cfg.params
     grid = make_grid(cfg.grid_n)
     sol = solve_pair(p, grid)
@@ -305,12 +293,12 @@ def _cmd_steady(cfg: RunConfig, out: Path, header) -> None:
 
 
 def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
-    # only this command steps flows; the other commands skip importing the module
+    from .calculus import inv_laplacian
     from .flow import FlowConfig, initial_state, run_flow, trace_rows
 
     p = cfg.params
     grid = make_grid(cfg.grid_n)
-    limits = _FLOW_LIMITS[cfg.case]
+    limits = FLOW_LIMITS[cfg.case]
     fcfg = FlowConfig(*limits, dt=cfg.dt, t_end=cfg.t_end, adapt=cfg.adapt)
     if cfg.init == "random":
         rng = np.random.default_rng(seed)
@@ -320,20 +308,15 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
         shape = np.exp(-width * grid.r**2) * (1.0 + amp * np.cos(math.pi * k * grid.r))
     else:
         shape = np.exp(-2.0 * grid.r**2)
-    rho1 = project_density(RadialField.density(grid, shape), p.m1)
-    fields = {}
+    rho1 = _density(grid, shape, p.m1)
     if cfg.case == "single":
-        fields["rho1"] = rho1
-    elif cfg.case == "pair":
-        fields["rho1"] = rho1
-        fields["rho2"] = project_density(
-            RadialField.density(grid, np.exp(-grid.r**2)), p.m2
-        )
+        fields = {"rho1": rho1}
     else:
-        fields["u1"] = inv_laplacian(rho1)
-        fields["u2"] = inv_laplacian(
-            project_density(RadialField.density(grid, np.exp(-grid.r**2)), p.m2)
-        )
+        rho2 = _density(grid, np.exp(-grid.r**2), p.m2)
+        if cfg.case == "pair":
+            fields = {"rho1": rho1, "rho2": rho2}
+        else:
+            fields = {"u1": inv_laplacian(rho1), "u2": inv_laplacian(rho2)}
     state = initial_state(p, fcfg, **fields)
     end = run_flow(state, p, fcfg)
     _write_csv(
@@ -350,7 +333,9 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
     _write_csv(out / "flow_state.csv", header, columns, zip(*series))
 
 
-def _cmd_blowdown(cfg: RunConfig, out: Path, header) -> None:
+def _cmd_blowdown(cfg: RunConfig, out: Path, header, seed: int) -> None:
+    from .blowdown import BlowdownFamily, _fitted_slope, _shift_table
+
     p = validate_params(cfg.params)
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
@@ -374,7 +359,9 @@ def _cmd_blowdown(cfg: RunConfig, out: Path, header) -> None:
     )
 
 
-def _cmd_oracle(cfg: RunConfig, out: Path, header) -> None:
+def _cmd_oracle(cfg: RunConfig, out: Path, header, seed: int) -> None:
+    from .annulus_ode import AnnulusParams, asymptotic_ratio
+
     p = cfg.params
     limit = (p.m2 / (2.0 * math.pi)) ** 2
     rows = []
@@ -387,7 +374,10 @@ def _cmd_oracle(cfg: RunConfig, out: Path, header) -> None:
     )
 
 
-def _cmd_functional(cfg: RunConfig, out: Path, header) -> None:
+def _cmd_functional(cfg: RunConfig, out: Path, header, seed: int) -> None:
+    from .blowdown import _ladder
+    from .functionals import moser_trudinger
+
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
@@ -405,23 +395,23 @@ def _cmd_functional(cfg: RunConfig, out: Path, header) -> None:
     )
 
 
+# Each command's option keys, in parse and header order, and its handler.
+_COMMANDS = {
+    "classify": ((), _cmd_classify),
+    "steady": ((), _cmd_steady),
+    "sweep": (("m1_range", "m2_range", "resolution"), _cmd_sweep),
+    "flow": (("case", "dt", "t_end", "adapt", "init"), _cmd_flow),
+    "blowdown": (("psis", "mode"), _cmd_blowdown),
+    "functional": (("psis", "mode"), _cmd_functional),
+    "oracle": (("scales",), _cmd_oracle),
+}
+
+
 def run(cfg: RunConfig, out_dir=".", seed=0) -> int:
     """Dispatch a parsed configuration and write its tables under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(cfg, seed)
-    if cfg.command == "flow":
-        _cmd_flow(cfg, out, header, seed)
-        return 0
-    dispatch = {
-        "classify": _cmd_classify,
-        "sweep": _cmd_sweep,
-        "steady": _cmd_steady,
-        "blowdown": _cmd_blowdown,
-        "oracle": _cmd_oracle,
-        "functional": _cmd_functional,
-    }
-    dispatch[cfg.command](cfg, out, header)
+    _COMMANDS[cfg.command][1](cfg, out, _header_lines(cfg, seed), seed)
     return 0
 
 

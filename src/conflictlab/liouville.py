@@ -227,13 +227,17 @@ def bubble(alpha, delta, grid):
     """Analytic steady profile (2/alpha) ln((1+delta)/(1+delta r^2)).
 
     Solves the single-species equation exactly with mass
-    ``8 pi delta / (alpha (1 + delta))``.
+    ``8 pi delta / (alpha (1 + delta))``.  Raises ValueError for alpha <= 0
+    and for an alpha so small that 2 / alpha overflows.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    scale = 2.0 / float(alpha)
+    if not math.isfinite(scale):
+        raise ValueError(f"alpha = {alpha!r} is too small: 2 / alpha overflows")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    vals = (2.0 / alpha) * np.log1p(delta * (1.0 - grid.r**2) / (1.0 + delta * grid.r**2))
+    vals = scale * np.log1p(delta * (1.0 - grid.r**2) / (1.0 + delta * grid.r**2))
     vals[-1] = 0.0
     return RadialField.potential(grid, vals)
 

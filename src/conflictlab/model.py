@@ -31,6 +31,8 @@ from .errors import (
 )
 
 __all__ = [
+    "DEFAULT_LADDER",
+    "FLOW_LIMITS",
     "FlowConfig",
     "Params",
     "RadialField",
@@ -71,9 +73,9 @@ def validate_params(p: Params) -> Params:
         if not math.isfinite(v) or v < 0:
             raise NegativeConstant(f"{name} = {v!r} must be finite and >= 0")
     if not math.isfinite(p.m1) or p.m1 <= 0:
-        raise NonpositiveMass(f"m1 = {p.m1!r} must be > 0")
+        raise NonpositiveMass(f"m1 = {p.m1!r} must be finite and > 0")
     if not math.isfinite(p.m2) or p.m2 < 0:
-        raise NonpositiveMass(f"m2 = {p.m2!r} must be >= 0")
+        raise NonpositiveMass(f"m2 = {p.m2!r} must be finite and >= 0")
     if p.theta not in (-1, 1):
         raise BadTheta(f"theta = {p.theta!r} must be -1 or +1")
     return p if type(p.theta) is int else replace(p, theta=int(p.theta))
@@ -213,8 +215,7 @@ class RadialField:
 class FlowConfig:
     """Time-integration configuration for the three limit systems.
 
-    (delta1, delta2, epsilon) selects the limit: (1,1,0) both densities
-    parabolic, (1,0,0) species 2 instantaneous, (0,0,1) potential relaxation.
+    (delta1, delta2, epsilon) selects the limit, one of FLOW_LIMITS.
     """
 
     delta1: float
@@ -225,11 +226,11 @@ class FlowConfig:
     adapt: bool = True
 
     def __post_init__(self) -> None:
-        if (self.delta1, self.delta2, self.epsilon) not in _SUPPORTED_LIMITS:
+        limits = (self.delta1, self.delta2, self.epsilon)
+        if limits not in FLOW_LIMITS.values():
             raise UnsupportedRegime(
-                f"(delta1, delta2, epsilon) = "
-                f"{(self.delta1, self.delta2, self.epsilon)} is not one of "
-                f"{sorted(_SUPPORTED_LIMITS)}"
+                f"(delta1, delta2, epsilon) = {limits} is not one of "
+                f"{sorted(FLOW_LIMITS.values())}"
             )
         if not (self.dt >= _DT_FLOOR and self.t_end > 0):
             raise ValueError(
@@ -237,7 +238,14 @@ class FlowConfig:
             )
 
 
-_SUPPORTED_LIMITS = {(1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)}
+# The flow cases by name, each with its (delta1, delta2, epsilon) limit.
+FLOW_LIMITS = {
+    "single": (1.0, 0.0, 0.0),  # species 2 instantaneous
+    "pair": (1.0, 1.0, 0.0),  # both densities parabolic
+    "potentials": (0.0, 0.0, 1.0),  # potential relaxation
+}
+DEFAULT_LADDER = tuple(float(2**k) for k in range(1, 11))
+"""Dyadic blow-down psi rungs 2..1024: three decades of ln psi, exponents still tame."""
 _DT_FLOOR = 1e-14  # smallest flow dt: configs start at or above it, run_flow stalls below
 
 

@@ -479,6 +479,13 @@ class TestMain:
         assert "critical value" in capsys.readouterr().err
         assert not (tmp_path / "steady.csv").exists()
 
+    def test_subnormal_alpha_steady_exit(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(config_text("steady", alpha=1e-310, m1=1.0, m2=0.0, grid_n=64))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "alpha = 1e-310" in capsys.readouterr().err
+        assert not (tmp_path / "steady.csv").exists()
+
     def test_subnormal_dt_exit(self, tmp_path):
         path = tmp_path / "tiny.cfg"
         sec = "[flow]\ncase = single\ndt = 5e-324\nt_end = 0.01\nadapt = no\n"

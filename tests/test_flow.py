@@ -464,6 +464,20 @@ class TestSingleDensityStep:
         assert np.isclose(np.max(end.rho1.values), 3.4140065674838502, rtol=1e-9)
 
 
+    @pytest.mark.parametrize("m1, m2, beta", [(10, 0, 0), (30, 0, 0), (40, 0, 0), (30, 1, 2), (10, 4, 2)])
+    def test_second_moment_obeys_the_virial_bound(self, g256, m1, m2, beta):
+        # d/dt int |x|^2 rho1 <= m1 (4 - alpha m1 / 2 pi + beta m2 / pi), subcritical or not
+        p = Params(alpha=1.0, beta=beta, gamma=1.0, theta=-1, m1=m1, m2=m2)
+        dt = 2.0**-12
+        s = flow.initial_state(p, CFG2, rho1=bump_density(g256, m1, width=2.0))
+        moment = lambda s: np.sum(g256.weights * g256.r**2 * s.rho1.values)
+        start = moment(s)
+        rate = m1 * (4.0 - m1 / (2.0 * PI) + beta * m2 / PI)
+        for _ in range(400):
+            s = flow.step_single_density(s, p, dt)
+            assert moment(s) <= start + s.t * rate
+
+
 class TestTwoDensityStep:
     def test_requires_second_density(self, g256):
         p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=1, m1=6.0, m2=4.0)

@@ -1,9 +1,11 @@
-"""Which scipy modules each command loads.
+"""Which modules each command loads.
 
-Only ``flow`` needs scipy (``scipy.linalg.lapack.dgtsv``, loaded on the
-first tridiagonal solve); every other command must run without importing
-any of it, which is most of a cold start's cost.  Each command runs in a fresh interpreter so that modules
-already imported by the test run do not leak in.
+Importing ``conflictlab.cli`` loads no command module: each command imports
+its own part of the package when it runs.  Only ``flow`` needs scipy
+(``scipy.linalg.lapack.dgtsv``, loaded on the first tridiagonal solve);
+every other command must run without importing any of it, which is most of
+a cold start's cost.  Each command runs in a fresh interpreter so that
+modules already imported by the test run do not leak in.
 """
 
 import json
@@ -14,10 +16,26 @@ import pytest
 
 PROBE = """
 import json, sys
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 from conflictlab.cli import main
+at_import = loaded("conflictlab")
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, at_import, loaded("conflictlab"), loaded("scipy")]))
 """
+
+AT_IMPORT = {"conflictlab", "conflictlab.cli", "conflictlab.errors", "conflictlab.model"}
+
+# The package modules each command adds to those of the import.
+OWN_MODULES = {
+    "classify": {"phase"},
+    "sweep": {"phase"},
+    "steady": {"calculus", "liouville"},
+    "oracle": {"annulus_ode"},
+    "blowdown": {"blowdown", "calculus", "functionals", "liouville"},
+    "functional": {"blowdown", "calculus", "functionals", "liouville"},
+    "flow": {"calculus", "flow", "functionals", "liouville"},
+}
 
 RUN = "[run]\ncommand = {}\nalpha = 1\nbeta = {}\ngamma = {}\ntheta = -1\nm1 = {}\nm2 = {}\n"
 
@@ -36,7 +54,9 @@ CONFIGS = {
 }
 
 
-def loaded_scipy(command, tmp_path):
+def loaded_modules(command, tmp_path):
+    """The package modules after importing the CLI, after running the
+    command, and the scipy modules after running it."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIGS[command])
     result = subprocess.run(
@@ -44,18 +64,25 @@ def loaded_scipy(command, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    code, modules = json.loads(result.stdout.splitlines()[-1])
+    code, *modules = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     assert any(tmp_path.glob("*.csv"))
-    return set(modules)
+    return [set(names) for names in modules]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_command_loads_only_its_own_modules(command, tmp_path):
+    at_import, after_run, _ = loaded_modules(command, tmp_path)
+    assert at_import == AT_IMPORT
+    assert after_run - at_import == {f"conflictlab.{m}" for m in OWN_MODULES[command]}
 
 
 @pytest.mark.parametrize("command", sorted(set(CONFIGS) - {"flow"}))
 def test_non_flow_command_loads_no_scipy(command, tmp_path):
-    assert loaded_scipy(command, tmp_path) == set()
+    assert loaded_modules(command, tmp_path)[2] == set()
 
 
 def test_flow_loads_linalg_only(tmp_path):
-    modules = loaded_scipy("flow", tmp_path)
+    modules = loaded_modules("flow", tmp_path)[2]
     assert "scipy.linalg" in modules
     assert not any(m.startswith("scipy.integrate") for m in modules)

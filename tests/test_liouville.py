@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,19 @@ class TestBubble:
     def test_bad_parameters(self, alpha, delta, g1024):
         with pytest.raises(ValueError):
             bubble(alpha, delta, g1024)
+
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_alpha_with_infinite_reciprocal_is_refused(self, alpha, g256):
+        calls = [
+            lambda: bubble(alpha, 1.0, g256),
+            lambda: solve_single(1.0, alpha, g256),
+            lambda: solve_pair(Params(alpha, 2.0, 1.0, -1, 1.0, 4.0), g256),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r}")):
+                    call()
 
     def test_inserted_bubble_residual_is_second_order(self):
         p = Params(1.0, 0.0, 0.0, -1, 4 * np.pi, 0.0)
@@ -249,6 +264,52 @@ class TestSolvePair:
         p = Params(1.0, 0.0, 1.0, -1, 40 * np.pi, 1.0)
         with pytest.raises(SolverDiverged):
             solve_pair(p, g256, SolveOptions(max_iter=120))
+
+
+class TestPohozaevIdentity:
+    """Multiplying species 1's steady equation by x . grad and integrating
+    gives 4 m1 - 4 pi rho1(1) - alpha m1^2 / 2 pi + (beta / pi) int rho1 M2 dx
+    = 0, with M2(r) species 2's mass inside radius r.  The defect D below is
+    computed from u1 and u2 alone (Boltzmann densities, a trapezoid
+    cumulative mass, grid.weights), so it shares no code with the solver,
+    and falls like n^-2."""
+
+    @staticmethod
+    def defect(p, n):
+        grid = make_grid(n)
+        sol = solve_pair(p, grid)
+        u1, u2 = sol.u1.values, sol.u2.values
+
+        def boltzmann(g, m):
+            e = np.exp(g - g.max())
+            return m * e / np.sum(grid.weights * e)
+
+        rho1 = boltzmann(p.alpha * u1 - p.beta * u2, p.m1)
+        rho2 = boltzmann(-p.gamma * u2 - p.theta * p.beta * u1, p.m2)
+        ring = 2.0 * np.pi * grid.r * rho2
+        mass2 = np.concatenate(([0.0], np.cumsum(0.5 * (ring[1:] + ring[:-1]) * grid.h)))
+        return (
+            4.0 * p.m1
+            - 4.0 * np.pi * rho1[-1]
+            - p.alpha * p.m1**2 / (2.0 * np.pi)
+            + (p.beta / np.pi) * np.sum(grid.weights * rho1 * mass2)
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (1.0, 2.0, 1.0, -1, 22.0, 8.0),
+            (1.0, 0.6, 1.0, -1, 26.0, 8.0),
+            (1.0, 2.0, 1.0, 1, 10.0, 4.0),
+            (1.0, 2.0, 0.0, -1, 20.0, 5.0),
+            (1.0, 2.0, 1.0, -1, 10.0, 4.0),
+        ],
+    )
+    def test_defect_falls_second_order(self, params):
+        p = Params(*params)
+        coarse, fine = self.defect(p, 1024), self.defect(p, 4096)
+        assert abs(fine) <= 2e-5
+        assert 12.0 <= coarse / fine <= 20.0
 
 
 class TestMinimizeW:

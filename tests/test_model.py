@@ -96,6 +96,14 @@ class TestValidateParams:
         with pytest.raises(err):
             validate_params(Params(**base))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name, bound", [("m1", "> 0"), ("m2", ">= 0")])
+    def test_non_finite_mass_is_named_as_not_finite(self, name, bound, bad):
+        base = dict(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=1.0, m2=1.0)
+        base[name] = bad
+        with pytest.raises(NonpositiveMass, match=f"{name} = {bad!r} must be finite and {bound}$"):
+            validate_params(Params(**base))
+
 
 class TestRadialField:
     def test_density_rejects_negative(self):
