@@ -234,6 +234,9 @@ def _write_csv(path: Path, header, columns, rows) -> None:
 
 
 def _density(grid, shape, m):
+    """The density of the given shape with mass m; zero at m = 0."""
+    if m == 0.0:
+        return RadialField.density(grid, np.zeros(grid.r.size))
     return project_density(RadialField.density(grid, shape), m)
 
 
@@ -241,9 +244,7 @@ def _base_fields(grid, p: Params):
     from .calculus import inv_laplacian
 
     rho = _density(grid, 2.0 - grid.r**2, p.m1)
-    if p.m2 > 0:
-        return rho, inv_laplacian(_density(grid, np.exp(-3.0 * grid.r**2), p.m2))
-    return rho, RadialField.potential(grid, np.zeros(grid.r.size))
+    return rho, inv_laplacian(_density(grid, np.exp(-3.0 * grid.r**2), p.m2))
 
 
 def _cmd_classify(cfg: RunConfig, out: Path, header, seed: int) -> None:
@@ -274,15 +275,13 @@ def _cmd_sweep(cfg: RunConfig, out: Path, header, seed: int) -> None:
 
 
 def _cmd_steady(cfg: RunConfig, out: Path, header, seed: int) -> None:
-    from .liouville import _exponents, residual, solve_pair
+    from .liouville import _densities, residual, solve_pair
 
     p = cfg.params
     grid = make_grid(cfg.grid_n)
     sol = solve_pair(p, grid)
     res1, res2 = residual(sol, p)
-    g1, g2 = _exponents(p, sol.u1.values, sol.u2.values)
-    rho1 = sol.multipliers[0] * np.exp(g1)
-    rho2 = sol.multipliers[1] * np.exp(g2)
+    rho1, rho2 = _densities(grid, p, sol.u1.values, sol.u2.values)[0]
     rows = zip(grid.r, sol.u1.values, sol.u2.values, rho1, rho2)
     _write_csv(
         out / "steady.csv",

@@ -55,7 +55,6 @@ from .calculus import (
     _entropy,
     _face_flux,
     _green,
-    _normalized_density,
     _pairing,
     _pin_wall,
     _solve_tridiag,
@@ -64,7 +63,7 @@ from .calculus import (
 )
 from .errors import DegenerateQuadraticForm, GridMismatch, NegativeDensity, Stalled, StepRejected
 from .functionals import _energy_rho, _energy_u, _total
-from .liouville import Solution, _exponents, _minimize_w
+from .liouville import Solution, _densities, _exponents, _minimize_w
 from .model import _DT_FLOOR, FlowConfig, Params, RadialField, validate_params
 
 __all__ = [
@@ -234,10 +233,8 @@ def _potential_fields(grid, us, p):
     """The stacked fields (rho1, u1, u2, rho2) and the potential-form energy
     of the potential regime at the potentials us, as rows: rho1 and rho2
     are the Boltzmann densities."""
-    g1, g2 = _exponents(p, *us)
-    rho1, _, m_log_z1 = _normalized_density(grid, g1, p.m1)
-    rho2, _, m_log_z2 = _normalized_density(grid, g2, p.m2)
-    energy = _total(_energy_u(grid, _face_flux(grid, us), m_log_z1, m_log_z2, p))
+    (rho1, rho2), _, m_log_zs = _densities(grid, p, *us)
+    energy = _total(_energy_u(grid, _face_flux(grid, us), *m_log_zs, p))
     return np.array([rho1, us[0], us[1], rho2]), energy
 
 
@@ -284,7 +281,7 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     e_old = _last_energy(s)
     grid = s.rho1.grid
     u2 = s.u2.values
-    phi = p.beta * u2 - p.alpha * s.u1.values
+    phi = -_exponents(p, s.u1.values, u2)[0]
     (rho,) = _sg_step(grid, dt, s._stack[:1], phi[None])
     stack, energy = _single_fields(grid, rho, p, w0=u2)
     _check_energy(energy, e_old, enforced=True)
@@ -299,12 +296,7 @@ def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
         raise ValueError("the two-density regime needs rho2 in the state")
     e_old = _last_energy(s)
     grid = s.rho1.grid
-    u1, u2 = s.u1.values, s.u2.values
-    # (beta u2 - alpha u1, theta beta u1 + gamma u2), the same bits as rows
-    phis = (
-        np.multiply.outer((p.beta, p.gamma), u2)
-        + np.multiply.outer((-p.alpha, p.theta * p.beta), u1)
-    )
+    phis = np.negative(_exponents(p, s.u1.values, s.u2.values))
     stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
     enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
     _check_energy(energy, e_old, enforced)
@@ -327,7 +319,7 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     if s._boltzmann == p:
         sources = s._stack[::3]
     else:
-        sources = _potential_fields(grid, us, p)[0][::3]
+        sources = _densities(grid, p, *us)[0]
     us = _heat_step(grid, dt, us, sources)
     enforced = False
     if p.theta == -1:
@@ -453,16 +445,12 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
     elliptic pair.  Away from a fixed point that defect is honestly large.
     """
     p = validate_params(p)
-    grid = s.rho1.grid
-    g1, g2 = _exponents(p, s.u1.values, s.u2.values)
-    lam1 = _normalized_density(grid, g1, p.m1)[1]
-    lam2 = _normalized_density(grid, g2, p.m2)[1]
     return Solution(
         u1=s.u1,
         u2=s.u2,
         residual=float("nan"),
         iterations=0,
-        multipliers=(lam1, lam2),
+        multipliers=_densities(s.rho1.grid, p, s.u1.values, s.u2.values)[1],
         _flux1=face_flux(s.u1),
         _flux2=face_flux(s.u2),
     )

@@ -16,7 +16,6 @@ import numpy as np
 
 from .calculus import (
     _entropy,
-    _normalized_density,
     _pairing,
     dirichlet_energy,
     entropy,
@@ -27,7 +26,7 @@ from .calculus import (
     log_partition,
 )
 from .errors import GridMismatch, NonpositiveMass
-from .liouville import _exponents, _minimize_w
+from .liouville import _densities, _minimize_w
 from .model import Params, RadialField, validate_params
 
 __all__ = [
@@ -156,12 +155,8 @@ def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> Functio
         raise ValueError("two_species_energy_u expects potential-tagged fields")
     if not u1.grid.same_as(u2.grid):
         raise GridMismatch("two_species_energy_u needs a shared grid")
-    grid = u1.grid
-    g1, g2 = _exponents(p, u1.values, u2.values)
-    return _report(**_energy_u(
-        grid, np.array([face_flux(u1), face_flux(u2)]),
-        _normalized_density(grid, g1, p.m1)[2], _normalized_density(grid, g2, p.m2)[2], p,
-    ))
+    m_log_zs = _densities(u1.grid, p, u1.values, u2.values)[2]
+    return _report(**_energy_u(u1.grid, np.array([face_flux(u1), face_flux(u2)]), *m_log_zs, p))
 
 
 def _energy_u(grid, cs, m_log_z1, m_log_z2, p) -> dict:

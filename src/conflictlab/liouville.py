@@ -164,6 +164,15 @@ def _exponents(p, u1, u2):
     return p.alpha * u1 - p.beta * u2, -p.gamma * u2 - p.theta * p.beta * u1
 
 
+def _densities(grid, p, u1, u2):
+    """The Boltzmann densities m_i e^{g_i} / integral(e^{g_i}) of the
+    exponents of u1, u2, their multipliers m_i / integral(e^{g_i}) and
+    their log-partition terms m_i ln integral(e^{g_i}), as three pairs;
+    a species with zero mass has all three zero."""
+    g1, g2 = _exponents(p, u1, u2)
+    return tuple(zip(_normalized_density(grid, g1, p.m1), _normalized_density(grid, g2, p.m2)))
+
+
 def _picard_loop(grid, masses, exponents, state, opts):
     """Core damped fixed-point iteration of solve_pair.
 
@@ -434,10 +443,9 @@ def residual(sol, p):
     grid = sol.u1.grid
     u1 = sol.u1.values
     u2 = sol.u2.values
-    g1, g2 = _exponents(p, u1, u2)
+    rhos = _densities(grid, p, u1, u2)[0]
     out = []
-    for u, g, m, flux in ((u1, g1, p.m1, sol._flux1), (u2, g2, p.m2, sol._flux2)):
-        rho_vals, _, _ = _normalized_density(grid, g, m)
+    for u, rho_vals, flux in zip((u1, u2), rhos, (sol._flux1, sol._flux2)):
         if flux is not None:
             c_new = _face_masses(grid, rho_vals)
             out.append(_flux_defect(grid, c_new - flux))

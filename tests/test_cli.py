@@ -135,6 +135,32 @@ class TestSteadyCommand:
         assert float(first["residual1"]) <= 1e-10
         assert float(first["residual2"]) == 0.0
 
+    def test_zero_mass_species_has_zero_density(self, tmp_path):
+        # at m2 = 0 the exponent of species 2 is 200 u1, whose e^g overflows
+        path = tmp_path / "steady.cfg"
+        path.write_text(config_text("steady", beta=200.0, gamma=1.0, m1=24.0, m2=0.0, grid_n=256))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "conflictlab.cli",
+             "--config", str(path), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        _, columns, rows = read_table(tmp_path / "steady.csv")
+        assert len(rows) == 257
+        assert {row[columns.index("rho2")] for row in rows} == {"0"}
+
+    def test_densities_carry_the_masses(self, tmp_path):
+        cfg = parse_config(
+            config_text("steady", beta=2.0, gamma=1.0, m1=22.0, m2=8.0, grid_n=512)
+        )
+        assert run(cfg, out_dir=tmp_path) == 0
+        _, columns, rows = read_table(tmp_path / "steady.csv")
+        weights = make_grid(512).weights
+        for name, mass in (("rho1", 22.0), ("rho2", 8.0)):
+            rho = np.array([float(row[columns.index(name)]) for row in rows])
+            assert abs(np.dot(weights, rho) - mass) <= 1e-12 * mass
+
 
 class TestSweepCommand:
     def test_tables_and_curves(self, tmp_path):
@@ -171,6 +197,17 @@ class TestFlowCommand:
         _, scols, srows = read_table(tmp_path / "flow_state.csv")
         assert scols[:4] == ["r", "rho1", "u1", "u2"]
         assert len(srows) == 257
+
+    @pytest.mark.parametrize("case", ["pair", "potentials"])
+    def test_second_species_of_zero_mass(self, tmp_path, case):
+        path = tmp_path / "flow.cfg"
+        sec = f"[flow]\ncase = {case}\ndt = 0.001\nt_end = 0.02\n"
+        path.write_text(config_text("flow", beta=0.5, gamma=1.0, m1=8.0, m2=0.0,
+                                    grid_n=64, section=sec))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        _, columns, rows = read_table(tmp_path / "flow_trace.csv")
+        assert len(rows) > 1
+        assert {row[columns.index("mass2")] for row in rows} == {"0"}
 
     def test_random_init_is_seed_stable(self, tmp_path):
         sec = "[flow]\ncase = single\ndt = 0.01\nt_end = 0.05\ninit = random\n"
@@ -241,7 +278,10 @@ _LADDER = dict(m1=30.0, m2=1.0, grid_n=128)
 # when the chemical solve moved from Picard to Newton: its values moved by
 # at most 1.7e-12 relative.  The steady pin (m2 = 0) was re-recorded when
 # species 1 began to start from its bubble: 29 iterations became 18, and its
-# values moved by at most 1.2e-11.
+# values moved by at most 1.2e-11.  It was re-recorded again when its
+# densities became the normalized Boltzmann densities m e^g / integral(e^g)
+# instead of lambda e^g: rho1 moved by at most 3.8e-16 relative, and every
+# other column kept its bytes.
 PINNED_TABLES = {
     "classify-conflict": (config_text("classify"), {
         "classify.csv": "51c6559c9e3f23c55746426b1500f8205d06e63f000d50cef3f27b979b921e1e",
@@ -262,7 +302,7 @@ PINNED_TABLES = {
         "sweep_curves.csv": "c1557d11e614aa6678dadb73fcddf9870cce91e418dddd36d5899afd35ad9573",
     }),
     "steady": (config_text("steady", beta=0.0, m1=4.0 * math.pi, m2=0.0, grid_n=256), {
-        "steady.csv": "cd1f0cf260ba8b6413fca5fbe05dc8e25f9a8b5536b0ff5adc219221ec0ab708",
+        "steady.csv": "8d49e1160c4ba9e72f4753189fb03a5fbf1c8fe70fbfb47ba169fab5ed97fca4",
     }),
     "blowdown-full": (config_text("blowdown", **_LADDER), {
         "blowdown.csv": "a553fe892fe2bca597f58b87a28512163cdeda1fb11620c4884d34da7dd3b09f",

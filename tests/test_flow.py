@@ -34,6 +34,19 @@ def bump_density(grid, mass, width=4.0):
     return project_density(f, mass)
 
 
+def assert_virial_bound(s, p, step):
+    """After each of 400 steps of 2^-12 from s, the second moment of rho1 is
+    within the virial bound d/dt int |x|^2 rho1 <= m1 (4 - alpha m1 / 2 pi
+    + beta m2 / pi), which holds subcritical or not."""
+    grid = s.rho1.grid
+    moment = lambda s: np.sum(grid.weights * grid.r**2 * s.rho1.values)
+    start = moment(s)
+    rate = p.m1 * (4.0 - p.alpha * p.m1 / (2.0 * PI) + p.beta * p.m2 / PI)
+    for _ in range(400):
+        s = step(s, p, 2.0**-12)
+        assert moment(s) <= start + s.t * rate
+
+
 def uniform_density(grid, mass):
     return RadialField.density(grid, np.full_like(grid.r, mass / PI))
 
@@ -374,13 +387,13 @@ class TestPotentialSources:
     @staticmethod
     def counted_densities(monkeypatch):
         calls = []
-        real = flow._normalized_density
+        real = flow._densities
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(flow, "_normalized_density", counted)
+        monkeypatch.setattr(flow, "_densities", counted)
         return calls
 
     def test_reused_sources_equal_recomputed(self, g256):
@@ -394,7 +407,7 @@ class TestPotentialSources:
         s = self.start(g256)
         calls = self.counted_densities(monkeypatch)
         flow.step_potentials(s, replace(self.P), 0.01)
-        assert len(calls) == 2  # the new state's densities only
+        assert len(calls) == 1  # the new state's densities only
 
     @pytest.mark.parametrize(
         "changes", [{"m1": 6.5}, {"m2": 0.0}, {"beta": 1.5}, {"gamma": 0.75}, {"alpha": 2.5}]
@@ -404,7 +417,7 @@ class TestPotentialSources:
         other = replace(self.P, **changes)
         calls = self.counted_densities(monkeypatch)
         got = flow.step_potentials(s, other, 0.01)
-        assert len(calls) == 4
+        assert len(calls) == 2
         same_state(got, flow.step_potentials(isolated(s), other, 0.01))
 
     def test_other_regime_recomputes(self, monkeypatch):
@@ -415,9 +428,9 @@ class TestPotentialSources:
         )
         calls = self.counted_densities(monkeypatch)
         s = flow.step_potentials(s, p, 1e-3)
-        assert len(calls) == 4
+        assert len(calls) == 2
         flow.step_potentials(s, p, 1e-3)
-        assert len(calls) == 6
+        assert len(calls) == 3
 
 
 class TestSingleDensityStep:
@@ -466,19 +479,24 @@ class TestSingleDensityStep:
 
     @pytest.mark.parametrize("m1, m2, beta", [(10, 0, 0), (30, 0, 0), (40, 0, 0), (30, 1, 2), (10, 4, 2)])
     def test_second_moment_obeys_the_virial_bound(self, g256, m1, m2, beta):
-        # d/dt int |x|^2 rho1 <= m1 (4 - alpha m1 / 2 pi + beta m2 / pi), subcritical or not
         p = Params(alpha=1.0, beta=beta, gamma=1.0, theta=-1, m1=m1, m2=m2)
-        dt = 2.0**-12
         s = flow.initial_state(p, CFG2, rho1=bump_density(g256, m1, width=2.0))
-        moment = lambda s: np.sum(g256.weights * g256.r**2 * s.rho1.values)
-        start = moment(s)
-        rate = m1 * (4.0 - m1 / (2.0 * PI) + beta * m2 / PI)
-        for _ in range(400):
-            s = flow.step_single_density(s, p, dt)
-            assert moment(s) <= start + s.t * rate
+        assert_virial_bound(s, p, flow.step_single_density)
 
 
 class TestTwoDensityStep:
+    @pytest.mark.parametrize(
+        "m1, m2, beta, theta",
+        [(10, 4, 0.5, -1), (10, 4, 0.5, 1), (30, 1, 2, -1), (30, 1, 2, 1), (20, 8, 2, -1)],
+    )
+    def test_second_moment_obeys_the_virial_bound(self, g256, m1, m2, beta, theta):
+        p = Params(alpha=1.0, beta=beta, gamma=1.0, theta=theta, m1=m1, m2=m2)
+        s = flow.initial_state(
+            p, CFG_FULL,
+            rho1=bump_density(g256, m1, width=2.0), rho2=bump_density(g256, m2, width=1.0),
+        )
+        assert_virial_bound(s, p, flow.step_two_densities)
+
     def test_requires_second_density(self, g256):
         p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=1, m1=6.0, m2=4.0)
         s = flow.FlowState(
