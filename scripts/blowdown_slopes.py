@@ -13,8 +13,8 @@ import logging
 import numpy as np
 
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
-from conflictlab.calculus import inv_laplacian
-from conflictlab.model import Params, RadialField, make_grid, project_density
+from conflictlab.cli import _base_fields
+from conflictlab.model import Params, make_grid
 from conflictlab.phase import lambda_values
 
 
@@ -32,16 +32,6 @@ def parse_args():
     return ap.parse_args()
 
 
-def base_fields(grid, m1, m2):
-    rho = project_density(RadialField.density(grid, 2.0 - grid.r**2), m1)
-    if m2 > 0:
-        chem = project_density(RadialField.density(grid, np.exp(-3.0 * grid.r**2)), m2)
-        w = inv_laplacian(chem)
-    else:
-        w = RadialField.potential(grid, np.zeros(grid.r.size))
-    return rho, w
-
-
 def main():
     args = parse_args()
     grid = make_grid(args.grid_n, kind="graded")
@@ -57,7 +47,7 @@ def main():
             m1=float(m1),
             m2=args.m2,
         )
-        rho, w = base_fields(grid, p.m1, p.m2)
+        rho, w = _base_fields(grid, p)
         slope = slope_estimate(BlowdownFamily(rho, w, psis=psis), p)
         lam = lambda_values(p.m1, p.m2, p)[0]
         gap = abs(slope - lam) / max(1.0, abs(lam))

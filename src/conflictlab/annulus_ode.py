@@ -41,7 +41,6 @@ __all__ = [
     "asymptotic_ratio",
     "exact_solution",
     "integrate_annulus",
-    "linear_surrogate",
     "match_energy",
 ]
 
@@ -77,10 +76,7 @@ class AnnulusParams:
         if not np.isfinite(self.gamma) or self.gamma < 0:
             raise NegativeConstant(f"gamma = {self.gamma!r} must be finite and >= 0")
         if self.gamma == 0.0:
-            raise GammaZero(
-                "the annulus reduction needs gamma > 0; "
-                "use linear_surrogate for the gamma = 0 run"
-            )
+            raise GammaZero("the annulus reduction needs gamma > 0")
         if not np.isfinite(self.m2) or self.m2 <= 0:
             raise NonpositiveMass(f"m2 = {self.m2!r} must be > 0")
         if not np.isfinite(self.beta_m):
@@ -106,17 +102,17 @@ class AnnulusParams:
 
 @dataclass(frozen=True, eq=False)
 class AnnulusSolution:
-    """Profile returned by the direct integration.
+    """Profile returned by integrate_annulus, the direct integration.
 
     r            nodes ascending in [psi, 1]; the innermost node sits one
                  mesh cell above psi because the profile diverges
                  logarithmically at the blow-down radius itself
     v            profile values at r
     rv_r         r * v_r at the nodes (the mass coordinate, times -2pi)
-    energy       matched conserved energy (nan for the gamma = 0 surrogate)
+    energy       matched conserved energy
     energy_drift max energy defect along the trajectory over the outer
-                 window r >= sqrt(psi) (nan for the surrogate)
-    params       the inputs, None for the surrogate
+                 window r >= sqrt(psi)
+    params       the inputs
     """
 
     r: np.ndarray
@@ -124,7 +120,7 @@ class AnnulusSolution:
     rv_r: np.ndarray
     energy: float
     energy_drift: float
-    params: AnnulusParams | None = None
+    params: AnnulusParams
 
 
 def exact_solution(e: float, gamma: float, psi: float, t) -> np.ndarray | float:
@@ -228,12 +224,12 @@ def _rk4(b: float, gamma: float, v0: float, vt0: float, t: np.ndarray):
     return np.array(vhat), np.array(vt)
 
 
-def _check_monotone(t: np.ndarray, vt: np.ndarray, width: float, label: str) -> None:
+def _check_monotone(t: np.ndarray, vt: np.ndarray, width: float) -> None:
     window = t <= 0.5 * width
     if np.any(vt[window] < -_MONO_SLACK):
         where = t[window][np.argmin(vt[window])]
         raise MonotonicityLost(
-            f"{label}: v_r > 0 at r = {math.exp(-where):.3e} "
+            f"integrate_annulus: v_r > 0 at r = {math.exp(-where):.3e} "
             "inside the outer window [sqrt(psi), 1]"
         )
 
@@ -260,7 +256,7 @@ def integrate_annulus(lp: AnnulusParams, n: int = 4096) -> AnnulusSolution:
     t = np.arange(n) * (width / n)
     vhat, vt = _rk4(b, lp.gamma, exact_solution(e, lp.gamma, lp.psi, 0.0),
                     lp.m2 / TWO_PI, t)
-    _check_monotone(t, vt, width, "integrate_annulus")
+    _check_monotone(t, vt, width)
 
     shift = (b - 2.0) / lp.gamma
     vbar = vhat - shift * t
@@ -276,37 +272,6 @@ def integrate_annulus(lp: AnnulusParams, n: int = 4096) -> AnnulusSolution:
         energy=e,
         energy_drift=drift,
         params=lp,
-    )
-
-
-def linear_surrogate(beta_m: float, m2: float, psi: float, n: int = 4096) -> AnnulusSolution:
-    """The gamma = 0 run: same equation with the saturation switched off.
-
-    Kept as a negative control; without the e^(-gamma v) damping the
-    profile's turnaround radius is O(1) rather than O(psi), so for small
-    psi the slope check fails inside the outer window and the run raises
-    MonotonicityLost.
-    """
-    if not np.isfinite(m2) or m2 <= 0:
-        raise NonpositiveMass(f"m2 = {m2!r} must be > 0")
-    if beta_m / TWO_PI - 2.0 <= 0.0:
-        raise HypothesisViolated(f"beta_m = {beta_m!r} must exceed 4 pi")
-    if not (PSI_FLOOR <= psi < 1.0):
-        raise ValueError(f"psi = {psi!r} must lie in [{PSI_FLOOR:g}, 1)")
-    if n < 1000:
-        raise TooCoarse(f"n = {n} < 1000")
-    width = -math.log(psi)
-    t = np.arange(n) * (width / n)
-    vhat, vt = _rk4(beta_m / TWO_PI, 0.0, 0.0, m2 / TWO_PI, t)
-    _check_monotone(t, vt, width, "linear_surrogate")
-    order = slice(None, None, -1)
-    return AnnulusSolution(
-        r=np.exp(-t)[order],
-        v=vhat[order],
-        rv_r=-vt[order],
-        energy=math.nan,
-        energy_drift=math.nan,
-        params=None,
     )
 
 

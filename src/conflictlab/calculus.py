@@ -21,9 +21,9 @@ reproduce exactly by construction.
 
 The underscored cores work on raw arrays, so a solver or a time step that
 already holds the face masses, face fluxes or Boltzmann exponential of a
-field reuses them; the public functions wrap the same cores.  _green,
-_face_flux, _entropy and _pairing also take fields stacked as rows and
-give, row by row, the same bits as one call per row.
+field reuses them; the public functions wrap the same cores.  _face_masses,
+_green, _face_flux, _entropy and _pairing also take fields stacked as rows
+and give, row by row, the same bits as one call per row.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadRadius, GridMismatch, NegativeDensity
+from .errors import GridMismatch, NegativeDensity
 from .model import RadialField, RadialGrid
 
 __all__ = [
-    "cross_dirichlet",
     "dirichlet_energy",
     "entropy",
-    "exterior_potential",
     "face_flux",
     "face_masses",
     "green_pairing",
@@ -62,7 +60,7 @@ def face_masses(rho: RadialField) -> np.ndarray:
 
 
 def _face_masses(grid: RadialGrid, rho_vals: np.ndarray) -> np.ndarray:
-    return (grid.volumes * rho_vals).cumsum()[:-1]
+    return (grid.volumes * rho_vals).cumsum(axis=-1)[..., :-1]
 
 
 def inv_laplacian(rho: RadialField) -> RadialField:
@@ -77,13 +75,13 @@ def inv_laplacian(rho: RadialField) -> RadialField:
 def _green(grid: RadialGrid, rho_vals: np.ndarray):
     """inv_laplacian on raw arrays: the potential values and face masses,
     or their rows for densities stacked as rows."""
-    mt = (grid.volumes * rho_vals).cumsum(axis=-1)
+    mt = _face_masses(grid, rho_vals)
     u = np.zeros(rho_vals.shape)
-    terms = mt[..., 1:-1] * grid.log_ratio[1:]
+    terms = mt[..., 1:] * grid.log_ratio[1:]
     # the suffix sums of terms, written from the wall inwards into u[1:-1]
     terms[..., ::-1].cumsum(axis=-1, out=u[..., -2:0:-1])
     u.T[0] = u.T[1] + 2.0 * mt.T[0]
-    return u, mt[..., :-1]
+    return u, mt
 
 
 def face_flux(w: RadialField) -> np.ndarray:
@@ -103,16 +101,6 @@ def _face_flux(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     return c
 
 
-def exterior_potential(m_inner: float, r: float) -> float:
-    """(m_inner/2pi) ln(1/r): the potential outside a mass m_inner supported
-    strictly inside radius r. Raises BadRadius outside (0, 1]."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(r > 1.0):
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
-    out = (m_inner / (2.0 * np.pi)) * np.log(1.0 / r)
-    return float(out) if out.ndim == 0 else out
-
-
 def entropy(rho: RadialField) -> float:
     """2*pi*int rho ln(rho) r dr, with s ln s extended by 0 at s = 0.
 
@@ -130,13 +118,6 @@ def _entropy(grid: RadialGrid, v: np.ndarray):
     integrand = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
     out = np.vecdot(integrand, grid.weights)
     return out if v.ndim > 1 else float(out)
-
-
-def cross_dirichlet(w1: RadialField, w2: RadialField) -> float:
-    """2*pi*int w1_r w2_r r dr via the shared face-gradient quadrature."""
-    if not w1.grid.same_as(w2.grid):
-        raise GridMismatch("cross_dirichlet needs a shared grid")
-    return _pairing(w1.grid, face_flux(w1), face_flux(w2))
 
 
 def dirichlet_energy(w: RadialField) -> float:

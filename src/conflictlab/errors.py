@@ -34,10 +34,6 @@ class GridMismatch(ValueError):
     """Fields that must share a grid do not."""
 
 
-class BadRadius(ValueError):
-    """Radius outside (0, 1]."""
-
-
 class Supercritical(ValueError):
     """Requested mass at or above the critical mass 8*pi/alpha."""
 

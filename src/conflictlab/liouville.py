@@ -251,11 +251,6 @@ def bubble(alpha, delta, grid):
     return RadialField.potential(grid, vals)
 
 
-def bubble_mass(alpha, delta):
-    """Disk mass of the bubble profile with the given parameters."""
-    return 8.0 * math.pi * delta / (alpha * (1.0 + delta))
-
-
 def solve_single(m, alpha, grid, opts=None):
     """Solve the single-species equation at mass ``m`` and coupling ``alpha``:
     ``solve_pair`` with no second species, after refusing masses at or above

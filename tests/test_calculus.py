@@ -7,12 +7,11 @@ from hypothesis.extra.numpy import arrays
 from conflictlab.calculus import (
     _entropy,
     _face_flux,
+    _face_masses,
     _green,
     _pairing,
-    cross_dirichlet,
     dirichlet_energy,
     entropy,
-    exterior_potential,
     face_flux,
     face_masses,
     green_pairing,
@@ -21,7 +20,7 @@ from conflictlab.calculus import (
     inv_laplacian,
     log_partition,
 )
-from conflictlab.errors import BadRadius, GridMismatch, NegativeDensity
+from conflictlab.errors import GridMismatch, NegativeDensity
 from conflictlab.model import RadialField, make_grid
 
 G64 = make_grid(64)
@@ -84,24 +83,6 @@ class TestInvLaplacian:
         lhs = inv_laplacian(mixed).values
         rhs = a * inv_laplacian(f1).values + b * inv_laplacian(f2).values
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-class TestExteriorPotential:
-    def test_frozen_value(self):
-        assert np.isclose(exterior_potential(1.0, 0.5), 0.11031780007632579, rtol=1e-15)
-
-    def test_wall_value_is_zero(self):
-        assert exterior_potential(3.0, 1.0) == 0.0
-
-    @pytest.mark.parametrize("r", [0.0, -0.5, 1.0 + 1e-12])
-    def test_bad_radius(self, r):
-        with pytest.raises(BadRadius):
-            exterior_potential(1.0, r)
-
-    def test_array_input(self):
-        r = np.array([0.5, 1.0])
-        out = exterior_potential(2.0, r)
-        np.testing.assert_allclose(out, (1 / np.pi) * np.log(1 / r))
 
 
 class TestEntropy:
@@ -170,16 +151,6 @@ class TestPairingAndDirichlet:
         d = dirichlet_energy(inv_laplacian(rho))
         assert np.isclose(d, -interaction_energy(rho), rtol=1e-12, atol=1e-300)
 
-    @given(density_arrays, density_arrays, st.floats(-2, 2))
-    @settings(max_examples=25, deadline=None)
-    def test_cross_dirichlet_bilinearity(self, v1, v2, a):
-        w1 = inv_laplacian(RadialField(G64, v1))
-        w2 = inv_laplacian(RadialField(G64, v2))
-        mixed = RadialField.potential(G64, a * w1.values + w2.values)
-        lhs = cross_dirichlet(mixed, w1)
-        rhs = a * cross_dirichlet(w1, w1) + cross_dirichlet(w2, w1)
-        assert np.isclose(lhs, rhs, rtol=1e-11, atol=1e-300)
-
     def test_face_flux_reproduces_face_masses(self, g256):
         rho = RadialField.density(g256, np.exp(-3 * g256.r**2))
         np.testing.assert_allclose(
@@ -236,6 +207,13 @@ class TestStackedRows:
             u1, mt1 = _green(grid, rho)
             assert u.tobytes() == u1.tobytes()
             assert mt.tobytes() == mt1.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 4096), data=st.data())
+    def test_face_masses_rows(self, n, data):
+        grid, rhos = self.rows(data, n, 2, low=-0.5)
+        for mt, rho in zip(_face_masses(grid, rhos), rhos):
+            assert mt.tobytes() == _face_masses(grid, rho).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(8, 4096), data=st.data())

@@ -26,7 +26,6 @@ from conflictlab.liouville import (
     _minimize_w,
     _picard_loop,
     bubble,
-    bubble_mass,
     minimize_w,
     residual,
     solve_pair,
@@ -67,9 +66,6 @@ class TestBubble:
         b = bubble(2.0, 3.0, g1024)
         assert b.values[-1] == 0.0
         assert np.isclose(b.values[0], np.log(4.0), rtol=1e-14)
-
-    def test_mass_formula(self):
-        assert np.isclose(bubble_mass(1.0, 1.0), 4 * np.pi, rtol=1e-15)
 
     def test_quadrature_of_exponential(self, g4096):
         delta = 1.0
