@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Measured blow-down energy slopes against the quadratic mass polynomial.
+"""Measured blow-down energy slopes against their closed-form coefficient.
 
 Scans m1 at fixed m2, fits the joint free energy of the standard smooth
-family against ln(psi), and compares the fitted slope with Lambda(m1, m2).
-The sign flip of either column locates the unboundedness onset along the
-scan line.
+family against ln(psi), and compares the fitted slope with the ln s
+coefficient of blowdown.blowdown_coefficients: Lambda(m1, m2) where the
+chemical log term applies and Lambda2 where it does not.  The sign flip of
+either column locates the unboundedness onset along the scan line.
 """
 
 import argparse
@@ -12,10 +13,9 @@ import logging
 
 import numpy as np
 
-from conflictlab.blowdown import BlowdownFamily, slope_estimate
+from conflictlab.blowdown import BlowdownFamily, blowdown_coefficients, slope_estimate
 from conflictlab.cli import _base_fields
 from conflictlab.model import Params, make_grid
-from conflictlab.phase import lambda_values
 
 
 def parse_args():
@@ -37,7 +37,7 @@ def main():
     grid = make_grid(args.grid_n, kind="graded")
     psis = 2.0 ** np.arange(3, 3 + args.rungs)
 
-    print(f"{'m1':>8s} {'Lambda':>12s} {'slope':>12s} {'rel gap':>10s}")
+    print(f"{'m1':>8s} {'coef':>12s} {'slope':>12s} {'rel gap':>10s}")
     for m1 in np.linspace(args.m1_start, args.m1_stop, args.count):
         p = Params(
             alpha=args.alpha,
@@ -49,9 +49,9 @@ def main():
         )
         rho, w = _base_fields(grid, p)
         slope = slope_estimate(BlowdownFamily(rho, w, psis=psis), p)
-        lam = lambda_values(p.m1, p.m2, p)[0]
-        gap = abs(slope - lam) / max(1.0, abs(lam))
-        print(f"{m1:8.3f} {lam:12.6f} {slope:12.6f} {gap:10.2e}")
+        coef = float(blowdown_coefficients(p.m1, p.m2, p)[0])
+        gap = abs(slope - coef) / max(1.0, abs(coef))
+        print(f"{m1:8.3f} {coef:12.6f} {slope:12.6f} {gap:10.2e}")
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_LADDER",
     "BlowdownFamily",
     "ShiftRow",
+    "blowdown_coefficients",
     "blowdown_density",
     "blowdown_potential",
     "slope_estimate",
@@ -168,9 +169,25 @@ def _ladder(base_rho: RadialField, base_w: RadialField, p: Params, psis, mode: s
         yield psi, s, u_s, terms, _joint(p, *terms)
 
 
-def _log_exponent(p: Params) -> float:
-    """Core scaling exponent of the chemical integrand, per unit ln s."""
-    return (-p.theta * p.beta * p.m1 - p.gamma * p.m2) / TWO_PI - 2.0
+def blowdown_coefficients(m1, m2, p: Params):
+    """The ln s coefficients (total, log_term) of the blow-down family's
+    joint free energy at masses m1, m2, scalars or broadcasting arrays;
+    only alpha, beta, gamma and theta are read from ``p``.
+
+    log_term is m2 x where the chemical integrand's core exponent
+    x = (-theta beta m1 - gamma m2)/2pi - 2 is positive, NaN elsewhere;
+    total is 2 m1 - alpha m1^2/4pi + gamma m2^2/4pi plus log_term where it
+    applies, at theta = -1 Lambda where Lambda1 > 0 and Lambda2 elsewhere.
+    """
+    x = (-p.theta * p.beta * m1 - p.gamma * m2) / TWO_PI - 2.0
+    log_term = np.where(x > 0, m2 * x, math.nan)
+    total = (
+        2.0 * m1
+        - p.alpha * m1**2 / (2.0 * TWO_PI)
+        + p.gamma * m2**2 / (2.0 * TWO_PI)
+        + np.where(x > 0, log_term, 0.0)
+    )
+    return total, log_term
 
 
 def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
@@ -193,20 +210,13 @@ def _shift_table(fam: BlowdownFamily, p: Params):
     base = _joint_terms(fam.base_rho, fam.base_w, inv_laplacian(fam.base_rho), p)
     f0 = _joint(p, *base).total
 
-    x = _log_exponent(p)
-    log_coef = p.m2 * x if x > 0 else None
-    total_coef = (
-        2.0 * p.m1
-        - p.alpha * p.m1**2 / (2.0 * TWO_PI)
-        + p.gamma * p.m2**2 / (2.0 * TWO_PI)
-        + (p.m2 * x if x > 0 else 0.0)
-    )
+    total_coef, log_coef = map(float, blowdown_coefficients(p.m1, p.m2, p))
     # per raw term: row name, ln s coefficient, factor on the measured shift
     shifts = (
         ("entropy", 2.0 * p.m1, 1.0),
         ("interaction", -(p.m1**2 / TWO_PI), 1.0),
         ("dirichlet", p.m2**2 / TWO_PI, 1.0),
-        ("log_term", log_coef, p.m2),
+        ("log_term", None if math.isnan(log_coef) else log_coef, p.m2),
     )
 
     rows = []
@@ -241,7 +251,8 @@ def _fitted_slope(fit, p: Params) -> float:
         raise TooFewPoints(f"need at least 4 rungs, got {len(fit)}")
     log_scales, totals = zip(*fit)
     slope = float(np.polyfit(log_scales[2:], totals[2:], 1)[0])
-    regime = "concentration-dominated" if _log_exponent(p) > 0 else "tail-dominated"
+    log_term = blowdown_coefficients(p.m1, p.m2, p)[1]
+    regime = "tail-dominated" if np.isnan(log_term) else "concentration-dominated"
     logger.info(
         "blow-down slope %.6g over %d rungs (%s regime)",
         slope,

@@ -127,7 +127,7 @@ def joint_free_energy(rho: RadialField, w: RadialField, p: Params) -> Functional
     return _joint(p, *_joint_terms(rho, w, inv_laplacian(rho), p))
 
 
-def relaxed_free_energy(rho: RadialField, p: Params, opts=None):
+def relaxed_free_energy(rho: RadialField, p: Params):
     """Infimum of the joint free energy over w, with the minimizer.
 
     Returns (value, w_star).  For gamma = 0 the log term does not see w
@@ -136,9 +136,7 @@ def relaxed_free_energy(rho: RadialField, p: Params, opts=None):
     """
     p = validate_params(p)
     u = inv_laplacian(rho)
-    w_star = RadialField.potential(
-        rho.grid, _minimize_w(rho.grid, rho.values, u.values, p, opts)[0]
-    )
+    w_star = RadialField.potential(rho.grid, _minimize_w(rho.grid, rho.values, u.values, p)[0])
     return _joint(p, *_joint_terms(rho, w_star, u, p)).total, w_star
 
 

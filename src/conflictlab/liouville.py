@@ -19,7 +19,7 @@ energy and is solved by Newton's method with step halving.  Its finite-
 volume Jacobian is tridiagonal plus a rank-one term from the
 normalization, so each step is one tridiagonal solve with two right-hand
 sides and a Sherman-Morrison correction.  It stops once the defect is at
-most ``tol * max(1, max rho)``, relative to the peak of the density it
+most ``_TOL * max(1, max rho)``, relative to the peak of the density it
 solves for.
 
 Residuals are measured in flux form: each iterate carries the face fluxes
@@ -65,22 +65,11 @@ _BAD_LIMIT = 3
 _OSCILLATION_WINDOW = 50
 _ACCEL_COOLDOWN = 10
 _HALVINGS = 10
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Iteration controls shared by all solvers in this module: the defect
-    tolerance, and the number of Picard iterations or, for the chemical
-    equation, of Newton steps."""
-
-    tol: float = 1e-10
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+# the one defect tolerance and iteration budget of every solve: absolute
+# for the Picard loop, times max(1, max rho) for the chemical Newton solve,
+# whose budget counts Newton steps
+_TOL = 1e-10
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +162,7 @@ def _densities(grid, p, u1, u2):
     return tuple(zip(_normalized_density(grid, g1, p.m1), _normalized_density(grid, g2, p.m2)))
 
 
-def _picard_loop(grid, masses, exponents, state, opts):
+def _picard_loop(grid, masses, exponents, state):
     """Core damped fixed-point iteration of solve_pair.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
@@ -182,7 +171,7 @@ def _picard_loop(grid, masses, exponents, state, opts):
     with ``cs`` the face fluxes that generated ``us``; mixing both with the
     same damping keeps them consistent, which is what makes the flux-form
     residual the exact finite-volume defect of the iterate.  Raises
-    SolverDiverged after ``opts.max_iter`` iterations and Oscillation when
+    SolverDiverged after ``_MAX_ITER`` iterations and Oscillation when
     the damping controller gives up.
     """
     us, cs = state
@@ -192,7 +181,7 @@ def _picard_loop(grid, masses, exponents, state, opts):
     cool = 0
     res = math.inf
     lams = [0.0] * nsp
-    for it in range(opts.max_iter):
+    for it in range(_MAX_ITER):
         new_us = []
         new_cs = []
         res = 0.0
@@ -204,7 +193,7 @@ def _picard_loop(grid, masses, exponents, state, opts):
             new_cs.append(c_new)
             lams[s] = lam
             res = max(res, _flux_defect(grid, c_new - cs[s]))
-        if res <= opts.tol:
+        if res <= _TOL:
             return us, cs, res, it, tuple(lams)
         ctrl.update(res)
         d = ctrl.d
@@ -227,8 +216,8 @@ def _picard_loop(grid, masses, exponents, state, opts):
                     ctrl.poke()
         du_prev = du
     raise SolverDiverged(
-        f"residual {res:.3e} above tol {opts.tol:.1e} "
-        f"after {opts.max_iter} iterations"
+        f"residual {res:.3e} above tol {_TOL:.1e} "
+        f"after {_MAX_ITER} iterations"
     )
 
 
@@ -251,7 +240,7 @@ def bubble(alpha, delta, grid):
     return RadialField.potential(grid, vals)
 
 
-def solve_single(m, alpha, grid, opts=None):
+def solve_single(m, alpha, grid):
     """Solve the single-species equation at mass ``m`` and coupling ``alpha``:
     ``solve_pair`` with no second species, after refusing masses at or above
     the critical value ``8 pi / alpha``."""
@@ -260,7 +249,7 @@ def solve_single(m, alpha, grid, opts=None):
     if m <= 0:
         raise NonpositiveMass(f"mass must be positive, got {m}")
     _refuse_supercritical(m, alpha)
-    return solve_pair(Params(alpha, 0.0, 0.0, -1, m, 0.0), grid, opts)
+    return solve_pair(Params(alpha, 0.0, 0.0, -1, m, 0.0), grid)
 
 
 def _refuse_supercritical(m, alpha):
@@ -288,7 +277,7 @@ def _start_exponent(p, grid):
     return np.zeros_like(grid.r)
 
 
-def solve_pair(p, grid, opts=None):
+def solve_pair(p, grid):
     """Solve the coupled two-species system for validated parameters.
 
     Species 1 starts from one Green application of the Boltzmann density
@@ -298,7 +287,6 @@ def solve_pair(p, grid, opts=None):
     and alpha m1 >= 8 pi raises Supercritical up front.  Raises
     SolverDiverged or Oscillation when the iteration does not converge.
     """
-    opts = opts or SolveOptions()
     p = validate_params(p)
     alone = p.m2 == 0.0
     if alone and p.alpha > 0.0:
@@ -309,19 +297,19 @@ def solve_pair(p, grid, opts=None):
     else:
         masses, exponents = (p.m1, p.m2), lambda us: _exponents(p, *us)
         us, cs = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)]
-    us, cs, res, it, lams = _picard_loop(grid, masses, exponents, (us, cs), opts)
+    us, cs, res, it, lams = _picard_loop(grid, masses, exponents, (us, cs))
     if alone:
         us, cs, lams = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)], (*lams, 0.0)
     return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
 
 
-def minimize_w(rho, p, grid, opts=None, w0=None):
+def minimize_w(rho, p, grid, w0=None):
     """Minimizer of the chemical energy at fixed density ``rho``.
 
     Solves ``-laplacian(w) = m2 e^g / integral(e^g)`` with exponent
     ``g = -gamma w - theta beta u`` and ``u`` the potential of ``rho`` by
     Newton's method, stopping once the finite-volume defect is at most
-    ``tol * max(1, max of the right-hand side density)``; ``max_iter``
+    ``_TOL * max(1, max of the right-hand side density)``; ``_MAX_ITER``
     counts Newton steps, and running out of them, or a step along which
     ten halvings find no decrease of the defect, raises SolverDiverged.
     ``w = 0`` at ``m2 = 0``.  Requires ``gamma > 0``: the ``gamma = 0``
@@ -339,10 +327,10 @@ def minimize_w(rho, p, grid, opts=None, w0=None):
         raise GridMismatch("w0 lives on a different grid")
     u = _green(grid, rho.values)[0]
     w0 = None if w0 is None else w0.values
-    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p, opts, w0)[0])
+    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p, w0)[0])
 
 
-def _minimize_w(grid, rho_vals, u, p, opts=None, w0=None):
+def _minimize_w(grid, rho_vals, u, p, w0=None):
     """minimize_w on raw arrays for validated ``p``, zero when gamma or m2
     is; ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start.
 
@@ -355,13 +343,13 @@ def _minimize_w(grid, rho_vals, u, p, opts=None, w0=None):
         return w, rho, m_log_z
     g0 = drive if w0 is None else -p.gamma * w0 + drive
     (w,), (c,) = _seeded(grid, g0, p.m2)
-    w, rho, m_log_z = _newton_w(grid, w, c, drive, p, opts or SolveOptions())
+    w, rho, m_log_z = _newton_w(grid, w, c, drive, p)
     if (w[1:] - w[:-1] > 1e-10).any() and (rho_vals[1:] - rho_vals[:-1] <= 1e-12).all():
         logger.warning("w-minimizer not radially nonincreasing for nonincreasing rho")
     return w, rho, m_log_z
 
 
-def _newton_w(grid, w, c, drive, p, opts):
+def _newton_w(grid, w, c, drive, p):
     """Newton's method on the chemical equation T w = V rho(w), w_n = 0.
 
     T is the Green operator's tridiagonal matrix and V the cell volumes;
@@ -376,11 +364,11 @@ def _newton_w(grid, w, c, drive, p, opts):
     d = _face_masses(grid, rho) - c
     res = _flux_defect(grid, d)
     steps = 0
-    while res > opts.tol * max(1.0, float(rho.max())):
-        if steps == opts.max_iter:
+    while res > _TOL * max(1.0, float(rho.max())):
+        if steps == _MAX_ITER:
             raise SolverDiverged(
-                f"residual {res:.3e} above tol {opts.tol:.1e} "
-                f"after {opts.max_iter} Newton steps"
+                f"residual {res:.3e} above tol {_TOL:.1e} "
+                f"after {_MAX_ITER} Newton steps"
             )
         steps += 1
         vr = grid.volumes * rho
@@ -408,7 +396,7 @@ def _newton_w(grid, w, c, drive, p, opts):
             step *= 0.5
         else:
             raise SolverDiverged(
-                f"residual {res:.3e} above tol {opts.tol:.1e} and not "
+                f"residual {res:.3e} above tol {_TOL:.1e} and not "
                 f"decreasing along the Newton step"
             )
         w, c, rho, m_log_z, d, res = w_t, c_t, rho_t, m_log_z_t, d_t, res_t

@@ -341,7 +341,7 @@ class TestIdentification:
     reproduces the integrated profile up to an additive constant."""
 
     def test_matches_chemical_minimizer(self):
-        from conflictlab.liouville import SolveOptions, minimize_w
+        from conflictlab.liouville import minimize_w
         from conflictlab.model import Params, RadialField, RadialGrid
 
         psi, n_ann = 1e-5, 2048
@@ -360,8 +360,9 @@ class TestIdentification:
         vals *= p.m1 / (grid.weights @ vals)
         rho = RadialField.density(grid, vals)
         # the max-norm flux defect has a roundoff floor ~ 1e-5 on cells this
-        # small, so the stopping tolerance sits just above it
-        w = minimize_w(rho, p, grid, SolveOptions(tol=5e-5, max_iter=6000))
+        # small; the Newton stop, relative to the chemical density's peak
+        # (about 3e10 here), sits well above it
+        w = minimize_w(rho, p, grid)
 
         sol = integrate_annulus(lp, n=8192)
         window = grid.r >= math.sqrt(psi)

@@ -13,7 +13,7 @@ from conflictlab.functionals import (
     two_species_energy_rho,
     two_species_energy_u,
 )
-from conflictlab.liouville import SolveOptions, bubble, solve_pair
+from conflictlab.liouville import bubble, solve_pair
 from conflictlab.model import Params, RadialField, make_grid
 
 from oracles import central_difference, random_direction
@@ -152,7 +152,7 @@ class TestRelaxedFreeEnergy:
     def test_minimizer_beats_random_candidates(self, g256):
         p = Params(1.0, 1.0, 1.0, -1, 2 * np.pi, np.pi)
         rho = uniform_density(g256, p.m1)
-        val, w_star = relaxed_free_energy(rho, p, SolveOptions(max_iter=2000))
+        val, w_star = relaxed_free_energy(rho, p)
         rng = np.random.default_rng(11)
         for _ in range(20):
             w = RadialField.potential(
@@ -193,7 +193,7 @@ class TestTwoSpeciesEnergyU:
         ],
     )
     def test_solved_pair_is_critical_point(self, g1024, p):
-        sol = solve_pair(p, g1024, SolveOptions(max_iter=2000))
+        sol = solve_pair(p, g1024)
         rng = np.random.default_rng(17)
         for _ in range(5):
             d1 = random_direction(g1024, rng)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conflictlab import liouville
 from conflictlab.calculus import _green, face_masses, integrate_disk, inv_laplacian
 from conflictlab.errors import (
     GammaZero,
@@ -19,7 +20,6 @@ from conflictlab.errors import (
 from conflictlab.flow import initial_state, run_flow, steady_solution
 from conflictlab.functionals import relaxed_free_energy
 from conflictlab.liouville import (
-    SolveOptions,
     Solution,
     _DampingController,
     _exponents,
@@ -40,25 +40,6 @@ G256 = make_grid(256)
 
 def zero_potential(grid):
     return RadialField.potential(grid, np.zeros_like(grid.r))
-
-
-class TestSolveOptions:
-    # Explicit ids keep each case under the name it has always had; the
-    # numbers of the cases for the removed damping and continuation fields
-    # (kwargs3, kwargs5) are not reused.
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(tol=0.0),
-            dict(tol=-1e-10),
-            dict(tol=float("nan")),
-            dict(max_iter=0),
-        ],
-        ids=["kwargs0", "kwargs1", "kwargs2", "kwargs4"],
-    )
-    def test_rejections(self, kwargs):
-        with pytest.raises(ValueError):
-            SolveOptions(**kwargs)
 
 
 class TestBubble:
@@ -160,7 +141,7 @@ class TestSolveSingle:
     @settings(max_examples=10, deadline=None)
     def test_matches_bubble_family(self, frac, alpha):
         m = frac * 8 * np.pi / alpha
-        sol = solve_single(m, alpha, G256, SolveOptions(max_iter=2000))
+        sol = solve_single(m, alpha, G256)
         delta = m * alpha / (8 * np.pi - m * alpha)
         sup = (2 / alpha) * np.log(1 + delta)
         assert sol.residual <= 1e-10
@@ -256,10 +237,11 @@ class TestSolvePair:
         with pytest.raises(Supercritical):
             solve_pair(Params(1.0, 0.0, 0.0, -1, 40 * np.pi, 0.0), g256)
 
-    def test_diverges_cleanly_far_supercritical(self, g256):
+    def test_diverges_cleanly_far_supercritical(self, g256, monkeypatch):
+        monkeypatch.setattr(liouville, "_MAX_ITER", 120)
         p = Params(1.0, 0.0, 1.0, -1, 40 * np.pi, 1.0)
         with pytest.raises(SolverDiverged):
-            solve_pair(p, g256, SolveOptions(max_iter=120))
+            solve_pair(p, g256)
 
 
 class TestPohozaevIdentity:
@@ -324,7 +306,7 @@ class TestMinimizeW:
     def test_vacuum_density_example(self, g1024):
         p = Params(1.0, 1.0, 1.0, -1, 1.0, 2 * np.pi)
         rho = RadialField.density(g1024, np.zeros_like(g1024.r))
-        w = minimize_w(rho, p, g1024, SolveOptions(max_iter=2000))
+        w = minimize_w(rho, p, g1024)
         e = np.exp(-w.values)
         rho_w = p.m2 * e / integrate_disk(RadialField(g1024, e))
         flux = face_masses(RadialField(g1024, rho_w))
@@ -335,7 +317,7 @@ class TestMinimizeW:
     def test_monotone_for_monotone_density(self, g256):
         rho = RadialField.density(g256, np.exp(-2 * g256.r**2))
         p = Params(1.0, 1.5, 1.0, -1, 1.0, np.pi)
-        w = minimize_w(rho, p, g256, SolveOptions(max_iter=2000))
+        w = minimize_w(rho, p, g256)
         assert np.all(np.diff(w.values) <= 1e-14)
 
 
@@ -369,10 +351,11 @@ class TestNewtonChemicalSolve:
         image = inv_laplacian(e.with_values(p.m2 * e.values / integrate_disk(e))).values
         assert np.max(np.abs(image - w.values)) <= 1e-10 * max(1.0, rho.values.max())
 
-    def test_max_iter_counts_newton_steps(self):
+    def test_max_iter_counts_newton_steps(self, monkeypatch):
+        monkeypatch.setattr(liouville, "_MAX_ITER", 1)
         grid, p, rho = _chemical_problem(*HARD_CHEMICAL[0])
         with pytest.raises(SolverDiverged):
-            minimize_w(rho, p, grid, SolveOptions(max_iter=1))
+            minimize_w(rho, p, grid)
 
     @given(
         n=st.sampled_from([32, 256]),
@@ -392,8 +375,7 @@ class TestNewtonChemicalSolve:
         start = ([np.zeros_like(grid.r)], [np.zeros(grid.n)])
         try:
             (ref,), *_ = _picard_loop(
-                grid, (p.m2,), lambda ws: (-p.gamma * ws[0] + drive,), start,
-                SolveOptions(max_iter=2000),
+                grid, (p.m2,), lambda ws: (-p.gamma * ws[0] + drive,), start
             )
         except (Oscillation, SolverDiverged):
             assume(False)

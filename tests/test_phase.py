@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conflictlab import phase
-from conflictlab.blowdown import BlowdownFamily, slope_estimate
+from conflictlab.blowdown import BlowdownFamily, blowdown_coefficients, slope_estimate
 from conflictlab.calculus import inv_laplacian
 from conflictlab.errors import NonpositiveMass
 from conflictlab.liouville import residual, solve_pair
@@ -716,6 +716,29 @@ class TestCrossValidation:
         assert classify_conflict(p).verdict == verdict
         sol = solve_pair(p, coarse)
         assert max(residual(sol, p)) < 1e-8
+
+    @pytest.mark.parametrize("theta", [-1, 1])
+    def test_blowdown_coefficient_matches_verdicts_plane_wide(self, theta):
+        """No bounded or existence verdict has a negative blow-down
+        coefficient, and every UnboundedBelow cell has one; at theta = -1,
+        where the coefficient is Lambda if Lambda1 > 0 and Lambda2 otherwise,
+        the negative cells are exactly the UnboundedBelow cells off the
+        1e-12 fences.  Random parameter sets, 80^2 masses in (0, 150]^2."""
+        rng = np.random.default_rng([17, theta + 1])
+        for _ in range(100):
+            alpha, beta = rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0)
+            gamma = rng.uniform(0.0, 3.0) if rng.random() < 0.5 else 0.0
+            res = sweep(Params(alpha, beta, gamma, theta, 1.0, 1.0), (0, 150), (0, 150), 80)
+            mm1, mm2 = np.meshgrid(res.m1s, res.m2s, indexing="ij")
+            coef = blowdown_coefficients(mm1, mm2, res.params)[0]
+            bounded = np.isin(res.verdicts, ["BoundedBelow", "RadiallyBounded", "Exists"])
+            unbounded = res.verdicts == "UnboundedBelow"
+            assert not np.any(bounded & (coef < -1e-9))
+            assert np.all(coef[unbounded] < 0.0)
+            if theta == -1:
+                lam, _, lam2 = res.lambdas
+                off_fence = (np.abs(lam) >= 1e-12) & (np.abs(lam2) >= 1e-12)
+                assert np.array_equal((coef < 0.0)[off_fence], unbounded[off_fence])
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,6 @@ def test_annulus_limit_table():
 
 def test_blowdown_slopes_table():
     lines = _run("blowdown_slopes.py", "--count", "3", "--grid-n", "256", "--rungs", "4")
-    assert lines[0].split() == ["m1", "Lambda", "slope", "rel", "gap"]
+    assert lines[0].split() == ["m1", "coef", "slope", "rel", "gap"]
     assert [float(line.split()[0]) for line in lines[1:]] == [10.0, 22.5, 35.0]
     assert all(len(line.split()) == 4 for line in lines[1:])
