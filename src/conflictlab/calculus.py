@@ -28,7 +28,11 @@ and give, row by row, the same bits as one call per row.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -213,15 +217,44 @@ def _pin_wall(ab: np.ndarray) -> None:
 _gtsv = None
 
 
+def _load_gtsv():
+    """LAPACK's dgtsv from scipy's compiled _flapack extension, loaded from
+    its file: the binary scipy.linalg.lapack.dgtsv wraps, without running
+    the scipy or scipy.linalg package init.  A missing file raises
+    ImportError naming it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the tridiagonal solver needs scipy", name="scipy")
+    name = "scipy.linalg._flapack"
+    path = os.path.join(
+        scipy.submodule_search_locations[0], "linalg",
+        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0],
+    )
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
+    )
+    flapack = importlib.util.module_from_spec(spec)
+    sys.modules[name] = flapack
+    spec.loader.exec_module(flapack)
+    # glibc raises its mmap threshold to the size of a freed mmapped block,
+    # and its heap trim threshold to twice that.  At the default thresholds
+    # a 4096-cell step, whose temporaries peak at 964 KiB (single density),
+    # gives its heap top back at every free and faults it in again.
+    # Freeing one 1 MiB block, never written and so never resident, raises
+    # both once: steps on up to 8192 cells then reuse their heap pages.
+    np.empty(1 << 17)
+    return flapack.dgtsv
+
+
 def _solve_tridiag(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.linalg.solve_banded((1, 1), ab, b) as one LAPACK gtsv call: the
     same bits, for one right-hand side or a column of them, and LinAlgError
     for a singular matrix alike, without the wrapper's per-call cost or its
-    finiteness checks: callers pass finite systems.  scipy loads on the
-    first call."""
+    finiteness checks: callers pass finite systems.  The first call loads
+    scipy's LAPACK extension alone (_load_gtsv), never scipy.linalg."""
     global _gtsv
     if _gtsv is None:
-        from scipy.linalg.lapack import dgtsv as _gtsv
+        _gtsv = _load_gtsv()
 
     x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
     if info > 0:

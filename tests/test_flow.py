@@ -1,4 +1,7 @@
 import math
+import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -135,6 +138,51 @@ class TestSolveTridiag:
             solve_banded((1, 1), ab, b)
         with pytest.raises(np.linalg.LinAlgError):
             flow._solve_tridiag(ab, b)
+
+    def test_bits_match_solve_banded_imported_after(self, tmp_path):
+        # This module imports scipy.linalg first; a fresh interpreter sees
+        # the CLI's order: the solver loads LAPACK, then scipy.linalg comes.
+        ab, b = self.system(4097, 0)
+        np.savez(tmp_path / "system.npz", ab=ab, b=np.column_stack([b, self.system(4097, 10)[1]]))
+        code = (
+            "import sys, numpy as np\n"
+            "from conflictlab.calculus import _solve_tridiag\n"
+            "s = np.load(sys.argv[1])\n"
+            "ab, bs = s['ab'], (s['b'][:, 0], s['b'])\n"
+            "got = [_solve_tridiag(ab, b) for b in bs]\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "from scipy.linalg import solve_banded\n"
+            "want = [solve_banded((1, 1), ab, b) for b in bs]\n"
+            "assert [g.tobytes() for g in got] == [w.tobytes() for w in want]\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "system.npz")],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_fine_steps_do_not_fault_the_heap():
+    """Once the solver has loaded, a 4096-cell step reuses its heap pages:
+    glibc's trim threshold stays above the step's temporaries, so it does
+    not give the heap top back at each free and fault it in again."""
+    code = (
+        "import resource, numpy as np\n"
+        "from conflictlab import flow, model\n"
+        "g = model.make_grid(4096)\n"
+        "p = model.Params(1.0, 2.0, 1.0, -1, 10.0, 4.0)\n"
+        "cfg = model.FlowConfig(1.0, 0.0, 0.0, dt=2.0**-11, t_end=1.0, adapt=False)\n"
+        "rho = model.project_density(model.RadialField.density(g, np.exp(-2 * g.r**2)), 10.0)\n"
+        "s = flow.initial_state(p, cfg, rho1=rho)\n"
+        "for _ in range(5):\n"
+        "    s = flow.step_single_density(s, p, cfg.dt)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(40):\n"
+        "    s = flow.step_single_density(s, p, cfg.dt)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 2 * 40
 
 
 def isolated(s):
