@@ -234,8 +234,11 @@ def _load_gtsv():
         name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
     )
     flapack = importlib.util.module_from_spec(spec)
-    sys.modules[name] = flapack
     spec.loader.exec_module(flapack)
+    # The extension's init registers it in sys.modules.  Leave no entry, so
+    # that a later import of scipy.linalg loads it as its submodule and
+    # binds it as the package attribute _flapack.
+    sys.modules.pop(name, None)
     # glibc raises its mmap threshold to the size of a freed mmapped block,
     # and its heap trim threshold to twice that.  At the default thresholds
     # a 4096-cell step, whose temporaries peak at 964 KiB (single density),

@@ -61,7 +61,14 @@ from .calculus import (
     _tridiag,
     face_flux,
 )
-from .errors import DegenerateQuadraticForm, GridMismatch, NegativeDensity, Stalled, StepRejected
+from .errors import (
+    DegenerateQuadraticForm,
+    GridMismatch,
+    NegativeDensity,
+    Stalled,
+    StepRejected,
+    _releasing,
+)
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _densities, _exponents, _minimize_w
 from .model import _DT_FLOOR, FlowConfig, Params, RadialField, validate_params
@@ -268,6 +275,7 @@ def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
     return s
 
 
+@_releasing
 def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the single-density regime (species 2 instantaneous).
 
@@ -288,6 +296,7 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy)
 
 
+@_releasing
 def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the two-density regime; both species use the same scheme,
     in one block solve."""
@@ -303,6 +312,7 @@ def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy)
 
 
+@_releasing
 def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the potential-relaxation regime.
 
@@ -330,7 +340,7 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
                     "alpha*gamma - beta^2 is at the degenerate threshold; "
                     "energy monitoring disabled for this step"
                 ),
-                stacklevel=2,
+                stacklevel=3,  # past the _releasing entry, at the caller
             )
         else:
             enforced = disc > 0
@@ -346,6 +356,7 @@ _STEPPERS = {
 }
 
 
+@_releasing
 def initial_state(
     p: Params,
     cfg: FlowConfig,
@@ -403,6 +414,7 @@ def _state_change(old: FlowState, new: FlowState) -> float:
     return float((abs(new._stack[:k] - old._stack[:k]) / old._scale[:k, None]).max())
 
 
+@_releasing
 def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
     """Integrate to cfg.t_end or to a steady state, whichever comes first.
 

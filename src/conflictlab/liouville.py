@@ -52,6 +52,7 @@ from .errors import (
     Oscillation,
     SolverDiverged,
     Supercritical,
+    _releasing,
 )
 from .model import Params, RadialField, validate_params
 
@@ -277,6 +278,7 @@ def _start_exponent(p, grid):
     return np.zeros_like(grid.r)
 
 
+@_releasing
 def solve_pair(p, grid):
     """Solve the coupled two-species system for validated parameters.
 
@@ -303,6 +305,7 @@ def solve_pair(p, grid):
     return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
 
 
+@_releasing
 def minimize_w(rho, p, grid, w0=None):
     """Minimizer of the chemical energy at fixed density ``rho``.
 
@@ -397,7 +400,7 @@ def _newton_w(grid, w, c, drive, p):
         else:
             raise SolverDiverged(
                 f"residual {res:.3e} above tol {_TOL:.1e} and not "
-                f"decreasing along the Newton step"
+                f"decreasing along Newton step {steps}"
             )
         w, c, rho, m_log_z, d, res = w_t, c_t, rho_t, m_log_z_t, d_t, res_t
     return w, rho, m_log_z

@@ -1,5 +1,6 @@
 import math
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -12,9 +13,15 @@ from hypothesis import strategies as st
 
 from scipy.linalg import solve_banded
 
-from conflictlab import flow
+from conflictlab import flow, liouville
 from conflictlab.calculus import integrate_disk, inv_laplacian
-from conflictlab.errors import DegenerateQuadraticForm, NegativeDensity, Stalled, StepRejected
+from conflictlab.errors import (
+    DegenerateQuadraticForm,
+    NegativeDensity,
+    SolverDiverged,
+    Stalled,
+    StepRejected,
+)
 from conflictlab.functionals import _joint_terms, two_species_energy_rho, two_species_energy_u
 from conflictlab.liouville import minimize_w, residual, solve_pair, solve_single
 from conflictlab.model import (
@@ -151,8 +158,12 @@ class TestSolveTridiag:
             "ab, bs = s['ab'], (s['b'][:, 0], s['b'])\n"
             "got = [_solve_tridiag(ab, b) for b in bs]\n"
             "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
             "from scipy.linalg import solve_banded\n"
             "want = [solve_banded((1, 1), ab, b) for b in bs]\n"
+            "assert [g.tobytes() for g in got] == [w.tobytes() for w in want]\n"
+            "assert scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']\n"
+            "want = [scipy.linalg._flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3] for b in bs]\n"
             "assert [g.tobytes() for g in got] == [w.tobytes() for w in want]\n"
         )
         result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "system.npz")],
@@ -413,13 +424,16 @@ class TestNonFiniteStates:
         [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))],
         ids=["single", "pair", "potentials"],
     )
-    def test_step_with_nan_solve_raises(self, g256, monkeypatch, cfg, names):
-        fields = self.fields(g256)
-        s = flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
+    def test_step_with_nan_solve_raises(self, keeps_no_arrays, monkeypatch, cfg, names):
+        # and the failure, held, keeps none of the step's arrays
+        def setup(grid):
+            fields = self.fields(grid)
+            s = flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
+            return flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon], s, self.P, cfg.dt
+
         monkeypatch.setattr(flow, "_solve_tridiag", lambda ab, b: np.full(b.shape, np.nan))
-        step = flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon]
-        with pytest.raises(ValueError, match="finite"):
-            step(s, self.P, cfg.dt)
+        for err in keeps_no_arrays(setup, ValueError):
+            assert "finite" in str(err)
 
 
 class TestPotentialSources:
@@ -719,6 +733,62 @@ class TestRunFlow:
         assert np.all(np.diff(rows[:, 0]) > 0)
         np.testing.assert_array_equal(rows[:, 3], end.energy_trace[:, 1])
         assert rows[-1, 4] == np.max(end.rho1.values)
+
+
+class TestFailuresKeepNoArrays:
+    """A failure that leaves initial_state or run_flow holds no array of the
+    flow: its frames are cleared, those along a Stalled run's cause
+    included.  TestNonFiniteStates holds the steps to the same."""
+
+    P = Params(alpha=1.0, beta=2.0, gamma=1.0, theta=-1, m1=10.0, m2=4.0)
+    FIXED = FlowConfig(1.0, 0.0, 0.0, dt=1e-3, t_end=0.01, adapt=False)
+
+    def run(self, cfg):
+        """setup(grid): run_flow and its arguments, from a bump on grid."""
+
+        def setup(grid):
+            return flow.run_flow, flow.initial_state(self.P, cfg, bump_density(grid, 10.0)), self.P, cfg
+
+        return setup
+
+    @staticmethod
+    def nan_solves(monkeypatch, module):
+        monkeypatch.setattr(module, "_solve_tridiag", lambda ab, b: np.full(b.shape, np.nan))
+
+    @staticmethod
+    def reject_after_two_steps(monkeypatch):
+        """Each step runs, and from the third on is then rejected, so the
+        failure leaves run_flow with accepted states in its frames."""
+
+        def step(s, p, dt):
+            new = flow.step_single_density(s, p, dt)
+            if s._rows > 2:
+                raise StepRejected(f"forced at t = {s.t:.6g}")
+            return new
+
+        monkeypatch.setitem(flow._STEPPERS, (1.0, 0.0, 0.0), step)
+
+    def test_initial_state_with_nan_solve(self, keeps_no_arrays, monkeypatch):
+        self.nan_solves(monkeypatch, liouville)  # the chemical Newton solve's
+        setup = lambda grid: (flow.initial_state, self.P, self.FIXED, bump_density(grid, 10.0))
+        for err in keeps_no_arrays(setup, SolverDiverged):
+            assert re.search(r"residual \d\.\d{3}e\+00 .* Newton step 1$", str(err))
+
+    def test_run_with_nan_solve(self, keeps_no_arrays, monkeypatch):
+        self.nan_solves(monkeypatch, flow)  # the steps', not initial_state's
+        for err in keeps_no_arrays(self.run(self.FIXED), ValueError):
+            assert "finite" in str(err)
+
+    def test_step_rejected_without_adapt(self, keeps_no_arrays, monkeypatch):
+        self.reject_after_two_steps(monkeypatch)
+        for err in keeps_no_arrays(self.run(self.FIXED), StepRejected):
+            assert str(err) == "forced at t = 0.002"
+
+    def test_stalled(self, keeps_no_arrays, monkeypatch):
+        self.reject_after_two_steps(monkeypatch)
+        for err in keeps_no_arrays(self.run(replace(self.FIXED, adapt=True)), Stalled):
+            assert str(err) == "dt underflow at t = 0.0022: forced at t = 0.0022"
+            assert isinstance(err.__cause__, StepRejected)
 
 
 class TestSteadySolution:

@@ -384,6 +384,40 @@ class TestNewtonChemicalSolve:
         assert np.max(np.abs(w - ref)) <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
+RESIDUAL = re.compile(r"residual \d\.\d{3}e[+-]\d+")
+
+
+class TestFailuresKeepNoArrays:
+    """A failure that leaves solve_pair or minimize_w holds no array of the
+    solve: its frames are cleared, and its message names the residual and
+    the iteration count."""
+
+    def test_oscillation_near_critical_mass(self, keeps_no_arrays):
+        setup = lambda grid: (solve_single, 25.0, 1.0, grid)
+        (err,) = keeps_no_arrays(setup, Oscillation, sizes=(8192,))
+        assert RESIDUAL.search(str(err)) and "over 50 iterations" in str(err)
+
+    def test_pair_out_of_iterations(self, keeps_no_arrays, monkeypatch):
+        monkeypatch.setattr(liouville, "_MAX_ITER", 20)
+        p = Params(1.0, 2.0, 1.0, -1, 10.0, 4.0)
+        for err in keeps_no_arrays(lambda grid: (solve_pair, p, grid), SolverDiverged):
+            assert RESIDUAL.search(str(err)) and "after 20 iterations" in str(err)
+        with pytest.raises(AssertionError):  # the bare solve keeps its arrays
+            keeps_no_arrays(lambda grid: (solve_pair.__wrapped__, p, grid), SolverDiverged)
+
+    def test_chemical_solve_out_of_newton_steps(self, keeps_no_arrays, monkeypatch):
+        monkeypatch.setattr(liouville, "_MAX_ITER", 1)
+        _, args, width = HARD_CHEMICAL[0]
+        p = Params(*args)
+
+        def setup(grid):
+            shape = RadialField.density(grid, np.exp(-width * grid.r**2))
+            return minimize_w, project_density(shape, p.m1), p, grid
+
+        for err in keeps_no_arrays(setup, SolverDiverged):
+            assert RESIDUAL.search(str(err)) and "after 1 Newton steps" in str(err)
+
+
 class TestDampingController:
     def test_oscillation_at_floor(self):
         ctrl = _DampingController(1.0 / 64.0)
