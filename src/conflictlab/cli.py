@@ -324,11 +324,8 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
         ["t", "mass1", "mass2", "energy", "sup_rho1"],
         trace_rows(end),
     )
-    columns = ["r", "rho1", "u1", "u2"]
-    series = [grid.r, end.rho1.values, end.u1.values, end.u2.values]
-    if end.rho2 is not None:
-        columns.append("rho2")
-        series.append(end.rho2.values)
+    columns = ["r", "rho1", "u1", "u2", "rho2"]
+    series = (grid.r, end.rho1.values, end.u1.values, end.u2.values, end.rho2.values)
     _write_csv(out / "flow_state.csv", header, columns, zip(*series))
 
 

@@ -21,19 +21,19 @@ trace row from them, through the same array cores as the public
 functionals; the two species of the pair regime go through the Green
 sum, the entropy and the pairings as the rows of one stack.
 
-A state keeps its fields as the rows (rho1, u1, u2, rho2) of one stacked
+States come only from initial_state and the steppers, and every state
+holds all four fields (rho1, u1, u2, rho2) as the rows of one stacked
 array, checked once when the state is made (every sample finite, densities
->= 0, potentials exactly zero at the wall; ValueError otherwise), so the
-solves of a step need no checks of their own; the four RadialFields are
-views of those rows,
-and the per-row sup norms that the steady-state test divides by are
+>= 0, potentials exactly zero at the wall; ValueError otherwise, naming the
+regime, time and dt of a step), so the solves of a step need no checks of
+their own; the four RadialFields are views of those rows, and the per-row
+sup norms that the steady-state test divides by are
 computed once per state.  The single-density step takes the chemical
 density and its log-partition term from the chemical Newton solve.  A
 state made by the potential regime remembers the Params whose Boltzmann
 densities its rho1 and rho2 are; the next potential step with equal
 Params takes its sources from them, and any other state (a density
-regime's, a hand-built one, or one under other Params) has its sources
-recomputed.
+regime's, or one under other Params) has its sources recomputed.
 
 Each accepted step appends a row (t, m1, m2, energy, sup rho1) to a trace
 buffer shared with the state's ancestors, doubling it when full, so an
@@ -121,33 +121,24 @@ class FlowState:
     views of the first ``_rows`` rows of the shared trace buffer.  The
     command line layer reports all three side by side.
 
-    The fields are copied into the rows of one stacked array and replaced
-    by views of those rows.  Only initial_state and the steppers give a
-    state its first trace row; a state built here without one cannot be
-    stepped.
+    States come only from initial_state and the steppers, so every state
+    holds all four fields and its trace rows; FlowState(...) raises
+    TypeError.
     """
 
     t: float
     rho1: RadialField
     u1: RadialField
     u2: RadialField
-    rho2: RadialField | None = None
-    _trace: _Trace = field(default_factory=_Trace, repr=False)
-    _rows: int = 0
-    _stack: np.ndarray = field(init=False, repr=False)
-    _scale: np.ndarray = field(init=False, repr=False)
-    _boltzmann: Params | None = field(init=False, default=None, repr=False)
+    rho2: RadialField
+    _trace: _Trace = field(repr=False)
+    _rows: int
+    _stack: np.ndarray = field(repr=False)
+    _scale: np.ndarray = field(repr=False)
+    _boltzmann: Params | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.rho1.kind != "density" or (self.rho2 is not None and self.rho2.kind != "density"):
-            raise ValueError("rho1 and rho2 must be density-tagged")
-        if self.u1.kind != "potential" or self.u2.kind != "potential":
-            raise ValueError("u1 and u2 must be potential-tagged")
-        grid = self.rho1.grid
-        fields = [self.rho1, self.u1, self.u2] + ([self.rho2] if self.rho2 is not None else [])
-        if not all(f.grid.same_as(grid) for f in fields[1:]):
-            raise ValueError("all state fields must share one grid")
-        _bind(self, grid, np.array([f.values for f in fields]))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FlowState comes from initial_state or a flow step")
 
     def _columns(self, cols: slice) -> np.ndarray:
         view = self._trace.rows[: self._rows, cols]
@@ -157,23 +148,6 @@ class FlowState:
     energy_trace = property(lambda self: self._columns(slice(None, None, 3)))
     mass_trace = property(lambda self: self._columns(slice(0, 3)))
     sup_trace = property(lambda self: self._columns(slice(None, None, 4)))
-
-
-def _bind(s: FlowState, grid, stack: np.ndarray) -> None:
-    """Check the stacked rows (rho1, u1, u2[, rho2]) of s once and make
-    them its fields, with their sup norms floored at 1."""
-    scale = np.maximum(1.0, abs(stack).max(axis=1))
-    if not math.isfinite(scale.max()):  # abs and max carry NaN and inf through
-        raise ValueError("state fields must be finite")
-    if stack[::3].min() < 0:
-        raise NegativeDensity("density tag requires values >= 0")
-    if stack[1, -1] or stack[2, -1]:
-        raise ValueError("potential tag requires an exact zero at r = 1")
-    fields = s.__dict__  # frozen: set as dataclass __init__ would
-    for (name, kind), row in zip(_FIELDS, stack):
-        fields[name] = RadialField._checked(grid, row, kind)
-    fields["_stack"] = stack
-    fields["_scale"] = scale
 
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:
@@ -245,34 +219,49 @@ def _potential_fields(grid, us, p):
     return np.array([rho1, us[0], us[1], rho2]), energy
 
 
-def _last_energy(s: FlowState) -> float:
-    """The monitored energy of the state's last trace row."""
-    if s._rows == 0:
-        raise ValueError("the state has no trace row: build it with initial_state")
-    return float(s._trace.rows[s._rows - 1, 3])
-
-
-def _check_energy(e_new, e_old, enforced):
-    if enforced and e_new - e_old > _ENERGY_SLACK * max(1.0, abs(e_old)):
-        raise StepRejected(
-            f"monitored energy rose from {e_old:.12g} to {e_new:.12g}"
-        )
-
-
 def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
     """The state at time t of the stacked fields (rho1, u1, u2, rho2),
     owning the first k rows of trace plus its own row; boltzmann is the
-    Params whose Boltzmann densities of u1, u2 are rho1, rho2, if any."""
+    Params whose Boltzmann densities of u1, u2 are rho1, rho2, if any.
+
+    The one maker of a FlowState: it checks the rows once and makes them
+    the state's fields, with their sup norms floored at 1."""
+    scale = np.maximum(1.0, abs(stack).max(axis=1))
+    if not math.isfinite(scale.max()):  # abs and max carry NaN and inf through
+        raise ValueError("state fields must be finite")
+    if stack[::3].min() < 0:
+        raise NegativeDensity("density tag requires values >= 0")
+    if stack[1, -1] or stack[2, -1]:
+        raise ValueError("potential tag requires an exact zero at r = 1")
     s = object.__new__(FlowState)
-    _bind(s, grid, stack)
+    fields = s.__dict__  # frozen, and __init__ refuses: set the fields here
+    for (name, kind), row in zip(_FIELDS, stack):
+        fields[name] = RadialField._checked(grid, row, kind)
     m1, m2 = np.vecdot(stack[::3], grid.weights).tolist()
-    s.__dict__.update(
+    fields.update(
         t=t,
         _trace=trace.appended(k, (t, m1, m2, energy, stack[0].max())),
         _rows=k + 1,
+        _stack=stack,
+        _scale=scale,
         _boltzmann=boltzmann,
     )
     return s
+
+
+def _stepped(s, dt, regime, stack, energy, enforced, boltzmann=None):
+    """The state dt after s, of the stacked fields and monitored energy
+    that the regime's step computed.  StepRejected if the energy is
+    enforced and rose beyond the slack; a new state that fails its checks
+    raises as _advanced does, naming the regime, the time and dt."""
+    e_old = float(s._trace.rows[s._rows - 1, 3])
+    if enforced and energy - e_old > _ENERGY_SLACK * max(1.0, abs(e_old)):
+        raise StepRejected(f"monitored energy rose from {e_old:.12g} to {energy:.12g}")
+    t = s.t + dt
+    try:
+        return _advanced(s.rho1.grid, t, s._trace, s._rows, stack, energy, boltzmann)
+    except ValueError as err:
+        raise type(err)(f"{err} after the {regime} step to t = {t:.6g} (dt = {dt:.6g})") from None
 
 
 @_releasing
@@ -286,14 +275,12 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     relative slack raises StepRejected so the driver can halve dt.
     """
     p = validate_params(p)
-    e_old = _last_energy(s)
     grid = s.rho1.grid
     u2 = s.u2.values
     phi = -_exponents(p, s.u1.values, u2)[0]
     (rho,) = _sg_step(grid, dt, s._stack[:1], phi[None])
     stack, energy = _single_fields(grid, rho, p, w0=u2)
-    _check_energy(energy, e_old, enforced=True)
-    return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy)
+    return _stepped(s, dt, "single-density", stack, energy, enforced=True)
 
 
 @_releasing
@@ -301,15 +288,11 @@ def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the two-density regime; both species use the same scheme,
     in one block solve."""
     p = validate_params(p)
-    if s.rho2 is None:
-        raise ValueError("the two-density regime needs rho2 in the state")
-    e_old = _last_energy(s)
     grid = s.rho1.grid
     phis = np.negative(_exponents(p, s.u1.values, s.u2.values))
     stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
     enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
-    _check_energy(energy, e_old, enforced)
-    return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy)
+    return _stepped(s, dt, "two-density", stack, energy, enforced)
 
 
 @_releasing
@@ -323,7 +306,6 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     step proceeds unmonitored.
     """
     p = validate_params(p)
-    e_old = _last_energy(s)
     grid = s.u1.grid
     us = s._stack[1:3]
     if s._boltzmann == p:
@@ -345,8 +327,7 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
         else:
             enforced = disc > 0
     stack, energy = _potential_fields(grid, us, p)
-    _check_energy(energy, e_old, enforced)
-    return _advanced(grid, s.t + dt, s._trace, s._rows, stack, energy, boltzmann=p)
+    return _stepped(s, dt, "potential", stack, energy, enforced, boltzmann=p)
 
 
 _STEPPERS = {
@@ -408,10 +389,8 @@ def _tagged(f, kind):
 
 
 def _state_change(old: FlowState, new: FlowState) -> float:
-    """The largest change of a field relative to max(1, its old sup norm);
-    rho2 counts only when both states have it."""
-    k = min(len(old._stack), len(new._stack))
-    return float((abs(new._stack[:k] - old._stack[:k]) / old._scale[:k, None]).max())
+    """The largest change of a field relative to max(1, its old sup norm)."""
+    return float((abs(new._stack - old._stack) / old._scale[:, None]).max())
 
 
 @_releasing

@@ -95,13 +95,14 @@ class _DampingController:
     """Geometric damping adaptation driven by the residual history.
 
     Grows the damping after ``_GROW_STREAK`` consecutive decreases, halves
-    it on a sharp increase or repeated stagnation, and raises Oscillation
-    when the residual stays non-monotone for ``_OSCILLATION_WINDOW``
-    iterations at the minimum damping.
+    it on a sharp increase or repeated stagnation, and raises Oscillation,
+    naming the iteration (one residual each), when the residual stays
+    non-monotone for ``_OSCILLATION_WINDOW`` iterations at minimum damping.
     """
 
     def __init__(self, damping):
         self.d = damping
+        self._seen = 0
         self._streak = 0
         self._bad = 0
         self._stuck = 0
@@ -109,6 +110,7 @@ class _DampingController:
         self._prev = math.inf
 
     def update(self, res):
+        self._seen += 1
         if res < self._best:
             self._best = res
             self._stuck = 0
@@ -117,7 +119,8 @@ class _DampingController:
             if self._stuck >= _OSCILLATION_WINDOW:
                 raise Oscillation(
                     f"no residual improvement over {_OSCILLATION_WINDOW} "
-                    f"iterations at minimum damping (residual {res:.3e})"
+                    f"iterations at minimum damping (residual {res:.3e}); "
+                    f"stopped at Picard iteration {self._seen}"
                 )
         if res < self._prev:
             self._streak += 1

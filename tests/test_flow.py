@@ -1,3 +1,4 @@
+import copy
 import math
 import platform
 import re
@@ -17,6 +18,7 @@ from conflictlab import flow, liouville
 from conflictlab.calculus import integrate_disk, inv_laplacian
 from conflictlab.errors import (
     DegenerateQuadraticForm,
+    GridMismatch,
     NegativeDensity,
     SolverDiverged,
     Stalled,
@@ -197,19 +199,18 @@ def test_fine_steps_do_not_fault_the_heap():
 
 
 def isolated(s):
-    """The same state holding its own copy of the trace rows."""
-    rows = flow.trace_rows(s)
-    return flow.FlowState(s.t, s.rho1, s.u1, s.u2, s.rho2, flow._Trace(rows), len(rows))
+    """The same state holding its own copy of the trace rows, and no stored
+    Params, so that a potential step recomputes its sources."""
+    out = copy.copy(s)
+    out.__dict__.update(_trace=flow._Trace(flow.trace_rows(s)), _boltzmann=None)
+    return out
 
 
 def same_state(a, b):
     assert a.t == b.t
     assert flow.trace_rows(a).tobytes() == flow.trace_rows(b).tobytes()
     for name in ("rho1", "u1", "u2", "rho2"):
-        fa, fb = getattr(a, name), getattr(b, name)
-        assert (fa is None) == (fb is None)
-        if fa is not None:
-            assert fa.values.tobytes() == fb.values.tobytes()
+        assert getattr(a, name).values.tobytes() == getattr(b, name).values.tobytes()
 
 
 class TestTraceSharing:
@@ -327,50 +328,61 @@ class TestInitialState:
             flow.initial_state(p, cfg, **{k: fields[v] for k, v in kwargs.items()})
 
     def test_state_rejects_mistagged_fields(self, g256):
-        rho = bump_density(g256, 5.0)
-        u = zero_potential(g256)
-        with pytest.raises(ValueError):
-            flow.FlowState(t=0.0, rho1=u, u1=u, u2=u)
-        with pytest.raises(ValueError):
-            flow.FlowState(t=0.0, rho1=rho, u1=rho, u2=u)
-        with pytest.raises(ValueError):
-            flow.FlowState(t=0.0, rho1=rho, u1=u, u2=u, rho2=u)
-        with pytest.raises(ValueError):
-            flow.FlowState(t=0.0, rho1=rho, u1=u, u2=u, rho2=RadialField(g256, -rho.values))
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=2.0)
+        rho, u = bump_density(g256, 5.0), zero_potential(g256)
+        untagged = RadialField(g256, rho.values.copy())
+        for cfg, fields in [
+            (CFG2, {"rho1": u}),
+            (CFG2, {"rho1": untagged}),
+            (CFG_FULL, {"rho1": u, "rho2": rho}),
+            (CFG_FULL, {"rho1": rho, "rho2": untagged}),
+            (CFG_POT, {"u1": rho, "u2": u}),
+            (CFG_POT, {"u1": u, "u2": untagged}),
+        ]:
+            with pytest.raises(ValueError, match="-tagged"):
+                flow.initial_state(p, cfg, **fields)
 
     def test_state_rejects_mixed_grids(self, g256):
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=2.0)
         other = make_grid(128)
-        with pytest.raises(ValueError):
-            flow.FlowState(
-                t=0.0,
-                rho1=bump_density(g256, 5.0),
-                u1=zero_potential(other),
-                u2=zero_potential(other),
-            )
+        with pytest.raises(GridMismatch):
+            flow.initial_state(p, CFG_FULL, rho1=bump_density(g256, 5.0), rho2=bump_density(other, 2.0))
+        with pytest.raises(GridMismatch):
+            flow.initial_state(p, CFG_POT, u1=zero_potential(g256), u2=zero_potential(other))
 
 
 class TestHandBuiltState:
-    """A state built with the FlowState constructor has no trace row, so
-    stepping it names initial_state instead of failing on the empty trace."""
+    """No state is built by hand: FlowState(...) raises TypeError, and
+    _advanced, the one maker behind initial_state and the steppers, checks
+    the four rows once and makes them the fields."""
 
     P = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=5.0)
 
     @pytest.fixture
     def state(self, g256):
-        rho, u = bump_density(g256, 5.0), zero_potential(g256)
-        return flow.FlowState(t=0.0, rho1=rho, u1=u, u2=u, rho2=rho)
+        rho = bump_density(g256, 5.0)
+        return flow.initial_state(self.P, CFG_FULL, rho1=rho, rho2=rho)
+
+    def test_constructor_refuses(self, state):
+        with pytest.raises(TypeError):
+            flow.FlowState(state.t, state.rho1, state.u1, state.u2, state.rho2)
+        with pytest.raises(TypeError):
+            flow.FlowState()
 
     @pytest.mark.parametrize(
-        "name", ["step_single_density", "step_two_densities", "step_potentials"]
+        "cfg, names",
+        [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))],
+        ids=["single", "pair", "potentials"],
     )
-    def test_steppers_name_initial_state(self, state, name):
-        with pytest.raises(ValueError, match="initial_state"):
-            getattr(flow, name)(state, self.P, 1e-3)
-
-    @pytest.mark.parametrize("cfg", [CFG2, CFG_FULL, CFG_POT])
-    def test_run_flow_names_initial_state(self, state, cfg):
-        with pytest.raises(ValueError, match="initial_state"):
-            flow.run_flow(state, self.P, cfg)
+    def test_every_state_holds_four_rows(self, g256, cfg, names):
+        fields = TestNonFiniteStates.fields(g256)
+        start = flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
+        step = flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon]
+        for s in (start, step(start, self.P, 1e-3)):
+            assert s._stack.shape == (4, g256.r.size)
+            for name, kind in flow._FIELDS:
+                assert getattr(s, name).kind == kind
+                assert getattr(s, name).values.base is s._stack
 
     def test_fields_are_rows_of_one_checked_copy(self, state):
         for row, name in zip(state._stack, ("rho1", "u1", "u2", "rho2")):
@@ -386,8 +398,9 @@ class TestHandBuiltState:
 
 
 class TestNonFiniteStates:
-    """Every state passes one finiteness check, so a NaN or an infinity
-    that reaches a field raises ValueError instead of flowing on."""
+    """Every state passes one finiteness check, so a NaN that reaches a
+    field raises ValueError instead of flowing on, and a step's failure
+    names its regime, time and dt."""
 
     P = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=3.0)
 
@@ -400,13 +413,18 @@ class TestNonFiniteStates:
             "u2": RadialField.potential(grid, 0.1 * (1.0 - grid.r**2)),
         }
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # An inf written in after the field's own check reaches the regime
+    # arithmetic before the state's check when it is the single regime's
+    # rho1 or a potential, and raises RuntimeWarning there.
+    @pytest.mark.parametrize("bad", [np.nan])
     @pytest.mark.parametrize("name", ["rho1", "u1", "u2", "rho2"])
     def test_state_rejects_non_finite_field(self, g256, name, bad):
-        fields = self.fields(g256)
-        fields[name].values[5] = bad  # after the field's own check
-        with pytest.raises(ValueError, match="finite"):
-            flow.FlowState(t=0.0, **fields)
+        for cfg, names in [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))]:
+            if name in names:
+                fields = self.fields(g256)
+                fields[name].values[5] = bad  # after the field's own check
+                with pytest.raises(ValueError, match="finite"):
+                    flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
 
     @pytest.mark.parametrize(
         "cfg, names",
@@ -420,11 +438,15 @@ class TestNonFiniteStates:
             flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
 
     @pytest.mark.parametrize(
-        "cfg, names",
-        [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))],
+        "cfg, names, regime",
+        [
+            (CFG2, ("rho1",), "single-density"),
+            (CFG_FULL, ("rho1", "rho2"), "two-density"),
+            (CFG_POT, ("u1", "u2"), "potential"),
+        ],
         ids=["single", "pair", "potentials"],
     )
-    def test_step_with_nan_solve_raises(self, keeps_no_arrays, monkeypatch, cfg, names):
+    def test_step_with_nan_solve_raises(self, keeps_no_arrays, monkeypatch, cfg, names, regime):
         # and the failure, held, keeps none of the step's arrays
         def setup(grid):
             fields = self.fields(grid)
@@ -433,7 +455,10 @@ class TestNonFiniteStates:
 
         monkeypatch.setattr(flow, "_solve_tridiag", lambda ab, b: np.full(b.shape, np.nan))
         for err in keeps_no_arrays(setup, ValueError):
-            assert "finite" in str(err)
+            assert str(err) == (
+                f"state fields must be finite after the {regime} step "
+                f"to t = {cfg.dt:.6g} (dt = {cfg.dt:.6g})"
+            )
 
 
 class TestPotentialSources:
@@ -558,17 +583,6 @@ class TestTwoDensityStep:
             rho1=bump_density(g256, m1, width=2.0), rho2=bump_density(g256, m2, width=1.0),
         )
         assert_virial_bound(s, p, flow.step_two_densities)
-
-    def test_requires_second_density(self, g256):
-        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=1, m1=6.0, m2=4.0)
-        s = flow.FlowState(
-            t=0.0,
-            rho1=bump_density(g256, 6.0),
-            u1=zero_potential(g256),
-            u2=zero_potential(g256),
-        )
-        with pytest.raises(ValueError, match="rho2"):
-            flow.step_two_densities(s, p, 1e-3)
 
     def test_cooperative_energy_monotone(self, g256):
         p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=1, m1=6.0, m2=4.0)
@@ -777,7 +791,9 @@ class TestFailuresKeepNoArrays:
     def test_run_with_nan_solve(self, keeps_no_arrays, monkeypatch):
         self.nan_solves(monkeypatch, flow)  # the steps', not initial_state's
         for err in keeps_no_arrays(self.run(self.FIXED), ValueError):
-            assert "finite" in str(err)
+            assert str(err) == (
+                "state fields must be finite after the single-density step to t = 0.001 (dt = 0.001)"
+            )
 
     def test_step_rejected_without_adapt(self, keeps_no_arrays, monkeypatch):
         self.reject_after_two_steps(monkeypatch)

@@ -392,10 +392,20 @@ class TestFailuresKeepNoArrays:
     solve: its frames are cleared, and its message names the residual and
     the iteration count."""
 
-    def test_oscillation_near_critical_mass(self, keeps_no_arrays):
+    def test_oscillation_near_critical_mass(self, keeps_no_arrays, monkeypatch):
+        updates = [0]  # one per Picard iteration, of both solves
+        update = liouville._DampingController.update
+
+        def counted(ctrl, res):
+            updates[0] += 1
+            update(ctrl, res)
+
+        monkeypatch.setattr(liouville._DampingController, "update", counted)
         setup = lambda grid: (solve_single, 25.0, 1.0, grid)
-        (err,) = keeps_no_arrays(setup, Oscillation, sizes=(8192,))
+        (err,) = keeps_no_arrays(setup, Oscillation, sizes=(8192,))  # warm-up solve first
         assert RESIDUAL.search(str(err)) and "over 50 iterations" in str(err)
+        assert str(err).endswith(f"; stopped at Picard iteration {updates[0] // 2}")
+        assert updates[0] % 2 == 0 and updates[0] // 2 > 50
 
     def test_pair_out_of_iterations(self, keeps_no_arrays, monkeypatch):
         monkeypatch.setattr(liouville, "_MAX_ITER", 20)
