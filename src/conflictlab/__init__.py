@@ -14,7 +14,6 @@ from .model import (
     RadialGrid,
     make_grid,
     project_density,
-    validate_params,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "__version__",
     "make_grid",
     "project_density",
-    "validate_params",
 ]

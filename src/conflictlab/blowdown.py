@@ -31,7 +31,7 @@ import numpy as np
 from .calculus import inv_laplacian
 from .errors import GridMismatch, TooFewPoints
 from .functionals import _joint, _joint_terms
-from .model import DEFAULT_LADDER, Params, RadialField, RadialGrid, validate_params
+from .model import DEFAULT_LADDER, Params, RadialField, RadialGrid
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -201,12 +201,12 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
     scale.  The first three identities are exact on the transform grids;
     the last two hold asymptotically in psi.
     """
-    return _shift_table(fam, validate_params(p))[0]
+    return _shift_table(fam, p)[0]
 
 
 def _shift_table(fam: BlowdownFamily, p: Params):
-    """verify_identities for validated p, with the (ln s, total) pair of
-    every rung that slope_estimate fits, from one walk of the ladder."""
+    """verify_identities, with the (ln s, total) pair of every rung that
+    slope_estimate fits, from one walk of the ladder."""
     base = _joint_terms(fam.base_rho, fam.base_w, inv_laplacian(fam.base_rho), p)
     f0 = _joint(p, *base).total
 
@@ -240,7 +240,6 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
     negative slope certifies that the energy is unbounded below along the
     family.  Raises TooFewPoints when the ladder has fewer than 4 rungs.
     """
-    p = validate_params(p)
     rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
     return _fitted_slope([(math.log(s), rep.total) for _, s, _, _, rep in rungs], p)
 

@@ -39,7 +39,6 @@ from .model import (
     RadialField,
     make_grid,
     project_density,
-    validate_params,
 )
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
@@ -173,7 +172,7 @@ def parse_config(text: str) -> RunConfig:
     missing = [k for k in _PARAM_KEYS if k not in run_sec]
     if missing:
         raise ParseError(f"[run] is missing {missing}")
-    params = validate_params(Params(**_parsed(run_sec, _PARAM_KEYS)))
+    params = Params(**_parsed(run_sec, _PARAM_KEYS))
     kwargs = _parsed(run_sec, ("grid_n",))
     if cp.has_section(command):
         sec = cp[command]
@@ -332,7 +331,7 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
 def _cmd_blowdown(cfg: RunConfig, out: Path, header, seed: int) -> None:
     from .blowdown import BlowdownFamily, _fitted_slope, _shift_table
 
-    p = validate_params(cfg.params)
+    p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
     fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis), mode=cfg.mode)

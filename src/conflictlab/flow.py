@@ -71,7 +71,7 @@ from .errors import (
 )
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _densities, _exponents, _minimize_w
-from .model import _DT_FLOOR, FlowConfig, Params, RadialField, validate_params
+from .model import _DT_FLOOR, FlowConfig, Params, RadialField
 
 __all__ = [
     "FlowState",
@@ -274,7 +274,6 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     one.  The monitored free energy is enforced: a rise beyond the 1e-10
     relative slack raises StepRejected so the driver can halve dt.
     """
-    p = validate_params(p)
     grid = s.rho1.grid
     u2 = s.u2.values
     phi = -_exponents(p, s.u1.values, u2)[0]
@@ -287,7 +286,6 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
 def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the two-density regime; both species use the same scheme,
     in one block solve."""
-    p = validate_params(p)
     grid = s.rho1.grid
     phis = np.negative(_exponents(p, s.u1.values, s.u2.values))
     stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
@@ -305,7 +303,6 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     degenerate threshold a DegenerateQuadraticForm warning fires and the
     step proceeds unmonitored.
     """
-    p = validate_params(p)
     grid = s.u1.grid
     us = s._stack[1:3]
     if s._boltzmann == p:
@@ -350,9 +347,9 @@ def initial_state(
 
     The density regimes take their densities and derive the potentials;
     the potential regime takes u1, u2 and derives the induced densities.
-    Traces are seeded with the t = 0 row.
+    Traces are seeded with the t = 0 row.  A non-finite input sample raises
+    ValueError before any regime arithmetic.
     """
-    p = validate_params(p)
     regime = (cfg.delta1, cfg.delta2, cfg.epsilon)
     boltzmann = None
     if regime == (1.0, 0.0, 0.0):
@@ -385,6 +382,8 @@ def _shared_grid(f1, f2):
 def _tagged(f, kind):
     if f.kind != kind:
         raise ValueError(f"the initial field must be {kind}-tagged")
+    if not np.isfinite(f.values).all():  # written in after the tag's own check
+        raise ValueError(f"the initial {kind} must be finite")
     return f.values
 
 
@@ -402,7 +401,6 @@ def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
     relative state change per unit time falls below 1e-10.  Raises Stalled
     when rejection pushes dt under 1e-14.
     """
-    p = validate_params(p)
     stepper = _STEPPERS[(cfg.delta1, cfg.delta2, cfg.epsilon)]
     state = initial
     dt = cfg.dt
@@ -435,7 +433,6 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
     the exact finite-volume defect of the state as a solution of the
     elliptic pair.  Away from a fixed point that defect is honestly large.
     """
-    p = validate_params(p)
     return Solution(
         u1=s.u1,
         u2=s.u2,

@@ -27,7 +27,7 @@ from .calculus import (
 )
 from .errors import GridMismatch, NonpositiveMass
 from .liouville import _densities, _minimize_w
-from .model import Params, RadialField, validate_params
+from .model import Params, RadialField
 
 __all__ = [
     "FunctionalReport",
@@ -68,7 +68,6 @@ def _total(parts: dict) -> float:
 
 def free_energy(rho: RadialField, p: Params) -> FunctionalReport:
     """Entropy plus self-interaction: int rho ln rho + (alpha/2)(rho, inv_lap rho)."""
-    p = validate_params(p)
     return _report(
         entropy1=entropy(rho),
         interaction=0.5 * p.alpha * interaction_energy(rho),
@@ -93,7 +92,6 @@ def chemical_energy(rho: RadialField, w: RadialField, m: float, p: Params) -> fl
     ``u = inv_laplacian(rho)`` is the potential of the fixed density; at
     theta = -1 the exponent is the familiar -gamma w + beta u.
     """
-    p = validate_params(p)
     u = inv_laplacian(rho)
     grad_term = 0.5 * p.gamma * dirichlet_energy(w)
     log_term = m * log_partition([(-p.gamma, w), (-p.theta * p.beta, u)])
@@ -123,7 +121,6 @@ def _joint(p, entropy1, pairing, dirichlet, log_z) -> FunctionalReport:
 
 def joint_free_energy(rho: RadialField, w: RadialField, p: Params) -> FunctionalReport:
     """free_energy(rho) plus chemical_energy(rho, w, m2) in one itemized report."""
-    p = validate_params(p)
     return _joint(p, *_joint_terms(rho, w, inv_laplacian(rho), p))
 
 
@@ -134,7 +131,6 @@ def relaxed_free_energy(rho: RadialField, p: Params):
     and w_star = 0 is exact; otherwise the minimizer comes from the
     solver module.
     """
-    p = validate_params(p)
     u = inv_laplacian(rho)
     w_star = RadialField.potential(rho.grid, _minimize_w(rho.grid, rho.values, u.values, p)[0])
     return _joint(p, *_joint_terms(rho, w_star, u, p)).total, w_star
@@ -148,7 +144,6 @@ def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> Functio
     with D the Dirichlet integral.  A converged solver pair is a critical
     point of this report's total.
     """
-    p = validate_params(p)
     if u1.kind != "potential" or u2.kind != "potential":
         raise ValueError("two_species_energy_u expects potential-tagged fields")
     if not u1.grid.same_as(u2.grid):
@@ -176,7 +171,6 @@ def two_species_energy_rho(rho1: RadialField, rho2: RadialField, p: Params) -> F
     - (theta gamma/2)(rho2, G rho2) - beta (rho2, G rho1), writing G for
     the (negative) inverse Dirichlet Laplacian pairing.
     """
-    p = validate_params(p)
     if not rho1.grid.same_as(rho2.grid):
         raise GridMismatch("two_species_energy_rho needs a shared grid")
     return _report(**_energy_rho(

@@ -48,13 +48,12 @@ from .calculus import (
 from .errors import (
     GammaZero,
     GridMismatch,
-    NonpositiveMass,
     Oscillation,
     SolverDiverged,
     Supercritical,
     _releasing,
 )
-from .model import Params, RadialField, validate_params
+from .model import Params, RadialField
 
 logger = logging.getLogger(__name__)
 
@@ -246,24 +245,12 @@ def bubble(alpha, delta, grid):
 
 def solve_single(m, alpha, grid):
     """Solve the single-species equation at mass ``m`` and coupling ``alpha``:
-    ``solve_pair`` with no second species, after refusing masses at or above
-    the critical value ``8 pi / alpha``."""
+    ``solve_pair`` with no second species.  A mass that is not finite and
+    positive raises NonpositiveMass (from Params), one at or above the
+    critical value ``8 pi / alpha`` Supercritical."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if m <= 0:
-        raise NonpositiveMass(f"mass must be positive, got {m}")
-    _refuse_supercritical(m, alpha)
     return solve_pair(Params(alpha, 0.0, 0.0, -1, m, 0.0), grid)
-
-
-def _refuse_supercritical(m, alpha):
-    """Refuse a single-species mass at or above ``8 pi / alpha``, alpha > 0."""
-    m_crit = 8.0 * math.pi / alpha
-    if m >= m_crit:
-        raise Supercritical(
-            f"mass {m:.6g} at or above the critical value {m_crit:.6g} "
-            f"for alpha={alpha:.6g}"
-        )
 
 
 def _seeded(grid, g, m):
@@ -283,7 +270,7 @@ def _start_exponent(p, grid):
 
 @_releasing
 def solve_pair(p, grid):
-    """Solve the coupled two-species system for validated parameters.
+    """Solve the coupled two-species system.
 
     Species 1 starts from one Green application of the Boltzmann density
     at mass m1 of exponent alpha times the analytic bubble of that mass
@@ -292,10 +279,14 @@ def solve_pair(p, grid):
     and alpha m1 >= 8 pi raises Supercritical up front.  Raises
     SolverDiverged or Oscillation when the iteration does not converge.
     """
-    p = validate_params(p)
     alone = p.m2 == 0.0
     if alone and p.alpha > 0.0:
-        _refuse_supercritical(p.m1, p.alpha)
+        m_crit = 8.0 * math.pi / p.alpha
+        if p.m1 >= m_crit:
+            raise Supercritical(
+                f"mass {p.m1:.6g} at or above the critical value {m_crit:.6g} "
+                f"for alpha={p.alpha:.6g}"
+            )
     us, cs = _seeded(grid, _start_exponent(p, grid), p.m1)
     if alone:
         masses, exponents = (p.m1,), lambda us: (p.alpha * us[0],)
@@ -324,7 +315,6 @@ def minimize_w(rho, p, grid, w0=None):
     fixed-point application of ``w0`` seeds it), which time steppers use
     to re-solve for ``w`` cheaply after a small change in ``rho``.
     """
-    p = validate_params(p)
     if p.gamma == 0.0:
         raise GammaZero("gamma=0 has minimizer w=0; handle in the caller")
     if not rho.grid.same_as(grid):
@@ -337,8 +327,8 @@ def minimize_w(rho, p, grid, w0=None):
 
 
 def _minimize_w(grid, rho_vals, u, p, w0=None):
-    """minimize_w on raw arrays for validated ``p``, zero when gamma or m2
-    is; ``u`` is the potential of ``rho_vals`` and ``w0`` the warm start.
+    """minimize_w on raw arrays, zero when gamma or m2 is; ``u`` is the
+    potential of ``rho_vals`` and ``w0`` the warm start.
 
     Returns w with the chemical density m2 e^g / integral(e^g) at w and its
     m2 ln integral(e^g), for the exponent g = -gamma w - theta beta u."""
@@ -428,7 +418,6 @@ def residual(sol, p):
     back to the central difference stencil, whose residual on smooth
     fields decreases as O(n^-2).
     """
-    p = validate_params(p)
     grid = sol.u1.grid
     u1 = sol.u1.values
     u2 = sol.u2.values

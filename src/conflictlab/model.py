@@ -8,6 +8,9 @@ midpoints of neighboring nodes (half cells at the center and the wall), and
 the cell r-volumes V_i drive every quadrature in the package, so that mass
 accounting, the Green operator and the Dirichlet form all agree exactly.
 
+Every value type checks itself once, when it is made: Params(...) and
+dataclasses.replace alike raise outside the admissible set, so no function
+downstream checks Params again.
 Fields that enter the solvers must be finite: a density or potential tag
 rejects NaN and infinite samples, and a grid rejects a NaN node, both with
 ValueError.
@@ -16,7 +19,7 @@ ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +42,6 @@ __all__ = [
     "RadialGrid",
     "make_grid",
     "project_density",
-    "validate_params",
 ]
 
 
@@ -53,6 +55,9 @@ class Params:
     theta: conflict flag, -1 (conflict) or +1 (conflict-free)
     m1:    total mass of species 1, > 0
     m2:    total mass of species 2, >= 0
+
+    Raises NegativeConstant, NonpositiveMass or BadTheta for a value outside
+    these sets or not finite; theta is stored as an int.
     """
 
     alpha: float
@@ -62,23 +67,19 @@ class Params:
     m1: float
     m2: float
 
-
-def validate_params(p: Params) -> Params:
-    """Check the admissible-parameter invariants and normalize theta to +-1.
-
-    Raises NegativeConstant, NonpositiveMass or BadTheta.
-    """
-    for name in ("alpha", "beta", "gamma"):
-        v = getattr(p, name)
-        if not math.isfinite(v) or v < 0:
-            raise NegativeConstant(f"{name} = {v!r} must be finite and >= 0")
-    if not math.isfinite(p.m1) or p.m1 <= 0:
-        raise NonpositiveMass(f"m1 = {p.m1!r} must be finite and > 0")
-    if not math.isfinite(p.m2) or p.m2 < 0:
-        raise NonpositiveMass(f"m2 = {p.m2!r} must be finite and >= 0")
-    if p.theta not in (-1, 1):
-        raise BadTheta(f"theta = {p.theta!r} must be -1 or +1")
-    return p if type(p.theta) is int else replace(p, theta=int(p.theta))
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise NegativeConstant(f"{name} = {v!r} must be finite and >= 0")
+        if not math.isfinite(self.m1) or self.m1 <= 0:
+            raise NonpositiveMass(f"m1 = {self.m1!r} must be finite and > 0")
+        if not math.isfinite(self.m2) or self.m2 < 0:
+            raise NonpositiveMass(f"m2 = {self.m2!r} must be finite and >= 0")
+        if self.theta not in (-1, 1):
+            raise BadTheta(f"theta = {self.theta!r} must be -1 or +1")
+        if type(self.theta) is not int:
+            object.__setattr__(self, "theta", int(self.theta))
 
 
 @dataclass(frozen=True, eq=False)

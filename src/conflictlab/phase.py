@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveMass
-from .model import Params, validate_params
+from .model import Params
 
 __all__ = [
     "PhaseVerdict",
@@ -82,10 +82,6 @@ def lambda_values(m1, m2, p: Params):
     products x*x, correctly rounded; x**2 on a Python float goes through
     libm pow, which is not always.  Scalars and arrays give the same bits.
     """
-    return _lambda_values(m1, m2, validate_params(p))
-
-
-def _lambda_values(m1, m2, p: Params):
     if np.any(np.asarray(m1) <= 0):
         raise NonpositiveMass("lambda_values needs m1 > 0")
     if np.any(np.asarray(m2) < 0):
@@ -110,10 +106,6 @@ def strip_mass(p: Params) -> float:
     intermediate overflows before the root itself does (as gamma -> 0).
     Requires alpha > 0 and beta > alpha/2.
     """
-    return _strip_mass(validate_params(p))
-
-
-def _strip_mass(p: Params) -> float:
     if p.alpha <= 0:
         raise ValueError("strip_mass needs alpha > 0")
     if p.beta <= p.alpha / 2.0:
@@ -185,7 +177,7 @@ def _conflict_table(p: Params, m1, m2):
     Returns (verdicts, rules, fired) for broadcast m1, m2; ``fired`` maps
     the name of each deciding quantity to its values.
     """
-    lam, lam1, lam2 = _lambda_values(m1, m2, p)
+    lam, lam1, lam2 = lambda_values(m1, m2, p)
     crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
     beta_gap = p.beta - p.alpha / 2.0
     strip_gap = (
@@ -193,7 +185,7 @@ def _conflict_table(p: Params, m1, m2):
         if p.alpha == 0.0
         else 2.0 * p.beta / p.alpha - p.gamma * m2 / _FOUR_PI - 1.0
     )
-    strip_edge = _strip_mass(p) if p.alpha > 0.0 and beta_gap > 0.0 else None
+    strip_edge = strip_mass(p) if p.alpha > 0.0 and beta_gap > 0.0 else None
     edge_gap = math.nan if strip_edge is None else strip_edge - m1
     fired = {
         "lambda": lam,
@@ -221,7 +213,7 @@ def _conflict_table(p: Params, m1, m2):
             hi = np.minimum(m2, top)
             with np.errstate(over="ignore"):  # subnormal gamma: an end of [0, hi]
                 best_m2 = np.clip((p.beta * m1 - _FOUR_PI) / p.gamma, 0.0, hi)
-        best = _lambda_values(m1, best_m2, p)[0]
+        best = lambda_values(m1, best_m2, p)[0]
         table.settle(_decide([best]), "RadiallyBounded", 4)
     return table.verdict, table.rule, fired
 
@@ -258,7 +250,7 @@ def _cooperative_table(p: Params, m1, m2):
     (``only_condition``) is the closed-curve condition.
     Returns (verdicts, rules, fired) for broadcast m1, m2.
     """
-    lam, lam1, lam2 = _lambda_values(m1, m2, p)
+    lam, lam1, lam2 = lambda_values(m1, m2, p)
     crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
     a2 = 0.5 * p.gamma
     a1 = _FOUR_PI - p.beta * m1
@@ -304,7 +296,6 @@ def _at_point(p: Params, table) -> PhaseVerdict:
 
 def classify_conflict(p: Params) -> PhaseVerdict:
     """The conflict rule table (see _conflict_table) at the point (p.m1, p.m2)."""
-    p = validate_params(p)
     if p.theta != -1:
         raise ValueError("classify_conflict needs theta = -1")
     return _at_point(p, _conflict_table)
@@ -312,7 +303,6 @@ def classify_conflict(p: Params) -> PhaseVerdict:
 
 def classify_conflict_free(p: Params) -> PhaseVerdict:
     """The cooperative cases (see _cooperative_table) at the point (p.m1, p.m2)."""
-    p = validate_params(p)
     if p.theta != 1:
         raise ValueError("classify_conflict_free needs theta = +1")
     return _at_point(p, _cooperative_table)
@@ -378,7 +368,7 @@ def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict
         "m1_half_critical": vertical(half_critical),
         "lambda_zero": lambda_zero,
         "lambda1_zero": lambda1_zero,
-        "strip_mass": vertical(_strip_mass(p)) if has_strip else np.empty((0, 2)),
+        "strip_mass": vertical(strip_mass(p)) if has_strip else np.empty((0, 2)),
     }
 
 
@@ -393,7 +383,6 @@ def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:
     For the conflict convention, the provable disjointness of rules (1)
     and (2) is re-checked on the grid; overlap raises RuntimeError.
     """
-    p_base = validate_params(p_base)
     lo1, hi1 = map(float, m1_range)
     lo2, hi2 = map(float, m2_range)
     if not all(map(math.isfinite, (lo1, hi1, lo2, hi2))):

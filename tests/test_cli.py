@@ -500,6 +500,16 @@ class TestMain:
         assert main(["--config", str(path)]) == 3
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("alpha", -1), ("beta", "nan"), ("m1", 0), ("m2", -1), ("theta", 0)]
+    )
+    def test_inadmissible_params_exit(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config_text("steady", grid_n=64, **{key: value}))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert f"{key} = " in capsys.readouterr().err
+        assert not (tmp_path / "steady.csv").exists()
+
     def test_unknown_key_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(config_text("classify") + "wibble = 3\n")

@@ -398,9 +398,10 @@ class TestHandBuiltState:
 
 
 class TestNonFiniteStates:
-    """Every state passes one finiteness check, so a NaN that reaches a
-    field raises ValueError instead of flowing on, and a step's failure
-    names its regime, time and dt."""
+    """initial_state checks its inputs finite and every state passes one
+    finiteness check, so a NaN or inf that reaches a field raises
+    ValueError instead of flowing on, and a step's failure names its
+    regime, time and dt."""
 
     P = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=3.0)
 
@@ -413,17 +414,18 @@ class TestNonFiniteStates:
             "u2": RadialField.potential(grid, 0.1 * (1.0 - grid.r**2)),
         }
 
-    # An inf written in after the field's own check reaches the regime
-    # arithmetic before the state's check when it is the single regime's
-    # rho1 or a potential, and raises RuntimeWarning there.
-    @pytest.mark.parametrize("bad", [np.nan])
+    # A sample written in after the field's own check is caught before any
+    # regime arithmetic: an inf in the single regime's rho1 or in a
+    # potential would otherwise raise RuntimeWarning there.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["rho1", "u1", "u2", "rho2"])
     def test_state_rejects_non_finite_field(self, g256, name, bad):
+        kind = "potential" if name.startswith("u") else "density"
         for cfg, names in [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))]:
             if name in names:
                 fields = self.fields(g256)
                 fields[name].values[5] = bad  # after the field's own check
-                with pytest.raises(ValueError, match="finite"):
+                with pytest.raises(ValueError, match=f"^the initial {kind} must be finite$"):
                     flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
 
     @pytest.mark.parametrize(

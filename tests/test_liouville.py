@@ -120,6 +120,12 @@ class TestSolveSingle:
         with pytest.raises(NonpositiveMass):
             solve_single(0.0, 1.0, g1024)
 
+    @pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
+    def test_mass_not_finite_and_positive(self, m, g1024):
+        # refused by Params before any solve; inf included, though above 8 pi
+        with pytest.raises(NonpositiveMass, match=f"^m1 = {m!r} must be finite and > 0$"):
+            solve_single(m, 1.0, g1024)
+
     def test_dirichlet_value_exact(self, g1024):
         sol = solve_single(2 * np.pi, 1.0, g1024)
         assert sol.u1.values[-1] == 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,6 @@ from conflictlab.model import (
     RadialGrid,
     make_grid,
     project_density,
-    validate_params,
 )
 
 G32 = make_grid(32)
@@ -68,13 +69,32 @@ class TestMakeGrid:
 
 
 class TestValidateParams:
+    """Params checks itself when made: Params(...) and dataclasses.replace
+    raise the same error, so no invalid Params can exist."""
+
+    BASE = dict(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=1.0, m2=1.0)
+
+    @classmethod
+    def same_error_both_ways(cls, err, **kwargs):
+        """The message of err, raised alike by the constructor and by
+        replace on a valid Params."""
+        with pytest.raises(err) as made:
+            Params(**{**cls.BASE, **kwargs})
+        with pytest.raises(err) as replaced:
+            replace(Params(**cls.BASE), **kwargs)
+        assert str(made.value) == str(replaced.value)
+        return str(made.value)
+
     def test_passes_and_normalizes_theta(self):
-        p = validate_params(Params(1.0, 2.0, 0.5, theta=1.0, m1=3.0, m2=0.0))
-        assert p.theta == 1 and isinstance(p.theta, int)
+        p = Params(1.0, 2.0, 0.5, theta=1.0, m1=3.0, m2=0.0)
+        assert p.theta == 1 and type(p.theta) is int
+        q = replace(Params(**self.BASE), theta=np.float64(1.0))
+        assert q.theta == 1 and type(q.theta) is int
 
     def test_returns_valid_params_with_int_theta_unchanged(self):
         p = Params(1.0, 2.0, 0.5, theta=-1, m1=3.0, m2=0.0)
-        assert validate_params(p) is p
+        assert (p.alpha, p.beta, p.gamma, p.theta, p.m1, p.m2) == (1.0, 2.0, 0.5, -1, 3.0, 0.0)
+        assert replace(p, m1=4.0) == Params(1.0, 2.0, 0.5, -1, 4.0, 0.0)
 
     @pytest.mark.parametrize(
         "kwargs, err",
@@ -91,18 +111,15 @@ class TestValidateParams:
         ],
     )
     def test_rejections(self, kwargs, err):
-        base = dict(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=1.0, m2=1.0)
-        base.update(kwargs)
-        with pytest.raises(err):
-            validate_params(Params(**base))
+        ((name, bad),) = kwargs.items()
+        bound = {"m1": "finite and > 0", "theta": "-1 or +1"}.get(name, "finite and >= 0")
+        assert self.same_error_both_ways(err, **kwargs) == f"{name} = {bad!r} must be {bound}"
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("name, bound", [("m1", "> 0"), ("m2", ">= 0")])
     def test_non_finite_mass_is_named_as_not_finite(self, name, bound, bad):
-        base = dict(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=1.0, m2=1.0)
-        base[name] = bad
-        with pytest.raises(NonpositiveMass, match=f"{name} = {bad!r} must be finite and {bound}$"):
-            validate_params(Params(**base))
+        message = self.same_error_both_ways(NonpositiveMass, **{name: bad})
+        assert message == f"{name} = {bad!r} must be finite and {bound}"
 
 
 class TestRadialField:

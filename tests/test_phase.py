@@ -739,32 +739,3 @@ class TestCrossValidation:
                 lam, _, lam2 = res.lambdas
                 off_fence = (np.abs(lam) >= 1e-12) & (np.abs(lam2) >= 1e-12)
                 assert np.array_equal((coef < 0.0)[off_fence], unbounded[off_fence])
-
-
-@pytest.mark.parametrize(
-    "classify, points",
-    [
-        # rules 1 to 4 and an Unknown point (rule 0)
-        (classify_conflict, [(1.0, 0.3, 0.5, 10.0, 7.0), (1.0, 2.0, 0.0, 30.0, 1.0),
-                             (1.0, 2.0, 0.0, 30.0, 4.0), (1.0, 2.0, 1.0, 30.0, 39.0),
-                             (1.0, 0.6, 1.0, 26.0, 8.0)]),
-        # cases (a), (b) and (c)
-        (classify_conflict_free, [(1.0, 0.4, 1.0, 10.0, 5.0), (1.0, 1.0, 0.0, 10.0, 1.0),
-                                  (1.0, 1.0, 1.0, 22.0, 8.0)]),
-    ],
-)
-def test_one_point_classify_validates_once(monkeypatch, classify, points):
-    calls = []
-    real = phase.validate_params
-
-    def counting(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(phase, "validate_params", counting)
-    theta = -1 if classify is classify_conflict else 1
-    rules = set()
-    for alpha, beta, gamma, m1, m2 in points:
-        rules.add(classify(Params(alpha, beta, gamma, theta, m1, m2)).rule)
-    assert len(calls) == len(points)
-    assert len(rules) == len(points)
