@@ -5,7 +5,8 @@ psi^2 rho(psi r) and potential by gluing the shifted core w(psi r) +
 (m/2pi) ln psi to the pure exterior logarithm.  Each term of the joint free
 energy then shifts by a known multiple of ln psi, and fitting the total
 against ln psi certifies unboundedness from below whenever the fitted slope
-is negative.
+is negative.  The scale is always psi itself: a half-scale family, at
+sqrt(psi), is the ladder of the square roots.
 
 Transformed fields live on a purpose-built grid: a scaled copy of the input
 nodes, one epsilon node that terminates the core support, and a geometric
@@ -51,14 +52,6 @@ TWO_PI = 2.0 * math.pi
 _EPS_GAP = 2e-12
 
 
-def _effective_scale(psi: float, mode: str) -> float:
-    if mode not in ("full", "half"):
-        raise ValueError(f"mode must be 'full' or 'half', not {mode!r}")
-    if not np.isfinite(psi) or psi < 1.0:
-        raise ValueError(f"psi = {psi!r} must be >= 1")
-    return psi if mode == "full" else math.sqrt(psi)
-
-
 def _scaled_grid(grid: RadialGrid, scale: float) -> RadialGrid:
     """Shrunken copy of ``grid`` plus an epsilon node and a geometric tail."""
     n_tail = max(512, grid.n // 4)
@@ -74,14 +67,14 @@ def _scaled_grid(grid: RadialGrid, scale: float) -> RadialGrid:
 class BlowdownFamily:
     """A base configuration together with the psi ladder to push it along.
 
-    mode 'full' uses the scale psi itself; mode 'half' uses sqrt(psi), the
-    variant whose shift identities carry ln sqrt(psi).
+    Each rung concentrates the base fields at the scale psi, so every shift
+    identity carries ln psi.  The half-scale family, whose identities carry
+    ln sqrt(psi), is the ladder of the square roots.
     """
 
     base_rho: RadialField
     base_w: RadialField
     psis: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_LADDER))
-    mode: str = "full"
 
     def __post_init__(self) -> None:
         if self.base_rho.kind != "density":
@@ -96,25 +89,24 @@ class BlowdownFamily:
         if np.any(psis <= 1.0) or np.any(np.diff(psis) <= 0):
             raise ValueError("psis must be strictly increasing and all > 1")
         object.__setattr__(self, "psis", psis)
-        _effective_scale(float(psis[0]), self.mode)
 
 
-def blowdown_density(rho: RadialField, psi: float, mode: str = "full") -> RadialField:
-    """Concentrated copy of ``rho``: scale^2 rho(scale r), zero outside the core.
+def blowdown_density(rho: RadialField, psi: float) -> RadialField:
+    """Concentrated copy of ``rho``: psi^2 rho(psi r), zero outside the core.
 
-    The scale is psi in full mode and sqrt(psi) in half mode.  The output
-    grid is the scaled copy of the input nodes plus a geometric tail, so the
-    disk mass is preserved to roundoff and the entropy and pairing shift
-    identities are exact.  psi = 1 returns ``rho`` itself.
+    The output grid is the scaled copy of the input nodes plus a geometric
+    tail, so the disk mass is preserved to roundoff and the entropy and
+    pairing shift identities are exact.  psi = 1 returns ``rho`` itself.
     """
     if rho.kind != "density":
         raise ValueError("blowdown_density needs a density-tagged field")
-    scale = _effective_scale(psi, mode)
-    if scale == 1.0:
+    if not np.isfinite(psi) or psi < 1.0:
+        raise ValueError(f"psi = {psi!r} must be >= 1")
+    if psi == 1.0:
         return rho
-    g = _scaled_grid(rho.grid, scale)
+    g = _scaled_grid(rho.grid, psi)
     vals = np.zeros(g.r.size)
-    vals[: rho.grid.r.size] = (scale * scale) * rho.values
+    vals[: rho.grid.r.size] = (psi * psi) * rho.values
     return RadialField.density(g, vals)
 
 
@@ -124,7 +116,7 @@ def blowdown_potential(w: RadialField, m: float, psi: float) -> RadialField:
     Inside [0, 1/psi] the values are w(psi r) + (m/2pi) ln psi; outside they
     follow the exterior logarithm -(m/2pi) ln r.  The two pieces meet
     continuously at the seam and vanish at the wall.  psi = 1 returns ``w``
-    itself.  Callers running the half-mode family pass sqrt(psi) here.
+    itself.
     """
     if w.kind != "potential":
         raise ValueError("blowdown_potential needs a potential-tagged field")
@@ -151,26 +143,25 @@ class ShiftRow:
     measured: float
 
 
-def _ladder(base_rho: RadialField, base_w: RadialField, p: Params, psis, mode: str):
+def _ladder(base_rho: RadialField, base_w: RadialField, p: Params, psis):
     """Walk the blow-down ladder of psis in the given order.
 
-    For each psi yields (psi, s, u_s, terms, report): the effective scale s,
-    the potential u_s of the scaled density, the four raw terms of the joint
-    free energy of the scaled fields (entropy, pairing, Dirichlet,
-    log-partition) and their FunctionalReport.  psi = 1 gives the base fields.
+    For each psi yields (psi, u_s, terms, report): the potential u_s of the
+    scaled density, the four raw terms of the joint free energy of the
+    scaled fields (entropy, pairing, Dirichlet, log-partition) and their
+    FunctionalReport.  psi = 1 gives the base fields.
     """
     for psi in psis:
         psi = float(psi)
-        s = _effective_scale(psi, mode)
-        rho_s = blowdown_density(base_rho, psi, mode)
-        w_s = blowdown_potential(base_w, p.m2, s)
+        rho_s = blowdown_density(base_rho, psi)
+        w_s = blowdown_potential(base_w, p.m2, psi)
         u_s = inv_laplacian(rho_s)
         terms = _joint_terms(rho_s, w_s, u_s, p)
-        yield psi, s, u_s, terms, _joint(p, *terms)
+        yield psi, u_s, terms, _joint(p, *terms)
 
 
 def blowdown_coefficients(m1, m2, p: Params):
-    """The ln s coefficients (total, log_term) of the blow-down family's
+    """The ln psi coefficients (total, log_term) of the blow-down family's
     joint free energy at masses m1, m2, scalars or broadcasting arrays;
     only alpha, beta, gamma and theta are read from ``p``.
 
@@ -193,25 +184,24 @@ def blowdown_coefficients(m1, m2, p: Params):
 def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
     """Measured vs predicted ln(psi) shifts for every rung of the family.
 
-    Five rows per psi: entropy (2 m1 ln s), interaction (-m1^2/2pi ln s),
-    dirichlet (+m2^2/2pi ln s), log_term (m2 x ln s with x the scaling
+    Five rows per psi: entropy (2 m1 ln psi), interaction (-m1^2/2pi ln psi),
+    dirichlet (+m2^2/2pi ln psi), log_term (m2 x ln psi with x the scaling
     exponent of the chemical integrand, applicable only while x > 0) and
     total (the joint free energy, whose coefficient includes the log_term
-    contribution exactly when it applies).  Here s is the mode's effective
-    scale.  The first three identities are exact on the transform grids;
-    the last two hold asymptotically in psi.
+    contribution exactly when it applies).  The first three identities are
+    exact on the transform grids; the last two hold asymptotically in psi.
     """
     return _shift_table(fam, p)[0]
 
 
 def _shift_table(fam: BlowdownFamily, p: Params):
-    """verify_identities, with the (ln s, total) pair of every rung that
+    """verify_identities, with the (ln psi, total) pair of every rung that
     slope_estimate fits, from one walk of the ladder."""
     base = _joint_terms(fam.base_rho, fam.base_w, inv_laplacian(fam.base_rho), p)
     f0 = _joint(p, *base).total
 
     total_coef, log_coef = map(float, blowdown_coefficients(p.m1, p.m2, p))
-    # per raw term: row name, ln s coefficient, factor on the measured shift
+    # per raw term: row name, ln psi coefficient, factor on the measured shift
     shifts = (
         ("entropy", 2.0 * p.m1, 1.0),
         ("interaction", -(p.m1**2 / TWO_PI), 1.0),
@@ -221,35 +211,34 @@ def _shift_table(fam: BlowdownFamily, p: Params):
 
     rows = []
     fit = []
-    rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
-    for psi, s, _, terms, report in rungs:
-        ln_s = math.log(s)
+    for psi, _, terms, report in _ladder(fam.base_rho, fam.base_w, p, fam.psis):
+        ln_psi = math.log(psi)
         for (name, coef, factor), term, term0 in zip(shifts, terms, base):
-            predicted = None if coef is None else coef * ln_s
+            predicted = None if coef is None else coef * ln_psi
             rows.append(ShiftRow(psi, name, predicted, factor * (term - term0)))
-        rows.append(ShiftRow(psi, "total", total_coef * ln_s, report.total - f0))
-        fit.append((ln_s, report.total))
+        rows.append(ShiftRow(psi, "total", total_coef * ln_psi, report.total - f0))
+        fit.append((ln_psi, report.total))
     return rows, fit
 
 
 def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
-    """Least-squares slope of the joint free energy against ln(scale).
+    """Least-squares slope of the joint free energy against ln(psi).
 
     The two smallest rungs are discarded before fitting: the identities
     carry an O(1) term that only the asymptotic coefficient survives.  A
     negative slope certifies that the energy is unbounded below along the
     family.  Raises TooFewPoints when the ladder has fewer than 4 rungs.
     """
-    rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis, fam.mode)
-    return _fitted_slope([(math.log(s), rep.total) for _, s, _, _, rep in rungs], p)
+    rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis)
+    return _fitted_slope([(math.log(psi), rep.total) for psi, _, _, rep in rungs], p)
 
 
 def _fitted_slope(fit, p: Params) -> float:
-    """slope_estimate of the (ln s, total) pairs of a walk of the ladder."""
+    """slope_estimate of the (ln psi, total) pairs of a walk of the ladder."""
     if len(fit) < 4:
         raise TooFewPoints(f"need at least 4 rungs, got {len(fit)}")
-    log_scales, totals = zip(*fit)
-    slope = float(np.polyfit(log_scales[2:], totals[2:], 1)[0])
+    log_psis, totals = zip(*fit)
+    slope = float(np.polyfit(log_psis[2:], totals[2:], 1)[0])
     log_term = blowdown_coefficients(p.m1, p.m2, p)[1]
     regime = "tail-dominated" if np.isnan(log_term) else "concentration-dominated"
     logger.info(

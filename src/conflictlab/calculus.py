@@ -64,7 +64,9 @@ def face_masses(rho: RadialField) -> np.ndarray:
 
 
 def _face_masses(grid: RadialGrid, rho_vals: np.ndarray) -> np.ndarray:
-    return (grid.volumes * rho_vals).cumsum(axis=-1)[..., :-1]
+    # not ndarray.cumsum, which looks up add.accumulate by a fresh string that
+    # CPython 3.11's type cache then keeps: what a held failure kept varied
+    return np.add.accumulate(grid.volumes * rho_vals, axis=-1)[..., :-1]
 
 
 def inv_laplacian(rho: RadialField) -> RadialField:
@@ -83,7 +85,7 @@ def _green(grid: RadialGrid, rho_vals: np.ndarray):
     u = np.zeros(rho_vals.shape)
     terms = mt[..., 1:] * grid.log_ratio[1:]
     # the suffix sums of terms, written from the wall inwards into u[1:-1]
-    terms[..., ::-1].cumsum(axis=-1, out=u[..., -2:0:-1])
+    np.add.accumulate(terms[..., ::-1], axis=-1, out=u[..., -2:0:-1])
     u.T[0] = u.T[1] + 2.0 * mt.T[0]
     return u, mt
 

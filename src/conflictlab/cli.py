@@ -47,7 +47,7 @@ logger = logging.getLogger(__name__)
 
 _PARAM_KEYS = ("alpha", "beta", "gamma", "theta", "m1", "m2")
 _RUN_KEYS = frozenset({"command", *_PARAM_KEYS, "grid_n"})
-_CHOICES = {"case": FLOW_LIMITS, "mode": ("full", "half"), "init": ("bump", "random")}
+_CHOICES = {"case": FLOW_LIMITS, "init": ("bump", "random")}
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class RunConfig:
     m2_range: tuple = (0.0, 40.0)
     resolution: int = 200
     psis: tuple = DEFAULT_LADDER
-    mode: str = "full"
     scales: tuple = (1e-4, 1e-6, 1e-8)
     case: str = "single"
     dt: float = 1e-3
@@ -89,12 +88,10 @@ def _int(section, key):
 def _floats(section, key):
     raw = section[key]
     try:
-        vals = tuple(float(tok) for tok in raw.split(","))
+        return tuple(float(tok) for tok in raw.split(","))
     except ValueError:
         raise ParseError(f"{key} = {raw!r} is not a comma-separated list") from None
-    if not vals:
-        raise ParseError(f"{key} must list at least one value")
-    return vals
+
 
 def _pair(section, key):
     vals = _floats(section, key)
@@ -131,7 +128,6 @@ _PARSERS = {
     "m2_range": _pair,
     "resolution": _int,
     "psis": _floats,
-    "mode": _choice,
     "scales": _floats,
     "case": _choice,
     "dt": _float,
@@ -334,7 +330,7 @@ def _cmd_blowdown(cfg: RunConfig, out: Path, header, seed: int) -> None:
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
-    fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis), mode=cfg.mode)
+    fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis))
     rows, fit = _shift_table(fam, p)
     slope = _fitted_slope(fit, p)
     table = [
@@ -379,7 +375,7 @@ def _cmd_functional(cfg: RunConfig, out: Path, header, seed: int) -> None:
     rows = [
         (psi, rep.entropy1, rep.interaction, rep.dirichlet, rep.log_terms,
          rep.total, moser_trudinger(u_s, p.m1, p.alpha))
-        for psi, _, u_s, _, rep in _ladder(rho, w, p, cfg.psis, cfg.mode)
+        for psi, u_s, _, rep in _ladder(rho, w, p, cfg.psis)
     ]
     _write_csv(
         out / "functional.csv",
@@ -396,8 +392,8 @@ _COMMANDS = {
     "steady": ((), _cmd_steady),
     "sweep": (("m1_range", "m2_range", "resolution"), _cmd_sweep),
     "flow": (("case", "dt", "t_end", "adapt", "init"), _cmd_flow),
-    "blowdown": (("psis", "mode"), _cmd_blowdown),
-    "functional": (("psis", "mode"), _cmd_functional),
+    "blowdown": (("psis",), _cmd_blowdown),
+    "functional": (("psis",), _cmd_functional),
     "oracle": (("scales",), _cmd_oracle),
 }
 

@@ -109,7 +109,7 @@ class UnknownKey(ParseError):
 
 
 class SolverDiverged(RuntimeError):
-    """Fixed-point iteration failed to reach the residual tolerance."""
+    """A Picard or Newton solve failed to reach the residual tolerance."""
 
 
 class Oscillation(SolverDiverged):

@@ -47,7 +47,6 @@ from .calculus import (
 )
 from .errors import (
     GammaZero,
-    GridMismatch,
     Oscillation,
     SolverDiverged,
     Supercritical,
@@ -300,8 +299,8 @@ def solve_pair(p, grid):
 
 
 @_releasing
-def minimize_w(rho, p, grid, w0=None):
-    """Minimizer of the chemical energy at fixed density ``rho``.
+def minimize_w(rho, p):
+    """Minimizer of the chemical energy at fixed density ``rho``, on its grid.
 
     Solves ``-laplacian(w) = m2 e^g / integral(e^g)`` with exponent
     ``g = -gamma w - theta beta u`` and ``u`` the potential of ``rho`` by
@@ -311,19 +310,14 @@ def minimize_w(rho, p, grid, w0=None):
     ten halvings find no decrease of the defect, raises SolverDiverged.
     ``w = 0`` at ``m2 = 0``.  Requires ``gamma > 0``: the ``gamma = 0``
     case has the closed-form minimizer ``w = 0``, and asking for it raises
-    GammaZero.  An optional ``w0`` warm-starts the iteration (one
-    fixed-point application of ``w0`` seeds it), which time steppers use
-    to re-solve for ``w`` cheaply after a small change in ``rho``.
+    GammaZero.  The iteration starts cold; the flow steps warm-start the
+    same solve through ``_minimize_w``.
     """
     if p.gamma == 0.0:
         raise GammaZero("gamma=0 has minimizer w=0; handle in the caller")
-    if not rho.grid.same_as(grid):
-        raise GridMismatch("rho lives on a different grid")
-    if w0 is not None and not w0.grid.same_as(grid):
-        raise GridMismatch("w0 lives on a different grid")
+    grid = rho.grid
     u = _green(grid, rho.values)[0]
-    w0 = None if w0 is None else w0.values
-    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p, w0)[0])
+    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p)[0])
 
 
 def _minimize_w(grid, rho_vals, u, p, w0=None):

@@ -195,11 +195,6 @@ class RadialField:
     def potential(cls, grid: RadialGrid, values: np.ndarray) -> "RadialField":
         return cls(grid, values, kind="potential")
 
-    @classmethod
-    def from_function(cls, grid: RadialGrid, fn, kind: str | None = None) -> "RadialField":
-        """Sample fn(r) (vectorized over the node array) onto the grid."""
-        return cls(grid, np.asarray(fn(grid.r), dtype=float), kind=kind)
-
     def with_values(self, values: np.ndarray) -> "RadialField":
         return RadialField(self.grid, values, self.kind)
 

@@ -362,7 +362,7 @@ class TestIdentification:
         # the max-norm flux defect has a roundoff floor ~ 1e-5 on cells this
         # small; the Newton stop, relative to the chemical density's peak
         # (about 3e10 here), sits well above it
-        w = minimize_w(rho, p, grid)
+        w = minimize_w(rho, p)
 
         sol = integrate_annulus(lp, n=8192)
         window = grid.r >= math.sqrt(psi)

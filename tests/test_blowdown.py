@@ -54,7 +54,6 @@ class TestBlowdownDensity:
     def test_psi_one_is_identity(self, gg):
         rho = smooth_rho(gg, 2.0)
         assert blowdown_density(rho, 1.0) is rho
-        assert blowdown_density(rho, 1.0, mode="half") is rho
 
     def test_uniform_doubling(self, gg):
         uni = RadialField.density(gg, np.full(gg.r.size, 1.0 / np.pi))
@@ -64,13 +63,6 @@ class TestBlowdownDensity:
         assert np.all(out.values[~inside] == 0.0)
         assert np.isclose(integrate_disk(out), 1.0, rtol=1e-10, atol=0.0)
 
-    def test_half_mode_uses_sqrt_scale(self, gg):
-        rho = smooth_rho(gg, 2.0)
-        half = blowdown_density(rho, 16.0, mode="half")
-        full = blowdown_density(rho, 4.0, mode="full")
-        assert half.grid.same_as(full.grid)
-        assert np.array_equal(half.values, full.values)
-
     def test_support_ends_at_core_edge(self, gg):
         rho = smooth_rho(gg, 2.0)
         out = blowdown_density(rho, 32.0)
@@ -78,37 +70,25 @@ class TestBlowdownDensity:
         assert np.all(out.values[out.grid.r > edge * (1.0 + 1e-10)] == 0.0)
         assert out.values[np.searchsorted(out.grid.r, edge)] > 0.0
 
-    @pytest.mark.parametrize(
-        "psi, mode, exc",
-        [
-            (0.5, "full", ValueError),
-            (np.inf, "full", ValueError),
-            (2.0, "sideways", ValueError),
-        ],
-    )
-    def test_rejects_bad_arguments(self, gg, psi, mode, exc):
+    @pytest.mark.parametrize("psi, exc", [(0.5, ValueError), (np.inf, ValueError)])
+    def test_rejects_bad_arguments(self, gg, psi, exc):
         rho = smooth_rho(gg, 2.0)
         with pytest.raises(exc):
-            blowdown_density(rho, psi, mode=mode)
+            blowdown_density(rho, psi)
 
     def test_rejects_potential_input(self, gg):
         with pytest.raises(ValueError):
             blowdown_density(zero_w(gg), 2.0)
 
-    @given(
-        mass=st.floats(0.5, 50.0),
-        log2_psi=st.floats(0.1, 20.0),
-        mode=st.sampled_from(["full", "half"]),
-    )
+    @given(mass=st.floats(0.5, 50.0), log2_psi=st.floats(0.05, 20.0))
     @settings(max_examples=40, deadline=None)
-    def test_mass_and_entropy_shift_preserved(self, mass, log2_psi, mode):
+    def test_mass_and_entropy_shift_preserved(self, mass, log2_psi):
         grid = make_grid(64, kind="graded")
         rho = smooth_rho(grid, mass)
         psi = 2.0**log2_psi
-        out = blowdown_density(rho, psi, mode=mode)
+        out = blowdown_density(rho, psi)
         assert abs(integrate_disk(out) - mass) <= 1e-10 * mass
-        scale = psi if mode == "full" else np.sqrt(psi)
-        gap = entropy(out) - entropy(rho) - 2.0 * mass * np.log(scale)
+        gap = entropy(out) - entropy(rho) - 2.0 * mass * np.log(psi)
         assert abs(gap) <= 1e-6
 
 
@@ -254,15 +234,19 @@ class TestVerifyIdentities:
                 assert abs(r.measured - r.predicted) <= 2e-2 * abs(r.predicted)
 
     def test_half_mode_shifts_carry_half_log(self, gg):
+        # the half-scale rung of psi = 16 is the rung of its square root
         m1 = 5 * np.pi
         rho = smooth_rho(gg, m1)
         w = inv_laplacian(smooth_rho(gg, np.pi, shape=np.exp(-3 * gg.r**2)))
         p = Params(alpha=1.0, beta=2.0, gamma=1.0, theta=-1, m1=m1, m2=np.pi)
-        fam = BlowdownFamily(rho, w, psis=np.array([16.0]), mode="half")
-        rows = verify_identities(fam, p)
-        ent = next(r for r in rows if r.term == "entropy")
-        assert np.isclose(ent.predicted, 2.0 * m1 * np.log(4.0), rtol=1e-15)
-        assert np.isclose(ent.measured, ent.predicted, rtol=1e-10)
+        full, half = (
+            next(r for r in verify_identities(BlowdownFamily(rho, w, psis=np.array([psi])), p)
+                 if r.term == "entropy")
+            for psi in (16.0, 4.0)
+        )
+        assert np.isclose(half.predicted, 2.0 * m1 * np.log(4.0), rtol=1e-15)
+        assert np.isclose(half.measured, half.predicted, rtol=1e-10)
+        assert np.isclose(half.measured, 0.5 * full.measured, rtol=1e-10)
 
 
 class TestSlopeEstimate:
@@ -275,8 +259,10 @@ class TestSlopeEstimate:
         assert np.isclose(slope, 23.267607928762178, rtol=0, atol=1e-9)
 
     def test_half_mode_agrees(self, gg):
+        # the half-scale ladder is the default ladder's square roots
         p = Params(alpha=1.0, beta=3.0, gamma=0.0, theta=-1, m1=20.0, m2=2.0)
-        fam = BlowdownFamily(smooth_rho(gg, 20.0), zero_w(gg), mode="half")
+        psis = np.sqrt(DEFAULT_LADDER)
+        fam = BlowdownFamily(smooth_rho(gg, 20.0), zero_w(gg), psis=psis)
         assert np.isclose(slope_estimate(fam, p), 23.267604552648375, rtol=1e-5)
 
     def test_negative_slope_instance(self, gg):

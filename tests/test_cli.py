@@ -10,7 +10,7 @@ from conflictlab import blowdown
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.cli import RunConfig, _base_fields, _fmt, _table_lines, main, parse_config, run
 from conflictlab.errors import BadTheta, NonpositiveMass, ParseError, UnknownKey
-from conflictlab.model import Params, make_grid
+from conflictlab.model import DEFAULT_LADDER, Params, make_grid
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -61,6 +61,11 @@ class TestParseConfig:
         assert cfg.adapt is False
         assert cfg.init == "random"
 
+    @pytest.mark.parametrize("raw", ["TRUE", "yes", "on", "1"])
+    def test_adapt_true_spellings(self, raw):
+        sec = f"[flow]\nadapt = {raw}\n"
+        assert parse_config(config_text("flow", section=sec)).adapt is True
+
     def test_zero_theta_rejected_by_validation(self):
         with pytest.raises(BadTheta):
             parse_config(config_text("classify", theta=0))
@@ -70,6 +75,7 @@ class TestParseConfig:
         [
             ("alpha = 1\n", ParseError),
             ("[run]\nalpha = 1\n", ParseError),
+            ("[sweep]\nresolution = 10\n", ParseError),
             (config_text("teleport"), ParseError),
             (config_text("classify") + "wibble = 3\n", UnknownKey),
             (config_text("classify", section="[sweep]\nresolution = 10\n"),
@@ -81,8 +87,9 @@ class TestParseConfig:
             (config_text("sweep", section="[sweep]\nresolution = 2.5\n"),
              ParseError),
             (config_text("flow", section="[flow]\nadapt = maybe\n"), ParseError),
-            (config_text("blowdown", section="[blowdown]\nmode = diagonal\n"),
-             ParseError),
+            (config_text("blowdown", section="[blowdown]\nmode = half\n"),
+             UnknownKey),
+            (config_text("blowdown", section="[blowdown]\npsis =\n"), ParseError),
             ("[run]\ncommand = classify\nalpha = 1\nbeta = 1\ngamma = 1\n"
              "theta = -1\nm1 = 1\n", ParseError),
         ],
@@ -266,6 +273,8 @@ def _sections(command, **options):
 _FLOW = dict(beta=0.5, gamma=1.0, m1=8.0, m2=4.0, grid_n=64)
 _SWEEP = _sections("sweep", m1_range="0, 40", m2_range="0, 40", resolution=12)
 _LADDER = dict(m1=30.0, m2=1.0, grid_n=128)
+# the half-scale ladder: the square roots of the default ladder
+_HALF = ", ".join(repr(math.sqrt(psi)) for psi in DEFAULT_LADDER)
 
 # Every command on a small grid: the config text and, per CSV written, the
 # sha256 of its lines without the '# conflictlab <version>' line (the
@@ -281,7 +290,11 @@ _LADDER = dict(m1=30.0, m2=1.0, grid_n=128)
 # values moved by at most 1.2e-11.  It was re-recorded again when its
 # densities became the normalized Boltzmann densities m e^g / integral(e^g)
 # instead of lambda e^g: rho1 moved by at most 3.8e-16 relative, and every
-# other column kept its bytes.
+# other column kept its bytes.  The six blowdown and functional pins were
+# re-recorded when the blow-down mode option went: each file lost its
+# '# mode = full' header line and kept every other byte, and the two -half
+# configs, which had set mode = half, list the square-root psis instead,
+# which changes only their psis header line and their psi column.
 PINNED_TABLES = {
     "classify-conflict": (config_text("classify"), {
         "classify.csv": "51c6559c9e3f23c55746426b1500f8205d06e63f000d50cef3f27b979b921e1e",
@@ -305,22 +318,22 @@ PINNED_TABLES = {
         "steady.csv": "8d49e1160c4ba9e72f4753189fb03a5fbf1c8fe70fbfb47ba169fab5ed97fca4",
     }),
     "blowdown-full": (config_text("blowdown", **_LADDER), {
-        "blowdown.csv": "a553fe892fe2bca597f58b87a28512163cdeda1fb11620c4884d34da7dd3b09f",
+        "blowdown.csv": "2848a2653bb40453a37bdf8a7012982fecd61590d9c400009bfc74187f28fb44",
     }),
-    "blowdown-half": (config_text("blowdown", **_LADDER, section=_sections("blowdown", mode="half")), {
-        "blowdown.csv": "71ee6c1532f345593d4cff9f2f5e4936a9389568d3fef51b60b6067b1cb3c8bb",
+    "blowdown-half": (config_text("blowdown", **_LADDER, section=_sections("blowdown", psis=_HALF)), {
+        "blowdown.csv": "5286881ca7dc24287cdb81aab725cdeda507742ae4ff4a294eb1ff223fcf68e3",
     }),
     "blowdown-psis": (config_text("blowdown", **_LADDER, section=_sections("blowdown", psis="1.5, 3, 9, 27, 81")), {
-        "blowdown.csv": "9600acbe88fbe64e729b84ca48eb63ab8edc96a58e51889bcfd2bbd1b552d277",
+        "blowdown.csv": "630e98e189a0c7244ee13243f221feeb4a8872e9c32d3db55c387f63a928bddb",
     }),
     "functional-full": (config_text("functional", **_LADDER), {
-        "functional.csv": "25d83e0749a308bd6320500283f72734ad2fe3179171470a21dcc2b8e29afe73",
+        "functional.csv": "aba7aa605712fad3afb7c06b1521b47825441d668cddb751ee74d7aab1fa6b43",
     }),
-    "functional-half": (config_text("functional", **_LADDER, section=_sections("functional", mode="half")), {
-        "functional.csv": "a77286bac0c0a46d6a898f3be99ae1aafaf534f93c42fcccd17b5757a62313a4",
+    "functional-half": (config_text("functional", **_LADDER, section=_sections("functional", psis=_HALF)), {
+        "functional.csv": "39c94e7ada0384ef21743374e12804d803007d03a33858e829fa671f3ba69f37",
     }),
     "functional-psis": (config_text("functional", **_LADDER, section=_sections("functional", psis="1, 2, 8, 4, 1024")), {
-        "functional.csv": "7cdd8770a265ed1af79441d5339cef742945f99e1f777ff34c974541b69fa484",
+        "functional.csv": "8574da30f31b49ccbb716b04061b5705ec7b30df67d022dc1f5bca9e4d6eb10f",
     }),
     "oracle": (config_text("oracle", beta=10.0 * math.pi, gamma=1.0, m1=1.0, m2=2.0 * math.pi, grid_n=1000), {
         "oracle.csv": "5e69503c07aedf7d9fa78c51e25a95af3d0ffb2c172acb5c34f80c4a727b4ec4",
@@ -381,12 +394,12 @@ class TestBlowdownCommand:
             return real(*args)
 
         monkeypatch.setattr(blowdown, "_ladder", counted)
-        sec = "[blowdown]\npsis = 4, 8, 16, 32, 64\nmode = half\n"
+        sec = "[blowdown]\npsis = 4, 8, 16, 32, 64\n"
         cfg = parse_config(config_text("blowdown", m1=30.0, m2=1.0, grid_n=256, section=sec))
         assert run(cfg, out_dir=tmp_path) == 0
         assert len(walks) == 1
         rho, w = _base_fields(make_grid(256, kind="graded"), cfg.params)
-        fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis), mode=cfg.mode)
+        fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis))
         header, _, _ = read_table(tmp_path / "blowdown.csv")
         assert f"slope = {_fmt(slope_estimate(fam, cfg.params))}" in header
 

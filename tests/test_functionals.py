@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conflictlab.calculus import dirichlet_energy, inv_laplacian, log_partition
-from conflictlab.errors import NonpositiveMass
+from conflictlab.errors import GridMismatch, NonpositiveMass
 from conflictlab.functionals import (
     FunctionalReport,
     chemical_energy,
@@ -206,6 +206,16 @@ class TestTwoSpeciesEnergyU:
 
             assert abs(central_difference(along)) < 1e-5
 
+    def test_rejects_untagged_fields_and_two_grids(self, g1024):
+        p = Params(1.0, 1.0, 1.0, -1, 1.0, 1.0)
+        untagged = RadialField(g1024, np.zeros_like(g1024.r))
+        with pytest.raises(ValueError, match="potential-tagged"):
+            two_species_energy_u(untagged, zero_potential(g1024), p)
+        with pytest.raises(ValueError, match="potential-tagged"):
+            two_species_energy_u(zero_potential(g1024), uniform_density(g1024), p)
+        with pytest.raises(GridMismatch):
+            two_species_energy_u(zero_potential(g1024), zero_potential(G256), p)
+
 
 class TestTwoSpeciesEnergyRho:
     def test_vacuum_second_species(self, g1024):
@@ -240,3 +250,8 @@ class TestTwoSpeciesEnergyRho:
         a = two_species_energy_rho(rho1, rho2, p).cross
         b = two_species_energy_rho(rho2, rho1, p).cross
         assert abs(a - b) < 1e-8
+
+    def test_rejects_two_grids(self, g1024):
+        p = Params(1.0, 1.0, 1.0, -1, 1.0, 1.0)
+        with pytest.raises(GridMismatch):
+            two_species_energy_rho(uniform_density(g1024), uniform_density(G256), p)

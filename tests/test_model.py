@@ -62,6 +62,10 @@ class TestMakeGrid:
             RadialGrid(np.array([0.1, 0.5, 1.0]))
         with pytest.raises(ValueError):
             RadialGrid(np.array([0.0, 0.5, 0.9]))
+        with pytest.raises(ValueError, match="at least two radii"):
+            RadialGrid(np.array([0.0]))
+        with pytest.raises(ValueError, match="1-d array"):
+            RadialGrid(np.array([[0.0, 0.5, 1.0]]))
 
     def test_rejects_nan_node(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -148,10 +152,6 @@ class TestRadialField:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             RadialField(G32, np.zeros_like(G32.r), kind="flux")
-
-    def test_from_function(self):
-        f = RadialField.from_function(G32, lambda r: r**2)
-        np.testing.assert_array_equal(f.values, G32.r**2)
 
     def test_with_values_revalidates(self):
         w = RadialField.potential(G32, np.zeros_like(G32.r))

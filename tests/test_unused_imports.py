@@ -1,9 +1,13 @@
-"""No module of the package or of the scripts imports a name it never uses.
+"""No module of the package or of the scripts imports a name it never uses,
+and no module of the package defines a private name that the package never
+references.
 
 A name bound by an import counts as used when the scope that imports it
 reads it (a module-level import anywhere in the module, a function's import
 within that function) or when it is listed in the module's ``__all__``.
-Stdlib ``ast`` only: the scan runs wherever the suite runs.
+A module-level private function, class or constant counts as referenced
+when any module of the package reads a name or an attribute so spelled, or
+imports it.  Stdlib ``ast`` only: the scan runs wherever the suite runs.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "conflictlab").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "conflictlab").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
 
 
 def _exported(tree):
@@ -79,3 +84,70 @@ def test_scan_finds_an_unused_import(tmp_path):
         "    return inf\n"
     )
     assert unused_imports(path) == [(1, "pi"), (5, "inf")]
+
+
+def _private_definitions(tree):
+    """(line, name) of each private function, class or constant that the
+    module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _references(tree):
+    """Every name the module reads, every attribute it reads and every name
+    it imports from a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unreferenced_privates(paths):
+    """(file, line, name) of every module-level private definition in the
+    files that none of the files references."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    read = set().union(*map(_references, trees.values()))
+    return sorted(
+        (path.name, line, name)
+        for path, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in read
+    )
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_privates(PACKAGE) == []
+
+
+def test_scan_finds_an_unreferenced_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_USED, _LOST = 1, 2\n"
+        "_TYPED: int = 3\n"
+        "__version__ = '1'\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Gone:\n"
+        "    def _method(self):\n"
+        "        return 0\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _helper\n"
+        "import a\n"
+        "x = a._TYPED\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unreferenced_privates(paths) == [("a.py", 1, "_LOST"), ("a.py", 6, "_Gone")]
