@@ -135,11 +135,11 @@ def blowdown_potential(w: RadialField, m: float, psi: float) -> RadialField:
 
 @dataclass(frozen=True)
 class ShiftRow:
-    """One verified shift: predicted is None when the row is not applicable."""
+    """One verified shift: predicted is NaN when the row is not applicable."""
 
     psi: float
     term: str
-    predicted: float | None
+    predicted: float
     measured: float
 
 
@@ -206,7 +206,7 @@ def _shift_table(fam: BlowdownFamily, p: Params):
         ("entropy", 2.0 * p.m1, 1.0),
         ("interaction", -(p.m1**2 / TWO_PI), 1.0),
         ("dirichlet", p.m2**2 / TWO_PI, 1.0),
-        ("log_term", None if math.isnan(log_coef) else log_coef, p.m2),
+        ("log_term", log_coef, p.m2),
     )
 
     rows = []
@@ -214,8 +214,7 @@ def _shift_table(fam: BlowdownFamily, p: Params):
     for psi, _, terms, report in _ladder(fam.base_rho, fam.base_w, p, fam.psis):
         ln_psi = math.log(psi)
         for (name, coef, factor), term, term0 in zip(shifts, terms, base):
-            predicted = None if coef is None else coef * ln_psi
-            rows.append(ShiftRow(psi, name, predicted, factor * (term - term0)))
+            rows.append(ShiftRow(psi, name, coef * ln_psi, factor * (term - term0)))
         rows.append(ShiftRow(psi, "total", total_coef * ln_psi, report.total - f0))
         fit.append((ln_psi, report.total))
     return rows, fit

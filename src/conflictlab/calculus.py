@@ -45,7 +45,6 @@ __all__ = [
     "entropy",
     "face_flux",
     "face_masses",
-    "green_pairing",
     "integrate_disk",
     "interaction_energy",
     "inv_laplacian",
@@ -143,15 +142,6 @@ def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray):
     body = np.vecdot(a[..., 1:] * grid.log_ratio[1:], b[..., 1:])
     out = 2.0 * np.pi * (body + 2.0 * a[..., 0] * b[..., 0])
     return out if a.ndim > 1 else float(out)
-
-
-def green_pairing(f: RadialField, g: RadialField) -> float:
-    """integral of f * inv_laplacian(g) over the disk, assembled in the
-    exactly symmetric face-mass form (so pairing(f, g) == pairing(g, f)
-    bit-for-bit up to commutative rounding)."""
-    if not f.grid.same_as(g.grid):
-        raise GridMismatch("green_pairing needs a shared grid")
-    return _pairing(f.grid, face_masses(f), face_masses(g))
 
 
 def interaction_energy(rho: RadialField) -> float:

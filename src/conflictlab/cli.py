@@ -243,10 +243,10 @@ def _base_fields(grid, p: Params):
 
 
 def _cmd_classify(cfg: RunConfig, out: Path, header, seed: int) -> None:
-    from .phase import classify_conflict, classify_conflict_free
+    from .phase import classify
 
     p = cfg.params
-    verdict = classify_conflict(p) if p.theta == -1 else classify_conflict_free(p)
+    verdict = classify(p)
     columns = ["m1", "m2", "verdict", "rule"] + [name for name, _ in verdict.fired]
     row = [p.m1, p.m2, verdict.verdict, verdict.rule]
     row += [value for _, value in verdict.fired]
@@ -333,20 +333,11 @@ def _cmd_blowdown(cfg: RunConfig, out: Path, header, seed: int) -> None:
     fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis))
     rows, fit = _shift_table(fam, p)
     slope = _fitted_slope(fit, p)
-    table = [
-        (
-            r.psi,
-            r.term,
-            math.nan if r.predicted is None else r.predicted,
-            r.measured,
-        )
-        for r in rows
-    ]
     _write_csv(
         out / "blowdown.csv",
         header + [f"slope = {_fmt(slope)}"],
         ["psi", "term", "predicted", "measured"],
-        table,
+        [(r.psi, r.term, r.predicted, r.measured) for r in rows],
     )
 
 

@@ -80,7 +80,7 @@ class Supercritical(ValueError):
 
 
 class GammaZero(ValueError):
-    """minimize_w called with gamma = 0; the caller must handle that case."""
+    """The annulus reduction asked for at gamma = 0, where it does not apply."""
 
 
 class AtBlowdown(ValueError):

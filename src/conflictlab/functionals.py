@@ -25,7 +25,7 @@ from .calculus import (
     inv_laplacian,
     log_partition,
 )
-from .errors import GridMismatch, NonpositiveMass
+from .errors import GridMismatch, NonpositiveMass, _releasing
 from .liouville import _densities, _minimize_w
 from .model import Params, RadialField
 
@@ -124,12 +124,14 @@ def joint_free_energy(rho: RadialField, w: RadialField, p: Params) -> Functional
     return _joint(p, *_joint_terms(rho, w, inv_laplacian(rho), p))
 
 
+@_releasing
 def relaxed_free_energy(rho: RadialField, p: Params):
     """Infimum of the joint free energy over w, with the minimizer.
 
-    Returns (value, w_star).  For gamma = 0 the log term does not see w
-    and w_star = 0 is exact; otherwise the minimizer comes from the
-    solver module.
+    Returns (value, w_star).  For gamma = 0 or m2 = 0 the log term does not
+    see w and w_star = 0 is exact; otherwise w_star comes from the chemical
+    Newton solve of the solver module, which raises SolverDiverged when it
+    fails.
     """
     u = inv_laplacian(rho)
     w_star = RadialField.potential(rho.grid, _minimize_w(rho.grid, rho.values, u.values, p)[0])

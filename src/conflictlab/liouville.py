@@ -46,7 +46,6 @@ from .calculus import (
     _tridiag,
 )
 from .errors import (
-    GammaZero,
     Oscillation,
     SolverDiverged,
     Supercritical,
@@ -298,34 +297,16 @@ def solve_pair(p, grid):
     return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
 
 
-@_releasing
-def minimize_w(rho, p):
-    """Minimizer of the chemical energy at fixed density ``rho``, on its grid.
+def _minimize_w(grid, rho_vals, u, p, w0=None):
+    """Minimizer w of the chemical energy at fixed density ``rho_vals``,
+    whose potential is ``u``, from the warm start ``w0`` if given; zero, the
+    closed form, when gamma or m2 is.
 
     Solves ``-laplacian(w) = m2 e^g / integral(e^g)`` with exponent
-    ``g = -gamma w - theta beta u`` and ``u`` the potential of ``rho`` by
-    Newton's method, stopping once the finite-volume defect is at most
-    ``_TOL * max(1, max of the right-hand side density)``; ``_MAX_ITER``
-    counts Newton steps, and running out of them, or a step along which
-    ten halvings find no decrease of the defect, raises SolverDiverged.
-    ``w = 0`` at ``m2 = 0``.  Requires ``gamma > 0``: the ``gamma = 0``
-    case has the closed-form minimizer ``w = 0``, and asking for it raises
-    GammaZero.  The iteration starts cold; the flow steps warm-start the
-    same solve through ``_minimize_w``.
-    """
-    if p.gamma == 0.0:
-        raise GammaZero("gamma=0 has minimizer w=0; handle in the caller")
-    grid = rho.grid
-    u = _green(grid, rho.values)[0]
-    return RadialField.potential(grid, _minimize_w(grid, rho.values, u, p)[0])
-
-
-def _minimize_w(grid, rho_vals, u, p, w0=None):
-    """minimize_w on raw arrays, zero when gamma or m2 is; ``u`` is the
-    potential of ``rho_vals`` and ``w0`` the warm start.
-
-    Returns w with the chemical density m2 e^g / integral(e^g) at w and its
-    m2 ln integral(e^g), for the exponent g = -gamma w - theta beta u."""
+    ``g = -gamma w - theta beta u`` by _newton_w, which raises
+    SolverDiverged after ``_MAX_ITER`` Newton steps or a step that ten
+    halvings cannot make decrease the defect.  Returns w with the chemical
+    density m2 e^g / integral(e^g) at w and its m2 ln integral(e^g)."""
     drive = -p.theta * p.beta * u
     if p.gamma == 0.0 or p.m2 == 0.0:
         w = np.zeros_like(grid.r)

@@ -6,9 +6,9 @@ unbounded, or not covered by any condition we implement.  Each sign
 convention has one rule table that works on broadcast arrays of masses:
 the conflict table is an ordered list of strict inequalities, the
 cooperative table the subset-positivity conditions specialized to two
-species.  classify_conflict and classify_conflict_free evaluate a table at
-one point; sweep() evaluates it over a whole mass grid in one call and emits
-the analytic boundary curves alongside the verdicts.
+species.  classify() evaluates the table of p.theta at the one point
+(p.m1, p.m2); sweep() evaluates it over a whole mass grid in one call and
+emits the analytic boundary curves alongside the verdicts.
 
 All comparisons that decide a verdict are strict: a point whose deciding
 quantity sits within 1e-12 of its threshold is classified Unknown.
@@ -29,8 +29,7 @@ __all__ = [
     "PhaseVerdict",
     "SweepResult",
     "VERDICTS",
-    "classify_conflict",
-    "classify_conflict_free",
+    "classify",
     "lambda_values",
     "strip_mass",
     "sweep",
@@ -68,9 +67,6 @@ class PhaseVerdict:
     def __post_init__(self) -> None:
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
-
-    def value(self, name: str) -> float:
-        return dict(self.fired)[name]
 
 
 def lambda_values(m1, m2, p: Params):
@@ -284,28 +280,21 @@ def _cooperative_table(p: Params, m1, m2):
     return table.verdict, table.rule, fired
 
 
-def _at_point(p: Params, table) -> PhaseVerdict:
-    verdict, rule, fired = table(p, p.m1, p.m2)
+def _rule_table(p: Params):
+    """The rule table of the sign convention p.theta."""
+    return _conflict_table if p.theta == -1 else _cooperative_table
+
+
+def classify(p: Params) -> PhaseVerdict:
+    """The rule table of p.theta (see _conflict_table, _cooperative_table)
+    at the point (p.m1, p.m2)."""
+    verdict, rule, fired = _rule_table(p)(p, p.m1, p.m2)
     return PhaseVerdict(
         point=(p.m1, p.m2),
         verdict=str(verdict[()]),
         fired=tuple((name, float(value)) for name, value in fired.items()),
         rule=int(rule[()]),
     )
-
-
-def classify_conflict(p: Params) -> PhaseVerdict:
-    """The conflict rule table (see _conflict_table) at the point (p.m1, p.m2)."""
-    if p.theta != -1:
-        raise ValueError("classify_conflict needs theta = -1")
-    return _at_point(p, _conflict_table)
-
-
-def classify_conflict_free(p: Params) -> PhaseVerdict:
-    """The cooperative cases (see _cooperative_table) at the point (p.m1, p.m2)."""
-    if p.theta != 1:
-        raise ValueError("classify_conflict_free needs theta = +1")
-    return _at_point(p, _cooperative_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,8 +388,7 @@ def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:
         m2s = np.empty(0)
 
     mm1, mm2 = np.meshgrid(m1s, m2s, indexing="ij")
-    table = _conflict_table if p_base.theta == -1 else _cooperative_table
-    verdicts, rules, fired = table(p_base, mm1, mm2)
+    verdicts, rules, fired = _rule_table(p_base)(p_base, mm1, mm2)
     lambdas = np.stack([fired["lambda"], fired["lambda1"], fired["lambda2"]])
 
     if p_base.theta == -1:

@@ -337,11 +337,12 @@ class TestBitIdentity:
 
 
 class TestIdentification:
-    """minimize_w restricted to an annulus with a fully concentrated core
-    reproduces the integrated profile up to an additive constant."""
+    """The chemical minimizer restricted to an annulus with a fully
+    concentrated core reproduces the integrated profile up to an additive
+    constant."""
 
     def test_matches_chemical_minimizer(self):
-        from conflictlab.liouville import minimize_w
+        from conflictlab.functionals import relaxed_free_energy
         from conflictlab.model import Params, RadialField, RadialGrid
 
         psi, n_ann = 1e-5, 2048
@@ -362,7 +363,7 @@ class TestIdentification:
         # the max-norm flux defect has a roundoff floor ~ 1e-5 on cells this
         # small; the Newton stop, relative to the chemical density's peak
         # (about 3e10 here), sits well above it
-        w = minimize_w(rho, p)
+        w = relaxed_free_energy(rho, p)[1]
 
         sol = integrate_annulus(lp, n=8192)
         window = grid.r >= math.sqrt(psi)

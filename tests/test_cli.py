@@ -378,11 +378,9 @@ class TestBlowdownCommand:
         header, columns, rows = read_table(tmp_path / "blowdown.csv")
         assert columns == ["psi", "term", "predicted", "measured"]
         assert any(line.startswith("slope = ") for line in header)
-        applicable = [
-            r for r in rows if r[2] != "nan" and r[1] in ("entropy", "pairing")
-        ]
-        assert applicable
-        for r in applicable:
+        exact = [r for r in rows if r[1] in ("entropy", "interaction", "dirichlet")]
+        assert len(exact) == 12
+        for r in exact:
             assert np.isclose(float(r[2]), float(r[3]), rtol=1e-6)
 
     def test_walks_the_ladder_once(self, tmp_path, monkeypatch):

@@ -24,8 +24,13 @@ from conflictlab.errors import (
     Stalled,
     StepRejected,
 )
-from conflictlab.functionals import _joint_terms, two_species_energy_rho, two_species_energy_u
-from conflictlab.liouville import _minimize_w, minimize_w, residual, solve_pair, solve_single
+from conflictlab.functionals import (
+    _joint_terms,
+    relaxed_free_energy,
+    two_species_energy_rho,
+    two_species_energy_u,
+)
+from conflictlab.liouville import _minimize_w, residual, solve_pair, solve_single
 from conflictlab.model import (
     FlowConfig,
     Params,
@@ -836,7 +841,7 @@ class TestWarmStart:
         p = Params(alpha=1.0, beta=2.0, gamma=1.0, theta=-1, m1=10.0, m2=5.0)
         rho = bump_density(g256, 10.0, width=3.0)
         u = inv_laplacian(rho).values
-        cold = minimize_w(rho, p)
+        cold = relaxed_free_energy(rho, p)[1]
         warm = _minimize_w(g256, rho.values, u, p, w0=cold.values)[0]
         assert np.max(np.abs(cold.values - warm)) < 1e-9
 

@@ -16,8 +16,7 @@ from conflictlab.liouville import residual, solve_pair
 from conflictlab.model import Params, RadialField, make_grid, project_density
 from conflictlab.phase import (
     PhaseVerdict,
-    classify_conflict,
-    classify_conflict_free,
+    classify,
     lambda_values,
     strip_mass,
     sweep,
@@ -227,8 +226,8 @@ class TestRefinedCondition:
     def test_two_species_box_matches_cooperative_box_min(
         self, m1, m2, alpha, beta, gamma
     ):
-        v = classify_conflict_free(coop(alpha, beta, gamma, m1, m2))
-        box_min = v.value("box_min")
+        v = classify(coop(alpha, beta, gamma, m1, m2))
+        box_min = dict(v.fired)["box_min"]
         assume(abs(box_min) > 1e-9)
         a = [[alpha, beta], [beta, -gamma]]
         assert refined_condition([m1, m2], a) == (box_min > 0.0)
@@ -269,8 +268,8 @@ class TestStripMass:
         # huge or +inf, not overflow an intermediate
         ms = strip_mass(conflict(alpha, 2.0, gamma))
         assert ms > 1e150
-        v = classify_conflict(conflict(alpha, 2.0, gamma, 1e12, 1.0))
-        assert v.value("strip_mass_gap") > 0.0
+        v = classify(conflict(alpha, 2.0, gamma, 1e12, 1.0))
+        assert dict(v.fired)["strip_mass_gap"] > 0.0
 
 
 class TestClassifyConflict:
@@ -286,19 +285,19 @@ class TestClassifyConflict:
         ],
     )
     def test_rule_table(self, alpha, beta, gamma, m1, m2, verdict, rule):
-        v = classify_conflict(conflict(alpha, beta, gamma, m1, m2))
+        v = classify(conflict(alpha, beta, gamma, m1, m2))
         assert v.verdict == verdict
         assert v.rule == rule
         assert v.point == (m1, m2)
 
     def test_critical_boundary_is_unknown(self):
-        v = classify_conflict(conflict(1.0, 2.0, 0.0, EIGHT_PI, 5.0))
+        v = classify(conflict(1.0, 2.0, 0.0, EIGHT_PI, 5.0))
         assert v.verdict == "Unknown"
         assert v.rule == 0
 
     def test_fired_carries_the_deciding_values(self):
         p = conflict(1.0, 2.0, 0.0, 30.0, 4.0)
-        v = classify_conflict(p)
+        v = classify(p)
         names = [name for name, _ in v.fired]
         assert names == [
             "lambda",
@@ -308,12 +307,8 @@ class TestClassifyConflict:
             "strip_mass_gap",
             "strip_gap",
         ]
-        assert v.value("lambda") == lambda_values(30.0, 4.0, p)[0]
-        assert v.value("critical_gap") == EIGHT_PI - 30.0
-
-    def test_rejects_cooperative_theta(self):
-        with pytest.raises(ValueError, match="theta"):
-            classify_conflict(coop(1.0, 1.0, 1.0))
+        assert dict(v.fired)["lambda"] == lambda_values(30.0, 4.0, p)[0]
+        assert dict(v.fired)["critical_gap"] == EIGHT_PI - 30.0
 
     @pytest.mark.parametrize(
         "m1, verdict",
@@ -326,21 +321,21 @@ class TestClassifyConflict:
         ],
     )
     def test_second_mass_zero_matches_single_species(self, m1, verdict):
-        v = classify_conflict(conflict(1.0, 2.0, 1.0, m1, 0.0))
+        v = classify(conflict(1.0, 2.0, 1.0, m1, 0.0))
         assert v.verdict == verdict
 
     def test_radial_verdict_monotone_in_second_mass(self):
         seen = False
         for m2 in np.linspace(0.0, 40.0, 120):
-            v = classify_conflict(conflict(1.0, 2.0, 1.0, 30.0, float(m2)))
+            v = classify(conflict(1.0, 2.0, 1.0, 30.0, float(m2)))
             if seen:
                 assert v.verdict in ("RadiallyBounded", "Unknown")
             seen = seen or v.verdict == "RadiallyBounded"
         assert seen
 
     def test_rule_four_has_a_witness_below(self):
-        top = classify_conflict(conflict(1.0, 2.0, 1.0, 30.0, 39.0))
-        witness = classify_conflict(conflict(1.0, 2.0, 1.0, 30.0, 30.0))
+        top = classify(conflict(1.0, 2.0, 1.0, 30.0, 39.0))
+        witness = classify(conflict(1.0, 2.0, 1.0, 30.0, 30.0))
         assert top.rule == 4
         assert witness.rule == 3
         assert witness.verdict == "RadiallyBounded"
@@ -376,7 +371,7 @@ class TestClassifyConflictFree:
         ],
     )
     def test_case_table(self, alpha, beta, gamma, m1, m2, verdict, rule):
-        v = classify_conflict_free(coop(alpha, beta, gamma, m1, m2))
+        v = classify(coop(alpha, beta, gamma, m1, m2))
         assert v.verdict == verdict
         assert v.rule == rule
 
@@ -384,40 +379,36 @@ class TestClassifyConflictFree:
         "m1, verdict", [(10.0, "Exists"), (26.0, "NotCovered")]
     )
     def test_second_mass_zero_reduces_to_critical_mass(self, m1, verdict):
-        v = classify_conflict_free(coop(1.0, 1.0, 1.0, m1, 0.0))
+        v = classify(coop(1.0, 1.0, 1.0, m1, 0.0))
         assert v.verdict == verdict
 
     def test_onset_protects_every_second_mass(self):
         # conic onset at 2pi(2 + sqrt 2) for unit couplings
         onset = 2.0 * math.pi * (2.0 + math.sqrt(2.0))
         for m2 in (0.5, 7.0, 300.0):
-            v = classify_conflict_free(coop(1.0, 1.0, 1.0, onset - 0.2, m2))
+            v = classify(coop(1.0, 1.0, 1.0, onset - 0.2, m2))
             assert v.verdict == "Exists"
-        v = classify_conflict_free(coop(1.0, 1.0, 1.0, onset + 0.2, 100.0))
+        v = classify(coop(1.0, 1.0, 1.0, onset + 0.2, 100.0))
         assert v.verdict == "NotCovered"
-
-    def test_rejects_conflict_theta(self):
-        with pytest.raises(ValueError, match="theta"):
-            classify_conflict_free(conflict(1.0, 1.0, 1.0))
 
     def test_tiny_gamma_onset_is_real(self):
         # the expanded onset discriminant cancels below zero at tiny gamma
-        v = classify_conflict_free(coop(0.0, 3.0, 5.279800547705063e-27, 1.0, 1.0))
+        v = classify(coop(0.0, 3.0, 5.279800547705063e-27, 1.0, 1.0))
         assert (v.verdict, v.rule) == ("Exists", 3)
         # onset at 4pi (beta + gamma + sqrt(gamma (2beta + gamma))) / beta^2
-        assert np.isclose(v.value("onset_gap"), FOUR_PI / 3.0 - 1.0, rtol=1e-12)
+        assert np.isclose(dict(v.fired)["onset_gap"], FOUR_PI / 3.0 - 1.0, rtol=1e-12)
 
     def test_uncoupled_first_species_exists_everywhere(self):
         # alpha = beta = 0: every coefficient of the existence quadratic is
         # positive, so the conic never enters the quadrant
-        v = classify_conflict_free(coop(0.0, 0.0, 1.0, 50.0, 30.0))
+        v = classify(coop(0.0, 0.0, 1.0, 50.0, 30.0))
         assert (v.verdict, v.rule) == ("Exists", 3)
-        assert v.value("onset_gap") == math.inf
+        assert dict(v.fired)["onset_gap"] == math.inf
 
     def test_fired_includes_interval_minimum(self):
-        v = classify_conflict_free(coop(1.0, 1.0, 1.0, 22.0, 8.0))
-        assert v.value("box_min") < 0.0
-        assert v.value("only_condition") < 0.0
+        v = classify(coop(1.0, 1.0, 1.0, 22.0, 8.0))
+        assert dict(v.fired)["box_min"] < 0.0
+        assert dict(v.fired)["only_condition"] < 0.0
 
     @given(
         m1=st.floats(1e-2, 100.0),
@@ -429,7 +420,7 @@ class TestClassifyConflictFree:
     def test_weak_cross_coupling_decided_by_critical_mass(
         self, m1, m2, beta, gamma
     ):
-        v = classify_conflict_free(coop(1.0, beta, gamma, m1, m2))
+        v = classify(coop(1.0, beta, gamma, m1, m2))
         gap = EIGHT_PI - m1
         if gap >= 1e-12:
             assert v.verdict == "Exists"
@@ -540,14 +531,13 @@ class TestSweep:
     def test_every_cell_matches_the_point_classifier(self, alpha, beta, gamma, theta):
         p = Params(alpha=alpha, beta=beta, gamma=gamma, theta=theta, m1=1.0, m2=0.0)
         res = sweep(p, (0.0, 40.0), (0.0, 40.0), 12)
-        classify = classify_conflict if theta == -1 else classify_conflict_free
         for i, m1 in enumerate(res.m1s.tolist()):
             for j, m2 in enumerate(res.m2s.tolist()):
                 v = classify(replace(p, m1=m1, m2=m2))
                 assert res.verdicts[i, j] == v.verdict
                 assert res.rules[i, j] == v.rule
                 got = [x.hex() for x in res.lambdas[:, i, j].tolist()]
-                want = [v.value(n).hex() for n in ("lambda", "lambda1", "lambda2")]
+                want = [dict(v.fired)[n].hex() for n in ("lambda", "lambda1", "lambda2")]
                 assert got == want
 
     def test_zero_width_range_gives_empty_grid(self):
@@ -694,7 +684,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("m1, m2", [(30.0, 1.0), (35.0, 2.0)])
     def test_unbounded_verdicts_have_negative_slopes(self, fine, m1, m2):
         p = conflict(1.0, 2.0, 0.0, m1, m2)
-        assert classify_conflict(p).verdict == "UnboundedBelow"
+        assert classify(p).verdict == "UnboundedBelow"
         rho = project_density(RadialField.density(fine, 2.0 - fine.r**2), m1)
         w = inv_laplacian(
             project_density(
@@ -713,7 +703,7 @@ class TestCrossValidation:
     )
     def test_bounded_verdicts_admit_steady_states(self, coarse, m1, m2, verdict):
         p = conflict(1.0, 2.0, 0.0, m1, m2)
-        assert classify_conflict(p).verdict == verdict
+        assert classify(p).verdict == verdict
         sol = solve_pair(p, coarse)
         assert max(residual(sol, p)) < 1e-8
 

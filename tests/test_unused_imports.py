@@ -1,13 +1,17 @@
 """No module of the package or of the scripts imports a name it never uses,
-and no module of the package defines a private name that the package never
-references.
+no module of the package defines a private name that the package never
+references, and no module of the package defines a public function or
+class that nothing but its own unit tests calls.
 
 A name bound by an import counts as used when the scope that imports it
 reads it (a module-level import anywhere in the module, a function's import
 within that function) or when it is listed in the module's ``__all__``.
 A module-level private function, class or constant counts as referenced
 when any module of the package reads a name or an attribute so spelled, or
-imports it.  Stdlib ``ast`` only: the scan runs wherever the suite runs.
+imports it.  A module-level public function or class counts as called when
+the package, the scripts, the benchmark or the acceptance tests read a name
+or an attribute so spelled, or import it; the paper's functionals are kept
+by name.  Stdlib ``ast`` only: the scan runs wherever the suite runs.
 """
 
 import ast
@@ -17,7 +21,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "conflictlab").glob("*.py"))
-FILES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+FILES = sorted([*PACKAGE, *SCRIPTS])
+CALLERS = sorted([
+    *PACKAGE,
+    *SCRIPTS,
+    *(ROOT / "bench").glob("*.py"),
+    ROOT / "tests" / "test_acceptance.py",
+])
+# the paper's functionals: F, the chemical energy, F(rho, w), its infimum
+# over w, and the two-species energy in potential and density form
+KEEP = {
+    "free_energy",
+    "chemical_energy",
+    "joint_free_energy",
+    "relaxed_free_energy",
+    "two_species_energy_u",
+    "two_species_energy_rho",
+}
 
 
 def _exported(tree):
@@ -151,3 +172,54 @@ def test_scan_finds_an_unreferenced_private_name(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert unreferenced_privates(paths) == [("a.py", 1, "_LOST"), ("a.py", 6, "_Gone")]
+
+
+def _public_definitions(tree):
+    """(line, name) of each public function or class that the module
+    defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.lineno, node.name
+
+
+def uncalled_publics(paths, callers, keep=frozenset()):
+    """(file, line, name) of every module-level public function or class in
+    the files that none of the callers references, except those in keep."""
+    read = set().union(*(_references(ast.parse(c.read_text(), filename=str(c))) for c in callers))
+    return sorted(
+        (path.name, line, name)
+        for path in paths
+        for line, name in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in read and name not in keep
+    )
+
+
+def test_no_uncalled_public_names():
+    assert uncalled_publics(PACKAGE, CALLERS, KEEP) == []
+
+
+def test_scan_finds_an_uncalled_public_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Docstrings name lost() without reading it."""\n'
+        "__all__ = ['Lost', 'lost', 'kept', 'used', 'Used']\n"
+        "def used():\n"
+        "    return 0\n"
+        "def lost():\n"
+        "    return used()\n"
+        "def kept():\n"
+        "    return 1\n"
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return 2\n"
+        "class Lost:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    return 3\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from a import Used\n"
+        "metric = 'a.Lost'\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert uncalled_publics(paths, paths, {"kept"}) == [("a.py", 5, "lost"), ("a.py", 12, "Lost")]
