@@ -21,19 +21,19 @@ trace row from them, through the same array cores as the public
 functionals; the two species of the pair regime go through the Green
 sum, the entropy and the pairings as the rows of one stack.
 
-States come only from initial_state and the steppers, and every state
-holds all four fields (rho1, u1, u2, rho2) as the rows of one stacked
-array, checked once when the state is made (every sample finite, densities
->= 0, potentials exactly zero at the wall; ValueError otherwise, naming the
+States come only from initial_state and the steppers, and a state is its
+four fields (rho1, u1, u2, rho2) as the rows of one read-only stacked array,
+checked once when the state is made (every sample finite, densities >= 0,
+potentials exactly zero at the wall; ValueError otherwise, naming the
 regime, time and dt of a step), so the solves of a step need no checks of
-their own; the four RadialFields are views of those rows, and the per-row
-sup norms that the steady-state test divides by are
-computed once per state.  The single-density step takes the chemical
-density and its log-partition term from the chemical Newton solve.  A
-state made by the potential regime remembers the Params whose Boltzmann
-densities its rho1 and rho2 are; the next potential step with equal
-Params takes its sources from them, and any other state (a density
-regime's, or one under other Params) has its sources recomputed.
+their own.  One row maximum and one row minimum give that check, sup rho1
+and the sup norms the steady-state test divides by; the four RadialFields
+are views of the rows, made on access, and the steppers read the rows.
+The single-density step takes the chemical density and its log-partition
+term from the chemical Newton solve.  A state made by the potential regime
+remembers the Params whose Boltzmann densities its rho1 and rho2 are; the
+next potential step with equal Params takes its sources from them, and any
+other (a density regime's, or one under other Params) recomputes them.
 
 Each accepted step appends a row (t, m1, m2, energy, sup rho1) to a trace
 buffer shared with the state's ancestors, doubling it when full, so an
@@ -71,7 +71,7 @@ from .errors import (
 )
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _densities, _exponents, _minimize_w
-from .model import _DT_FLOOR, FlowConfig, Params, RadialField
+from .model import _DT_FLOOR, FlowConfig, Params, RadialField, RadialGrid
 
 __all__ = [
     "FlowState",
@@ -90,7 +90,6 @@ _ENERGY_SLACK = 1e-10
 _STEADY_TOL = 1e-10
 _GROWTH = 1.2
 _DEGENERATE_TOL = 1e-12
-_FIELDS = (("rho1", "density"), ("u1", "potential"), ("u2", "potential"), ("rho2", "density"))
 
 
 class _Trace:
@@ -121,16 +120,13 @@ class FlowState:
     views of the first ``_rows`` rows of the shared trace buffer.  The
     command line layer reports all three side by side.
 
-    States come only from initial_state and the steppers, so every state
-    holds all four fields and its trace rows; FlowState(...) raises
-    TypeError.
+    States come only from initial_state and the steppers; FlowState(...)
+    raises TypeError.  The fields rho1, u1, u2 and rho2 are views of the
+    rows of the state's read-only stack, made on access.
     """
 
     t: float
-    rho1: RadialField
-    u1: RadialField
-    u2: RadialField
-    rho2: RadialField
+    _grid: RadialGrid = field(repr=False)
     _trace: _Trace = field(repr=False)
     _rows: int
     _stack: np.ndarray = field(repr=False)
@@ -139,6 +135,11 @@ class FlowState:
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a FlowState comes from initial_state or a flow step")
+
+    rho1 = property(lambda self: RadialField._checked(self._grid, self._stack[0], "density"))
+    u1 = property(lambda self: RadialField._checked(self._grid, self._stack[1], "potential"))
+    u2 = property(lambda self: RadialField._checked(self._grid, self._stack[2], "potential"))
+    rho2 = property(lambda self: RadialField._checked(self._grid, self._stack[3], "density"))
 
     def _columns(self, cols: slice) -> np.ndarray:
         view = self._trace.rows[: self._rows, cols]
@@ -224,23 +225,23 @@ def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
     owning the first k rows of trace plus its own row; boltzmann is the
     Params whose Boltzmann densities of u1, u2 are rho1, rho2, if any.
 
-    The one maker of a FlowState: it checks the rows once and makes them
-    the state's fields, with their sup norms floored at 1."""
-    scale = np.maximum(1.0, abs(stack).max(axis=1))
-    if not math.isfinite(scale.max()):  # abs and max carry NaN and inf through
+    The one maker of a FlowState: it checks the rows once, from their
+    maxima and minima, and makes them read-only."""
+    hi, lo = stack.max(axis=1), stack.min(axis=1)
+    scale = np.maximum(1.0, np.maximum(hi, -lo))
+    if not math.isfinite(scale.max()):  # max and min carry NaN and inf through
         raise ValueError("state fields must be finite")
-    if stack[::3].min() < 0:
+    if lo[::3].min() < 0:
         raise NegativeDensity("density tag requires values >= 0")
     if stack[1, -1] or stack[2, -1]:
         raise ValueError("potential tag requires an exact zero at r = 1")
+    stack.flags.writeable = False
     s = object.__new__(FlowState)
-    fields = s.__dict__  # frozen, and __init__ refuses: set the fields here
-    for (name, kind), row in zip(_FIELDS, stack):
-        fields[name] = RadialField._checked(grid, row, kind)
     m1, m2 = np.vecdot(stack[::3], grid.weights).tolist()
-    fields.update(
+    s.__dict__.update(  # frozen, and __init__ refuses: set the fields here
         t=t,
-        _trace=trace.appended(k, (t, m1, m2, energy, stack[0].max())),
+        _grid=grid,
+        _trace=trace.appended(k, (t, m1, m2, energy, hi[0])),
         _rows=k + 1,
         _stack=stack,
         _scale=scale,
@@ -259,7 +260,7 @@ def _stepped(s, dt, regime, stack, energy, enforced, boltzmann=None):
         raise StepRejected(f"monitored energy rose from {e_old:.12g} to {energy:.12g}")
     t = s.t + dt
     try:
-        return _advanced(s.rho1.grid, t, s._trace, s._rows, stack, energy, boltzmann)
+        return _advanced(s._grid, t, s._trace, s._rows, stack, energy, boltzmann)
     except ValueError as err:
         raise type(err)(f"{err} after the {regime} step to t = {t:.6g} (dt = {dt:.6g})") from None
 
@@ -274,9 +275,9 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     one.  The monitored free energy is enforced: a rise beyond the 1e-10
     relative slack raises StepRejected so the driver can halve dt.
     """
-    grid = s.rho1.grid
-    u2 = s.u2.values
-    phi = -_exponents(p, s.u1.values, u2)[0]
+    grid = s._grid
+    _, u1, u2, _ = s._stack
+    phi = p.beta * u2 - p.alpha * u1
     (rho,) = _sg_step(grid, dt, s._stack[:1], phi[None])
     stack, energy = _single_fields(grid, rho, p, w0=u2)
     return _stepped(s, dt, "single-density", stack, energy, enforced=True)
@@ -286,8 +287,8 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
 def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the two-density regime; both species use the same scheme,
     in one block solve."""
-    grid = s.rho1.grid
-    phis = np.negative(_exponents(p, s.u1.values, s.u2.values))
+    grid = s._grid
+    phis = np.negative(_exponents(p, *s._stack[1:3]))
     stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
     enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
     return _stepped(s, dt, "two-density", stack, energy, enforced)
@@ -303,7 +304,7 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     degenerate threshold a DegenerateQuadraticForm warning fires and the
     step proceeds unmonitored.
     """
-    grid = s.u1.grid
+    grid = s._grid
     us = s._stack[1:3]
     if s._boltzmann == p:
         sources = s._stack[::3]
@@ -438,7 +439,7 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
         u2=s.u2,
         residual=float("nan"),
         iterations=0,
-        multipliers=_densities(s.rho1.grid, p, s.u1.values, s.u2.values)[1],
+        multipliers=_densities(s._grid, p, *s._stack[1:3])[1],
         _flux1=face_flux(s.u1),
         _flux2=face_flux(s.u2),
     )

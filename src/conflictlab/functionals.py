@@ -45,7 +45,7 @@ __all__ = [
 class FunctionalReport:
     """One functional value split into its integral terms.
 
-    Unused slots are zero; total is always the plain sum of the six parts.
+    Unused slots are zero; total is the plain sum of the six parts, in order.
     """
 
     entropy1: float = 0.0
@@ -54,11 +54,7 @@ class FunctionalReport:
     dirichlet: float = 0.0
     cross: float = 0.0
     log_terms: float = 0.0
-    total: float = 0.0
-
-
-def _report(**parts) -> FunctionalReport:
-    return FunctionalReport(total=_total(parts), **parts)
+    total = property(lambda self: _total(vars(self)))
 
 
 def _total(parts: dict) -> float:
@@ -68,7 +64,7 @@ def _total(parts: dict) -> float:
 
 def free_energy(rho: RadialField, p: Params) -> FunctionalReport:
     """Entropy plus self-interaction: int rho ln rho + (alpha/2)(rho, inv_lap rho)."""
-    return _report(
+    return FunctionalReport(
         entropy1=entropy(rho),
         interaction=0.5 * p.alpha * interaction_energy(rho),
     )
@@ -111,7 +107,7 @@ def _joint_terms(rho, w, u, p):
 
 def _joint(p, entropy1, pairing, dirichlet, log_z) -> FunctionalReport:
     """The joint free-energy report of raw terms from _joint_terms."""
-    return _report(
+    return FunctionalReport(
         entropy1=entropy1,
         interaction=0.5 * p.alpha * pairing,
         dirichlet=0.5 * p.gamma * dirichlet,
@@ -151,7 +147,8 @@ def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> Functio
     if not u1.grid.same_as(u2.grid):
         raise GridMismatch("two_species_energy_u needs a shared grid")
     m_log_zs = _densities(u1.grid, p, u1.values, u2.values)[2]
-    return _report(**_energy_u(u1.grid, np.array([face_flux(u1), face_flux(u2)]), *m_log_zs, p))
+    cs = np.array([face_flux(u1), face_flux(u2)])
+    return FunctionalReport(**_energy_u(u1.grid, cs, *m_log_zs, p))
 
 
 def _energy_u(grid, cs, m_log_z1, m_log_z2, p) -> dict:
@@ -175,7 +172,7 @@ def two_species_energy_rho(rho1: RadialField, rho2: RadialField, p: Params) -> F
     """
     if not rho1.grid.same_as(rho2.grid):
         raise GridMismatch("two_species_energy_rho needs a shared grid")
-    return _report(**_energy_rho(
+    return FunctionalReport(**_energy_rho(
         rho1.grid,
         np.array([rho1.values, rho2.values]),
         np.array([face_masses(rho1), face_masses(rho2)]),

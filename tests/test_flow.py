@@ -358,9 +358,12 @@ class TestInitialState:
 class TestHandBuiltState:
     """No state is built by hand: FlowState(...) raises TypeError, and
     _advanced, the one maker behind initial_state and the steppers, checks
-    the four rows once and makes them the fields."""
+    the four rows once and makes them read-only; the fields are views of
+    the rows."""
 
     P = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=5.0)
+    KINDS = (("rho1", "density"), ("u1", "potential"), ("u2", "potential"), ("rho2", "density"))
+    REGIMES = [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))]
 
     @pytest.fixture
     def state(self, g256):
@@ -373,20 +376,31 @@ class TestHandBuiltState:
         with pytest.raises(TypeError):
             flow.FlowState()
 
-    @pytest.mark.parametrize(
-        "cfg, names",
-        [(CFG2, ("rho1",)), (CFG_FULL, ("rho1", "rho2")), (CFG_POT, ("u1", "u2"))],
-        ids=["single", "pair", "potentials"],
-    )
+    @pytest.mark.parametrize("cfg, names", REGIMES, ids=["single", "pair", "potentials"])
     def test_every_state_holds_four_rows(self, g256, cfg, names):
         fields = TestNonFiniteStates.fields(g256)
         start = flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
         step = flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon]
         for s in (start, step(start, self.P, 1e-3)):
             assert s._stack.shape == (4, g256.r.size)
-            for name, kind in flow._FIELDS:
+            for name, kind in self.KINDS:
                 assert getattr(s, name).kind == kind
                 assert getattr(s, name).values.base is s._stack
+
+    # A write through a field once rewrote a checked state: a step then
+    # took a negative density row as its source without error.
+    @pytest.mark.parametrize("cfg, names", REGIMES, ids=["single", "pair", "potentials"])
+    def test_states_are_read_only(self, g256, cfg, names):
+        fields = TestNonFiniteStates.fields(g256)
+        start = flow.initial_state(self.P, cfg, **{n: fields[n] for n in names})
+        before = start._stack.tobytes()
+        step = flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon]
+        for s in (start, step(start, self.P, 1e-3)):
+            assert not s._stack.flags.writeable
+            for name, _ in self.KINDS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(s, name).values[:] = -1.0
+        assert start._stack.tobytes() == before
 
     def test_fields_are_rows_of_one_checked_copy(self, state):
         for row, name in zip(state._stack, ("rho1", "u1", "u2", "rho2")):
@@ -395,10 +409,19 @@ class TestHandBuiltState:
 
     @pytest.mark.parametrize("row, col", [(0, 3), (3, 0), (1, -1), (2, -1)])
     def test_new_stacks_are_checked_once(self, state, row, col):
-        stack = state._stack.copy()
-        stack[row, col] = -1e-300 if row in (0, 3) else 1e-300
+        def advanced(value):
+            stack = state._stack.copy()
+            stack[row, col] = value
+            return flow._advanced(state.rho1.grid, 0.0, flow._Trace(), 0, stack, 0.0)
+
         with pytest.raises(NegativeDensity if row in (0, 3) else ValueError):
-            flow._advanced(state.rho1.grid, 0.0, flow._Trace(), 0, stack, 0.0)
+            advanced(-1e-300 if row in (0, 3) else 1e-300)
+        # The row maximum and minimum carry NaN and both infinities through.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^state fields must be finite$"):
+                advanced(bad)
+        if row in (0, 3):
+            assert advanced(-0.0)._stack[row, col] == 0.0
 
 
 class TestNonFiniteStates:

@@ -36,6 +36,14 @@ def report_parts_sum(rep: FunctionalReport) -> float:
     )
 
 
+def test_report_total_is_the_sum_of_its_parts():
+    assert FunctionalReport(entropy1=1.0).total == 1.0
+    rep = FunctionalReport(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    assert rep.total == 0.1 + 0.2 + 0.3 + 0.4 + 0.5 + 0.6
+    with pytest.raises(TypeError):
+        FunctionalReport(total=1.0)
+
+
 class TestFreeEnergy:
     def test_frozen_uniform_value(self, g1024):
         p = Params(1.0, 0.0, 0.0, -1, 1.0, 0.0)
