@@ -15,10 +15,10 @@ and Dirichlet shift identities hold to roundoff; resampling onto a fixed
 grid would bury them under interpolation error.
 
 One private walk, _ladder, scales the fields, solves for the potential and
-evaluates the raw energy terms once per rung; the shift table, the slope fit
-and the CLI's functional table all read their rungs from it, and the CLI's
-blow-down table fits its slope to the totals of the walk that made its
-shift rows.
+evaluates the raw energy terms once per rung.  The shift table takes its
+psi = 1 base terms from the walk's first rung; the slope fit and the CLI's
+blow-down table fit the totals of the walk that made the shift rows, and
+the CLI's functional table reads its rungs from a walk of its own.
 """
 
 from __future__ import annotations
@@ -196,9 +196,11 @@ def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
 
 def _shift_table(fam: BlowdownFamily, p: Params):
     """verify_identities, with the (ln psi, total) pair of every rung that
-    slope_estimate fits, from one walk of the ladder."""
-    base = _joint_terms(fam.base_rho, fam.base_w, inv_laplacian(fam.base_rho), p)
-    f0 = _joint(p, *base).total
+    slope_estimate fits, from one walk of the ladder: psi = 1, whose terms
+    are the base of every shift, then the family's rungs."""
+    rungs = _ladder(fam.base_rho, fam.base_w, p, (1.0, *fam.psis))
+    _, _, base, base_report = next(rungs)
+    f0 = base_report.total
 
     total_coef, log_coef = map(float, blowdown_coefficients(p.m1, p.m2, p))
     # per raw term: row name, ln psi coefficient, factor on the measured shift
@@ -211,7 +213,7 @@ def _shift_table(fam: BlowdownFamily, p: Params):
 
     rows = []
     fit = []
-    for psi, _, terms, report in _ladder(fam.base_rho, fam.base_w, p, fam.psis):
+    for psi, _, terms, report in rungs:
         ln_psi = math.log(psi)
         for (name, coef, factor), term, term0 in zip(shifts, terms, base):
             rows.append(ShiftRow(psi, name, coef * ln_psi, factor * (term - term0)))
@@ -228,8 +230,7 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
     negative slope certifies that the energy is unbounded below along the
     family.  Raises TooFewPoints when the ladder has fewer than 4 rungs.
     """
-    rungs = _ladder(fam.base_rho, fam.base_w, p, fam.psis)
-    return _fitted_slope([(math.log(psi), rep.total) for psi, _, _, rep in rungs], p)
+    return _fitted_slope(_shift_table(fam, p)[1], p)
 
 
 def _fitted_slope(fit, p: Params) -> float:

@@ -8,10 +8,12 @@ regression baseline can be reproduced from any output file.  Floats are
 written with 17 significant digits and rows in grid order, so repeated
 runs of one configuration write the same bytes.
 
-Commands come from one table, _COMMANDS: each command's row holds the
-option keys its section accepts, in parse and header order, and its
-handler; one map gives each key's parser.  A handler imports the modules
-it calls when it runs, so a command loads only its own part of the package.
+Commands come from one table, _COMMANDS: each command's row maps the
+option keys its section accepts to their parsers, in parse and header
+order, and names its handler.  A handler returns its tables by file name,
+and run writes them under the one header of the resolved configuration.
+A handler imports the modules it calls when it runs, so a command loads
+only its own part of the package.
 
 Exit codes: 0 success, 2 iterative solver failure, 3 configuration or
 validation error (including mathematically inadmissible parameters that
@@ -45,8 +47,6 @@ __all__ = ["RunConfig", "main", "parse_config", "run"]
 
 logger = logging.getLogger(__name__)
 
-_PARAM_KEYS = ("alpha", "beta", "gamma", "theta", "m1", "m2")
-_RUN_KEYS = frozenset({"command", *_PARAM_KEYS, "grid_n"})
 _CHOICES = {"case": FLOW_LIMITS, "init": ("bump", "random")}
 
 
@@ -116,6 +116,8 @@ def _choice(section, key):
     return raw
 
 
+# The [run] model values, in parse and header order: they make Params, and
+# so are checked, before grid_n is parsed.
 _PARSERS = {
     "alpha": _float,
     "beta": _float,
@@ -123,23 +125,13 @@ _PARSERS = {
     "theta": _int,
     "m1": _float,
     "m2": _float,
-    "grid_n": _int,
-    "m1_range": _pair,
-    "m2_range": _pair,
-    "resolution": _int,
-    "psis": _floats,
-    "scales": _floats,
-    "case": _choice,
-    "dt": _float,
-    "t_end": _float,
-    "adapt": _bool,
-    "init": _choice,
 }
+_RUN_KEYS = frozenset({"command", *_PARSERS, "grid_n"})
 
 
-def _parsed(section, keys) -> dict:
-    """The values of those keys present in the section, parsed in key order."""
-    return {key: _PARSERS[key](section, key) for key in keys if key in section}
+def _parsed(section, parsers) -> dict:
+    """The values of the parsers' keys present in the section, in their order."""
+    return {key: parse(section, key) for key, parse in parsers.items() if key in section}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -165,18 +157,18 @@ def parse_config(text: str) -> RunConfig:
     extra = set(cp.sections()) - {"run", command}
     if extra:
         raise UnknownKey(f"unknown sections: {sorted(extra)}")
-    missing = [k for k in _PARAM_KEYS if k not in run_sec]
+    missing = [k for k in _PARSERS if k not in run_sec]
     if missing:
         raise ParseError(f"[run] is missing {missing}")
-    params = Params(**_parsed(run_sec, _PARAM_KEYS))
-    kwargs = _parsed(run_sec, ("grid_n",))
+    params = Params(**_parsed(run_sec, _PARSERS))
+    kwargs = _parsed(run_sec, {"grid_n": _int})
     if cp.has_section(command):
         sec = cp[command]
-        keys = _COMMANDS[command][0]
-        stray = set(sec) - set(keys)
+        parsers = _COMMANDS[command][0]
+        stray = set(sec) - set(parsers)
         if stray:
             raise UnknownKey(f"unknown [{command}] keys: {sorted(stray)}")
-        kwargs.update(_parsed(sec, keys))
+        kwargs.update(_parsed(sec, parsers))
     return RunConfig(command=command, params=params, **kwargs)
 
 
@@ -191,7 +183,7 @@ def _header_lines(cfg: RunConfig, seed: int) -> list:
     option of the command, defaults included."""
     items = [
         ("command", cfg.command),
-        *((key, getattr(cfg.params, key)) for key in _PARAM_KEYS),
+        *((key, getattr(cfg.params, key)) for key in _PARSERS),
         ("grid_n", cfg.grid_n),
         ("seed", seed),
         *((key, getattr(cfg, key)) for key in _COMMANDS[cfg.command][0]),
@@ -242,7 +234,7 @@ def _base_fields(grid, p: Params):
     return rho, inv_laplacian(_density(grid, np.exp(-3.0 * grid.r**2), p.m2))
 
 
-def _cmd_classify(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_classify(cfg: RunConfig, seed: int) -> dict:
     from .phase import classify
 
     p = cfg.params
@@ -250,26 +242,25 @@ def _cmd_classify(cfg: RunConfig, out: Path, header, seed: int) -> None:
     columns = ["m1", "m2", "verdict", "rule"] + [name for name, _ in verdict.fired]
     row = [p.m1, p.m2, verdict.verdict, verdict.rule]
     row += [value for _, value in verdict.fired]
-    _write_csv(out / "classify.csv", header, columns, [row])
+    return {"classify.csv": ([], columns, [row])}
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_sweep(cfg: RunConfig, seed: int) -> dict:
     from .phase import sweep
 
     res = sweep(cfg.params, cfg.m1_range, cfg.m2_range, cfg.resolution)
     mm1, mm2 = np.meshgrid(res.m1s, res.m2s, indexing="ij")
-    columns = (mm1, mm2, res.verdicts, *res.lambdas, res.rules)
-    _write_csv(
-        out / "sweep.csv",
-        header,
-        ["m1", "m2", "verdict", "lambda", "lambda1", "lambda2", "rule_fired"],
-        zip(*(c.ravel().tolist() for c in columns)),
-    )
+    cells = (mm1, mm2, res.verdicts, *res.lambdas, res.rules)
+    rows = zip(*(c.ravel().tolist() for c in cells))
     curve_rows = [(name, m1, m2) for name in sorted(res.curves) for m1, m2 in res.curves[name]]
-    _write_csv(out / "sweep_curves.csv", header, ["curve", "m1", "m2"], curve_rows)
+    columns = ["m1", "m2", "verdict", "lambda", "lambda1", "lambda2", "rule_fired"]
+    return {
+        "sweep.csv": ([], columns, rows),
+        "sweep_curves.csv": ([], ["curve", "m1", "m2"], curve_rows),
+    }
 
 
-def _cmd_steady(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_steady(cfg: RunConfig, seed: int) -> dict:
     from .liouville import _densities, residual, solve_pair
 
     p = cfg.params
@@ -277,16 +268,12 @@ def _cmd_steady(cfg: RunConfig, out: Path, header, seed: int) -> None:
     sol = solve_pair(p, grid)
     res1, res2 = residual(sol, p)
     rho1, rho2 = _densities(grid, p, sol.u1.values, sol.u2.values)[0]
-    rows = zip(grid.r, sol.u1.values, sol.u2.values, rho1, rho2)
-    _write_csv(
-        out / "steady.csv",
-        header + [f"iterations = {sol.iterations}"],
-        ["r", "u1", "u2", "rho1", "rho2", "residual1", "residual2"],
-        [list(row) + [res1, res2] for row in rows],
-    )
+    columns = ["r", "u1", "u2", "rho1", "rho2", "residual1", "residual2"]
+    rows = [[*row, res1, res2] for row in zip(grid.r, sol.u1.values, sol.u2.values, rho1, rho2)]
+    return {"steady.csv": ([f"iterations = {sol.iterations}"], columns, rows)}
 
 
-def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_flow(cfg: RunConfig, seed: int) -> dict:
     from .calculus import inv_laplacian
     from .flow import FlowConfig, initial_state, run_flow, trace_rows
 
@@ -313,35 +300,27 @@ def _cmd_flow(cfg: RunConfig, out: Path, header, seed: int) -> None:
             fields = {"u1": inv_laplacian(rho1), "u2": inv_laplacian(rho2)}
     state = initial_state(p, fcfg, **fields)
     end = run_flow(state, p, fcfg)
-    _write_csv(
-        out / "flow_trace.csv",
-        header,
-        ["t", "mass1", "mass2", "energy", "sup_rho1"],
-        trace_rows(end),
-    )
-    columns = ["r", "rho1", "u1", "u2", "rho2"]
     series = (grid.r, end.rho1.values, end.u1.values, end.u2.values, end.rho2.values)
-    _write_csv(out / "flow_state.csv", header, columns, zip(*series))
+    return {
+        "flow_trace.csv": ([], ["t", "mass1", "mass2", "energy", "sup_rho1"], trace_rows(end)),
+        "flow_state.csv": ([], ["r", "rho1", "u1", "u2", "rho2"], zip(*series)),
+    }
 
 
-def _cmd_blowdown(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_blowdown(cfg: RunConfig, seed: int) -> dict:
     from .blowdown import BlowdownFamily, _fitted_slope, _shift_table
 
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
     rho, w = _base_fields(grid, p)
     fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis))
-    rows, fit = _shift_table(fam, p)
-    slope = _fitted_slope(fit, p)
-    _write_csv(
-        out / "blowdown.csv",
-        header + [f"slope = {_fmt(slope)}"],
-        ["psi", "term", "predicted", "measured"],
-        [(r.psi, r.term, r.predicted, r.measured) for r in rows],
-    )
+    shifts, fit = _shift_table(fam, p)
+    header = [f"slope = {_fmt(_fitted_slope(fit, p))}"]
+    rows = [(r.psi, r.term, r.predicted, r.measured) for r in shifts]
+    return {"blowdown.csv": (header, ["psi", "term", "predicted", "measured"], rows)}
 
 
-def _cmd_oracle(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_oracle(cfg: RunConfig, seed: int) -> dict:
     from .annulus_ode import AnnulusParams, asymptotic_ratio
 
     p = cfg.params
@@ -351,12 +330,10 @@ def _cmd_oracle(cfg: RunConfig, out: Path, header, seed: int) -> None:
         lp = AnnulusParams(gamma=p.gamma, beta_m=p.beta * p.m1, m2=p.m2, psi=psi)
         ratio = asymptotic_ratio(lp, n=cfg.grid_n)
         rows.append((psi, ratio, limit, abs(ratio - limit) / limit))
-    _write_csv(
-        out / "oracle.csv", header, ["psi", "ratio", "limit", "rel_err"], rows
-    )
+    return {"oracle.csv": ([], ["psi", "ratio", "limit", "rel_err"], rows)}
 
 
-def _cmd_functional(cfg: RunConfig, out: Path, header, seed: int) -> None:
+def _cmd_functional(cfg: RunConfig, seed: int) -> dict:
     from .blowdown import _ladder
     from .functionals import moser_trudinger
 
@@ -368,24 +345,25 @@ def _cmd_functional(cfg: RunConfig, out: Path, header, seed: int) -> None:
          rep.total, moser_trudinger(u_s, p.m1, p.alpha))
         for psi, u_s, _, rep in _ladder(rho, w, p, cfg.psis)
     ]
-    _write_csv(
-        out / "functional.csv",
-        header,
-        ["psi", "entropy", "interaction", "dirichlet", "log_terms", "total",
-         "moser_trudinger"],
-        rows,
-    )
+    columns = ["psi", "entropy", "interaction", "dirichlet", "log_terms", "total",
+               "moser_trudinger"]
+    return {"functional.csv": ([], columns, rows)}
 
 
-# Each command's option keys, in parse and header order, and its handler.
+# Each command's option keys with their parsers, in parse and header order,
+# and its handler, which returns its tables by file name: the header lines
+# it adds, the columns and the rows.
 _COMMANDS = {
-    "classify": ((), _cmd_classify),
-    "steady": ((), _cmd_steady),
-    "sweep": (("m1_range", "m2_range", "resolution"), _cmd_sweep),
-    "flow": (("case", "dt", "t_end", "adapt", "init"), _cmd_flow),
-    "blowdown": (("psis",), _cmd_blowdown),
-    "functional": (("psis",), _cmd_functional),
-    "oracle": (("scales",), _cmd_oracle),
+    "classify": ({}, _cmd_classify),
+    "steady": ({}, _cmd_steady),
+    "sweep": ({"m1_range": _pair, "m2_range": _pair, "resolution": _int}, _cmd_sweep),
+    "flow": (
+        {"case": _choice, "dt": _float, "t_end": _float, "adapt": _bool, "init": _choice},
+        _cmd_flow,
+    ),
+    "blowdown": ({"psis": _floats}, _cmd_blowdown),
+    "functional": ({"psis": _floats}, _cmd_functional),
+    "oracle": ({"scales": _floats}, _cmd_oracle),
 }
 
 
@@ -393,7 +371,9 @@ def run(cfg: RunConfig, out_dir=".", seed=0) -> int:
     """Dispatch a parsed configuration and write its tables under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _COMMANDS[cfg.command][1](cfg, out, _header_lines(cfg, seed), seed)
+    header = _header_lines(cfg, seed)
+    for name, (extra, columns, rows) in _COMMANDS[cfg.command][1](cfg, seed).items():
+        _write_csv(out / name, header + extra, columns, rows)
     return 0
 
 
@@ -414,12 +394,7 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
-        cfg = parse_config(text)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        return run(cfg, out_dir=args.out, seed=args.seed)
+        return run(parse_config(text), out_dir=args.out, seed=args.seed)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

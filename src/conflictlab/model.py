@@ -90,7 +90,7 @@ class RadialGrid:
 
     r          n+1 node radii, r[0] = 0, r[n] = 1
     h          n node spacings
-    faces      n-1 interior cell faces (midpoints of adjacent nodes)
+    faces      n interior faces between the n+1 cells (midpoints of adjacent nodes)
     volumes    n+1 cell r-volumes V_i = integral of r dr over cell i;
                sum(V) = 1/2 exactly
     weights    disk quadrature weights 2*pi*V_i; sum = pi exactly

@@ -19,7 +19,6 @@ from conflictlab.calculus import (
     dirichlet_energy,
     entropy,
     integrate_disk,
-    interaction_energy,
     inv_laplacian,
 )
 from conflictlab.cli import _base_fields

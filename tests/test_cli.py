@@ -8,8 +8,8 @@ import pytest
 
 from conflictlab import blowdown
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
-from conflictlab.cli import RunConfig, _base_fields, _fmt, _table_lines, main, parse_config, run
-from conflictlab.errors import BadTheta, NonpositiveMass, ParseError, UnknownKey
+from conflictlab.cli import _base_fields, _fmt, _table_lines, main, parse_config, run
+from conflictlab.errors import BadTheta, NegativeConstant, NonpositiveMass, ParseError, UnknownKey
 from conflictlab.model import DEFAULT_LADDER, Params, make_grid
 
 EIGHT_PI = 8.0 * math.pi
@@ -100,6 +100,15 @@ class TestParseConfig:
 
     def test_unknown_key_is_a_parse_error(self):
         assert issubclass(UnknownKey, ParseError)
+
+    def test_row_order_not_file_order(self):
+        sec = "[flow]\nt_end = later\ndt = soon\n"
+        with pytest.raises(ParseError, match="^dt = "):
+            parse_config(config_text("flow", section=sec))
+
+    def test_params_checked_before_grid_n_is_parsed(self):
+        with pytest.raises(NegativeConstant):
+            parse_config(config_text("classify", alpha=-1, grid_n="many"))
 
 
 class TestClassifyCommand:

@@ -1,7 +1,7 @@
-"""No module of the package or of the scripts imports a name it never uses,
-no module of the package defines a private name that the package never
-references, and no module of the package defines a public function or
-class that nothing but its own unit tests calls.
+"""No module of the package, the scripts or the tests imports a name it
+never uses, no module of the package defines a private name that the
+package never references, and no module of the package defines a public
+function or class that nothing but its own unit tests calls.
 
 A name bound by an import counts as used when the scope that imports it
 reads it (a module-level import anywhere in the module, a function's import
@@ -22,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "conflictlab").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-FILES = sorted([*PACKAGE, *SCRIPTS])
+FILES = sorted([*PACKAGE, *SCRIPTS, *(ROOT / "tests").glob("*.py")])
 CALLERS = sorted([
     *PACKAGE,
     *SCRIPTS,
