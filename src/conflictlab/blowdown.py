@@ -32,6 +32,7 @@ import numpy as np
 from .calculus import inv_laplacian
 from .errors import GridMismatch, TooFewPoints
 from .functionals import _joint, _joint_terms
+from .liouville import _exponents
 from .model import DEFAULT_LADDER, Params, RadialField, RadialGrid
 
 __all__ = [
@@ -170,7 +171,7 @@ def blowdown_coefficients(m1, m2, p: Params):
     total is 2 m1 - alpha m1^2/4pi + gamma m2^2/4pi plus log_term where it
     applies, at theta = -1 Lambda where Lambda1 > 0 and Lambda2 elsewhere.
     """
-    x = (-p.theta * p.beta * m1 - p.gamma * m2) / TWO_PI - 2.0
+    x = _exponents(p.coupling[1:], (m1, m2))[0] / TWO_PI - 2.0
     log_term = np.where(x > 0, m2 * x, math.nan)
     total = (
         2.0 * m1

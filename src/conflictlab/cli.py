@@ -15,9 +15,9 @@ and run writes them under the one header of the resolved configuration.
 A handler imports the modules it calls when it runs, so a command loads
 only its own part of the package.
 
-Exit codes: 0 success, 2 iterative solver failure, 3 configuration or
-validation error (including mathematically inadmissible parameters that
-the solvers reject up front, as ``steady`` at m2 = 0 with alpha m1 >= 8 pi).
+Exit codes: 0 success, 2 iterative solver failure, 3 a configuration that
+cannot be read or is invalid (inadmissible parameters included, as ``steady``
+at m2 = 0 with alpha m1 >= 8 pi) or outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -324,7 +324,10 @@ def _cmd_oracle(cfg: RunConfig, seed: int) -> dict:
     from .annulus_ode import AnnulusParams, asymptotic_ratio
 
     p = cfg.params
-    limit = (p.m2 / (2.0 * math.pi)) ** 2
+    try:
+        limit = (p.m2 / (2.0 * math.pi)) ** 2
+    except OverflowError:
+        raise ValueError(f"m2 = {p.m2!r} overflows the oracle's limit (m2/2pi)^2") from None
     rows = []
     for psi in cfg.scales:
         lp = AnnulusParams(gamma=p.gamma, beta_m=p.beta * p.m1, m2=p.m2, psi=psi)
@@ -397,6 +400,9 @@ def main(argv=None) -> int:
         return run(parse_config(text), out_dir=args.out, seed=args.seed)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

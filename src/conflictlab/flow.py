@@ -269,17 +269,16 @@ def _stepped(s, dt, regime, stack, energy, enforced, boltzmann=None):
 def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the single-density regime (species 2 instantaneous).
 
-    The density advances under the frozen drift potential beta*u2 -
-    alpha*u1, then both potentials are re-solved: u1 from the new density
+    The density advances under the frozen drift potential, minus species
+    1's exponent, then both potentials are re-solved: u1 from the new density
     and u2 by the chemical-energy minimizer warm-started from the previous
     one.  The monitored free energy is enforced: a rise beyond the 1e-10
     relative slack raises StepRejected so the driver can halve dt.
     """
     grid = s._grid
-    _, u1, u2, _ = s._stack
-    phi = p.beta * u2 - p.alpha * u1
-    (rho,) = _sg_step(grid, dt, s._stack[:1], phi[None])
-    stack, energy = _single_fields(grid, rho, p, w0=u2)
+    phis = np.negative(_exponents(p.coupling[:1], s._stack[1:3]))
+    (rho,) = _sg_step(grid, dt, s._stack[:1], phis)
+    stack, energy = _single_fields(grid, rho, p, w0=s._stack[2])
     return _stepped(s, dt, "single-density", stack, energy, enforced=True)
 
 
@@ -288,7 +287,7 @@ def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     """One step of the two-density regime; both species use the same scheme,
     in one block solve."""
     grid = s._grid
-    phis = np.negative(_exponents(p, *s._stack[1:3]))
+    phis = np.negative(_exponents(p.coupling, s._stack[1:3]))
     stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
     enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
     return _stepped(s, dt, "two-density", stack, energy, enforced)

@@ -90,7 +90,7 @@ def chemical_energy(rho: RadialField, w: RadialField, m: float, p: Params) -> fl
     """
     u = inv_laplacian(rho)
     grad_term = 0.5 * p.gamma * dirichlet_energy(w)
-    log_term = m * log_partition([(-p.gamma, w), (-p.theta * p.beta, u)])
+    log_term = m * log_partition(list(zip(p.coupling[1], (u, w))))
     return grad_term + log_term
 
 
@@ -101,7 +101,7 @@ def _joint_terms(rho, w, u, p):
         entropy(rho),
         interaction_energy(rho),
         dirichlet_energy(w),
-        log_partition([(-p.gamma, w), (-p.theta * p.beta, u)]),
+        log_partition(list(zip(p.coupling[1], (u, w)))),
     )
 
 

@@ -3,7 +3,7 @@
 The single-species equation is ``laplacian(u) + m e^{alpha u}/Z = 0`` with
 ``Z`` the disk integral of ``e^{alpha u}`` and ``u = 0`` on the boundary.
 The two-species system couples the exponents ``alpha u1 - beta u2`` and
-``-gamma u2 - theta beta u1``.
+``-gamma u2 - theta beta u1``, the rows of ``Params.coupling`` times them.
 
 The single equation and the system are solved by one fixed-point loop on
 potentials: form the normalized density from the current potentials,
@@ -33,6 +33,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -149,9 +151,10 @@ def _flux_defect(grid, delta_flux):
     return float(abs(div).max())
 
 
-def _exponents(p, u1, u2):
-    """The exponents (alpha u1 - beta u2, -gamma u2 - theta beta u1)."""
-    return p.alpha * u1 - p.beta * u2, -p.gamma * u2 - p.theta * p.beta * u1
+def _exponents(a, us):
+    """Row i of the coupling ``a`` times the potentials ``us``, summed in index order
+    as plain products, one array per row (``@`` and ``np.dot`` round apart)."""
+    return tuple(reduce(add, map(mul, row, us)) for row in a)
 
 
 def _densities(grid, p, u1, u2):
@@ -159,7 +162,7 @@ def _densities(grid, p, u1, u2):
     exponents of u1, u2, their multipliers m_i / integral(e^{g_i}) and
     their log-partition terms m_i ln integral(e^{g_i}), as three pairs;
     a species with zero mass has all three zero."""
-    g1, g2 = _exponents(p, u1, u2)
+    g1, g2 = _exponents(p.coupling, (u1, u2))
     return tuple(zip(_normalized_density(grid, g1, p.m1), _normalized_density(grid, g2, p.m2)))
 
 
@@ -285,13 +288,12 @@ def solve_pair(p, grid):
                 f"mass {p.m1:.6g} at or above the critical value {m_crit:.6g} "
                 f"for alpha={p.alpha:.6g}"
             )
+    k = 1 if alone else 2
+    a = [row[:k] for row in p.coupling[:k]]
     us, cs = _seeded(grid, _start_exponent(p, grid), p.m1)
-    if alone:
-        masses, exponents = (p.m1,), lambda us: (p.alpha * us[0],)
-    else:
-        masses, exponents = (p.m1, p.m2), lambda us: _exponents(p, *us)
+    if not alone:
         us, cs = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)]
-    us, cs, res, it, lams = _picard_loop(grid, masses, exponents, (us, cs))
+    us, cs, res, it, lams = _picard_loop(grid, (p.m1, p.m2)[:k], partial(_exponents, a), (us, cs))
     if alone:
         us, cs, lams = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)], (*lams, 0.0)
     return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
@@ -303,16 +305,17 @@ def _minimize_w(grid, rho_vals, u, p, w0=None):
     closed form, when gamma or m2 is.
 
     Solves ``-laplacian(w) = m2 e^g / integral(e^g)`` with exponent
-    ``g = -gamma w - theta beta u`` by _newton_w, which raises
-    SolverDiverged after ``_MAX_ITER`` Newton steps or a step that ten
-    halvings cannot make decrease the defect.  Returns w with the chemical
-    density m2 e^g / integral(e^g) at w and its m2 ln integral(e^g)."""
-    drive = -p.theta * p.beta * u
+    ``g = -gamma w - theta beta u``, row 2 of the coupling times (u, w), by
+    _newton_w, which raises SolverDiverged after ``_MAX_ITER`` Newton steps
+    or a step that ten halvings cannot make decrease the defect.  Returns w
+    with the density m2 e^g / integral(e^g) at w and its m2 ln integral(e^g)."""
+    a_u, a_w = p.coupling[1]
+    drive = a_u * u
     if p.gamma == 0.0 or p.m2 == 0.0:
         w = np.zeros_like(grid.r)
-        rho, _, m_log_z = _normalized_density(grid, -p.gamma * w + drive, p.m2)
+        rho, _, m_log_z = _normalized_density(grid, a_w * w + drive, p.m2)
         return w, rho, m_log_z
-    g0 = drive if w0 is None else -p.gamma * w0 + drive
+    g0 = drive if w0 is None else a_w * w0 + drive
     (w,), (c,) = _seeded(grid, g0, p.m2)
     w, rho, m_log_z = _newton_w(grid, w, c, drive, p)
     if (w[1:] - w[:-1] > 1e-10).any() and (rho_vals[1:] - rho_vals[:-1] <= 1e-12).all():
@@ -324,14 +327,14 @@ def _newton_w(grid, w, c, drive, p):
     """Newton's method on the chemical equation T w = V rho(w), w_n = 0.
 
     T is the Green operator's tridiagonal matrix and V the cell volumes;
-    with rho = m2 e^{-gamma w + drive}/Z the Jacobian is
-    T + gamma diag(V rho) - (gamma/m2)(V rho)(2 pi V rho)^T.  The face
-    fluxes ``c`` of the iterate ``w`` advance by the face fluxes of each
-    step, so the defect stays the exact finite-volume residual.  Returns
-    w with its density rho and m2 ln Z.
+    with rho = m2 e^{-gamma w + drive}/Z, -gamma the coupling's entry (2, 2),
+    the Jacobian is T + gamma diag(V rho) - (gamma/m2)(V rho)(2 pi V rho)^T.
+    The face fluxes ``c`` of the iterate ``w`` advance by the face fluxes of
+    each step, so the defect stays the exact finite-volume residual.
+    Returns w with its density rho and m2 ln Z.
     """
-    gamma, m2 = p.gamma, p.m2
-    rho, _, m_log_z = _normalized_density(grid, -gamma * w + drive, m2)
+    a_w, m2 = p.coupling[1][1], p.m2
+    rho, _, m_log_z = _normalized_density(grid, a_w * w + drive, m2)
     d = _face_masses(grid, rho) - c
     res = _flux_defect(grid, d)
     steps = 0
@@ -343,7 +346,7 @@ def _newton_w(grid, w, c, drive, p):
             )
         steps += 1
         vr = grid.volumes * rho
-        ab = _tridiag(grid, gamma * vr)
+        ab = _tridiag(grid, -a_w * vr)
         _pin_wall(ab)
         # the wall row is the identity with zero right-hand sides, so y and z
         # vanish there and the rank-one term needs no restriction
@@ -353,13 +356,13 @@ def _newton_w(grid, w, c, drive, p):
         rhs[:-1, 1] = vr[:-1]
         y, z = _solve_tridiag(ab, rhs).T
         b = grid.weights * rho
-        k = gamma / m2
+        k = -a_w / m2
         dw = y + (k * np.dot(b, y) / (1.0 - k * np.dot(b, z))) * z
         dc = _face_flux(grid, dw)
         step = 1.0
         for _ in range(_HALVINGS + 1):
             w_t, c_t = w + step * dw, c + step * dc
-            rho_t, _, m_log_z_t = _normalized_density(grid, -gamma * w_t + drive, m2)
+            rho_t, _, m_log_z_t = _normalized_density(grid, a_w * w_t + drive, m2)
             d_t = _face_masses(grid, rho_t) - c_t
             res_t = _flux_defect(grid, d_t)
             if res_t < res:

@@ -81,6 +81,12 @@ class Params:
         if type(self.theta) is not int:
             object.__setattr__(self, "theta", int(self.theta))
 
+    @property
+    def coupling(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """A = [[alpha, -beta], [-theta beta, -gamma]] by rows; the exponents are g = A u."""
+        b = float(self.beta)
+        return (float(self.alpha), -b), (-self.theta * b, -float(self.gamma))
+
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:

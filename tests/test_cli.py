@@ -536,6 +536,21 @@ class TestMain:
         assert main(["--config", str(path)]) == 3
         assert "wibble" in capsys.readouterr().err
 
+    def test_unwritable_out_exit(self, tmp_path, capsys):
+        path = tmp_path / "ok.cfg"
+        path.write_text(config_text("classify"))
+        (tmp_path / "afile").write_text("")
+        assert main(["--config", str(path), "--out", str(tmp_path / "afile" / "sub")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write outputs") and err.count("\n") == 1
+
+    def test_oracle_overflowing_m2_exit(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(config_text("oracle", beta=10.0 * math.pi, gamma=1.0, m1=1.0, m2=1e300))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "m2 = 1e+300" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.csv").exists()
+
     def test_divergence_exit(self, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"
         path.write_text(config_text("steady", m1=30.0, m2=1.0, grid_n=256))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conflictlab import liouville
 from conflictlab.calculus import _green, face_masses, integrate_disk, inv_laplacian
@@ -253,6 +254,26 @@ class TestSolvePair:
             solve_pair(p, g256)
 
 
+class TestExponents:
+    @given(
+        alpha=st.floats(0.0, 1e6),
+        beta=st.floats(0.0, 1e6),
+        gamma=st.floats(0.0, 1e6),
+        theta=st.sampled_from([-1, 1]),
+        us=st.integers(1, 40).flatmap(
+            lambda n: st.tuples(*[arrays(np.float64, n, elements=st.floats(-1e6, 1e6))] * 2)
+        ),
+    )
+    def test_rows_of_the_coupling_are_the_readme_exponents(self, alpha, beta, gamma, theta, us):
+        p = Params(alpha, beta, gamma, theta, 1.0, 1.0)
+        u1, u2 = us
+        g1, g2 = _exponents(p.coupling, (u1, u2))
+        for got, want in ((g1, alpha * u1 - beta * u2), (g2, -gamma * u2 - theta * beta * u1)):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        (a11, a12), (a21, _) = p.coupling
+        assert (a11, a12) == (alpha, -beta) and a12 == theta * a21  # diag(1, theta) A symmetric
+
+
 class TestPohozaevIdentity:
     """Multiplying species 1's steady equation by x . grad and integrating
     gives 4 m1 - 4 pi rho1(1) - alpha m1^2 / 2 pi + (beta / pi) int rho1 M2 dx
@@ -349,7 +370,7 @@ class TestNewtonChemicalSolve:
     def test_converges_where_picard_failed(self, n, args, width):
         grid, p, rho = _chemical_problem(n, args, width)
         w = relaxed_free_energy(rho, p)[1]
-        g = _exponents(p, inv_laplacian(rho).values, w.values)[1]
+        g = _exponents(p.coupling, (inv_laplacian(rho).values, w.values))[1]
         e = RadialField(grid, np.exp(g - g.max()))
         image = inv_laplacian(e.with_values(p.m2 * e.values / integrate_disk(e))).values
         assert np.max(np.abs(image - w.values)) <= 1e-10 * max(1.0, rho.values.max())
