@@ -17,7 +17,8 @@ only its own part of the package.
 
 Exit codes: 0 success, 2 iterative solver failure, 3 a configuration that
 cannot be read or is invalid (inadmissible parameters included, as ``steady``
-at m2 = 0 with alpha m1 >= 8 pi) or outputs that cannot be written.
+with alpha m1 >= 8 pi + 2 beta m2, or a blow-down ladder out of order) or
+outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _cmd_steady(cfg: RunConfig, seed: int) -> dict:
 
 def _cmd_flow(cfg: RunConfig, seed: int) -> dict:
     from .calculus import inv_laplacian
-    from .flow import FlowConfig, initial_state, run_flow, trace_rows
+    from .flow import _REGIMES, FlowConfig, initial_state, run_flow, trace_rows
 
     p = cfg.params
     grid = make_grid(cfg.grid_n)
@@ -289,16 +290,10 @@ def _cmd_flow(cfg: RunConfig, seed: int) -> dict:
         shape = np.exp(-width * grid.r**2) * (1.0 + amp * np.cos(math.pi * k * grid.r))
     else:
         shape = np.exp(-2.0 * grid.r**2)
-    rho1 = _density(grid, shape, p.m1)
-    if cfg.case == "single":
-        fields = {"rho1": rho1}
-    else:
-        rho2 = _density(grid, np.exp(-grid.r**2), p.m2)
-        if cfg.case == "pair":
-            fields = {"rho1": rho1, "rho2": rho2}
-        else:
-            fields = {"u1": inv_laplacian(rho1), "u2": inv_laplacian(rho2)}
-    state = initial_state(p, fcfg, **fields)
+    _, kind, keys, _, _ = _REGIMES[limits]
+    rhos = (_density(grid, shape, p.m1), _density(grid, np.exp(-grid.r**2), p.m2))
+    fields = map(inv_laplacian, rhos) if kind == "potential" else rhos
+    state = initial_state(p, fcfg, **dict(zip(keys, fields)))
     end = run_flow(state, p, fcfg)
     series = (grid.r, end.rho1.values, end.u1.values, end.u2.values, end.rho2.values)
     return {
@@ -312,8 +307,7 @@ def _cmd_blowdown(cfg: RunConfig, seed: int) -> dict:
 
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
-    rho, w = _base_fields(grid, p)
-    fam = BlowdownFamily(rho, w, psis=np.asarray(cfg.psis))
+    fam = BlowdownFamily(*_base_fields(grid, p), psis=cfg.psis)
     shifts, fit = _shift_table(fam, p)
     header = [f"slope = {_fmt(_fitted_slope(fit, p))}"]
     rows = [(r.psi, r.term, r.predicted, r.measured) for r in shifts]
@@ -337,16 +331,16 @@ def _cmd_oracle(cfg: RunConfig, seed: int) -> dict:
 
 
 def _cmd_functional(cfg: RunConfig, seed: int) -> dict:
-    from .blowdown import _ladder
+    from .blowdown import BlowdownFamily, _ladder
     from .functionals import moser_trudinger
 
     p = cfg.params
     grid = make_grid(cfg.grid_n, kind="graded")
-    rho, w = _base_fields(grid, p)
+    fam = BlowdownFamily(*_base_fields(grid, p), psis=cfg.psis)
     rows = [
         (psi, rep.entropy1, rep.interaction, rep.dirichlet, rep.log_terms,
          rep.total, moser_trudinger(u_s, p.m1, p.alpha))
-        for psi, u_s, _, rep in _ladder(rho, w, p, cfg.psis)
+        for psi, u_s, _, rep in _ladder(fam.base_rho, fam.base_w, p, fam.psis)
     ]
     columns = ["psi", "entropy", "interaction", "dirichlet", "log_terms", "total",
                "moser_trudinger"]

@@ -76,7 +76,7 @@ class GridMismatch(ValueError):
 
 
 class Supercritical(ValueError):
-    """Requested mass at or above the critical mass 8*pi/alpha."""
+    """Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2."""
 
 
 class GammaZero(ValueError):

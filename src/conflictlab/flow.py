@@ -21,6 +21,9 @@ trace row from them, through the same array cores as the public
 functionals; the two species of the pair regime go through the Green
 sum, the entropy and the pairings as the rows of one stack.
 
+The three regimes are the rows of one table, _REGIMES, keyed by their
+FLOW_LIMITS values; initial_state and run_flow read the regime from it.
+
 States come only from initial_state and the steppers, and a state is its
 four fields (rho1, u1, u2, rho2) as the rows of one read-only stacked array,
 checked once when the state is made (every sample finite, densities >= 0,
@@ -71,7 +74,7 @@ from .errors import (
 )
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _densities, _exponents, _minimize_w
-from .model import _DT_FLOOR, FlowConfig, Params, RadialField, RadialGrid
+from .model import _DT_FLOOR, FLOW_LIMITS, FlowConfig, Params, RadialField, RadialGrid
 
 __all__ = [
     "FlowState",
@@ -187,14 +190,15 @@ def _heat_step(grid, dt, us, sources):
     return new
 
 
-def _single_fields(grid, rho, p, w0=None):
+def _single_fields(grid, rhos, p, w0=None):
     """The stacked fields (rho, u, w, rho2) and the monitored energy of the
-    single-density regime at density rho: its potential u, the chemical
-    minimizer w (warm-started from w0) and the slaved density rho2.
+    single-density regime at the one row rho of rhos: its potential u, the
+    chemical minimizer w (warm-started from w0) and the slaved density rho2.
 
     The energy is F of the density-plus-chemical system, with the sign of
     the w-block flipped in the cooperative case: the terms of
     functionals.joint_free_energy (which fixes theta=-1), summed alike."""
+    (rho,) = rhos
     u, mt = _green(grid, rho)
     w, rho2, m_log_z = _minimize_w(grid, rho, u, p, w0=w0)
     faces = np.array([mt, _face_flux(grid, w)])
@@ -277,8 +281,8 @@ def step_single_density(s: FlowState, p: Params, dt: float) -> FlowState:
     """
     grid = s._grid
     phis = np.negative(_exponents(p.coupling[:1], s._stack[1:3]))
-    (rho,) = _sg_step(grid, dt, s._stack[:1], phis)
-    stack, energy = _single_fields(grid, rho, p, w0=s._stack[2])
+    rhos = _sg_step(grid, dt, s._stack[:1], phis)
+    stack, energy = _single_fields(grid, rhos, p, w0=s._stack[2])
     return _stepped(s, dt, "single-density", stack, energy, enforced=True)
 
 
@@ -327,11 +331,18 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     return _stepped(s, dt, "potential", stack, energy, enforced, boltzmann=p)
 
 
-_STEPPERS = {
-    (1.0, 0.0, 0.0): step_single_density,
-    (1.0, 1.0, 0.0): step_two_densities,
-    (0.0, 0.0, 1.0): step_potentials,
+# One row per regime, keyed by its (delta1, delta2, epsilon) limit: the name
+# its failures give, the tag and the initial_state keywords of the fields it
+# starts from, the maker of its stacked fields and monitored energy, its step.
+_REGIMES = {
+    FLOW_LIMITS["single"]:
+        ("single-density", "density", ("rho1",), _single_fields, step_single_density),
+    FLOW_LIMITS["pair"]:
+        ("two-density", "density", ("rho1", "rho2"), _pair_fields, step_two_densities),
+    FLOW_LIMITS["potentials"]:
+        ("potential", "potential", ("u1", "u2"), _potential_fields, step_potentials),
 }
+_STEPPERS = {limits: row[-1] for limits, row in _REGIMES.items()}
 
 
 @_releasing
@@ -350,41 +361,22 @@ def initial_state(
     Traces are seeded with the t = 0 row.  A non-finite input sample raises
     ValueError before any regime arithmetic.
     """
-    regime = (cfg.delta1, cfg.delta2, cfg.epsilon)
-    boltzmann = None
-    if regime == (1.0, 0.0, 0.0):
-        if rho1 is None or rho2 is not None or u1 is not None or u2 is not None:
-            raise ValueError("the single-density regime takes exactly rho1")
-        grid = rho1.grid
-        stack, energy = _single_fields(grid, _tagged(rho1, "density"), p)
-    elif regime == (1.0, 1.0, 0.0):
-        if rho1 is None or rho2 is None or u1 is not None or u2 is not None:
-            raise ValueError("the two-density regime takes exactly rho1 and rho2")
-        grid = _shared_grid(rho1, rho2)
-        rhos = np.array([_tagged(rho1, "density"), _tagged(rho2, "density")])
-        stack, energy = _pair_fields(grid, rhos, p)
-    else:
-        if u1 is None or u2 is None or rho1 is not None or rho2 is not None:
-            raise ValueError("the potential regime takes exactly u1 and u2")
-        grid = _shared_grid(u1, u2)
-        us = np.array([_tagged(u1, "potential"), _tagged(u2, "potential")])
-        stack, energy = _potential_fields(grid, us, p)
-        boltzmann = p
-    return _advanced(grid, 0.0, _Trace(), 0, stack, energy, boltzmann)
-
-
-def _shared_grid(f1, f2):
-    if not f1.grid.same_as(f2.grid):
+    name, kind, keys, make, _ = _REGIMES[cfg.delta1, cfg.delta2, cfg.epsilon]
+    given = {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2}
+    if [key for key, f in given.items() if f is not None] != list(keys):
+        raise ValueError(f"the {name} regime takes exactly {' and '.join(keys)}")
+    fields = [given[key] for key in keys]
+    grid = fields[0].grid
+    if not all(grid.same_as(f.grid) for f in fields):
         raise GridMismatch("the initial fields need a shared grid")
-    return f1.grid
-
-
-def _tagged(f, kind):
-    if f.kind != kind:
-        raise ValueError(f"the initial field must be {kind}-tagged")
-    if not np.isfinite(f.values).all():  # written in after the tag's own check
-        raise ValueError(f"the initial {kind} must be finite")
-    return f.values
+    for f in fields:
+        if f.kind != kind:
+            raise ValueError(f"the initial field must be {kind}-tagged")
+        if not np.isfinite(f.values).all():  # written in after the tag's own check
+            raise ValueError(f"the initial {kind} must be finite")
+    stack, energy = make(grid, np.array([f.values for f in fields]), p)
+    # densities made from potentials are their Boltzmann densities under p
+    return _advanced(grid, 0.0, _Trace(), 0, stack, energy, p if kind == "potential" else None)
 
 
 def _state_change(old: FlowState, new: FlowState) -> float:

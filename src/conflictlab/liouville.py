@@ -13,6 +13,9 @@ reduction on growth), and a dominant-mode extrapolation kicks in once the
 undamped iteration is stable, which removes the critical slowing near
 ``m = 8 pi / alpha``.
 
+Masses on or past the Pohozaev line ``alpha m1 >= 8 pi + 2 beta m2`` have
+no radial steady state and are refused before any iteration.
+
 The chemical equation ``-laplacian(w) = m2 e^{-gamma w - theta beta u}/Z``
 at a fixed density, whose potential is ``u``, is the gradient of a convex
 energy and is solved by Newton's method with step halving.  Its finite-
@@ -276,18 +279,20 @@ def solve_pair(p, grid):
     Species 1 starts from one Green application of the Boltzmann density
     at mass m1 of exponent alpha times the analytic bubble of that mass
     when 0 < alpha m1 < 8 pi, and of exponent 0 otherwise; species 2 starts
-    at rest.  At m2 = 0 species 1 is solved alone, which is solve_single,
-    and alpha m1 >= 8 pi raises Supercritical up front.  Raises
-    SolverDiverged or Oscillation when the iteration does not converge.
+    at rest.  At m2 = 0 species 1 is solved alone, which is solve_single.
+    Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2 raise
+    Supercritical up front: species 1's Pohozaev identity, with rho1(1) > 0
+    and int rho1 M2 <= m1 m2, leaves no radial steady state there, in either
+    convention.  Raises SolverDiverged or Oscillation when the iteration
+    does not converge.
     """
+    load, line = p.alpha * p.m1, 8.0 * math.pi + 2.0 * p.beta * p.m2
+    if load >= line:
+        raise Supercritical(
+            f"alpha m1 = {load:.6g} at or above the critical value "
+            f"8 pi + 2 beta m2 = {line:.6g}: no steady state exists"
+        )
     alone = p.m2 == 0.0
-    if alone and p.alpha > 0.0:
-        m_crit = 8.0 * math.pi / p.alpha
-        if p.m1 >= m_crit:
-            raise Supercritical(
-                f"mass {p.m1:.6g} at or above the critical value {m_crit:.6g} "
-                f"for alpha={p.alpha:.6g}"
-            )
     k = 1 if alone else 2
     a = [row[:k] for row in p.coupling[:k]]
     us, cs = _seeded(grid, _start_exponent(p, grid), p.m1)
@@ -379,10 +384,10 @@ def _newton_w(grid, w, c, drive, p):
 
 def _central_laplacian(grid, u):
     """Standard radial stencil (1/r)(r u_r)_r with 2 u_rr(0) at the axis."""
-    n = grid.n
+    n, r = grid.n, grid.r
     lap = np.empty(n)
-    flux = grid.faces * np.diff(u) / grid.h
-    lap[0] = 4.0 * (u[1] - u[0]) / grid.r[1] ** 2
+    flux = 0.5 * (r[1:] + r[:-1]) * np.diff(u) / np.diff(r)
+    lap[0] = 4.0 * (u[1] - u[0]) / r[1] ** 2
     lap[1:] = np.diff(flux) / grid.volumes[1:n]
     return lap
 

@@ -95,10 +95,8 @@ class RadialGrid:
     Stored at construction (all length conventions relative to n cells):
 
     r          n+1 node radii, r[0] = 0, r[n] = 1
-    h          n node spacings
-    faces      n interior faces between the n+1 cells (midpoints of adjacent nodes)
-    volumes    n+1 cell r-volumes V_i = integral of r dr over cell i;
-               sum(V) = 1/2 exactly
+    volumes    n+1 cell r-volumes V_i = integral of r dr over cell i, whose
+               faces are the midpoints of adjacent nodes; sum(V) = 1/2 exactly
     weights    disk quadrature weights 2*pi*V_i; sum = pi exactly
     log_ratio  ln(r_{j+1}/r_j) per cell j = 0..n-1; entry 0 is NaN (the
                center cell is handled by the axis regularity rule instead)
@@ -108,8 +106,6 @@ class RadialGrid:
     """
 
     r: np.ndarray
-    h: np.ndarray = field(init=False, repr=False)
-    faces: np.ndarray = field(init=False, repr=False)
     volumes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     log_ratio: np.ndarray = field(init=False, repr=False)
@@ -124,10 +120,7 @@ class RadialGrid:
         if not np.all(np.diff(r) > 0):  # NaN-safe: a NaN node fails
             raise ValueError("grid nodes must be strictly increasing")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "h", np.diff(r))
-        faces = 0.5 * (r[1:] + r[:-1])
-        object.__setattr__(self, "faces", faces)
-        edges = np.concatenate(([0.0], faces, [1.0]))
+        edges = np.concatenate(([0.0], 0.5 * (r[1:] + r[:-1]), [1.0]))
         object.__setattr__(self, "volumes", 0.5 * np.diff(edges**2))
         object.__setattr__(self, "weights", 2.0 * np.pi * self.volumes)
         lr = np.empty(r.size - 1)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conflictlab import blowdown
+from conflictlab import blowdown, liouville
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.cli import _base_fields, _fmt, _table_lines, main, parse_config, run
 from conflictlab.errors import BadTheta, NegativeConstant, NonpositiveMass, ParseError, UnknownKey
@@ -303,7 +303,11 @@ _HALF = ", ".join(repr(math.sqrt(psi)) for psi in DEFAULT_LADDER)
 # re-recorded when the blow-down mode option went: each file lost its
 # '# mode = full' header line and kept every other byte, and the two -half
 # configs, which had set mode = half, list the square-root psis instead,
-# which changes only their psis header line and their psi column.
+# which changes only their psis header line and their psi column.  The
+# functional-psis config walked psis = 1, 2, 8, 4, 1024 until functional
+# began to refuse, as blowdown does, a ladder that is not strictly increasing
+# and above 1; it now walks 1.5, 2, 4, 8, 1024, pinned from the code before
+# that change, which wrote the same bytes.
 PINNED_TABLES = {
     "classify-conflict": (config_text("classify"), {
         "classify.csv": "51c6559c9e3f23c55746426b1500f8205d06e63f000d50cef3f27b979b921e1e",
@@ -341,8 +345,8 @@ PINNED_TABLES = {
     "functional-half": (config_text("functional", **_LADDER, section=_sections("functional", psis=_HALF)), {
         "functional.csv": "39c94e7ada0384ef21743374e12804d803007d03a33858e829fa671f3ba69f37",
     }),
-    "functional-psis": (config_text("functional", **_LADDER, section=_sections("functional", psis="1, 2, 8, 4, 1024")), {
-        "functional.csv": "8574da30f31b49ccbb716b04061b5705ec7b30df67d022dc1f5bca9e4d6eb10f",
+    "functional-psis": (config_text("functional", **_LADDER, section=_sections("functional", psis="1.5, 2, 4, 8, 1024")), {
+        "functional.csv": "6f43d2aa3b57e6d8b6f194648de036f6c49d2ac485f753d95ff57d8ea7ca704e",
     }),
     "oracle": (config_text("oracle", beta=10.0 * math.pi, gamma=1.0, m1=1.0, m2=2.0 * math.pi, grid_n=1000), {
         "oracle.csv": "5e69503c07aedf7d9fa78c51e25a95af3d0ffb2c172acb5c34f80c4a727b4ec4",
@@ -487,6 +491,15 @@ class TestFunctionalCommand:
         slope = np.polyfit(np.log([float(r[0]) for r in rows[2:]]), totals[2:], 1)[0]
         assert np.isclose(slope, -4.0704278058391825, rtol=1e-4)
 
+    @pytest.mark.parametrize("command", ["blowdown", "functional"])
+    def test_refuses_a_ladder_out_of_order(self, tmp_path, capsys, command):
+        sec = f"[{command}]\npsis = 4, 2, 2, 1\n"
+        path = tmp_path / "ladder.cfg"
+        path.write_text(config_text(command, m1=30.0, m2=1.0, grid_n=64, section=sec))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "psis must be strictly increasing and all > 1" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
 
 class TestDeterminism:
     def test_identical_bytes_across_runs_and_threads(self, tmp_path):
@@ -551,11 +564,29 @@ class TestMain:
         assert "m2 = 1e+300" in capsys.readouterr().err
         assert not (tmp_path / "oracle.csv").exists()
 
-    def test_divergence_exit(self, tmp_path, capsys):
+    def test_divergence_exit(self, tmp_path, capsys, monkeypatch):
+        # below the Pohozaev line, out of iterations whatever the rounding
+        monkeypatch.setattr(liouville, "_MAX_ITER", 3)
         path = tmp_path / "diverge.cfg"
-        path.write_text(config_text("steady", m1=30.0, m2=1.0, grid_n=256))
+        path.write_text(config_text("steady", m1=10.0, m2=1.0, grid_n=256))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         assert "solver failure" in capsys.readouterr().err
+        assert not (tmp_path / "steady.csv").exists()
+
+    @pytest.mark.parametrize("gamma, m1", [(30.0, 1e300), (0.0, 30.0)])
+    def test_past_the_pohozaev_line_exit(self, tmp_path, gamma, m1):
+        # alpha m1 >= 8 pi + 2 beta m2 = 8 pi + 4: refused before any solve
+        path = tmp_path / "past.cfg"
+        path.write_text(config_text("steady", gamma=gamma, m1=m1, m2=1.0, grid_n=32))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "conflictlab.cli",
+             "--config", str(path), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.count("\n") == 1 and "critical value" in result.stderr
+        assert not (tmp_path / "steady.csv").exists()
 
     def test_supercritical_steady_alone_exit(self, tmp_path, capsys):
         path = tmp_path / "super.cfg"

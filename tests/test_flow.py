@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import platform
 import re
@@ -44,6 +45,21 @@ PI = math.pi
 CFG2 = FlowConfig(1.0, 0.0, 0.0, dt=1e-3, t_end=0.5)
 CFG_FULL = FlowConfig(1.0, 1.0, 0.0, dt=1e-3, t_end=0.5)
 CFG_POT = FlowConfig(0.0, 0.0, 1.0, dt=0.05, t_end=200.0)
+
+
+# each regime by the name its failures give: its config and its start fields
+START_FIELDS = {
+    "single-density": (CFG2, ("rho1",)),
+    "two-density": (CFG_FULL, ("rho1", "rho2")),
+    "potential": (CFG_POT, ("u1", "u2")),
+}
+WRONG_FIELD_SETS = [
+    pytest.param(name, keys, id=f"{name}-{'+'.join(keys)}")
+    for name, (_, wanted) in START_FIELDS.items()
+    for k in range(1, 5)
+    for keys in itertools.combinations(("rho1", "rho2", "u1", "u2"), k)
+    if keys != wanted
+]
 
 
 def bump_density(grid, mass, width=4.0):
@@ -353,6 +369,16 @@ class TestInitialState:
             flow.initial_state(p, CFG_FULL, rho1=bump_density(g256, 5.0), rho2=bump_density(other, 2.0))
         with pytest.raises(GridMismatch):
             flow.initial_state(p, CFG_POT, u1=zero_potential(g256), u2=zero_potential(other))
+
+    @pytest.mark.parametrize("name, keys", WRONG_FIELD_SETS)
+    def test_refuses_every_other_field_set(self, g256, name, keys):
+        cfg, wanted = START_FIELDS[name]
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=2.0)
+        rho, u = bump_density(g256, 5.0), zero_potential(g256)
+        fields = {key: rho if key.startswith("rho") else u for key in keys}
+        message = f"the {name} regime takes exactly {' and '.join(wanted)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            flow.initial_state(p, cfg, **fields)
 
 
 class TestHandBuiltState:

@@ -247,10 +247,15 @@ class TestSolvePair:
         with pytest.raises(Supercritical):
             solve_pair(Params(1.0, 0.0, 0.0, -1, 40 * np.pi, 0.0), g256)
 
-    def test_diverges_cleanly_far_supercritical(self, g256, monkeypatch):
-        monkeypatch.setattr(liouville, "_MAX_ITER", 120)
-        p = Params(1.0, 0.0, 1.0, -1, 40 * np.pi, 1.0)
-        with pytest.raises(SolverDiverged):
+    def test_refuses_far_supercritical_pair(self, g256):
+        with pytest.raises(Supercritical):
+            solve_pair(Params(1.0, 0.0, 1.0, -1, 40 * np.pi, 1.0), g256)
+
+    @pytest.mark.parametrize("theta", [-1, 1])
+    def test_refuses_on_the_pohozaev_line(self, g256, theta):
+        # alpha m1 = 8 pi + 2 beta m2, exactly in floating point
+        p = Params(1.0, 0.5, 1.0, theta, 8.0 * np.pi + 4.0, 4.0)
+        with pytest.raises(Supercritical, match="critical value"):
             solve_pair(p, g256)
 
 
@@ -295,7 +300,7 @@ class TestPohozaevIdentity:
         rho1 = boltzmann(p.alpha * u1 - p.beta * u2, p.m1)
         rho2 = boltzmann(-p.gamma * u2 - p.theta * p.beta * u1, p.m2)
         ring = 2.0 * np.pi * grid.r * rho2
-        mass2 = np.concatenate(([0.0], np.cumsum(0.5 * (ring[1:] + ring[:-1]) * grid.h)))
+        mass2 = np.concatenate(([0.0], np.cumsum(0.5 * (ring[1:] + ring[:-1]) * np.diff(grid.r))))
         return (
             4.0 * p.m1
             - 4.0 * np.pi * rho1[-1]

@@ -38,7 +38,7 @@ class TestMakeGrid:
     def test_graded_clusters_near_center(self):
         g = make_grid(16, kind="graded")
         assert g.r[0] == 0.0 and g.r[-1] == 1.0
-        assert np.all(np.diff(g.h) > 0)
+        assert np.all(np.diff(np.diff(g.r)) > 0)
 
     def test_too_coarse(self):
         with pytest.raises(TooCoarse):
