@@ -3,7 +3,7 @@
 
 Scans m1 at fixed m2, fits the joint free energy of the standard smooth
 family against ln(psi), and compares the fitted slope with the ln s
-coefficient of blowdown.blowdown_coefficients: Lambda(m1, m2) where the
+coefficient of phase.blowdown_coefficients: Lambda(m1, m2) where the
 chemical log term applies and Lambda2 where it does not.  The sign flip of
 either column locates the unboundedness onset along the scan line.
 """
@@ -13,9 +13,10 @@ import logging
 
 import numpy as np
 
-from conflictlab.blowdown import BlowdownFamily, blowdown_coefficients, slope_estimate
+from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.cli import _base_fields
 from conflictlab.model import Params, make_grid
+from conflictlab.phase import blowdown_coefficients
 
 
 def parse_args():

@@ -51,6 +51,10 @@ PSI_FLOOR = 1e-12
 
 _MATCH_TOL = 1e-12
 _MONO_SLACK = 1e-12
+# match_energy doubles energies up to its bracket 2 s^2 and exact_solution
+# multiplies one by 4 gamma, for the slope limit s: 16 max(1, gamma) s^2
+# finite leaves a factor 2 over both
+_MARGIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,8 @@ class AnnulusParams:
 
     Construction enforces the standing hypothesis
     (beta_m - gamma*m2)/2pi - 2 > 0 under which the profile is monotone
-    away from the inner edge.
+    away from the inner edge, and refuses, with ValueError, a slope limit
+    whose energy match would overflow.
     """
 
     gamma: float
@@ -88,6 +93,9 @@ class AnnulusParams:
                 f"(beta_m - gamma*m2)/2pi - 2 = "
                 f"{(self.beta_m - self.gamma * self.m2) / TWO_PI - 2.0:g} <= 0"
             )
+        s = self.slope_limit
+        if not math.isfinite(_MARGIN * max(1.0, self.gamma) * s * s):
+            raise ValueError(f"slope limit {s:g} overflows the energy match")
 
     @property
     def log_width(self) -> float:

@@ -15,10 +15,12 @@ and Dirichlet shift identities hold to roundoff; resampling onto a fixed
 grid would bury them under interpolation error.
 
 One private walk, _ladder, scales the fields, solves for the potential and
-evaluates the raw energy terms once per rung.  The shift table takes its
-psi = 1 base terms from the walk's first rung; the slope fit and the CLI's
-blow-down table fit the totals of the walk that made the shift rows, and
-the CLI's functional table reads its rungs from a walk of its own.
+evaluates the raw energy terms once per rung, refusing masses whose
+predicted shifts overflow.  The shift table takes its psi = 1 base terms
+from the walk's first rung; the slope fit and the CLI's blow-down table fit
+the totals of the walk that made the shift rows, and the CLI's functional
+table reads its rungs from a walk of its own.  The closed-form coefficient
+they predict is phase.blowdown_coefficients.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ import numpy as np
 from .calculus import inv_laplacian
 from .errors import GridMismatch, TooFewPoints
 from .functionals import _joint, _joint_terms
-from .liouville import _exponents
 from .model import DEFAULT_LADDER, Params, RadialField, RadialGrid
+from .phase import blowdown_coefficients
 
 __all__ = [
     "DEFAULT_LADDER",
     "BlowdownFamily",
     "ShiftRow",
-    "blowdown_coefficients",
     "blowdown_density",
     "blowdown_potential",
     "slope_estimate",
@@ -51,6 +52,10 @@ logger = logging.getLogger(__name__)
 TWO_PI = 2.0 * math.pi
 
 _EPS_GAP = 2e-12
+
+# the headroom, over the largest predicted shift of a ladder's top rung (at
+# least one ln unit), that the measured terms of every rung need
+_MARGIN = 2.0**10
 
 
 def _scaled_grid(grid: RadialGrid, scale: float) -> RadialGrid:
@@ -144,42 +149,40 @@ class ShiftRow:
     measured: float
 
 
+def _shift_coefficients(p: Params):
+    """The ln psi coefficients of the five shift rows: entropy, interaction,
+    dirichlet, log_term (NaN where it does not apply) and total."""
+    total, log_term = map(float, blowdown_coefficients(p.m1, p.m2, p))
+    return 2.0 * p.m1, -(p.m1 * p.m1) / TWO_PI, p.m2 * p.m2 / TWO_PI, log_term, total
+
+
 def _ladder(base_rho: RadialField, base_w: RadialField, p: Params, psis):
     """Walk the blow-down ladder of psis in the given order.
 
     For each psi yields (psi, u_s, terms, report): the potential u_s of the
     scaled density, the four raw terms of the joint free energy of the
     scaled fields (entropy, pairing, Dirichlet, log-partition) and their
-    FunctionalReport.  psi = 1 gives the base fields.
+    FunctionalReport.  psi = 1 gives the base fields.  Raises ValueError
+    before the first rung when _MARGIN times the largest predicted shift
+    of the top rung overflows, and at any rung whose terms or total do.
     """
+    top = float(max(psis))
+    largest = float(np.nanmax(np.abs(_shift_coefficients(p))))
+    if not math.isfinite(_MARGIN * max(1.0, math.log(top)) * largest):
+        raise ValueError(
+            f"masses m1 = {p.m1!r}, m2 = {p.m2!r} overflow the blow-down "
+            f"shifts up to psi = {top!r}"
+        )
     for psi in psis:
         psi = float(psi)
         rho_s = blowdown_density(base_rho, psi)
         w_s = blowdown_potential(base_w, p.m2, psi)
         u_s = inv_laplacian(rho_s)
         terms = _joint_terms(rho_s, w_s, u_s, p)
-        yield psi, u_s, terms, _joint(p, *terms)
-
-
-def blowdown_coefficients(m1, m2, p: Params):
-    """The ln psi coefficients (total, log_term) of the blow-down family's
-    joint free energy at masses m1, m2, scalars or broadcasting arrays;
-    only alpha, beta, gamma and theta are read from ``p``.
-
-    log_term is m2 x where the chemical integrand's core exponent
-    x = (-theta beta m1 - gamma m2)/2pi - 2 is positive, NaN elsewhere;
-    total is 2 m1 - alpha m1^2/4pi + gamma m2^2/4pi plus log_term where it
-    applies, at theta = -1 Lambda where Lambda1 > 0 and Lambda2 elsewhere.
-    """
-    x = _exponents(p.coupling[1:], (m1, m2))[0] / TWO_PI - 2.0
-    log_term = np.where(x > 0, m2 * x, math.nan)
-    total = (
-        2.0 * m1
-        - p.alpha * m1**2 / (2.0 * TWO_PI)
-        + p.gamma * m2**2 / (2.0 * TWO_PI)
-        + np.where(x > 0, log_term, 0.0)
-    )
-    return total, log_term
+        report = _joint(p, *terms)
+        if not all(map(math.isfinite, (*terms, report.total))):
+            raise ValueError(f"the blow-down rung psi = {psi!r} overflows its energy terms")
+        yield psi, u_s, terms, report
 
 
 def verify_identities(fam: BlowdownFamily, p: Params) -> list[ShiftRow]:
@@ -203,14 +206,10 @@ def _shift_table(fam: BlowdownFamily, p: Params):
     _, _, base, base_report = next(rungs)
     f0 = base_report.total
 
-    total_coef, log_coef = map(float, blowdown_coefficients(p.m1, p.m2, p))
+    *coefs, total_coef = _shift_coefficients(p)
     # per raw term: row name, ln psi coefficient, factor on the measured shift
-    shifts = (
-        ("entropy", 2.0 * p.m1, 1.0),
-        ("interaction", -(p.m1**2 / TWO_PI), 1.0),
-        ("dirichlet", p.m2**2 / TWO_PI, 1.0),
-        ("log_term", log_coef, p.m2),
-    )
+    names = ("entropy", "interaction", "dirichlet", "log_term")
+    shifts = tuple(zip(names, coefs, (1.0, 1.0, 1.0, p.m2)))
 
     rows = []
     fit = []

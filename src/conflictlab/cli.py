@@ -318,10 +318,10 @@ def _cmd_oracle(cfg: RunConfig, seed: int) -> dict:
     from .annulus_ode import AnnulusParams, asymptotic_ratio
 
     p = cfg.params
-    try:
-        limit = (p.m2 / (2.0 * math.pi)) ** 2
-    except OverflowError:
-        raise ValueError(f"m2 = {p.m2!r} overflows the oracle's limit (m2/2pi)^2") from None
+    half = p.m2 / (2.0 * math.pi)
+    limit = half * half
+    if not math.isfinite(limit):
+        raise ValueError(f"m2 = {p.m2!r} overflows the oracle's limit (m2/2pi)^2")
     rows = []
     for psi in cfg.scales:
         lp = AnnulusParams(gamma=p.gamma, beta_m=p.beta * p.m1, m2=p.m2, psi=psi)

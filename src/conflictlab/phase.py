@@ -8,7 +8,9 @@ the conflict table is an ordered list of strict inequalities, the
 cooperative table the subset-positivity conditions specialized to two
 species.  classify() evaluates the table of p.theta at the one point
 (p.m1, p.m2); sweep() evaluates it over a whole mass grid in one call and
-emits the analytic boundary curves alongside the verdicts.
+emits the analytic boundary curves alongside the verdicts.  Rule (2) of
+the conflict table is the sign of blowdown_coefficients, the ln psi slope
+of the blow-down family's free energy, built from the same Lambda values.
 
 All comparisons that decide a verdict are strict: a point whose deciding
 quantity sits within 1e-12 of its threshold is classified Unknown.
@@ -29,6 +31,7 @@ __all__ = [
     "PhaseVerdict",
     "SweepResult",
     "VERDICTS",
+    "blowdown_coefficients",
     "classify",
     "lambda_values",
     "strip_mass",
@@ -69,6 +72,7 @@ class PhaseVerdict:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing Lambda is refused
 def lambda_values(m1, m2, p: Params):
     """The quadratic form Lambda and its two-part split, as (L, L1, L2).
 
@@ -77,6 +81,7 @@ def lambda_values(m1, m2, p: Params):
     Accepts scalars or broadcasting arrays for m1, m2.  Squares are plain
     products x*x, correctly rounded; x**2 on a Python float goes through
     libm pow, which is not always.  Scalars and arrays give the same bits.
+    Raises ValueError, naming the first such pair, where L overflows.
     """
     if np.any(np.asarray(m1) <= 0):
         raise NonpositiveMass("lambda_values needs m1 > 0")
@@ -86,7 +91,26 @@ def lambda_values(m1, m2, p: Params):
     lam2 = (
         2.0 * m1 - p.alpha * (m1 * m1) / _FOUR_PI + p.gamma * (m2 * m2) / _FOUR_PI
     )
-    return lam1 + lam2, lam1, lam2
+    lam = lam1 + lam2
+    ok = np.isfinite(lam)  # so are its parts: inf plus anything is inf or NaN
+    if not np.all(ok):
+        i = np.argmin(ok)
+        b1, b2 = (float(np.broadcast_to(m, ok.shape).flat[i]) for m in (m1, m2))
+        raise ValueError(f"masses m1 = {b1!r}, m2 = {b2!r} overflow Lambda")
+    return lam, lam1, lam2
+
+
+def blowdown_coefficients(m1, m2, p: Params):
+    """The ln psi coefficients (total, log_term) of the joint free energy
+    along the blow-down family at masses m1, m2, scalars or broadcasting
+    arrays: (Lambda, Lambda1) where the log term's core exponent x, row 2
+    of p.coupling times (m1, m2) over 2pi minus 2, is positive, (Lambda2,
+    NaN) elsewhere, as always at theta = +1.  A negative total certifies
+    that the energy is unbounded below."""
+    lam, lam1, lam2 = lambda_values(m1, m2, p)
+    a_u, a_w = p.coupling[1]
+    applies = (a_u * m1 + a_w * m2) / (2.0 * math.pi) - 2.0 > 0
+    return np.where(applies, lam, lam2), np.where(applies, lam1, math.nan)
 
 
 def strip_mass(p: Params) -> float:
@@ -158,7 +182,8 @@ def _conflict_table(p: Params, m1, m2):
     """Ordered rule table for the conflict convention, first match wins.
 
     (1) m1 below the critical mass: BoundedBelow for every m2.
-    (2) Lambda < 0 and Lambda2 < 0: UnboundedBelow.
+    (2) blowdown_coefficients' total < 0, which is Lambda < 0 and
+        Lambda2 < 0: UnboundedBelow.
     (3) beta > alpha/2, Lambda > 0, the strip condition
         2beta/alpha > gamma*m2/4pi + 1, and m1 < strip_mass: RadiallyBounded.
     (4) some m2' <= m2 passes rule (3): RadiallyBounded (monotone extension
@@ -194,7 +219,7 @@ def _conflict_table(p: Params, m1, m2):
 
     table = _Table(np.shape(lam))
     table.settle(_decide([crit_gap]), "BoundedBelow", 1)
-    table.settle(_decide([-lam, -lam2]), "UnboundedBelow", 2)
+    table.settle(_decide([-blowdown_coefficients(m1, m2, p)[0]]), "UnboundedBelow", 2)
     if strip_edge is None:
         return table.verdict, table.rule, fired
     table.settle(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conflictlab.blowdown import (
     DEFAULT_LADDER,
     BlowdownFamily,
-    blowdown_coefficients,
     blowdown_density,
     blowdown_potential,
     slope_estimate,
@@ -25,6 +24,7 @@ from conflictlab.cli import _base_fields
 from conflictlab.errors import GridMismatch, TooFewPoints
 from conflictlab.functionals import moser_trudinger
 from conflictlab.model import Params, RadialField, make_grid, project_density
+from conflictlab.phase import blowdown_coefficients
 
 TWO_PI = 2.0 * np.pi
 

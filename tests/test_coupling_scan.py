@@ -7,7 +7,14 @@ second copy of the coupling matrix that can drift from the first.  The scan
 flags each arithmetic expression whose subtree reads both a ``.theta`` and a
 ``.beta`` attribute.  ``model.py`` derives the matrix, and ``phase.py``
 states its closed forms in alpha, beta and gamma as the paper does, so both
-are exempt.  Stdlib ``ast`` only: the scan runs wherever the suite runs.
+are exempt.
+
+A second scan flags every power whose base reads a mass, a name or
+attribute ``m1`` or ``m2``: masses are squared as plain products, which are
+correctly rounded, where ``**`` on a Python float goes through libm
+``pow``, which is not always, and overflows with an OverflowError where a
+product gives inf.  Stdlib ``ast`` only: the scans run wherever the suite
+runs.
 """
 
 import ast
@@ -15,9 +22,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {"model.py", "phase.py"}
-MODULES = [
-    path for path in sorted((ROOT / "src" / "conflictlab").glob("*.py")) if path.name not in EXEMPT
-]
+SOURCES = sorted((ROOT / "src" / "conflictlab").glob("*.py"))
+MODULES = [path for path in SOURCES if path.name not in EXEMPT]
+MASSES = {"m1", "m2"}
 
 
 def hand_couplings(path):
@@ -49,3 +56,35 @@ def test_scan_finds_a_hand_spelled_coupling(tmp_path):
         "row = p.coupling[1]\n"
     )
     assert hand_couplings(path) == [1, 4, 5]
+
+
+def mass_powers(path):
+    """The lines of every ``**`` in the file whose base reads a name or
+    attribute ``m1`` or ``m2``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            reads = {n.id for n in ast.walk(node.left) if isinstance(n, ast.Name)}
+            reads |= {n.attr for n in ast.walk(node.left) if isinstance(n, ast.Attribute)}
+            if reads & MASSES:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_squared_mass():
+    assert [(path.name, line) for path in SOURCES for line in mass_powers(path)] == []
+
+
+def test_scan_finds_a_squared_mass(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "a = p.m1**2\n"
+        "b = (m2 / (2.0 * math.pi)) ** 2\n"
+        "c = m1 * m1 + r**2 + 2.0**m2\n"
+        "d = (\n"
+        "    q.m2\n"
+        "    ** 2\n"
+        ")\n"
+    )
+    assert mass_powers(path) == [1, 2, 5]

@@ -35,8 +35,8 @@ OWN_MODULES = {
     "sweep": {"phase"},
     "steady": {"calculus", "liouville"},
     "oracle": {"annulus_ode"},
-    "blowdown": {"blowdown", "calculus", "functionals", "liouville"},
-    "functional": {"blowdown", "calculus", "functionals", "liouville"},
+    "blowdown": {"blowdown", "calculus", "functionals", "liouville", "phase"},
+    "functional": {"blowdown", "calculus", "functionals", "liouville", "phase"},
     "flow": {"calculus", "flow", "functionals", "liouville"},
 }
 

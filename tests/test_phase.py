@@ -9,13 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conflictlab import phase
-from conflictlab.blowdown import BlowdownFamily, blowdown_coefficients, slope_estimate
+from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.calculus import inv_laplacian
 from conflictlab.errors import NonpositiveMass
 from conflictlab.liouville import residual, solve_pair
 from conflictlab.model import Params, RadialField, make_grid, project_density
 from conflictlab.phase import (
     PhaseVerdict,
+    blowdown_coefficients,
     classify,
     lambda_values,
     strip_mass,
@@ -712,8 +713,9 @@ class TestCrossValidation:
         """No bounded or existence verdict has a negative blow-down
         coefficient, and every UnboundedBelow cell has one; at theta = -1,
         where the coefficient is Lambda if Lambda1 > 0 and Lambda2 otherwise,
-        the negative cells are exactly the UnboundedBelow cells off the
-        1e-12 fences.  Random parameter sets, 80^2 masses in (0, 150]^2."""
+        rule (2) decides exactly the cells whose critical gap and
+        coefficient are both at or below -1e-12, fences included.  Random
+        parameter sets, 80^2 masses in (0, 150]^2."""
         rng = np.random.default_rng([17, theta + 1])
         for _ in range(100):
             alpha, beta = rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0)
@@ -726,6 +728,6 @@ class TestCrossValidation:
             assert not np.any(bounded & (coef < -1e-9))
             assert np.all(coef[unbounded] < 0.0)
             if theta == -1:
-                lam, _, lam2 = res.lambdas
-                off_fence = (np.abs(lam) >= 1e-12) & (np.abs(lam2) >= 1e-12)
-                assert np.array_equal((coef < 0.0)[off_fence], unbounded[off_fence])
+                crit_gap = 8.0 * math.pi / alpha - mm1
+                decided = (crit_gap <= -1e-12) & (coef <= -1e-12)
+                assert np.array_equal(res.rules == 2, decided)
