@@ -69,7 +69,8 @@ class AnnulusParams:
     Construction enforces the standing hypothesis
     (beta_m - gamma*m2)/2pi - 2 > 0 under which the profile is monotone
     away from the inner edge, and refuses, with ValueError, a slope limit
-    whose energy match would overflow.
+    whose energy match would overflow or that no energy matches: one at or
+    below the e -> 0 limit 2/(gamma ln(1/psi)), an annulus too thin.
     """
 
     gamma: float
@@ -96,6 +97,11 @@ class AnnulusParams:
         s = self.slope_limit
         if not math.isfinite(_MARGIN * max(1.0, self.gamma) * s * s):
             raise ValueError(f"slope limit {s:g} overflows the energy match")
+        if s * self.gamma * self.log_width <= 2.0:  # s <= 2/(gamma ln(1/psi)), undivided
+            raise ValueError(
+                f"no energy matches slope {s:g} at psi = {self.psi:g}; "
+                "the annulus is too thin"
+            )
 
     @property
     def log_width(self) -> float:
@@ -178,10 +184,10 @@ def match_energy(lp: AnnulusParams) -> float:
     """Energy of the blow-down profile matching the wall slope.
 
     Bisects sqrt(2e) coth(sqrt(e/2) gamma ln(1/psi)) = slope_limit on
-    e in (0, 2 slope_limit^2]; the left side is strictly increasing, so the
-    root is unique whenever it exists.  Raises NoRoot when slope_limit is
-    at or below the e -> 0 limit 2/(gamma ln(1/psi)), which happens for psi
-    too close to 1.
+    e in (0, 2 slope_limit^2]; the left side is strictly increasing from
+    its e -> 0 limit 2/(gamma ln(1/psi)), which AnnulusParams keeps below
+    slope_limit, to above it at the bracket's top, so the root exists and
+    is unique.  Raises NoRoot only when the bisection stalls.
     """
     r_target = lp.slope_limit
     width = lp.log_width
@@ -190,13 +196,7 @@ def match_energy(lp: AnnulusParams) -> float:
         s = math.sqrt(2.0 * e)
         return s / math.tanh(0.5 * s * lp.gamma * width) - r_target
 
-    hi = 2.0 * r_target * r_target
-    if r_target <= 2.0 / (lp.gamma * width) or relation(hi) < 0.0:
-        raise NoRoot(
-            f"no energy matches slope {r_target:g} at psi = {lp.psi:g}; "
-            "the annulus is too thin"
-        )
-    lo = 0.0
+    lo, hi = 0.0, 2.0 * r_target * r_target
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         gap = relation(mid)

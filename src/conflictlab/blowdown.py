@@ -92,6 +92,10 @@ class BlowdownFamily:
         psis = np.asarray(self.psis, dtype=float)
         if psis.ndim != 1 or psis.size == 0:
             raise ValueError("psis must be a nonempty 1-d array")
+        top = float(self.base_rho.values.max())
+        for psi in psis.tolist():  # Python floats overflow to inf, unwarned
+            if not math.isfinite(psi * psi * top):
+                raise ValueError(f"psi = {psi!r}: its rung's density psi^2 rho overflows")
         if np.any(psis <= 1.0) or np.any(np.diff(psis) <= 0):
             raise ValueError("psis must be strictly increasing and all > 1")
         object.__setattr__(self, "psis", psis)

@@ -7,8 +7,9 @@ cell by cell through the exact annulus integral
 
     u_j - u_{j+1} = mtilde_{j+1/2} * ln(r_{j+1}/r_j),
 
-with the axis cell closed by the regularity rule u_0 - u_1 = 2*mtilde_{1/2}.
-Three useful identities then hold to round-off rather than to O(h^2):
+with the axis cell closed by the regularity rule u_0 - u_1 = 2*mtilde_{1/2},
+whose factor 2 the grid's log_ratio holds.  Three useful identities then
+hold to round-off rather than to O(h^2):
 
 * the pairing integral(f * inv_laplacian(g)) is symmetric in (f, g),
 * a density supported inside radius a generates exactly the logarithmic
@@ -82,10 +83,8 @@ def _green(grid: RadialGrid, rho_vals: np.ndarray):
     or their rows for densities stacked as rows."""
     mt = _face_masses(grid, rho_vals)
     u = np.zeros(rho_vals.shape)
-    terms = mt[..., 1:] * grid.log_ratio[1:]
-    # the suffix sums of terms, written from the wall inwards into u[1:-1]
-    np.add.accumulate(terms[..., ::-1], axis=-1, out=u[..., -2:0:-1])
-    u.T[0] = u.T[1] + 2.0 * mt.T[0]
+    # the suffix sums of mt * log_ratio, written from the wall inwards into u[:-1]
+    np.add.accumulate((mt * grid.log_ratio)[..., ::-1], axis=-1, out=u[..., -2::-1])
     return u, mt
 
 
@@ -100,10 +99,7 @@ def face_flux(w: RadialField) -> np.ndarray:
 
 def _face_flux(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     """face_flux on raw arrays, or its rows for fields stacked as rows."""
-    c = np.empty((*v.shape[:-1], grid.n))
-    c.T[0] = 0.5 * (v.T[0] - v.T[1])
-    c[..., 1:] = (v[..., 1:-1] - v[..., 2:]) / grid.log_ratio[1:]
-    return c
+    return (v[..., :-1] - v[..., 1:]) / grid.log_ratio
 
 
 def entropy(rho: RadialField) -> float:
@@ -134,13 +130,14 @@ def dirichlet_energy(w: RadialField) -> float:
 
 
 def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray):
-    """2*pi*(2 a_0 b_0 + sum_j a_j b_j ln(r_{j+1}/r_j)) for face arrays a, b:
+    """2*pi*sum_j a_j b_j log_ratio_j, 2 a_0 b_0 at the axis, for face arrays a, b:
     the Dirichlet pairing of face fluxes and the Green pairing of face
     masses alike.  Stacks of face arrays pair row by row, into an array;
     a[:, None] and b[None] give the matrix of every row of a with every
     row of b."""
+    # the axis term stays outside the vecdot: inside, it would reorder the sum
     body = np.vecdot(a[..., 1:] * grid.log_ratio[1:], b[..., 1:])
-    out = 2.0 * np.pi * (body + 2.0 * a[..., 0] * b[..., 0])
+    out = 2.0 * np.pi * (body + grid.log_ratio[0] * a[..., 0] * b[..., 0])
     return out if a.ndim > 1 else float(out)
 
 
@@ -182,8 +179,7 @@ def _normalized_density(grid: RadialGrid, g: np.ndarray, m: float):
 
 def _tridiag(grid: RadialGrid, diag, fpm=None) -> np.ndarray:
     """Banded (3, k(n+1)) matrix of diag plus the face couplings t fp and
-    t fm, with t the grid's face transmissibilities 1/ln(r_{j+1}/r_j), 1/2
-    at the axis cell, and (fp, fm) = fpm; fp and fm default to 1.
+    t fm, t = 1/log_ratio the grid's transmissibilities; fp, fm = fpm, or 1.
 
     fp and fm of shape (k, n) give k independent blocks side by side, one
     per row: the couplings across a block junction are zero."""

@@ -117,7 +117,7 @@ class Oscillation(SolverDiverged):
 
 
 class NoRoot(RuntimeError):
-    """Energy-matching bracket failure."""
+    """The energy-matching bisection stalled."""
 
 
 class MonotonicityLost(RuntimeError):

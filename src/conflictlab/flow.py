@@ -38,11 +38,11 @@ remembers the Params whose Boltzmann densities its rho1 and rho2 are; the
 next potential step with equal Params takes its sources from them, and any
 other (a density regime's, or one under other Params) recomputes them.
 
-Each accepted step appends a row (t, m1, m2, energy, sup rho1) to a trace
-buffer shared with the state's ancestors, doubling it when full, so an
-append costs O(1) amortised.  The buffer's owner counts the rows claimed;
-a state whose next row another child has claimed copies its own rows
-first.  The three traces are read-only views of the rows a state owns.
+Each accepted step appends a row (t, m1, m2, energy, sup rho1) to one
+array.array of doubles shared with the state's ancestors, in O(1)
+amortised: a state owning the array's tail extends it in place, any other
+copies its own rows first.  The traces and trace_rows are copies, never
+views, which would make the next extend raise BufferError.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,33 +96,14 @@ _GROWTH = 1.2
 _DEGENERATE_TOL = 1e-12
 
 
-class _Trace:
-    """Trace rows shared along a chain of states; ``used`` rows are claimed."""
-
-    __slots__ = ("rows", "used")
-
-    def __init__(self, rows=np.empty((0, 5))):  # never written: appends grow it
-        self.rows = rows
-        self.used = len(rows)
-
-    def appended(self, k: int, row) -> "_Trace":
-        """The trace of a state owning the first k rows, extended by row."""
-        out = self if self.used == k else _Trace(self.rows[:k])
-        if k == len(out.rows):
-            out.rows = np.concatenate([out.rows, np.empty((max(k, 8), 5))])
-        out.rows[k] = row
-        out.used = k + 1
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """Immutable snapshot of a flow, with its accumulated traces.
 
     ``energy_trace`` rows are (t, monitored energy), ``mass_trace`` rows
     are (t, m1, m2) and ``sup_trace`` rows are (t, sup rho1): read-only
-    views of the first ``_rows`` rows of the shared trace buffer.  The
-    command line layer reports all three side by side.
+    copies of the first ``_rows`` rows of the shared trace array, made on
+    access.  The command line layer reports all three side by side.
 
     States come only from initial_state and the steppers; FlowState(...)
     raises TypeError.  The fields rho1, u1, u2 and rho2 are views of the
@@ -130,7 +112,7 @@ class FlowState:
 
     t: float
     _grid: RadialGrid = field(repr=False)
-    _trace: _Trace = field(repr=False)
+    _trace: array = field(repr=False)
     _rows: int
     _stack: np.ndarray = field(repr=False)
     _scale: np.ndarray = field(repr=False)
@@ -145,9 +127,9 @@ class FlowState:
     rho2 = property(lambda self: RadialField._checked(self._grid, self._stack[3], "density"))
 
     def _columns(self, cols: slice) -> np.ndarray:
-        view = self._trace.rows[: self._rows, cols]
-        view.flags.writeable = False
-        return view
+        out = trace_rows(self)[:, cols]
+        out.flags.writeable = False
+        return out
 
     energy_trace = property(lambda self: self._columns(slice(None, None, 3)))
     mass_trace = property(lambda self: self._columns(slice(0, 3)))
@@ -226,7 +208,7 @@ def _potential_fields(grid, us, p):
 
 def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
     """The state at time t of the stacked fields (rho1, u1, u2, rho2),
-    owning the first k rows of trace plus its own row; boltzmann is the
+    owning the first 5 k values of trace plus its own row; boltzmann is the
     Params whose Boltzmann densities of u1, u2 are rho1, rho2, if any.
 
     The one maker of a FlowState: it checks the rows once, from their
@@ -242,10 +224,12 @@ def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
     stack.flags.writeable = False
     s = object.__new__(FlowState)
     m1, m2 = np.vecdot(stack[::3], grid.weights).tolist()
+    trace = trace if len(trace) == 5 * k else trace[: 5 * k]  # a sibling's row follows
+    trace.extend((t, m1, m2, energy, hi[0]))
     s.__dict__.update(  # frozen, and __init__ refuses: set the fields here
         t=t,
         _grid=grid,
-        _trace=trace.appended(k, (t, m1, m2, energy, hi[0])),
+        _trace=trace,
         _rows=k + 1,
         _stack=stack,
         _scale=scale,
@@ -259,7 +243,7 @@ def _stepped(s, dt, regime, stack, energy, enforced, boltzmann=None):
     that the regime's step computed.  StepRejected if the energy is
     enforced and rose beyond the slack; a new state that fails its checks
     raises as _advanced does, naming the regime, the time and dt."""
-    e_old = float(s._trace.rows[s._rows - 1, 3])
+    e_old = s._trace[5 * s._rows - 2]
     if enforced and energy - e_old > _ENERGY_SLACK * max(1.0, abs(e_old)):
         raise StepRejected(f"monitored energy rose from {e_old:.12g} to {energy:.12g}")
     t = s.t + dt
@@ -376,7 +360,7 @@ def initial_state(
             raise ValueError(f"the initial {kind} must be finite")
     stack, energy = make(grid, np.array([f.values for f in fields]), p)
     # densities made from potentials are their Boltzmann densities under p
-    return _advanced(grid, 0.0, _Trace(), 0, stack, energy, p if kind == "potential" else None)
+    return _advanced(grid, 0.0, array("d"), 0, stack, energy, p if kind == "potential" else None)
 
 
 def _state_change(old: FlowState, new: FlowState) -> float:
@@ -438,4 +422,4 @@ def steady_solution(s: FlowState, p: Params) -> Solution:
 
 def trace_rows(s: FlowState) -> np.ndarray:
     """Rows (t, m1, m2, energy, sup rho1) for reporting layers."""
-    return s._trace.rows[: s._rows].copy()
+    return np.frombuffer(s._trace[: 5 * s._rows]).reshape(s._rows, 5)

@@ -98,11 +98,11 @@ class RadialGrid:
     volumes    n+1 cell r-volumes V_i = integral of r dr over cell i, whose
                faces are the midpoints of adjacent nodes; sum(V) = 1/2 exactly
     weights    disk quadrature weights 2*pi*V_i; sum = pi exactly
-    log_ratio  ln(r_{j+1}/r_j) per cell j = 0..n-1; entry 0 is NaN (the
-               center cell is handled by the axis regularity rule instead)
+    log_ratio  face factors ln(r_{j+1}/r_j) per cell j = 1..n-1, and 2 at
+               j = 0: the axis rule u_0 - u_1 = 2 mtilde_{1/2}
 
-    The face transmissibilities 1/log_ratio, 1/2 at the axis cell, that
-    every tridiagonal assembly reads are kept as ``_transmissibility``.
+    The face transmissibilities 1/log_ratio that every tridiagonal
+    assembly reads are kept as ``_transmissibility``.
     """
 
     r: np.ndarray
@@ -124,13 +124,10 @@ class RadialGrid:
         object.__setattr__(self, "volumes", 0.5 * np.diff(edges**2))
         object.__setattr__(self, "weights", 2.0 * np.pi * self.volumes)
         lr = np.empty(r.size - 1)
-        lr[0] = np.nan
+        lr[0] = 2.0
         np.log(r[2:] / r[1:-1], out=lr[1:])
         object.__setattr__(self, "log_ratio", lr)
-        t = np.empty(r.size - 1)
-        t[0] = 0.5
-        np.divide(1.0, lr[1:], out=t[1:])
-        object.__setattr__(self, "_transmissibility", t)
+        object.__setattr__(self, "_transmissibility", 1.0 / lr)
 
     @property
     def n(self) -> int:

@@ -23,7 +23,6 @@ from conflictlab.errors import (
     MonotonicityLost,
     NegativeConstant,
     NonpositiveMass,
-    NoRoot,
     TooCoarse,
 )
 
@@ -161,8 +160,9 @@ class TestMatchEnergy:
         assert np.isclose(2.0 - math.sqrt(2.0 * e), 4e-4, rtol=5e-3)
 
     def test_no_root_for_wide_psi(self):
-        with pytest.raises(NoRoot):
-            match_energy(frozen_instance(0.5))
+        # AnnulusParams refuses it before any bisection: a ValueError, not NoRoot
+        with pytest.raises(ValueError, match="the annulus is too thin"):
+            frozen_instance(0.5)
 
     @given(
         gamma=st.floats(0.4, 3.0),

@@ -157,6 +157,8 @@ class TestBlowdownFamily:
             np.array([4.0, 2.0, 8.0]),
             np.array([0.5, 2.0]),
             np.array([]),
+            np.array([2.0, 1e200]),  # psi*psi overflows, and must not warn
+            np.array([np.inf, np.inf]),
         ],
     )
     def test_rejects_bad_ladders(self, gg, psis):

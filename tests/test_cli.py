@@ -500,6 +500,18 @@ class TestFunctionalCommand:
         assert "psis must be strictly increasing and all > 1" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command", ["blowdown", "functional"])
+    @pytest.mark.parametrize("m1", [5e-324, 5.0])
+    def test_refuses_a_rung_whose_square_overflows(self, tmp_path, capsys, command, m1):
+        # psi*psi = inf: the rung's density would be inf, or inf * 0 = NaN
+        sec = f"[{command}]\npsis = 1.5, 1e200\n"
+        path = tmp_path / "rung.cfg"
+        path.write_text(config_text(command, gamma=2.0, m1=m1, m2=2.0, grid_n=32, section=sec))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "psi = 1e+200" in err, err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestDeterminism:
     def test_identical_bytes_across_runs_and_threads(self, tmp_path):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -222,7 +223,7 @@ def isolated(s):
     """The same state holding its own copy of the trace rows, and no stored
     Params, so that a potential step recomputes its sources."""
     out = copy.copy(s)
-    out.__dict__.update(_trace=flow._Trace(flow.trace_rows(s)), _boltzmann=None)
+    out.__dict__.update(_trace=s._trace[: 5 * s._rows], _boltzmann=None)
     return out
 
 
@@ -269,7 +270,7 @@ class TestTraceSharing:
         assert flow.trace_rows(parent).tobytes() == before.tobytes()
         assert parent.mass_trace.shape == (len(before), 3)
 
-    def test_traces_are_read_only_views_of_the_rows(self, parent):
+    def test_traces_are_read_only_copies_of_the_rows(self, parent):
         rows = flow.trace_rows(parent)
         np.testing.assert_array_equal(parent.energy_trace, rows[:, [0, 3]])
         np.testing.assert_array_equal(parent.mass_trace, rows[:, :3])
@@ -305,6 +306,40 @@ class TestTraceSharing:
         assert attempts == accepted + 3
         assert np.all(np.diff(built.energy_trace[:, 0]) > 0)
         assert len(start.mass_trace) == 1
+
+    def test_first_child_extends_in_place_and_a_sibling_copies(self, parent):
+        # The O(1) append: copying the rows on every step makes a run's
+        # bookkeeping grow quadratically with its length.
+        first = flow.step_two_densities(parent, self.P, 1e-3)
+        second = flow.step_two_densities(parent, self.P, 2e-3)
+        assert first._trace is parent._trace
+        assert second._trace is not parent._trace
+        assert len(second._trace) == 5 * second._rows == len(first._trace)
+        assert flow.trace_rows(second)[:-1].tobytes() == flow.trace_rows(parent).tobytes()
+
+    def test_a_long_run_stores_its_rows_in_one_array(self):
+        p = Params(alpha=1.0, beta=1.0, gamma=1.0, theta=1, m1=2.0, m2=1.0)
+        g = make_grid(8)
+        start = flow.initial_state(
+            p, CFG_FULL, rho1=bump_density(g, 2.0), rho2=bump_density(g, 1.0)
+        )
+        s = start
+        for _ in range(2000):
+            s = flow.step_two_densities(s, p, 1e-3)
+        assert s._trace is start._trace
+        assert s._rows == 2001
+        assert sys.getsizeof(s._trace) <= 2 * 40 * s._rows
+
+    def test_taken_traces_outlive_further_steps(self, parent):
+        traces = (parent.energy_trace, parent.mass_trace, parent.sup_trace)
+        rows = flow.trace_rows(parent)
+        before = [t.copy() for t in (*traces, rows)]
+        s = parent
+        for _ in range(20):  # extends the shared array: a view of it would raise BufferError
+            s = flow.step_two_densities(s, self.P, 1e-3)
+        assert s._trace is parent._trace
+        for taken, kept in zip((*traces, rows), before):
+            assert taken.tobytes() == kept.tobytes()
 
 
 class TestInitialState:
@@ -438,7 +473,7 @@ class TestHandBuiltState:
         def advanced(value):
             stack = state._stack.copy()
             stack[row, col] = value
-            return flow._advanced(state.rho1.grid, 0.0, flow._Trace(), 0, stack, 0.0)
+            return flow._advanced(state.rho1.grid, 0.0, array("d"), 0, stack, 0.0)
 
         with pytest.raises(NegativeDensity if row in (0, 3) else ValueError):
             advanced(-1e-300 if row in (0, 3) else 1e-300)
