@@ -24,17 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AtBlowdown,
-    GammaZero,
-    HypothesisViolated,
-    MonotonicityLost,
-    NegativeConstant,
-    NonpositiveMass,
-    NoRoot,
-    TooCoarse,
-)
-
 __all__ = [
     "AnnulusParams",
     "AnnulusSolution",
@@ -69,8 +58,9 @@ class AnnulusParams:
     Construction enforces the standing hypothesis
     (beta_m - gamma*m2)/2pi - 2 > 0 under which the profile is monotone
     away from the inner edge, and refuses, with ValueError, a slope limit
-    whose energy match would overflow or that no energy matches: one at or
-    below the e -> 0 limit 2/(gamma ln(1/psi)), an annulus too thin.
+    whose energy match would overflow or underflow, or that no energy
+    matches: one at or below the e -> 0 limit 2/(gamma ln(1/psi)), an
+    annulus too thin.
     """
 
     gamma: float
@@ -80,17 +70,17 @@ class AnnulusParams:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise NegativeConstant(f"gamma = {self.gamma!r} must be finite and >= 0")
+            raise ValueError(f"gamma = {self.gamma!r} must be finite and >= 0")
         if self.gamma == 0.0:
-            raise GammaZero("the annulus reduction needs gamma > 0")
+            raise ValueError("the annulus reduction needs gamma > 0")
         if not np.isfinite(self.m2) or self.m2 <= 0:
-            raise NonpositiveMass(f"m2 = {self.m2!r} must be > 0")
+            raise ValueError(f"m2 = {self.m2!r} must be > 0")
         if not np.isfinite(self.beta_m):
             raise ValueError(f"beta_m = {self.beta_m!r} must be finite")
         if not (PSI_FLOOR <= self.psi < 1.0):
             raise ValueError(f"psi = {self.psi!r} must lie in [{PSI_FLOOR:g}, 1)")
         if (self.beta_m - self.gamma * self.m2) / TWO_PI - 2.0 <= 0.0:
-            raise HypothesisViolated(
+            raise ValueError(
                 f"(beta_m - gamma*m2)/2pi - 2 = "
                 f"{(self.beta_m - self.gamma * self.m2) / TWO_PI - 2.0:g} <= 0"
             )
@@ -102,6 +92,8 @@ class AnnulusParams:
                 f"no energy matches slope {s:g} at psi = {self.psi:g}; "
                 "the annulus is too thin"
             )
+        if s * s < np.finfo(float).tiny:  # the bracket 2 s^2 would hold no normal energy
+            raise ValueError(f"slope limit {s:g} underflows the energy match")
 
     @property
     def log_width(self) -> float:
@@ -155,10 +147,9 @@ def exact_solution(e: float, gamma: float, psi: float, t) -> np.ndarray | float:
 
     Raises
     ------
-    AtBlowdown
-        If any t reaches ln(1/psi), where the profile is -infinity.
     ValueError
-        For out-of-range e, gamma or psi.
+        For out-of-range e, gamma or psi, or if any t reaches ln(1/psi),
+        where the profile is -infinity.
     """
     if not (np.isfinite(e) and e > 0):
         raise ValueError(f"energy e = {e!r} must be finite and > 0")
@@ -169,7 +160,7 @@ def exact_solution(e: float, gamma: float, psi: float, t) -> np.ndarray | float:
     t_arr = np.asarray(t, dtype=float)
     width = -math.log(psi)
     if np.any(t_arr >= width):
-        raise AtBlowdown(f"t >= ln(1/psi) = {width:g}; the profile blows down there")
+        raise ValueError(f"t >= ln(1/psi) = {width:g}; the profile blows down there")
     s = math.sqrt(2.0 * e)
     x = t_arr - width
     out = (
@@ -187,7 +178,7 @@ def match_energy(lp: AnnulusParams) -> float:
     e in (0, 2 slope_limit^2]; the left side is strictly increasing from
     its e -> 0 limit 2/(gamma ln(1/psi)), which AnnulusParams keeps below
     slope_limit, to above it at the bracket's top, so the root exists and
-    is unique.  Raises NoRoot only when the bisection stalls.
+    is unique.  Raises RuntimeError only when the bisection stalls.
     """
     r_target = lp.slope_limit
     width = lp.log_width
@@ -206,7 +197,7 @@ def match_energy(lp: AnnulusParams) -> float:
             lo = mid
         else:
             hi = mid
-    raise NoRoot(f"bisection stalled at |gap| = {abs(gap):g}")
+    raise RuntimeError(f"bisection stalled at |gap| = {abs(gap):g}")
 
 
 def _rk4(b: float, gamma: float, v0: float, vt0: float, t: np.ndarray):
@@ -236,7 +227,7 @@ def _check_monotone(t: np.ndarray, vt: np.ndarray, width: float) -> None:
     window = t <= 0.5 * width
     if np.any(vt[window] < -_MONO_SLACK):
         where = t[window][np.argmin(vt[window])]
-        raise MonotonicityLost(
+        raise RuntimeError(
             f"integrate_annulus: v_r > 0 at r = {math.exp(-where):.3e} "
             "inside the outer window [sqrt(psi), 1]"
         )
@@ -253,24 +244,31 @@ def integrate_annulus(lp: AnnulusParams, n: int = 4096) -> AnnulusSolution:
     necessarily turns around within O(psi) of the inner edge, so a full
     interval check would reject the exact profile itself.
 
-    Raises TooCoarse for n < 1000 and MonotonicityLost when the slope
-    check fails.
+    Raises ValueError for n < 1000, and RuntimeError when the slope check
+    fails or the profile overflows: its exponent (b-2) t - gamma v cancels
+    two terms that grow with beta_m, whose rounding can outgrow the profile.
     """
     if n < 1000:
-        raise TooCoarse(f"n = {n} < 1000")
+        raise ValueError(f"n = {n} < 1000")
     e = match_energy(lp)
     width = lp.log_width
     b = lp.beta_m / TWO_PI
     t = np.arange(n) * (width / n)
-    vhat, vt = _rk4(b, lp.gamma, exact_solution(e, lp.gamma, lp.psi, 0.0),
-                    lp.m2 / TWO_PI, t)
+    try:
+        vhat, vt = _rk4(b, lp.gamma, exact_solution(e, lp.gamma, lp.psi, 0.0),
+                        lp.m2 / TWO_PI, t)
+    except OverflowError:
+        raise RuntimeError("integrate_annulus: the profile's exponent overflows") from None
     _check_monotone(t, vt, width)
 
     shift = (b - 2.0) / lp.gamma
     vbar = vhat - shift * t
     vbar_t = vt - shift
-    traj_e = 0.5 * vbar_t**2 - np.exp(-lp.gamma * vbar) / lp.gamma
+    with np.errstate(over="ignore", invalid="ignore"):  # outside the window it is unused
+        traj_e = 0.5 * vbar_t**2 - np.exp(-lp.gamma * vbar) / lp.gamma
     drift = float(np.max(np.abs(traj_e[t <= 0.5 * width] - e)))
+    if not math.isfinite(drift):
+        raise RuntimeError("integrate_annulus: the profile overflows in the outer window")
 
     order = slice(None, None, -1)
     return AnnulusSolution(
@@ -288,9 +286,14 @@ def asymptotic_ratio(lp: AnnulusParams, n: int = 4096) -> float:
 
     Returns integral_{sqrt(psi)}^1 r v_r^2 dr / ln(1/sqrt(psi)), which
     converges to (m2/2pi)^2 from below as psi -> 0.  n is rounded up to a
-    multiple of four so the window edge lands on a node.
+    multiple of four so the window edge lands on a node.  In the window
+    0 <= r v_r <= m2/2pi, so the Simpson sum, n/4 triples of at most 6
+    (m2/2pi)^2, is refused with ValueError where that bound overflows.
     """
     n = 4 * ((n + 3) // 4)
+    half = lp.m2 / TWO_PI
+    if not math.isfinite(1.5 * n * half * half):
+        raise ValueError(f"m2 = {lp.m2!r} overflows the ratio's sum of {n} terms")
     sol = integrate_annulus(lp, n)
     # ascending-r index of the t = ln(1/psi)/2 node
     edge = (n - 1) - n // 2

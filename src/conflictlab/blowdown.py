@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import inv_laplacian
-from .errors import GridMismatch, TooFewPoints
 from .functionals import _joint, _joint_terms
 from .model import DEFAULT_LADDER, Params, RadialField, RadialGrid
 from .phase import blowdown_coefficients
@@ -88,7 +87,7 @@ class BlowdownFamily:
         if self.base_w.kind != "potential":
             raise ValueError("base_w must be potential-tagged")
         if not self.base_rho.grid.same_as(self.base_w.grid):
-            raise GridMismatch("base fields live on different grids")
+            raise ValueError("base fields live on different grids")
         psis = np.asarray(self.psis, dtype=float)
         if psis.ndim != 1 or psis.size == 0:
             raise ValueError("psis must be a nonempty 1-d array")
@@ -232,7 +231,7 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
     The two smallest rungs are discarded before fitting: the identities
     carry an O(1) term that only the asymptotic coefficient survives.  A
     negative slope certifies that the energy is unbounded below along the
-    family.  Raises TooFewPoints when the ladder has fewer than 4 rungs.
+    family.  Raises ValueError when the ladder has fewer than 4 rungs.
     """
     return _fitted_slope(_shift_table(fam, p)[1], p)
 
@@ -240,7 +239,7 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
 def _fitted_slope(fit, p: Params) -> float:
     """slope_estimate of the (ln psi, total) pairs of a walk of the ladder."""
     if len(fit) < 4:
-        raise TooFewPoints(f"need at least 4 rungs, got {len(fit)}")
+        raise ValueError(f"need at least 4 rungs, got {len(fit)}")
     log_psis, totals = zip(*fit)
     slope = float(np.polyfit(log_psis[2:], totals[2:], 1)[0])
     log_term = blowdown_coefficients(p.m1, p.m2, p)[1]

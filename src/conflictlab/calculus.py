@@ -38,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, NegativeDensity
 from .model import RadialField, RadialGrid
 
 __all__ = [
@@ -105,7 +104,7 @@ def _face_flux(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
 def entropy(rho: RadialField) -> float:
     """2*pi*int rho ln(rho) r dr, with s ln s extended by 0 at s = 0.
 
-    Raises NegativeDensity for signed input.
+    Raises ValueError for signed input.
     """
     return _entropy(rho.grid, rho.values)
 
@@ -114,7 +113,7 @@ def _entropy(grid: RadialGrid, v: np.ndarray):
     """entropy of a density's values, or an array of them for a stack of
     rows; each row's sum is the one dot product a single field gets."""
     if (v < 0).any():
-        raise NegativeDensity("entropy needs rho >= 0")
+        raise ValueError("entropy needs rho >= 0")
     pos = v > 0
     integrand = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
     out = np.vecdot(integrand, grid.weights)
@@ -141,6 +140,28 @@ def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray):
     return out if a.ndim > 1 else float(out)
 
 
+def _refuse_overflow(grid: RadialGrid, masses, coupling) -> None:
+    """Refuse the masses of the species a solve or flow evolves, and the
+    coupling rows it applies to their potentials, whose Green terms on
+    grid may overflow.
+
+    A nonnegative density of mass m has face masses at most m/2pi, so its
+    potential is at most m K/2pi, K = sum(log_ratio) = 2 + ln(1/r_1): the
+    axis value of all the mass in the axis cell.  So s_i = max(1, m_i) K
+    bounds species i's potential, |A_ij| s_j the term of its exponent in
+    species j, |A_ij| s_i s_j the Green pairing of species i and j that an
+    energy weighs by A_ij, and (n+1) s_i s_j every sum over the nodes of
+    products of their potentials.  Raises ValueError where
+    max(1, |A_ij|) (n+1) s_i s_j overflows for some i, j.
+    """
+    k = float(grid.log_ratio.sum())
+    s = [max(1.0, m) * k for m in masses]
+    if not all(math.isfinite(max(1.0, abs(a)) * (grid.n + 1) * si * sj)
+               for row, si in zip(coupling, s) for a, sj in zip(row, s)):
+        named = ", ".join(f"m{i} = {m!r}" for i, m in enumerate(masses, 1))
+        raise ValueError(f"masses {named} and their coupling overflow the Green terms on {grid.n} cells")
+
+
 def interaction_energy(rho: RadialField) -> float:
     """The raw pairing (rho, Delta^-1 rho) <= 0, without any coupling factor
     (the functional layer applies alpha/2 and friends)."""
@@ -160,7 +181,7 @@ def log_partition(fields: Sequence[tuple[float, RadialField]]) -> float:
     g = np.zeros_like(grid.r)
     for coef, f in fields:
         if not f.grid.same_as(grid):
-            raise GridMismatch("log_partition needs all fields on one grid")
+            raise ValueError("log_partition needs all fields on one grid")
         g = g + coef * f.values
     return _normalized_density(grid, g, 1.0)[2]
 

@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, UnknownKey
 from .model import (
     DEFAULT_LADDER,
     FLOW_LIMITS,
@@ -70,34 +69,30 @@ class RunConfig:
     init: str = "bump"
 
 
-def _float(section, key):
-    raw = section[key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"{key} = {raw!r} is not a number") from None
+def _converter(convert, expected):
+    """A parser of a section's key by convert, which names the raw value and
+    what it is not when convert raises ValueError."""
+
+    def parse(section, key):
+        raw = section[key]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"{key} = {raw!r} is not {expected}") from None
+
+    return parse
 
 
-def _int(section, key):
-    raw = section[key]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{key} = {raw!r} is not an integer") from None
-
-
-def _floats(section, key):
-    raw = section[key]
-    try:
-        return tuple(float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise ParseError(f"{key} = {raw!r} is not a comma-separated list") from None
+_float = _converter(float, "a number")
+_int = _converter(int, "an integer")
+_floats = _converter(lambda raw: tuple(float(tok) for tok in raw.split(",")),
+                     "a comma-separated list")
 
 
 def _pair(section, key):
     vals = _floats(section, key)
     if len(vals) != 2:
-        raise ParseError(f"{key} = {section[key]!r} must be two numbers")
+        raise ValueError(f"{key} = {section[key]!r} must be two numbers")
     return vals
 
 
@@ -107,13 +102,13 @@ def _bool(section, key):
         return True
     if raw in ("false", "no", "off", "0"):
         return False
-    raise ParseError(f"{key} = {section[key]!r} is not a boolean")
+    raise ValueError(f"{key} = {section[key]!r} is not a boolean")
 
 
 def _choice(section, key):
     raw = section[key].strip()
     if raw not in _CHOICES[key]:
-        raise ParseError(f"{key} = {raw!r}; expected one of {sorted(_CHOICES[key])}")
+        raise ValueError(f"{key} = {raw!r}; expected one of {sorted(_CHOICES[key])}")
     return raw
 
 
@@ -141,26 +136,26 @@ def parse_config(text: str) -> RunConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ParseError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     if not cp.has_section("run"):
-        raise ParseError("missing [run] section")
+        raise ValueError("missing [run] section")
     run_sec = cp["run"]
     stray = set(run_sec) - _RUN_KEYS
     if stray:
-        raise UnknownKey(f"unknown [run] keys: {sorted(stray)}")
+        raise ValueError(f"unknown [run] keys: {sorted(stray)}")
     if "command" not in run_sec:
-        raise ParseError("[run] needs a command")
+        raise ValueError("[run] needs a command")
     command = run_sec["command"].strip()
     if command not in _COMMANDS:
-        raise ParseError(
+        raise ValueError(
             f"unknown command {command!r}; expected one of {sorted(_COMMANDS)}"
         )
     extra = set(cp.sections()) - {"run", command}
     if extra:
-        raise UnknownKey(f"unknown sections: {sorted(extra)}")
+        raise ValueError(f"unknown sections: {sorted(extra)}")
     missing = [k for k in _PARSERS if k not in run_sec]
     if missing:
-        raise ParseError(f"[run] is missing {missing}")
+        raise ValueError(f"[run] is missing {missing}")
     params = Params(**_parsed(run_sec, _PARSERS))
     kwargs = _parsed(run_sec, {"grid_n": _int})
     if cp.has_section(command):
@@ -168,7 +163,7 @@ def parse_config(text: str) -> RunConfig:
         parsers = _COMMANDS[command][0]
         stray = set(sec) - set(parsers)
         if stray:
-            raise UnknownKey(f"unknown [{command}] keys: {sorted(stray)}")
+            raise ValueError(f"unknown [{command}] keys: {sorted(stray)}")
         kwargs.update(_parsed(sec, parsers))
     return RunConfig(command=command, params=params, **kwargs)
 

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""The exception classes some caller tells apart by type, and _releasing.
 
-Validation problems subclass ValueError, runtime/iteration failures subclass
-RuntimeError, so callers can catch broad categories without importing every
-name.
+A refused input raises a plain ValueError and a failed computation a plain
+RuntimeError, each with a message that names the value or the step; the
+command line maps the two bases to exit 3 and 2.  A class lives here only
+where a caller catches or names it: SolverDiverged (the scan scripts),
+Oscillation (the benchmark's expected fault), StepRejected (the flow
+driver, which halves dt on it) and the warning DegenerateQuadraticForm,
+which a caller may filter.
 
 A failure keeps its message, not the solver's arrays.  The public entries
 that run a solver loop or a flow step are wrapped in ``_releasing``: a
@@ -47,67 +51,6 @@ def _releasing(fn):
     return entry
 
 
-class NegativeConstant(ValueError):
-    """A coupling constant (alpha, beta or gamma) is negative."""
-
-
-class NonpositiveMass(ValueError):
-    """m1 <= 0 or m2 < 0."""
-
-
-class BadTheta(ValueError):
-    """The conflict flag is not -1 or +1."""
-
-
-class TooCoarse(ValueError):
-    """Grid resolution below the supported minimum."""
-
-
-class ZeroDensity(ValueError):
-    """A density that must carry mass is identically zero."""
-
-
-class NegativeDensity(ValueError):
-    """A field that must be nonnegative has negative entries."""
-
-
-class GridMismatch(ValueError):
-    """Fields that must share a grid do not."""
-
-
-class Supercritical(ValueError):
-    """Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2."""
-
-
-class GammaZero(ValueError):
-    """The annulus reduction asked for at gamma = 0, where it does not apply."""
-
-
-class AtBlowdown(ValueError):
-    """Evaluation at or beyond the blow-down time t = ln(1/psi)."""
-
-
-class HypothesisViolated(ValueError):
-    """Standing hypothesis (beta_m - gamma*m2)/2pi - 2 > 0 fails."""
-
-
-class TooFewPoints(ValueError):
-    """Not enough scale points for a slope fit."""
-
-
-class UnsupportedRegime(ValueError):
-    """Flow limit-combination (delta1, delta2, epsilon) is not one of the
-    three supported limits (1,1,0), (1,0,0), (0,0,1)."""
-
-
-class ParseError(ValueError):
-    """Configuration text could not be parsed; message carries line/key."""
-
-
-class UnknownKey(ParseError):
-    """Configuration contains a key or section that is not recognized."""
-
-
 class SolverDiverged(RuntimeError):
     """A Picard or Newton solve failed to reach the residual tolerance."""
 
@@ -116,20 +59,8 @@ class Oscillation(SolverDiverged):
     """Residual non-monotone over many iterations at minimum damping."""
 
 
-class NoRoot(RuntimeError):
-    """The energy-matching bisection stalled."""
-
-
-class MonotonicityLost(RuntimeError):
-    """v_r > 0 detected where the hypothesis regime requires v_r <= 0."""
-
-
 class StepRejected(RuntimeError):
     """A flow step violated positivity or increased the energy monitor."""
-
-
-class Stalled(RuntimeError):
-    """Adaptive time step underflowed below 1e-14."""
 
 
 class DegenerateQuadraticForm(Warning):

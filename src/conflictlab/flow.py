@@ -61,18 +61,12 @@ from .calculus import (
     _green,
     _pairing,
     _pin_wall,
+    _refuse_overflow,
     _solve_tridiag,
     _tridiag,
     face_flux,
 )
-from .errors import (
-    DegenerateQuadraticForm,
-    GridMismatch,
-    NegativeDensity,
-    Stalled,
-    StepRejected,
-    _releasing,
-)
+from .errors import DegenerateQuadraticForm, StepRejected, _releasing
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _densities, _exponents, _minimize_w
 from .model import _DT_FLOOR, FLOW_LIMITS, FlowConfig, Params, RadialField, RadialGrid
@@ -218,7 +212,7 @@ def _advanced(grid, t, trace, k, stack, energy, boltzmann=None):
     if not math.isfinite(scale.max()):  # max and min carry NaN and inf through
         raise ValueError("state fields must be finite")
     if lo[::3].min() < 0:
-        raise NegativeDensity("density tag requires values >= 0")
+        raise ValueError("density tag requires values >= 0")
     if stack[1, -1] or stack[2, -1]:
         raise ValueError("potential tag requires an exact zero at r = 1")
     stack.flags.writeable = False
@@ -277,7 +271,7 @@ def step_two_densities(s: FlowState, p: Params, dt: float) -> FlowState:
     grid = s._grid
     phis = np.negative(_exponents(p.coupling, s._stack[1:3]))
     stack, energy = _pair_fields(grid, _sg_step(grid, dt, s._stack[::3], phis), p)
-    enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta**2
+    enforced = p.theta == 1 and p.alpha * p.gamma >= p.beta * p.beta
     return _stepped(s, dt, "two-density", stack, energy, enforced)
 
 
@@ -300,7 +294,7 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
     us = _heat_step(grid, dt, us, sources)
     enforced = False
     if p.theta == -1:
-        disc = p.alpha * p.gamma - p.beta**2
+        disc = p.alpha * p.gamma - p.beta * p.beta
         if abs(disc) <= _DEGENERATE_TOL:
             warnings.warn(
                 DegenerateQuadraticForm(
@@ -342,8 +336,10 @@ def initial_state(
 
     The density regimes take their densities and derive the potentials;
     the potential regime takes u1, u2 and derives the induced densities.
-    Traces are seeded with the t = 0 row.  A non-finite input sample raises
-    ValueError before any regime arithmetic.
+    Traces are seeded with the t = 0 row.  A non-finite input sample, or
+    masses and couplings of p whose Green terms may overflow
+    (calculus._refuse_overflow), raise ValueError before any regime
+    arithmetic.
     """
     name, kind, keys, make, _ = _REGIMES[cfg.delta1, cfg.delta2, cfg.epsilon]
     given = {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2}
@@ -352,12 +348,13 @@ def initial_state(
     fields = [given[key] for key in keys]
     grid = fields[0].grid
     if not all(grid.same_as(f.grid) for f in fields):
-        raise GridMismatch("the initial fields need a shared grid")
+        raise ValueError("the initial fields need a shared grid")
     for f in fields:
         if f.kind != kind:
             raise ValueError(f"the initial field must be {kind}-tagged")
         if not np.isfinite(f.values).all():  # written in after the tag's own check
             raise ValueError(f"the initial {kind} must be finite")
+    _refuse_overflow(grid, (p.m1, p.m2), p.coupling)
     stack, energy = make(grid, np.array([f.values for f in fields]), p)
     # densities made from potentials are their Boltzmann densities under p
     return _advanced(grid, 0.0, array("d"), 0, stack, energy, p if kind == "potential" else None)
@@ -374,8 +371,8 @@ def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
 
     dt halves on every StepRejected and regrows geometrically after
     accepted steps (when cfg.adapt is set).  The run stops early once the
-    relative state change per unit time falls below 1e-10.  Raises Stalled
-    when rejection pushes dt under 1e-14.
+    relative state change per unit time falls below 1e-10.  Raises
+    RuntimeError ("dt underflow") when rejection pushes dt under 1e-14.
     """
     stepper = _STEPPERS[(cfg.delta1, cfg.delta2, cfg.epsilon)]
     state = initial
@@ -389,7 +386,7 @@ def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
                 raise
             dt *= 0.5
             if dt < _DT_FLOOR:
-                raise Stalled(f"dt underflow at t = {state.t:.6g}: {err}") from err
+                raise RuntimeError(f"dt underflow at t = {state.t:.6g}: {err}") from err
             continue
         change = _state_change(state, new) / step_dt
         state = new

@@ -25,7 +25,7 @@ from .calculus import (
     inv_laplacian,
     log_partition,
 )
-from .errors import GridMismatch, NonpositiveMass, _releasing
+from .errors import _releasing
 from .liouville import _densities, _minimize_w
 from .model import Params, RadialField
 
@@ -76,7 +76,7 @@ def moser_trudinger(u: RadialField, m: float, alpha: float) -> float:
     Bounded below uniformly in u exactly when m <= 8 pi / alpha.
     """
     if m <= 0:
-        raise NonpositiveMass(f"mass must be positive, got {m}")
+        raise ValueError(f"mass must be positive, got {m}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return 0.5 * alpha * dirichlet_energy(u) - m * log_partition([(alpha, u)])
@@ -145,7 +145,7 @@ def two_species_energy_u(u1: RadialField, u2: RadialField, p: Params) -> Functio
     if u1.kind != "potential" or u2.kind != "potential":
         raise ValueError("two_species_energy_u expects potential-tagged fields")
     if not u1.grid.same_as(u2.grid):
-        raise GridMismatch("two_species_energy_u needs a shared grid")
+        raise ValueError("two_species_energy_u needs a shared grid")
     m_log_zs = _densities(u1.grid, p, u1.values, u2.values)[2]
     cs = np.array([face_flux(u1), face_flux(u2)])
     return FunctionalReport(**_energy_u(u1.grid, cs, *m_log_zs, p))
@@ -171,7 +171,7 @@ def two_species_energy_rho(rho1: RadialField, rho2: RadialField, p: Params) -> F
     the (negative) inverse Dirichlet Laplacian pairing.
     """
     if not rho1.grid.same_as(rho2.grid):
-        raise GridMismatch("two_species_energy_rho needs a shared grid")
+        raise ValueError("two_species_energy_rho needs a shared grid")
     return FunctionalReport(**_energy_rho(
         rho1.grid,
         np.array([rho1.values, rho2.values]),

@@ -47,15 +47,11 @@ from .calculus import (
     _green,
     _normalized_density,
     _pin_wall,
+    _refuse_overflow,
     _solve_tridiag,
     _tridiag,
 )
-from .errors import (
-    Oscillation,
-    SolverDiverged,
-    Supercritical,
-    _releasing,
-)
+from .errors import Oscillation, SolverDiverged, _releasing
 from .model import Params, RadialField
 
 logger = logging.getLogger(__name__)
@@ -250,8 +246,8 @@ def bubble(alpha, delta, grid):
 def solve_single(m, alpha, grid):
     """Solve the single-species equation at mass ``m`` and coupling ``alpha``:
     ``solve_pair`` with no second species.  A mass that is not finite and
-    positive raises NonpositiveMass (from Params), one at or above the
-    critical value ``8 pi / alpha`` Supercritical."""
+    positive, or at or above the critical value ``8 pi / alpha``, raises
+    ValueError."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return solve_pair(Params(alpha, 0.0, 0.0, -1, m, 0.0), grid)
@@ -281,20 +277,23 @@ def solve_pair(p, grid):
     when 0 < alpha m1 < 8 pi, and of exponent 0 otherwise; species 2 starts
     at rest.  At m2 = 0 species 1 is solved alone, which is solve_single.
     Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2 raise
-    Supercritical up front: species 1's Pohozaev identity, with rho1(1) > 0
+    ValueError up front: species 1's Pohozaev identity, with rho1(1) > 0
     and int rho1 M2 <= m1 m2, leaves no radial steady state there, in either
-    convention.  Raises SolverDiverged or Oscillation when the iteration
-    does not converge.
+    convention.  Masses and couplings of the species solved for whose
+    Green terms may overflow (calculus._refuse_overflow) raise ValueError
+    next.  Raises SolverDiverged or Oscillation when the iteration does not
+    converge.
     """
     load, line = p.alpha * p.m1, 8.0 * math.pi + 2.0 * p.beta * p.m2
     if load >= line:
-        raise Supercritical(
+        raise ValueError(
             f"alpha m1 = {load:.6g} at or above the critical value "
             f"8 pi + 2 beta m2 = {line:.6g}: no steady state exists"
         )
     alone = p.m2 == 0.0
     k = 1 if alone else 2
     a = [row[:k] for row in p.coupling[:k]]
+    _refuse_overflow(grid, (p.m1, p.m2)[:k], a)
     us, cs = _seeded(grid, _start_exponent(p, grid), p.m1)
     if not alone:
         us, cs = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)]
@@ -362,7 +361,12 @@ def _newton_w(grid, w, c, drive, p):
         y, z = _solve_tridiag(ab, rhs).T
         b = grid.weights * rho
         k = -a_w / m2
-        dw = y + (k * np.dot(b, y) / (1.0 - k * np.dot(b, z))) * z
+        # the Sherman-Morrison denominator lies in (0, 1]; it nears 0 as
+        # gamma V rho outweighs T, where rounding can make it exactly 0
+        den = 1.0 - k * np.dot(b, z)
+        if den == 0.0:
+            raise SolverDiverged(f"Sherman-Morrison denominator rounds to 0 at Newton step {steps}")
+        dw = y + (k * np.dot(b, y) / den) * z
         dc = _face_flux(grid, dw)
         step = 1.0
         for _ in range(_HALVINGS + 1):

@@ -23,16 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadTheta,
-    NegativeConstant,
-    NegativeDensity,
-    NonpositiveMass,
-    TooCoarse,
-    UnsupportedRegime,
-    ZeroDensity,
-)
-
 __all__ = [
     "DEFAULT_LADDER",
     "FLOW_LIMITS",
@@ -56,8 +46,8 @@ class Params:
     m1:    total mass of species 1, > 0
     m2:    total mass of species 2, >= 0
 
-    Raises NegativeConstant, NonpositiveMass or BadTheta for a value outside
-    these sets or not finite; theta is stored as an int.
+    Raises ValueError for a value outside these sets or not finite; theta
+    is stored as an int.
     """
 
     alpha: float
@@ -71,13 +61,13 @@ class Params:
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise NegativeConstant(f"{name} = {v!r} must be finite and >= 0")
+                raise ValueError(f"{name} = {v!r} must be finite and >= 0")
         if not math.isfinite(self.m1) or self.m1 <= 0:
-            raise NonpositiveMass(f"m1 = {self.m1!r} must be finite and > 0")
+            raise ValueError(f"m1 = {self.m1!r} must be finite and > 0")
         if not math.isfinite(self.m2) or self.m2 < 0:
-            raise NonpositiveMass(f"m2 = {self.m2!r} must be finite and >= 0")
+            raise ValueError(f"m2 = {self.m2!r} must be finite and >= 0")
         if self.theta not in (-1, 1):
-            raise BadTheta(f"theta = {self.theta!r} must be -1 or +1")
+            raise ValueError(f"theta = {self.theta!r} must be -1 or +1")
         if type(self.theta) is not int:
             object.__setattr__(self, "theta", int(self.theta))
 
@@ -142,10 +132,10 @@ def make_grid(n: int, kind: str = "uniform") -> RadialGrid:
     """Build an n-cell grid, 'uniform' (r_i = i/n) or 'graded' (r_i = (i/n)^2,
     clustering near the center for concentration experiments).
 
-    Raises TooCoarse for n < 8.
+    Raises ValueError for n < 8.
     """
     if n < 8:
-        raise TooCoarse(f"n = {n} < 8")
+        raise ValueError(f"n = {n} < 8")
     x = np.linspace(0.0, 1.0, n + 1)
     if kind == "uniform":
         return RadialGrid(x)
@@ -179,7 +169,7 @@ class RadialField:
         if self.kind and not np.isfinite(v).all():
             raise ValueError(f"{self.kind} tag requires finite values")
         if self.kind == "density" and (v < 0).any():
-            raise NegativeDensity("density tag requires values >= 0")
+            raise ValueError("density tag requires values >= 0")
         if self.kind == "potential" and v[-1] != 0.0:
             raise ValueError("potential tag requires an exact zero at r = 1")
 
@@ -220,7 +210,7 @@ class FlowConfig:
     def __post_init__(self) -> None:
         limits = (self.delta1, self.delta2, self.epsilon)
         if limits not in FLOW_LIMITS.values():
-            raise UnsupportedRegime(
+            raise ValueError(
                 f"(delta1, delta2, epsilon) = {limits} is not one of "
                 f"{sorted(FLOW_LIMITS.values())}"
             )
@@ -244,17 +234,17 @@ _DT_FLOOR = 1e-14  # smallest flow dt: configs start at or above it, run_flow st
 def project_density(f: RadialField, m: float) -> RadialField:
     """Rescale a nonnegative field so its disk integral equals m.
 
-    Raises ZeroDensity when f carries no mass.
+    Raises ValueError when f carries no mass.
     """
     from .calculus import integrate_disk
 
     if m <= 0:
-        raise NonpositiveMass(f"target mass {m!r} must be > 0")
+        raise ValueError(f"target mass {m!r} must be > 0")
     peak = float(np.max(f.values))
     if 0.0 < peak < 2.0**-900:
         # exact power-of-two rescale: tiny samples lose bits and overflow m / total
         f = f.with_values(np.ldexp(f.values, -np.frexp(peak)[1]))
     total = integrate_disk(f)
     if total == 0.0:
-        raise ZeroDensity("cannot normalize a field with zero disk integral")
+        raise ValueError("cannot normalize a field with zero disk integral")
     return RadialField.density(f.grid, (m / total) * f.values)

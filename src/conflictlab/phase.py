@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveMass
 from .model import Params
 
 __all__ = [
@@ -84,9 +83,9 @@ def lambda_values(m1, m2, p: Params):
     Raises ValueError, naming the first such pair, where L overflows.
     """
     if np.any(np.asarray(m1) <= 0):
-        raise NonpositiveMass("lambda_values needs m1 > 0")
+        raise ValueError("lambda_values needs m1 > 0")
     if np.any(np.asarray(m2) < 0):
-        raise NonpositiveMass("lambda_values needs m2 >= 0")
+        raise ValueError("lambda_values needs m2 >= 0")
     lam1 = m2 * ((p.beta * m1 - p.gamma * m2) / (2.0 * math.pi) - 2.0)
     lam2 = (
         2.0 * m1 - p.alpha * (m1 * m1) / _FOUR_PI + p.gamma * (m2 * m2) / _FOUR_PI
@@ -247,13 +246,20 @@ def _onset_mass(p: Params) -> float:
     discriminant is taken as 64pi^2 gamma (2beta + gamma - alpha): expanded,
     it cancels to a negative number when gamma is tiny.  When alpha = beta
     = 0 every coefficient of the existence quadratic is positive, the conic
-    never enters, and the onset is +inf.
+    never enters, and the onset is +inf; a leading coefficient so small
+    that the quotient overflows gives +inf as well.  Raises ValueError
+    where the leading coefficient or the numerator overflows.
     """
-    lead = p.beta**2 + p.alpha * p.gamma
+    lead = p.beta * p.beta + p.alpha * p.gamma
     if lead == 0.0:
         return math.inf
     root = math.sqrt(p.gamma * (2.0 * p.beta + p.gamma - p.alpha))
-    return _FOUR_PI * (p.beta + p.gamma + root) / lead
+    scaled = _FOUR_PI * (p.beta + p.gamma + root)
+    if not (math.isfinite(lead) and math.isfinite(scaled)):
+        raise ValueError(
+            f"alpha = {p.alpha!r}, beta = {p.beta!r}, gamma = {p.gamma!r} overflow the onset mass"
+        )
+    return scaled / lead
 
 
 def _cooperative_table(p: Params, m1, m2):

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import fsolve
 
-from conflictlab.errors import NonpositiveMass
 
 _R0 = 1e-8
 FOUR_PI = 4.0 * math.pi
@@ -189,7 +188,7 @@ def refined_condition(masses, a) -> bool:
     if not np.array_equal(a, a.T):
         raise AsymmetricMatrix("interaction matrix must be symmetric")
     if np.any(masses <= 0):
-        raise NonpositiveMass("box condition needs positive masses")
+        raise ValueError("box condition needs positive masses")
     if masses.size > 8:
         raise ValueError("box enumeration is limited to 8 species")
     return min(_box_candidates(masses, a)) > 0.0

@@ -21,7 +21,6 @@ from conflictlab.calculus import (
     inv_laplacian,
 )
 from conflictlab.cli import _base_fields
-from conflictlab.errors import GridMismatch, TooFewPoints
 from conflictlab.functionals import moser_trudinger
 from conflictlab.model import Params, RadialField, make_grid, project_density
 from conflictlab.phase import blowdown_coefficients
@@ -167,7 +166,7 @@ class TestBlowdownFamily:
 
     def test_rejects_mismatched_grids(self, gg):
         other = make_grid(256)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(ValueError, match="^base fields live on different grids$"):
             BlowdownFamily(smooth_rho(gg, 1.0), zero_w(other))
 
     def test_rejects_untagged_base(self, gg):
@@ -335,7 +334,7 @@ class TestSlopeEstimate:
         fam = BlowdownFamily(
             smooth_rho(gg, 1.0), zero_w(gg), psis=np.array([2.0, 4.0, 8.0])
         )
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(ValueError, match="^need at least 4 rungs, got 3$"):
             slope_estimate(fam, Params(1.0, 0.0, 0.0, -1, 1.0, 0.0))
 
     def test_logs_regime(self, gg, caplog):

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from conflictlab import blowdown, liouville
 from conflictlab.blowdown import BlowdownFamily, slope_estimate
 from conflictlab.cli import _base_fields, _fmt, _table_lines, main, parse_config, run
-from conflictlab.errors import BadTheta, NegativeConstant, NonpositiveMass, ParseError, UnknownKey
 from conflictlab.model import DEFAULT_LADDER, Params, make_grid
 
 EIGHT_PI = 8.0 * math.pi
@@ -67,47 +68,62 @@ class TestParseConfig:
         assert parse_config(config_text("flow", section=sec)).adapt is True
 
     def test_zero_theta_rejected_by_validation(self):
-        with pytest.raises(BadTheta):
+        with pytest.raises(ValueError, match=r"^theta = 0 must be -1 or \+1$"):
             parse_config(config_text("classify", theta=0))
 
+    # each kind of refusal, which names its cases, and the form of its message
+    REFUSALS = {
+        "UnknownKey": r"^unknown (\[\w+\] keys|sections): \['\w+'\]$",
+        "ParseError": r"^(File contains no section headers|missing \[run\] section$"
+        r"|\[run\] needs a command$|\[run\] is missing \['|unknown command '"
+        r"|\w+ = '.*' (is not|must be) )",
+    }
+
     @pytest.mark.parametrize(
-        "text, error",
+        "text, refusal",
         [
-            ("alpha = 1\n", ParseError),
-            ("[run]\nalpha = 1\n", ParseError),
-            ("[sweep]\nresolution = 10\n", ParseError),
-            (config_text("teleport"), ParseError),
-            (config_text("classify") + "wibble = 3\n", UnknownKey),
+            ("alpha = 1\n", "ParseError"),
+            ("[run]\nalpha = 1\n", "ParseError"),
+            ("[sweep]\nresolution = 10\n", "ParseError"),
+            (config_text("teleport"), "ParseError"),
+            (config_text("classify") + "wibble = 3\n", "UnknownKey"),
             (config_text("classify", section="[sweep]\nresolution = 10\n"),
-             UnknownKey),
-            (config_text("sweep", section="[sweep]\ncolor = red\n"), UnknownKey),
-            (config_text("classify", alpha="fast"), ParseError),
+             "UnknownKey"),
+            (config_text("sweep", section="[sweep]\ncolor = red\n"), "UnknownKey"),
+            (config_text("classify", alpha="fast"), "ParseError"),
             (config_text("sweep", section="[sweep]\nm1_range = 1, 2, 3\n"),
-             ParseError),
+             "ParseError"),
             (config_text("sweep", section="[sweep]\nresolution = 2.5\n"),
-             ParseError),
-            (config_text("flow", section="[flow]\nadapt = maybe\n"), ParseError),
+             "ParseError"),
+            (config_text("flow", section="[flow]\nadapt = maybe\n"), "ParseError"),
             (config_text("blowdown", section="[blowdown]\nmode = half\n"),
-             UnknownKey),
-            (config_text("blowdown", section="[blowdown]\npsis =\n"), ParseError),
+             "UnknownKey"),
+            (config_text("blowdown", section="[blowdown]\npsis =\n"), "ParseError"),
             ("[run]\ncommand = classify\nalpha = 1\nbeta = 1\ngamma = 1\n"
-             "theta = -1\nm1 = 1\n", ParseError),
+             "theta = -1\nm1 = 1\n", "ParseError"),
         ],
     )
-    def test_malformed_configs_rejected(self, text, error):
-        with pytest.raises(error):
+    def test_malformed_configs_rejected(self, text, refusal):
+        with pytest.raises(ValueError, match=self.REFUSALS[refusal]):
             parse_config(text)
 
-    def test_unknown_key_is_a_parse_error(self):
-        assert issubclass(UnknownKey, ParseError)
+    def test_unknown_key_is_a_parse_error(self, tmp_path, capsys):
+        """A stray key is refused like any other unreadable config: exit 3
+        with one configuration error line naming it."""
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text("blowdown", section="[blowdown]\nmode = half\n"))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: unknown [blowdown] keys: ['mode']\n"
+        )
 
     def test_row_order_not_file_order(self):
         sec = "[flow]\nt_end = later\ndt = soon\n"
-        with pytest.raises(ParseError, match="^dt = "):
+        with pytest.raises(ValueError, match="^dt = "):
             parse_config(config_text("flow", section=sec))
 
     def test_params_checked_before_grid_n_is_parsed(self):
-        with pytest.raises(NegativeConstant):
+        with pytest.raises(ValueError, match="^alpha = -1.0 must be finite and >= 0$"):
             parse_config(config_text("classify", alpha=-1, grid_n="many"))
 
 
@@ -527,6 +543,30 @@ class TestDeterminism:
             assert a == b == c
 
 
+# the README's example config of each exit code: an ini block whose first
+# line is "; exit <code>: ..."
+README_EXAMPLES = re.findall(
+    r"```ini\n; exit (\d):[^\n]*\n(.*?)```",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    re.DOTALL,
+)
+STDERR_OF = {0: "", 2: "solver failure: ", 3: "configuration error: "}
+
+
+def test_readme_has_one_example_per_exit_code():
+    assert sorted(int(code) for code, _ in README_EXAMPLES) == sorted(STDERR_OF)
+
+
+@pytest.mark.parametrize("code, text", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_exits_with_its_code(tmp_path, capsys, code, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == int(code)
+    err = capsys.readouterr().err
+    assert err.startswith(STDERR_OF[int(code)]) and err.count("\n") == (code != "0"), err
+    assert bool(list(tmp_path.glob("*.csv"))) == (code == "0")
+
+
 class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3
@@ -644,7 +684,7 @@ class TestMain:
 
     def test_negative_second_mass_range_is_nonpositive_mass(self, tmp_path):
         sec = "[sweep]\nm1_range = 0, 40\nm2_range = -1, 40\nresolution = 8\n"
-        with pytest.raises(NonpositiveMass):
+        with pytest.raises(ValueError, match="^lambda_values needs m2 >= 0$"):
             run(parse_config(config_text("sweep", section=sec)), out_dir=tmp_path)
 
     def test_success_exit(self, tmp_path):

@@ -9,11 +9,11 @@ flags each arithmetic expression whose subtree reads both a ``.theta`` and a
 states its closed forms in alpha, beta and gamma as the paper does, so both
 are exempt.
 
-A second scan flags every power whose base reads a mass, a name or
-attribute ``m1`` or ``m2``: masses are squared as plain products, which are
-correctly rounded, where ``**`` on a Python float goes through libm
-``pow``, which is not always, and overflows with an OverflowError where a
-product gives inf.  Stdlib ``ast`` only: the scans run wherever the suite
+A second scan flags every power whose base reads a mass or a constant, a
+name or attribute ``m1``, ``m2``, ``alpha``, ``beta`` or ``gamma``: these
+are squared as plain products, which are correctly rounded, where ``**``
+on a Python float goes through libm ``pow``, which is not always, and
+overflows with an OverflowError where a product gives inf.  Stdlib ``ast`` only: the scans run wherever the suite
 runs.
 """
 
@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {"model.py", "phase.py"}
 SOURCES = sorted((ROOT / "src" / "conflictlab").glob("*.py"))
 MODULES = [path for path in SOURCES if path.name not in EXEMPT]
-MASSES = {"m1", "m2"}
+INPUTS = {"m1", "m2", "alpha", "beta", "gamma"}
 
 
 def hand_couplings(path):
@@ -58,22 +58,22 @@ def test_scan_finds_a_hand_spelled_coupling(tmp_path):
     assert hand_couplings(path) == [1, 4, 5]
 
 
-def mass_powers(path):
+def input_powers(path):
     """The lines of every ``**`` in the file whose base reads a name or
-    attribute ``m1`` or ``m2``."""
+    attribute of INPUTS."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             reads = {n.id for n in ast.walk(node.left) if isinstance(n, ast.Name)}
             reads |= {n.attr for n in ast.walk(node.left) if isinstance(n, ast.Attribute)}
-            if reads & MASSES:
+            if reads & INPUTS:
                 lines.add(node.lineno)
     return sorted(lines)
 
 
 def test_no_squared_mass():
-    assert [(path.name, line) for path in SOURCES for line in mass_powers(path)] == []
+    assert [(path.name, line) for path in SOURCES for line in input_powers(path)] == []
 
 
 def test_scan_finds_a_squared_mass(tmp_path):
@@ -86,5 +86,8 @@ def test_scan_finds_a_squared_mass(tmp_path):
         "    q.m2\n"
         "    ** 2\n"
         ")\n"
+        "e = p.beta**2 + p.alpha * p.gamma\n"
+        "f = (alpha * m) ** 0.5 + gamma * gamma + x**beta\n"
+        "g = (p.gamma / 2.0) ** 2\n"
     )
-    assert mass_powers(path) == [1, 2, 5]
+    assert input_powers(path) == [1, 2, 5, 8, 9, 10]

@@ -1,13 +1,16 @@
-"""Masses whose closed forms overflow exit 3; every accepted mass writes a
-finite table.
+"""Masses and constants whose arithmetic overflows exit 3; every accepted
+input writes a finite table.
 
 Each command is run in-process through ``cli.main``, under the suite's
-RuntimeWarning-as-error filter, at (alpha, beta, gamma) = (1, 2, 30) on
-16-cell grids (1000 for ``oracle``, its minimum).  A refusal is exit 3 with
-one ``configuration error`` line on stderr and no CSV.  "Finite" admits the
-NaN the README documents: the ``predicted`` of ``blowdown.csv``'s
-``log_term`` rows where the log term does not apply, and the branch
-separators and out-of-range points of ``sweep_curves.csv``.
+RuntimeWarning-as-error filter, by default at (alpha, beta, gamma) =
+(1, 2, 30), on 16-cell grids (1000 for ``oracle``, its minimum) and flows
+to t = 0.01.  A refusal is exit 3 with one ``configuration error`` line on
+stderr and no CSV.  "Finite" admits the NaN the README documents: the
+``predicted`` of ``blowdown.csv``'s ``log_term`` rows where the log term
+does not apply, and the branch separators and out-of-range points of
+``sweep_curves.csv``; and in ``classify.csv``'s ``strip_mass_gap``, the NaN
+where no strip exists (beta <= alpha/2) and the +inf where the strip mass
+lies beyond the largest float, as it does at gamma = 0.
 """
 
 import contextlib
@@ -28,21 +31,27 @@ SECTIONS = {
     "blowdown": "grid_n = 16\n[blowdown]\npsis = 2, 4, 8, 16\n",
     "functional": "grid_n = 16\n[functional]\npsis = {psis}\n",
     "oracle": "grid_n = 1000\n[oracle]\nscales = 1e-3\n",
+    "steady": "grid_n = 16\n",
+    "flow": "grid_n = 16\n[flow]\ncase = {case}\nt_end = 0.01\n",
 }
+# the commands whose refusals are closed forms in the masses alone; steady
+# refuses past the Pohozaev line, and a flow may fail as a solver
+CLOSED_FORMS = ("blowdown", "classify", "functional", "oracle", "sweep")
 
 
 RUNS = itertools.count()
 
 
-def run(tmp_path, command, m1, m2, theta=-1, res=4, psis="2, 4, 8"):
+def run(tmp_path, command, m1, m2, theta=-1, res=4, psis="2, 4, 8",
+        alpha=1.0, beta=2.0, gamma=30.0, case="single"):
     """Exit code, stderr and the written tables (file name to rows) of one run."""
     out = tmp_path / f"run{next(RUNS)}"
     out.mkdir()
     cfg = out / "run.cfg"
     cfg.write_text(
-        f"[run]\ncommand = {command}\nalpha = 1\nbeta = 2\ngamma = 30\n"
-        f"theta = {theta}\nm1 = {m1!r}\nm2 = {m2!r}\n"
-        + SECTIONS[command].format(m1=m1, m2=m2, res=res, psis=psis)
+        f"[run]\ncommand = {command}\nalpha = {alpha!r}\nbeta = {beta!r}\n"
+        f"gamma = {gamma!r}\ntheta = {theta}\nm1 = {m1!r}\nm2 = {m2!r}\n"
+        + SECTIONS[command].format(m1=m1, m2=m2, res=res, psis=psis, case=case)
     )
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["--config", str(cfg), "--out", str(out)])
@@ -55,16 +64,18 @@ def run(tmp_path, command, m1, m2, theta=-1, res=4, psis="2, 4, 8"):
 
 
 def nonfinite_cells(tables):
-    """The cells of the tables that are inf, or NaN where no NaN is documented."""
+    """The cells of the tables that are not finite where the README
+    documents no such value."""
     bad = []
     for name, (columns, *rows) in tables.items():
         for row in rows:
             for column, cell in zip(columns, row):
                 if cell in ("nan", "inf", "-inf"):
-                    documented = cell == "nan" and (
-                        name == "sweep_curves.csv"
-                        or (name == "blowdown.csv" and row[1] == "log_term"
-                            and column == "predicted")
+                    documented = (
+                        (name, column) == ("classify.csv", "strip_mass_gap") and cell != "-inf"
+                        or cell == "nan" and name == "sweep_curves.csv"
+                        or cell == "nan" and name == "blowdown.csv" and row[1] == "log_term"
+                        and column == "predicted"
                     )
                     if not documented:
                         bad.append((name, column, row))
@@ -95,6 +106,52 @@ def test_overflowing_masses_exit_3(tmp_path, command, m1, m2, names):
     assert_refused(*run(tmp_path, command, m1, m2), *names)
 
 
+@pytest.mark.parametrize(
+    "command, case, m1, m2",
+    [
+        ("steady", "single", 25.0, 1e200),
+        *(("flow", case, m1, m2) for case in ("single", "pair", "potentials")
+          for m1, m2 in ((1e300, 1.0), (5.0, 1e300))),
+    ],
+)
+def test_overflowing_green_terms_exit_3(tmp_path, command, case, m1, m2):
+    """Masses whose potentials or pairings overflow are refused before a
+    solve or a flow starts."""
+    code, err, tables = run(tmp_path, command, m1, m2, gamma=1.0, case=case)
+    assert_refused(code, err, tables, f"m1 = {m1!r}", f"m2 = {m2!r}", "Green terms")
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_overflowing_onset_mass_exit_3(tmp_path, command):
+    """At theta = +1 the cooperative table's onset mass divides by
+    beta^2 + alpha gamma, which overflows at beta = 1e300."""
+    code, err, tables = run(tmp_path, command, 5.0, 1.0, theta=1, beta=1e300, gamma=1.0)
+    assert_refused(code, err, tables, "beta = 1e+300", "onset mass")
+
+
+@pytest.mark.parametrize(
+    "command, m1, m2, beta, gamma, message",
+    [
+        # gamma V rho outweighs the Laplacian in the chemical Newton solve
+        ("flow", 1.0, 1.0, 1e17, 1e17, "Sherman-Morrison denominator"),
+        # the annulus exponent cancels two terms near 1.6e16 t
+        ("oracle", 1e17, 0.9999999999999994, 1.0, 1e17, "integrate_annulus: the profile"),
+    ],
+)
+def test_precision_lost_in_a_solve_exit_2(tmp_path, command, m1, m2, beta, gamma, message):
+    code, err, tables = run(tmp_path, command, m1, m2, beta=beta, gamma=gamma)
+    assert code == 2 and err.startswith("solver failure: ") and err.count("\n") == 1, err
+    assert message in err
+    assert tables == {}
+
+
+def test_oracle_sum_past_its_bound_exit_3(tmp_path):
+    """(m2/2pi)^2 is finite at m2 = 8e154, but the ratio's Simpson sum of
+    1000 terms up to it is not."""
+    code, err, tables = run(tmp_path, "oracle", 1e152, 8e154, beta=1.0, gamma=1e-3)
+    assert_refused(code, err, tables, "m2 = 8e+154", "sum of 1000 terms")
+
+
 def test_ladder_past_its_shift_bound_exit_3(tmp_path):
     """Lambda is finite at m1 = 1e153, but the predicted shifts of a ladder
     up to psi = 16, with their margin, are not."""
@@ -103,7 +160,7 @@ def test_ladder_past_its_shift_bound_exit_3(tmp_path):
 
 def largest_accepted(tmp_path, command):
     """The largest m1 at m2 = 1 that the command accepts, to a relative
-    1e-9, by bisection on ln m1 from 100, which every command accepts."""
+    1e-9, by bisection on ln m1 from 100, which each of CLOSED_FORMS accepts."""
     lo, hi = math.log(100.0), math.log(sys.float_info.max)
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
@@ -113,7 +170,7 @@ def largest_accepted(tmp_path, command):
     return math.exp(lo)
 
 
-@pytest.mark.parametrize("command", sorted(SECTIONS))
+@pytest.mark.parametrize("command", CLOSED_FORMS)
 def test_largest_accepted_mass_writes_a_finite_table(tmp_path, command):
     m1 = largest_accepted(tmp_path, command)
     code, _, tables = run(tmp_path, command, m1, 1.0, res=2)
@@ -122,28 +179,39 @@ def test_largest_accepted_mass_writes_a_finite_table(tmp_path, command):
     assert run(tmp_path, command, m1 * (1.0 + 1e-8), 1.0, res=2)[0] == 3
 
 
-masses = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
+magnitudes = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
 
 
 @settings(max_examples=200, deadline=None)
-@example(command="oracle", m1=6.4, m2=1e-3, theta=-1, res=1, rungs=1)
+@example(command="oracle", m1=6.4, m2=1e-3, theta=-1, res=1, rungs=1,
+         alpha=1.0, beta=2.0, gamma=30.0, case="single")
 @given(
     command=st.sampled_from(sorted(SECTIONS)),
-    m1=masses,
-    m2=masses,
+    m1=magnitudes,
+    m2=magnitudes,
     theta=st.sampled_from([-1, 1]),
     res=st.integers(1, 4),
     rungs=st.integers(1, 3),
+    alpha=magnitudes,
+    beta=magnitudes,
+    gamma=magnitudes,
+    case=st.sampled_from(["single", "pair", "potentials"]),
 )
-def test_any_magnitude_exits_0_or_3_with_finite_tables(
-    tmp_path_factory, command, m1, m2, theta, res, rungs
+def test_any_magnitude_exits_0_2_or_3_with_finite_tables(
+    tmp_path_factory, command, m1, m2, theta, res, rungs, alpha, beta, gamma, case
 ):
-    """The example is an annulus too thin for its masses, a band of m1 just
+    """Every command, with every mass and constant drawn over 1e-3 to 1e300,
+    succeeds with finite tables, fails as a solver (exit 2) or is refused
+    (exit 3), with that line last on stderr, no traceback and no table.
+    The example is an annulus too thin for its masses, a band of m1 just
     above 15 m2 + 2 pi at these constants: a configuration error, exit 3."""
     psis = ", ".join(str(2.0**k) for k in range(1, rungs + 1))
-    code, err, tables = run(tmp_path_factory.mktemp("fuzz"), command, m1, m2, theta, res, psis)
-    assert code in (0, 3), err
+    code, err, tables = run(tmp_path_factory.mktemp("fuzz"), command, m1, m2, theta, res, psis,
+                            alpha, beta, gamma, case)
+    assert code in (0, 2, 3), err
     if code == 0:
         assert nonfinite_cells(tables) == []
     else:
+        prefix = "solver failure: " if code == 2 else "configuration error: "
+        assert err.splitlines()[-1].startswith(prefix) and "Traceback" not in err, err
         assert tables == {}

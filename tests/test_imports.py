@@ -27,17 +27,17 @@ code = main(sys.argv[1:])
 print(json.dumps([code, at_import, loaded("conflictlab"), loaded("scipy")]))
 """
 
-AT_IMPORT = {"conflictlab", "conflictlab.cli", "conflictlab.errors", "conflictlab.model"}
+AT_IMPORT = {"conflictlab", "conflictlab.cli", "conflictlab.model"}
 
 # The package modules each command adds to those of the import.
 OWN_MODULES = {
     "classify": {"phase"},
     "sweep": {"phase"},
-    "steady": {"calculus", "liouville"},
+    "steady": {"calculus", "errors", "liouville"},
     "oracle": {"annulus_ode"},
-    "blowdown": {"blowdown", "calculus", "functionals", "liouville", "phase"},
-    "functional": {"blowdown", "calculus", "functionals", "liouville", "phase"},
-    "flow": {"calculus", "flow", "functionals", "liouville"},
+    "blowdown": {"blowdown", "calculus", "errors", "functionals", "liouville", "phase"},
+    "functional": {"blowdown", "calculus", "errors", "functionals", "liouville", "phase"},
+    "flow": {"calculus", "errors", "flow", "functionals", "liouville"},
 }
 
 RUN = "[run]\ncommand = {}\nalpha = 1\nbeta = {}\ngamma = {}\ntheta = -1\nm1 = {}\nm2 = {}\n"

@@ -7,15 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conflictlab.calculus import integrate_disk
-from conflictlab.errors import (
-    BadTheta,
-    NegativeConstant,
-    NegativeDensity,
-    NonpositiveMass,
-    TooCoarse,
-    UnsupportedRegime,
-    ZeroDensity,
-)
 from conflictlab.model import (
     FlowConfig,
     Params,
@@ -41,7 +32,7 @@ class TestMakeGrid:
         assert np.all(np.diff(np.diff(g.r)) > 0)
 
     def test_too_coarse(self):
-        with pytest.raises(TooCoarse):
+        with pytest.raises(ValueError, match="^n = 7 < 8$"):
             make_grid(7)
 
     def test_unknown_kind(self):
@@ -78,13 +69,20 @@ class TestValidateParams:
 
     BASE = dict(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=1.0, m2=1.0)
 
+    # each kind of refusal, which names its cases, and the form of its message
+    REFUSALS = {
+        "NegativeConstant": r"^(alpha|beta|gamma) = .+ must be finite and >= 0$",
+        "NonpositiveMass": r"^m[12] = .+ must be finite and >=? 0$",
+        "BadTheta": r"^theta = .+ must be -1 or \+1$",
+    }
+
     @classmethod
-    def same_error_both_ways(cls, err, **kwargs):
-        """The message of err, raised alike by the constructor and by
-        replace on a valid Params."""
-        with pytest.raises(err) as made:
+    def same_error_both_ways(cls, refusal, **kwargs):
+        """The message of the ValueError that the constructor and replace
+        on a valid Params raise alike, of the refusal's form."""
+        with pytest.raises(ValueError, match=cls.REFUSALS[refusal]) as made:
             Params(**{**cls.BASE, **kwargs})
-        with pytest.raises(err) as replaced:
+        with pytest.raises(ValueError, match=cls.REFUSALS[refusal]) as replaced:
             replace(Params(**cls.BASE), **kwargs)
         assert str(made.value) == str(replaced.value)
         return str(made.value)
@@ -101,28 +99,28 @@ class TestValidateParams:
         assert replace(p, m1=4.0) == Params(1.0, 2.0, 0.5, -1, 4.0, 0.0)
 
     @pytest.mark.parametrize(
-        "kwargs, err",
+        "kwargs, refusal",
         [
-            (dict(alpha=-1.0), NegativeConstant),
-            (dict(beta=np.nan), NegativeConstant),
-            (dict(gamma=-0.5), NegativeConstant),
-            (dict(alpha=np.inf), NegativeConstant),
-            (dict(m1=0.0), NonpositiveMass),
-            (dict(m1=-2.0), NonpositiveMass),
-            (dict(m2=-1.0), NonpositiveMass),
-            (dict(theta=0), BadTheta),
-            (dict(theta=2), BadTheta),
+            (dict(alpha=-1.0), "NegativeConstant"),
+            (dict(beta=np.nan), "NegativeConstant"),
+            (dict(gamma=-0.5), "NegativeConstant"),
+            (dict(alpha=np.inf), "NegativeConstant"),
+            (dict(m1=0.0), "NonpositiveMass"),
+            (dict(m1=-2.0), "NonpositiveMass"),
+            (dict(m2=-1.0), "NonpositiveMass"),
+            (dict(theta=0), "BadTheta"),
+            (dict(theta=2), "BadTheta"),
         ],
     )
-    def test_rejections(self, kwargs, err):
+    def test_rejections(self, kwargs, refusal):
         ((name, bad),) = kwargs.items()
         bound = {"m1": "finite and > 0", "theta": "-1 or +1"}.get(name, "finite and >= 0")
-        assert self.same_error_both_ways(err, **kwargs) == f"{name} = {bad!r} must be {bound}"
+        assert self.same_error_both_ways(refusal, **kwargs) == f"{name} = {bad!r} must be {bound}"
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("name, bound", [("m1", "> 0"), ("m2", ">= 0")])
     def test_non_finite_mass_is_named_as_not_finite(self, name, bound, bad):
-        message = self.same_error_both_ways(NonpositiveMass, **{name: bad})
+        message = self.same_error_both_ways("NonpositiveMass", **{name: bad})
         assert message == f"{name} = {bad!r} must be finite and {bound}"
 
 
@@ -130,7 +128,7 @@ class TestRadialField:
     def test_density_rejects_negative(self):
         vals = np.zeros_like(G32.r)
         vals[3] = -1e-12
-        with pytest.raises(NegativeDensity):
+        with pytest.raises(ValueError, match="^density tag requires values >= 0$"):
             RadialField.density(G32, vals)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -165,7 +163,7 @@ class TestFlowConfig:
         FlowConfig(*limit, dt=1e-3, t_end=1.0)
 
     def test_unsupported_limit(self):
-        with pytest.raises(UnsupportedRegime):
+        with pytest.raises(ValueError, match=r"^\(delta1, delta2, epsilon\) = \(1.0, 1.0, 1.0\) is not one of "):
             FlowConfig(1.0, 1.0, 1.0, dt=1e-3, t_end=1.0)
 
     @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(t_end=-1.0)])
@@ -190,12 +188,12 @@ class TestProjectDensity:
 
     def test_zero_density(self):
         f = RadialField.density(G32, np.zeros_like(G32.r))
-        with pytest.raises(ZeroDensity):
+        with pytest.raises(ValueError, match="^cannot normalize a field with zero disk integral$"):
             project_density(f, 1.0)
 
     def test_nonpositive_mass(self):
         f = RadialField.density(G32, np.ones_like(G32.r))
-        with pytest.raises(NonpositiveMass):
+        with pytest.raises(ValueError, match="^target mass 0.0 must be > 0$"):
             project_density(f, 0.0)
 
     @given(

@@ -1,7 +1,8 @@
 """No module of the package, the scripts or the tests imports a name it
 never uses, no module of the package defines a private name that the
-package never references, and no module of the package defines a public
-function or class that nothing but its own unit tests calls.
+package never references, no module of the package defines a public
+function or class that nothing but its own unit tests calls, and no module
+of the package defines an exception class that no caller tells apart.
 
 A name bound by an import counts as used when the scope that imports it
 reads it (a module-level import anywhere in the module, a function's import
@@ -11,10 +12,17 @@ when any module of the package reads a name or an attribute so spelled, or
 imports it.  A module-level public function or class counts as called when
 the package, the scripts, the benchmark or the acceptance tests read a name
 or an attribute so spelled, or import it; the paper's functionals are kept
-by name.  Stdlib ``ast`` only: the scan runs wherever the suite runs.
+by name.  An exception class counts as told apart only where the package,
+the scripts or the benchmark name it in an ``except`` clause, or the
+benchmark names it as the ``expect=`` of an operation: a class that is
+only raised is a plain ValueError or RuntimeError with a message, which is
+all the command line's exit codes read.  Warning classes are exempt, since
+a caller filters a warning by its class.  Stdlib ``ast`` only: the scan
+runs wherever the suite runs.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -29,6 +37,7 @@ CALLERS = sorted([
     *(ROOT / "bench").glob("*.py"),
     ROOT / "tests" / "test_acceptance.py",
 ])
+DISCERNERS = sorted([*PACKAGE, *SCRIPTS, *(ROOT / "bench").glob("*.py")])
 # the paper's functionals: F, the chemical energy, F(rho, w), its infimum
 # over w, and the two-species energy in potential and density form
 KEEP = {
@@ -223,3 +232,91 @@ def test_scan_finds_an_uncalled_public_name(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert uncalled_publics(paths, paths, {"kept"}) == [("a.py", 5, "lost"), ("a.py", 12, "Lost")]
+
+
+def _exception_classes(trees):
+    """(file, line, name) of each module-level class of the trees that
+    derives, by the names of its bases, from a builtin exception other
+    than a Warning, directly or through another such class."""
+    classes = [
+        (path, node)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    ]
+    kinds = {}  # class name -> is it a warning
+    for name in dir(builtins):
+        obj = getattr(builtins, name)
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            kinds[name] = issubclass(obj, Warning)
+    grew = True
+    while grew:
+        grew = False
+        for _, node in classes:
+            bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases]
+            known = [kinds[b] for b in bases if b in kinds]
+            if node.name not in kinds and known:
+                kinds[node.name] = any(known)
+                grew = True
+    return sorted(
+        (path.name, node.lineno, node.name)
+        for path, node in classes
+        if kinds.get(node.name) is False
+    )
+
+
+def _discerned(tree):
+    """The names of the classes the module's except clauses catch, and the
+    strings it passes as ``expect=``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found.update(getattr(t, "id", None) or getattr(t, "attr", None) for t in caught)
+        elif (isinstance(node, ast.keyword) and node.arg == "expect"
+              and isinstance(node.value, ast.Constant)):
+            found.add(node.value.value)
+    return found
+
+
+def undiscerned_exceptions(paths, discerners):
+    """(file, line, name) of every exception class in the files, warnings
+    aside, that none of the discerners catches or expects by name."""
+    parse = lambda path: ast.parse(path.read_text(), filename=str(path))
+    told = set().union(*(_discerned(parse(d)) for d in discerners))
+    return [c for c in _exception_classes({p: parse(p) for p in paths}) if c[2] not in told]
+
+
+def test_every_exception_class_is_told_apart():
+    assert undiscerned_exceptions(PACKAGE, DISCERNERS) == []
+
+
+def test_scan_finds_an_exception_class_nobody_tells_apart(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Caught(ValueError):\n"
+        "    pass\n"
+        "class Raised(RuntimeError):\n"
+        "    pass\n"
+        "class Expected(Caught):\n"
+        "    pass\n"
+        "class Deeper(Raised):\n"
+        "    pass\n"
+        "class Noted(Warning):\n"
+        "    pass\n"
+        "class Louder(Noted):\n"
+        "    pass\n"
+        "class Plain:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\n"
+        "try:\n"
+        "    raise a.Raised('only raised')\n"
+        "except (a.Caught, OSError):\n"
+        "    pass\n"
+        "except Exception:\n"
+        "    pass\n"
+        "op = dict(expect='Expected')\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert undiscerned_exceptions(paths, paths) == [("a.py", 3, "Raised"), ("a.py", 7, "Deeper")]
