@@ -58,9 +58,8 @@ class AnnulusParams:
     Construction enforces the standing hypothesis
     (beta_m - gamma*m2)/2pi - 2 > 0 under which the profile is monotone
     away from the inner edge, and refuses, with ValueError, a slope limit
-    whose energy match would overflow or underflow, or that no energy
-    matches: one at or below the e -> 0 limit 2/(gamma ln(1/psi)), an
-    annulus too thin.
+    whose energy match would over- or underflow, or that no energy matches:
+    one at or below the e -> 0 limit 2/(gamma ln(1/psi)), an annulus too thin.
     """
 
     gamma: float
@@ -245,8 +244,7 @@ def integrate_annulus(lp: AnnulusParams, n: int = 4096) -> AnnulusSolution:
     interval check would reject the exact profile itself.
 
     Raises ValueError for n < 1000, and RuntimeError when the slope check
-    fails or the profile overflows: its exponent (b-2) t - gamma v cancels
-    two terms that grow with beta_m, whose rounding can outgrow the profile.
+    fails or the profile overflows.
     """
     if n < 1000:
         raise ValueError(f"n = {n} < 1000")
@@ -286,9 +284,8 @@ def asymptotic_ratio(lp: AnnulusParams, n: int = 4096) -> float:
 
     Returns integral_{sqrt(psi)}^1 r v_r^2 dr / ln(1/sqrt(psi)), which
     converges to (m2/2pi)^2 from below as psi -> 0.  n is rounded up to a
-    multiple of four so the window edge lands on a node.  In the window
-    0 <= r v_r <= m2/2pi, so the Simpson sum, n/4 triples of at most 6
-    (m2/2pi)^2, is refused with ValueError where that bound overflows.
+    multiple of four so the window edge lands on a node.  ValueError where
+    the Simpson sum's bound, n/4 triples of at most 6 (m2/2pi)^2, overflows.
     """
     n = 4 * ((n + 3) // 4)
     half = lp.m2 / TWO_PI

@@ -141,19 +141,11 @@ def _pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray):
 
 
 def _refuse_overflow(grid: RadialGrid, masses, coupling) -> None:
-    """Refuse the masses of the species a solve or flow evolves, and the
-    coupling rows it applies to their potentials, whose Green terms on
-    grid may overflow.
-
-    A nonnegative density of mass m has face masses at most m/2pi, so its
-    potential is at most m K/2pi, K = sum(log_ratio) = 2 + ln(1/r_1): the
-    axis value of all the mass in the axis cell.  So s_i = max(1, m_i) K
-    bounds species i's potential, |A_ij| s_j the term of its exponent in
-    species j, |A_ij| s_i s_j the Green pairing of species i and j that an
-    energy weighs by A_ij, and (n+1) s_i s_j every sum over the nodes of
-    products of their potentials.  Raises ValueError where
-    max(1, |A_ij|) (n+1) s_i s_j overflows for some i, j.
-    """
+    """Raise ValueError where the Green terms of masses, under coupling
+    rows A, may overflow on grid: a density of mass m has a potential of
+    at most s = max(1, m) K, K = sum(log_ratio) (all its mass in the axis
+    cell), so max(1, |A_ij|) (n+1) s_i s_j bounds every exponent term,
+    pairing and node sum of products of potentials."""
     k = float(grid.log_ratio.sum())
     s = [max(1.0, m) * k for m in masses]
     if not all(math.isfinite(max(1.0, abs(a)) * (grid.n + 1) * si * sj)

@@ -70,8 +70,7 @@ class RunConfig:
 
 
 def _converter(convert, expected):
-    """A parser of a section's key by convert, which names the raw value and
-    what it is not when convert raises ValueError."""
+    """A parser of a section's key by convert, refusing a raw value it cannot read."""
 
     def parse(section, key):
         raw = section[key]

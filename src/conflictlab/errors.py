@@ -1,12 +1,8 @@
 """The exception classes some caller tells apart by type, and _releasing.
 
-A refused input raises a plain ValueError and a failed computation a plain
-RuntimeError, each with a message that names the value or the step; the
-command line maps the two bases to exit 3 and 2.  A class lives here only
-where a caller catches or names it: SolverDiverged (the scan scripts),
-Oscillation (the benchmark's expected fault), StepRejected (the flow
-driver, which halves dt on it) and the warning DegenerateQuadraticForm,
-which a caller may filter.
+A refused input raises a plain ValueError (exit 3) and a failed
+computation a plain RuntimeError (exit 2); a class lives here only where a
+caller catches, names or filters it by type.
 
 A failure keeps its message, not the solver's arrays.  The public entries
 that run a solver loop or a flow step are wrapped in ``_releasing``: a

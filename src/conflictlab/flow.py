@@ -244,7 +244,7 @@ def _stepped(s, dt, regime, stack, energy, enforced, boltzmann=None):
     try:
         return _advanced(s._grid, t, s._trace, s._rows, stack, energy, boltzmann)
     except ValueError as err:
-        raise type(err)(f"{err} after the {regime} step to t = {t:.6g} (dt = {dt:.6g})") from None
+        raise ValueError(f"{err} after the {regime} step to t = {t:.6g} (dt = {dt:.6g})") from None
 
 
 @_releasing
@@ -337,9 +337,7 @@ def initial_state(
     The density regimes take their densities and derive the potentials;
     the potential regime takes u1, u2 and derives the induced densities.
     Traces are seeded with the t = 0 row.  A non-finite input sample, or
-    masses and couplings of p whose Green terms may overflow
-    (calculus._refuse_overflow), raise ValueError before any regime
-    arithmetic.
+    masses whose Green terms may overflow, raise ValueError up front.
     """
     name, kind, keys, make, _ = _REGIMES[cfg.delta1, cfg.delta2, cfg.epsilon]
     given = {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2}

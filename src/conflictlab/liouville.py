@@ -279,10 +279,8 @@ def solve_pair(p, grid):
     Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2 raise
     ValueError up front: species 1's Pohozaev identity, with rho1(1) > 0
     and int rho1 M2 <= m1 m2, leaves no radial steady state there, in either
-    convention.  Masses and couplings of the species solved for whose
-    Green terms may overflow (calculus._refuse_overflow) raise ValueError
-    next.  Raises SolverDiverged or Oscillation when the iteration does not
-    converge.
+    convention; so do masses whose Green terms may overflow.  Raises
+    SolverDiverged or Oscillation when the iteration does not converge.
     """
     load, line = p.alpha * p.m1, 8.0 * math.pi + 2.0 * p.beta * p.m2
     if load >= line:
@@ -361,8 +359,7 @@ def _newton_w(grid, w, c, drive, p):
         y, z = _solve_tridiag(ab, rhs).T
         b = grid.weights * rho
         k = -a_w / m2
-        # the Sherman-Morrison denominator lies in (0, 1]; it nears 0 as
-        # gamma V rho outweighs T, where rounding can make it exactly 0
+        # in (0, 1], it rounds to 0 where gamma V rho outweighs T
         den = 1.0 - k * np.dot(b, z)
         if den == 0.0:
             raise SolverDiverged(f"Sherman-Morrison denominator rounds to 0 at Newton step {steps}")

@@ -246,20 +246,17 @@ def _onset_mass(p: Params) -> float:
     discriminant is taken as 64pi^2 gamma (2beta + gamma - alpha): expanded,
     it cancels to a negative number when gamma is tiny.  When alpha = beta
     = 0 every coefficient of the existence quadratic is positive, the conic
-    never enters, and the onset is +inf; a leading coefficient so small
-    that the quotient overflows gives +inf as well.  Raises ValueError
-    where the leading coefficient or the numerator overflows.
+    never enters, and the onset is +inf, as it is where the quotient
+    overflows.  Scaling the constants by c divides the onset by c, so ones
+    past 2^511 are scaled by an exact power of two: no term overflows.
     """
-    lead = p.beta * p.beta + p.alpha * p.gamma
+    e = max(0, math.frexp(max(p.alpha, p.beta, p.gamma))[1] - 511)
+    alpha, beta, gamma = (math.ldexp(v, -e) for v in (p.alpha, p.beta, p.gamma))
+    lead = beta * beta + alpha * gamma
     if lead == 0.0:
         return math.inf
-    root = math.sqrt(p.gamma * (2.0 * p.beta + p.gamma - p.alpha))
-    scaled = _FOUR_PI * (p.beta + p.gamma + root)
-    if not (math.isfinite(lead) and math.isfinite(scaled)):
-        raise ValueError(
-            f"alpha = {p.alpha!r}, beta = {p.beta!r}, gamma = {p.gamma!r} overflow the onset mass"
-        )
-    return scaled / lead
+    root = math.sqrt(gamma * (2.0 * beta + gamma - alpha))
+    return math.ldexp(_FOUR_PI * (beta + gamma + root) / lead, -e)
 
 
 def _cooperative_table(p: Params, m1, m2):

@@ -29,16 +29,16 @@ def _failure(call, exc):
     raise AssertionError(f"{exc.__name__} not raised")
 
 
-def _kept_bytes(call, exc, repeats=3):
+def _kept_bytes(call, exc):
     """The fewest bytes that a held failure of call keeps allocated after
-    gc.collect(), under tracemalloc, over repeats failures, each held
-    while it is measured, after one failure to warm caches; with the last
+    gc.collect(), under tracemalloc, over three failures, each held while
+    it is measured, after one failure to warm caches; with the last
     failure.  Allocator and cache noise differs from repeat to repeat,
     while a failure that keeps arrays keeps them in every repeat, so the
     minimum still sees it."""
     _failure(call, exc)
     kept = []
-    for _ in range(repeats):
+    for _ in range(3):
         gc.collect()
         tracemalloc.start()
         try:
