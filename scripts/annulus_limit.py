@@ -7,7 +7,6 @@ energy-invariant drift of the integration.
 """
 
 import argparse
-import logging
 import math
 
 from conflictlab.annulus_ode import AnnulusParams, asymptotic_ratio, integrate_annulus
@@ -42,5 +41,4 @@ def main():
 
 
 if __name__ == "__main__":
-    logging.basicConfig(level=logging.WARNING)
     main()

@@ -9,7 +9,6 @@ either column locates the unboundedness onset along the scan line.
 """
 
 import argparse
-import logging
 
 import numpy as np
 
@@ -56,5 +55,4 @@ def main():
 
 
 if __name__ == "__main__":
-    logging.basicConfig(level=logging.WARNING)
     main()

@@ -8,7 +8,6 @@ counts and discretization error grow as the peak sharpens.
 """
 
 import argparse
-import logging
 import math
 
 import numpy as np
@@ -47,5 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    logging.basicConfig(level=logging.WARNING)
     main()

@@ -8,7 +8,6 @@ census and the analytic curve inventory follow the map.
 
 import argparse
 import collections
-import logging
 
 from conflictlab.model import Params
 from conflictlab.phase import sweep
@@ -63,5 +62,4 @@ def main():
 
 
 if __name__ == "__main__":
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     main()

@@ -9,7 +9,6 @@ as a table (one row per m1, '-' for a failure) and the failure count.
 """
 
 import argparse
-import logging
 
 import numpy as np
 
@@ -49,5 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    logging.basicConfig(level=logging.WARNING)
     main()

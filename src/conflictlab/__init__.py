@@ -6,22 +6,3 @@ phase diagram of boundedness predictions.
 """
 
 __version__ = "0.1.0"
-
-from .model import (
-    FlowConfig,
-    Params,
-    RadialField,
-    RadialGrid,
-    make_grid,
-    project_density,
-)
-
-__all__ = [
-    "FlowConfig",
-    "Params",
-    "RadialField",
-    "RadialGrid",
-    "__version__",
-    "make_grid",
-    "project_density",
-]

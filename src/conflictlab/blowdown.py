@@ -25,7 +25,6 @@ they predict is phase.blowdown_coefficients.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -45,8 +44,6 @@ __all__ = [
     "slope_estimate",
     "verify_identities",
 ]
-
-logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,21 +230,12 @@ def slope_estimate(fam: BlowdownFamily, p: Params) -> float:
     negative slope certifies that the energy is unbounded below along the
     family.  Raises ValueError when the ladder has fewer than 4 rungs.
     """
-    return _fitted_slope(_shift_table(fam, p)[1], p)
+    return _fitted_slope(_shift_table(fam, p)[1])
 
 
-def _fitted_slope(fit, p: Params) -> float:
+def _fitted_slope(fit) -> float:
     """slope_estimate of the (ln psi, total) pairs of a walk of the ladder."""
     if len(fit) < 4:
         raise ValueError(f"need at least 4 rungs, got {len(fit)}")
     log_psis, totals = zip(*fit)
-    slope = float(np.polyfit(log_psis[2:], totals[2:], 1)[0])
-    log_term = blowdown_coefficients(p.m1, p.m2, p)[1]
-    regime = "tail-dominated" if np.isnan(log_term) else "concentration-dominated"
-    logger.info(
-        "blow-down slope %.6g over %d rungs (%s regime)",
-        slope,
-        len(fit) - 2,
-        regime,
-    )
-    return slope
+    return float(np.polyfit(log_psis[2:], totals[2:], 1)[0])

@@ -17,15 +17,16 @@ only its own part of the package.
 
 Exit codes: 0 success, 2 iterative solver failure, 3 a configuration that
 cannot be read or is invalid (inadmissible parameters included, as ``steady``
-with alpha m1 >= 8 pi + 2 beta m2, or a blow-down ladder out of order) or
-outputs that cannot be written.
+with alpha m1 >= 8 pi + 2 beta m2, a blow-down ladder out of order, or a
+grid or sweep too large to allocate) or outputs that cannot be written.
+main writes the one line that names a failure; nothing else in the package
+writes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -44,8 +45,6 @@ from .model import (
 )
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
-
-logger = logging.getLogger(__name__)
 
 _CHOICES = {"case": FLOW_LIMITS, "init": ("bump", "random")}
 
@@ -212,7 +211,6 @@ def _write_csv(path: Path, header, columns, rows) -> None:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(_table_lines(rows))
-    logger.info("wrote %s", path)
 
 
 def _density(grid, shape, m):
@@ -303,7 +301,7 @@ def _cmd_blowdown(cfg: RunConfig, seed: int) -> dict:
     grid = make_grid(cfg.grid_n, kind="graded")
     fam = BlowdownFamily(*_base_fields(grid, p), psis=cfg.psis)
     shifts, fit = _shift_table(fam, p)
-    header = [f"slope = {_fmt(_fitted_slope(fit, p))}"]
+    header = [f"slope = {_fmt(_fitted_slope(fit))}"]
     rows = [(r.psi, r.term, r.predicted, r.measured) for r in shifts]
     return {"blowdown.csv": (header, ["psi", "term", "predicted", "measured"], rows)}
 
@@ -386,7 +384,7 @@ def main(argv=None) -> int:
         return 3
     try:
         return run(parse_config(text), out_dir=args.out, seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

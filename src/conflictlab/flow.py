@@ -47,7 +47,6 @@ views, which would make the next extend raise BufferError.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from array import array
@@ -81,8 +80,6 @@ __all__ = [
     "step_two_densities",
     "trace_rows",
 ]
-
-logger = logging.getLogger(__name__)
 
 _ENERGY_SLACK = 1e-10
 _STEADY_TOL = 1e-10
@@ -176,7 +173,7 @@ def _single_fields(grid, rhos, p, w0=None):
     functionals.joint_free_energy (which fixes theta=-1), summed alike."""
     (rho,) = rhos
     u, mt = _green(grid, rho)
-    w, rho2, m_log_z = _minimize_w(grid, rho, u, p, w0=w0)
+    w, rho2, m_log_z = _minimize_w(grid, u, p, w0=w0)
     faces = np.array([mt, _face_flux(grid, w)])
     pairing, dirichlet = _pairing(grid, faces, faces).tolist()
     interaction = 0.5 * p.alpha * -pairing
@@ -389,7 +386,6 @@ def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
         change = _state_change(state, new) / step_dt
         state = new
         if change < _STEADY_TOL:
-            logger.info("steady state at t = %.6g (change %.3e)", state.t, change)
             break
         if cfg.adapt:
             dt *= _GROWTH

@@ -130,7 +130,7 @@ def relaxed_free_energy(rho: RadialField, p: Params):
     fails.
     """
     u = inv_laplacian(rho)
-    w_star = RadialField.potential(rho.grid, _minimize_w(rho.grid, rho.values, u.values, p)[0])
+    w_star = RadialField.potential(rho.grid, _minimize_w(rho.grid, u.values, p)[0])
     return _joint(p, *_joint_terms(rho, w_star, u, p)).total, w_star
 
 

@@ -33,7 +33,6 @@ iterate, free of re-differencing noise.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -53,8 +52,6 @@ from .calculus import (
 )
 from .errors import Oscillation, SolverDiverged, _releasing
 from .model import Params, RadialField
-
-logger = logging.getLogger(__name__)
 
 _DAMPING = 0.5
 _MIN_DAMPING = 1.0 / 64.0
@@ -301,9 +298,9 @@ def solve_pair(p, grid):
     return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
 
 
-def _minimize_w(grid, rho_vals, u, p, w0=None):
-    """Minimizer w of the chemical energy at fixed density ``rho_vals``,
-    whose potential is ``u``, from the warm start ``w0`` if given; zero, the
+def _minimize_w(grid, u, p, w0=None):
+    """Minimizer w of the chemical energy at the fixed density whose
+    potential is ``u``, from the warm start ``w0`` if given; zero, the
     closed form, when gamma or m2 is.
 
     Solves ``-laplacian(w) = m2 e^g / integral(e^g)`` with exponent
@@ -319,10 +316,7 @@ def _minimize_w(grid, rho_vals, u, p, w0=None):
         return w, rho, m_log_z
     g0 = drive if w0 is None else a_w * w0 + drive
     (w,), (c,) = _seeded(grid, g0, p.m2)
-    w, rho, m_log_z = _newton_w(grid, w, c, drive, p)
-    if (w[1:] - w[:-1] > 1e-10).any() and (rho_vals[1:] - rho_vals[:-1] <= 1e-12).all():
-        logger.warning("w-minimizer not radially nonincreasing for nonincreasing rho")
-    return w, rho, m_log_z
+    return _newton_w(grid, w, c, drive, p)
 
 
 def _newton_w(grid, w, c, drive, p):

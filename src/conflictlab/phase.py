@@ -18,7 +18,6 @@ quantity sits within 1e-12 of its threshold is classified Unknown.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ __all__ = [
     "strip_mass",
     "sweep",
 ]
-
-logger = logging.getLogger(__name__)
 
 VERDICTS = (
     "BoundedBelow",
@@ -428,7 +425,6 @@ def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:
                                "be positive below the critical mass")
 
     curves = _boundary_curves(p_base, (lo1, hi1), (lo2, hi2))
-    logger.info("swept %d x %d points", m1s.size, m2s.size)
     return SweepResult(
         params=p_base,
         m1s=m1s,

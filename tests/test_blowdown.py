@@ -1,5 +1,4 @@
 import itertools
-import logging
 
 import numpy as np
 import pytest
@@ -336,13 +335,6 @@ class TestSlopeEstimate:
         )
         with pytest.raises(ValueError, match="^need at least 4 rungs, got 3$"):
             slope_estimate(fam, Params(1.0, 0.0, 0.0, -1, 1.0, 0.0))
-
-    def test_logs_regime(self, gg, caplog):
-        p = Params(alpha=1.0, beta=3.0, gamma=0.0, theta=-1, m1=20.0, m2=2.0)
-        fam = BlowdownFamily(smooth_rho(gg, 20.0), zero_w(gg))
-        with caplog.at_level(logging.INFO, logger="conflictlab.blowdown"):
-            slope_estimate(fam, p)
-        assert any("concentration-dominated" in rec.message for rec in caplog.records)
 
 
 class TestMoserTrudingerLadder:

@@ -682,6 +682,20 @@ class TestMain:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, size",
+        [("steady", "grid_n = {}\n"), ("sweep", "[sweep]\nresolution = {}\n")],
+    )
+    def test_unallocatable_size_exit(self, tmp_path, capsys, command, size):
+        # 10**18 floats are refused at the first allocation, before any
+        # memory is touched; sizes the kernel might overcommit stay untested
+        path = tmp_path / "big.cfg"
+        path.write_text(config_text(command, m1=6.0, m2=1.0) + size.format(10**18))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: Unable to allocate") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_negative_second_mass_range_is_nonpositive_mass(self, tmp_path):
         sec = "[sweep]\nm1_range = 0, 40\nm2_range = -1, 40\nresolution = 8\n"
         with pytest.raises(ValueError, match="^lambda_values needs m2 >= 0$"):

@@ -923,7 +923,7 @@ class TestWarmStart:
         rho = bump_density(g256, 10.0, width=3.0)
         u = inv_laplacian(rho).values
         cold = relaxed_free_energy(rho, p)[1]
-        warm = _minimize_w(g256, rho.values, u, p, w0=cold.values)[0]
+        warm = _minimize_w(g256, u, p, w0=cold.values)[0]
         assert np.max(np.abs(cold.values - warm)) < 1e-9
 
 

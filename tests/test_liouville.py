@@ -406,7 +406,7 @@ class TestNewtonChemicalSolve:
         except (Oscillation, SolverDiverged):
             assume(False)
         w0 = 0.5 * ref if warm else None
-        w = _minimize_w(grid, rho.values, u, p, w0=w0)[0]
+        w = _minimize_w(grid, u, p, w0=w0)[0]
         assert np.max(np.abs(w - ref)) <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
@@ -497,7 +497,7 @@ def _pair_print(*args):
 def _warm_w():
     w0 = 0.5 * relaxed_free_energy(_RHO, _PW)[1].values
     u = _green(G256, _RHO.values)[0]
-    return (_digest(_minimize_w(G256, _RHO.values, u, _PW, w0=w0)[0]),)
+    return (_digest(_minimize_w(G256, u, _PW, w0=w0)[0]),)
 
 
 def _relaxed_print(*args):
