@@ -346,7 +346,7 @@ def _newton_w(grid, w, c, drive, p):
         _pin_wall(ab)
         # the wall row is the identity with zero right-hand sides, so y and z
         # vanish there and the rank-one term needs no restriction
-        rhs = np.zeros((grid.n + 1, 2))
+        rhs = np.zeros((2, grid.n + 1)).T  # in gtsv's column order: passed uncopied
         rhs[0, 0] = d[0]
         rhs[1:-1, 0] = d[1:] - d[:-1]
         rhs[:-1, 1] = vr[:-1]
@@ -359,15 +359,16 @@ def _newton_w(grid, w, c, drive, p):
             raise SolverDiverged(f"Sherman-Morrison denominator rounds to 0 at Newton step {steps}")
         dw = y + (k * np.dot(b, y) / den) * z
         dc = _face_flux(grid, dw)
-        step = 1.0
-        for _ in range(_HALVINGS + 1):
-            w_t, c_t = w + step * dw, c + step * dc
+        w_t, c_t, step = w + dw, c + dc, 1.0  # the full step: 1.0 * dw is dw
+        for halving in range(_HALVINGS + 1):
+            if halving:
+                step *= 0.5
+                w_t, c_t = w + step * dw, c + step * dc
             rho_t, _, m_log_z_t = _normalized_density(grid, a_w * w_t + drive, m2)
             d_t = _face_masses(grid, rho_t) - c_t
             res_t = _flux_defect(grid, d_t)
             if res_t < res:
                 break
-            step *= 0.5
         else:
             raise SolverDiverged(
                 f"residual {res:.3e} above tol {_TOL:.1e} and not "

@@ -214,10 +214,9 @@ class FlowConfig:
                 f"(delta1, delta2, epsilon) = {limits} is not one of "
                 f"{sorted(FLOW_LIMITS.values())}"
             )
-        if not (self.dt >= _DT_FLOOR and self.t_end > 0):
-            raise ValueError(
-                f"dt = {self.dt!r} must be >= {_DT_FLOOR:g} and t_end = {self.t_end!r} > 0"
-            )
+        for name, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if not value >= _DT_FLOOR:  # a t_end below it forces a step below it
+                raise ValueError(f"{name} = {value!r} must be >= {_DT_FLOOR:g}")
 
 
 # The flow cases by name, each with its (delta1, delta2, epsilon) limit.

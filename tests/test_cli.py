@@ -667,6 +667,22 @@ class TestMain:
         assert result.returncode == 3, result.stderr
         assert "dt = 5e-324" in result.stderr
 
+    @pytest.mark.parametrize("case", ["single", "pair", "potentials"])
+    def test_subnormal_t_end_exit(self, tmp_path, case):
+        # refused up front: one step to t_end would be below the dt floor
+        path = tmp_path / "tiny.cfg"
+        sec = f"[flow]\ncase = {case}\nt_end = 5e-324\n"
+        path.write_text(config_text("flow", gamma=1.0, m1=10.0, grid_n=16, section=sec))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "conflictlab.cli",
+             "--config", str(path), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == "configuration error: t_end = 5e-324 must be >= 1e-14\n"
+        assert not (tmp_path / "flow_trace.csv").exists()
+
     @pytest.mark.parametrize(
         "ranges",
         [

@@ -27,6 +27,7 @@ from conflictlab.functionals import (
 )
 from conflictlab.liouville import _minimize_w, residual, solve_pair, solve_single
 from conflictlab.model import (
+    FLOW_LIMITS,
     FlowConfig,
     Params,
     RadialField,
@@ -227,6 +228,13 @@ def same_state(a, b):
         assert getattr(a, name).values.tobytes() == getattr(b, name).values.tobytes()
 
 
+def patch_core(monkeypatch, case, core):
+    """Give the regime of FLOW_LIMITS[case] the core core(grid, stack,
+    boltzmann, p, dt, bands): run_flow and the public step both call it."""
+    *row, _ = flow._REGIMES[FLOW_LIMITS[case]]
+    monkeypatch.setitem(flow._REGIMES, FLOW_LIMITS[case], (*row, core))
+
+
 class TestTraceSharing:
     # theta = -1 with beta^2 > alpha*gamma: neither the pair nor the
     # potential regime enforces its energy, so each can step the other's state.
@@ -277,19 +285,19 @@ class TestTraceSharing:
         p = Params(alpha=1.0, beta=2.0, gamma=1.0, theta=-1, m1=10.0, m2=5.0)
         cfg = FlowConfig(1.0, 0.0, 0.0, dt=1e-3, t_end=0.03, adapt=True)
         start = flow.initial_state(p, cfg, rho1=bump_density(g, 10.0))
-        real = flow.step_single_density
+        real = flow._single_core
 
         def run(build_first):
             calls = []
 
-            def flaky(s, p, dt):
-                calls.append(dt)
-                child = real(s, p, dt) if build_first else None
+            def flaky(*args):
+                calls.append(args[4])
+                child = real(*args) if build_first else None
                 if len(calls) in (3, 7, 8):
                     raise StepRejected("forced")
-                return child or real(s, p, dt)
+                return child or real(*args)
 
-            monkeypatch.setitem(flow._STEPPERS, (1.0, 0.0, 0.0), flaky)
+            patch_core(monkeypatch, "single", flaky)
             return flow.run_flow(start, p, cfg), len(calls)
 
         built, attempts = run(build_first=True)
@@ -802,10 +810,10 @@ class TestRunFlow:
         assert np.isclose(end.t, 0.05, rtol=1e-12)
 
     def test_stalls_when_every_step_is_rejected(self, g256, monkeypatch):
-        def always_reject(s, p, dt):
+        def always_reject(*args):
             raise StepRejected("forced")
 
-        monkeypatch.setitem(flow._STEPPERS, (1.0, 0.0, 0.0), always_reject)
+        patch_core(monkeypatch, "single", always_reject)
         p = Params(alpha=0.0, beta=0.0, gamma=1.0, theta=-1, m1=2.0, m2=1.0)
         s = flow.initial_state(p, CFG2, rho1=uniform_density(g256, 2.0))
         with pytest.raises(RuntimeError, match="^dt underflow at t = 0: forced$") as err:
@@ -813,10 +821,10 @@ class TestRunFlow:
         assert type(err.value) is RuntimeError
 
     def test_rejection_propagates_without_adapt(self, g256, monkeypatch):
-        def always_reject(s, p, dt):
+        def always_reject(*args):
             raise StepRejected("forced")
 
-        monkeypatch.setitem(flow._STEPPERS, (1.0, 0.0, 0.0), always_reject)
+        patch_core(monkeypatch, "single", always_reject)
         p = Params(alpha=0.0, beta=0.0, gamma=1.0, theta=-1, m1=2.0, m2=1.0)
         cfg = FlowConfig(1.0, 0.0, 0.0, dt=0.01, t_end=0.05, adapt=False)
         s = flow.initial_state(p, cfg, rho1=uniform_density(g256, 2.0))
@@ -832,6 +840,162 @@ class TestRunFlow:
         assert np.all(np.diff(rows[:, 0]) > 0)
         np.testing.assert_array_equal(rows[:, 3], end.energy_trace[:, 1])
         assert rows[-1, 4] == np.max(end.rho1.values)
+
+
+def stepped_loop(start, p, cfg):
+    """run_flow written as a Python loop of the regime's public step."""
+    step = flow._STEPPERS[cfg.delta1, cfg.delta2, cfg.epsilon]
+    s, dt = start, cfg.dt
+    while s.t < cfg.t_end * (1.0 - 1e-12):
+        step_dt = min(dt, cfg.t_end - s.t)
+        try:
+            new = step(s, p, step_dt)
+        except StepRejected as err:
+            if not cfg.adapt:
+                raise
+            dt *= 0.5
+            if dt < 1e-14:
+                raise RuntimeError(f"dt underflow at t = {s.t:.6g}: {err}") from err
+            continue
+        change = float((abs(new._stack - s._stack) / np.array(s._scale)[:, None]).max()) / step_dt
+        s = new
+        if change < 1e-10:
+            break
+        if cfg.adapt:
+            dt *= 1.2
+    return s
+
+
+class TestRunFlowIsTheStepLoop:
+    """run_flow steps arrays and makes one state at the end; it must give,
+    byte for byte, the trace rows, final stack, t and stored Params of the
+    loop of the public steps, whose every state is made and checked."""
+
+    CASES = {"single": ("rho1",), "pair": ("rho1", "rho2"), "potentials": ("u1", "u2")}
+
+    @staticmethod
+    def start(case, p, cfg, grid):
+        fields = TestNonFiniteStates.fields(grid)
+        return flow.initial_state(p, cfg, **{k: fields[k] for k in TestRunFlowIsTheStepLoop.CASES[case]})
+
+    @staticmethod
+    def assert_same_run(a, b):
+        assert flow.trace_rows(a).tobytes() == flow.trace_rows(b).tobytes()
+        assert a._stack.tobytes() == b._stack.tobytes()
+        assert a.t == b.t and a._rows == b._rows
+        assert a._boltzmann == b._boltzmann
+
+    @pytest.mark.parametrize("theta", [1, -1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fixed_dt(self, case, theta):
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=theta, m1=5.0, m2=3.0)
+        cfg = FlowConfig(*FLOW_LIMITS[case], dt=2.0**-10, t_end=40 * 2.0**-10, adapt=False)
+        s = self.start(case, p, cfg, make_grid(64))
+        end = flow.run_flow(s, p, cfg)
+        assert end._rows == 41
+        self.assert_same_run(end, stepped_loop(s, p, cfg))
+
+    def test_heat_bands_once_per_dt(self, monkeypatch):
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=3.0)
+        cfg = FlowConfig(*FLOW_LIMITS["potentials"], dt=2.0**-10, t_end=40 * 2.0**-10, adapt=False)
+        s = self.start("potentials", p, cfg, make_grid(64))
+        built = []
+        real = flow._heat_bands
+        monkeypatch.setattr(flow, "_heat_bands", lambda grid, dt: built.append(dt) or real(grid, dt))
+        flow.run_flow(s, p, cfg)
+        assert built == [cfg.dt]
+
+    @staticmethod
+    def rising(monkeypatch, case, rejected):
+        """Make the regime's core raise StepRejected at the calls in
+        rejected, and report an enforced energy risen by 1 at its third call,
+        for the step's own check to reject; returns the dt of each call."""
+        *_, real = flow._REGIMES[FLOW_LIMITS[case]]
+        calls = []
+
+        def flaky(*args):
+            calls.append(args[4])
+            stack, energy, boltzmann, enforced = real(*args)
+            if len(calls) in rejected:
+                raise StepRejected("forced")
+            if len(calls) == 3:
+                return stack, energy + 1.0, boltzmann, True
+            return stack, energy, boltzmann, enforced
+
+        patch_core(monkeypatch, case, flaky)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_adapt_through_rejections(self, monkeypatch, case):
+        # rejected attempts halve dt, accepted steps regrow it: a new dt,
+        # and new heat bands, at every attempt
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=1, m1=5.0, m2=3.0)
+        cfg = FlowConfig(*FLOW_LIMITS[case], dt=1e-3, t_end=0.03, adapt=True)
+        s = self.start(case, p, cfg, make_grid(64))
+        calls = self.rising(monkeypatch, case, rejected=(7, 8))
+        end = flow.run_flow(s, p, cfg)
+        dts, calls[:] = list(calls), []
+        self.assert_same_run(end, stepped_loop(s, p, cfg))
+        assert calls == dts and len(set(dts)) == len(dts) == end._rows - 1 + 3
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_energy_rise_without_adapt(self, monkeypatch, case):
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=1, m1=5.0, m2=3.0)
+        cfg = FlowConfig(*FLOW_LIMITS[case], dt=1e-3, t_end=0.03, adapt=False)
+        s = self.start(case, p, cfg, make_grid(64))
+        calls = self.rising(monkeypatch, case, rejected=())
+        messages = []
+        for run in (flow.run_flow, stepped_loop):
+            calls.clear()
+            with pytest.raises(StepRejected) as err:
+                run(s, p, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("monitored energy rose from ")
+
+    @pytest.mark.parametrize("params", [None, Params(1.0, 0.5, 1.0, -1, 4.0, 2.0)])
+    def test_potential_start_without_its_sources(self, monkeypatch, params):
+        # The first step recomputes its sources, the later ones take them
+        # from the densities of the step before: one Boltzmann evaluation
+        # per step, for the new state, and one more.
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=3.0)
+        cfg = FlowConfig(*FLOW_LIMITS["potentials"], dt=2.0**-10, t_end=20 * 2.0**-10, adapt=False)
+        s = isolated(self.start("potentials", p, cfg, make_grid(64)))
+        s.__dict__["_boltzmann"] = params
+        real, calls = flow._densities, []
+        monkeypatch.setattr(flow, "_densities", lambda *args: calls.append(1) or real(*args))
+        ends = [run(s, p, cfg) for run in (flow.run_flow, stepped_loop)]
+        self.assert_same_run(*ends)
+        assert ends[0]._boltzmann == p
+        assert len(calls) == 2 * 21
+
+    def test_degenerate_threshold_warns_at_every_step(self):
+        p = Params(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=4.0, m2=2.0)
+        cfg = FlowConfig(*FLOW_LIMITS["potentials"], dt=2.0**-10, t_end=20 * 2.0**-10, adapt=False)
+        s = self.start("potentials", p, cfg, make_grid(64))
+        ends, counts = [], []
+        for run in (flow.run_flow, stepped_loop):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ends.append(run(s, p, cfg))
+            counts.append(sum(issubclass(w.category, DegenerateQuadraticForm) for w in caught))
+            assert all(w.filename == __file__ for w in caught)
+        self.assert_same_run(*ends)
+        assert counts == [20, 20]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_nan_solve(self, monkeypatch, case):
+        p = Params(alpha=1.0, beta=0.5, gamma=1.0, theta=-1, m1=5.0, m2=3.0)
+        cfg = FlowConfig(*FLOW_LIMITS[case], dt=1e-3, t_end=0.01, adapt=False)
+        s = self.start(case, p, cfg, make_grid(64))
+        monkeypatch.setattr(flow, "_solve_tridiag", lambda ab, b: np.full(b.shape, np.nan))
+        messages = []
+        for run in (flow.run_flow, stepped_loop):
+            with pytest.raises(ValueError) as err:
+                run(s, p, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("state fields must be finite after the ")
 
 
 class TestFailuresKeepNoArrays:
@@ -854,18 +1018,31 @@ class TestFailuresKeepNoArrays:
     def nan_solves(monkeypatch, module):
         monkeypatch.setattr(module, "_solve_tridiag", lambda ab, b: np.full(b.shape, np.nan))
 
-    @staticmethod
-    def reject_after_two_steps(monkeypatch):
-        """Each step runs, and from the third on is then rejected, so the
-        failure leaves run_flow with accepted states in its frames."""
+    def rejected_after_two_steps(self, monkeypatch, cfg):
+        """setup(grid) of a run as run(cfg) gives, whose steps each run the
+        core, and from the third on are then rejected, so the failure leaves
+        run_flow with accepted steps' arrays in its frames."""
+        accepted = []  # the dt of each accepted step of the current run
 
-        def step(s, p, dt):
-            new = flow.step_single_density(s, p, dt)
-            if s._rows > 2:
-                raise StepRejected(f"forced at t = {s.t:.6g}")
-            return new
+        def core(*args):
+            out = flow._single_core(*args)
+            if len(accepted) == 2:
+                raise StepRejected(f"forced at t = {sum(accepted):.6g}")
+            accepted.append(args[4])
+            return out
 
-        monkeypatch.setitem(flow._STEPPERS, (1.0, 0.0, 0.0), step)
+        patch_core(monkeypatch, "single", core)
+
+        def setup(grid):
+            entry, *args = self.run(cfg)(grid)
+
+            def fresh_run():
+                accepted.clear()
+                return entry(*args)
+
+            return (fresh_run,)
+
+        return setup
 
     def test_initial_state_with_nan_solve(self, keeps_no_arrays, monkeypatch):
         self.nan_solves(monkeypatch, liouville)  # the chemical Newton solve's
@@ -881,13 +1058,13 @@ class TestFailuresKeepNoArrays:
             )
 
     def test_step_rejected_without_adapt(self, keeps_no_arrays, monkeypatch):
-        self.reject_after_two_steps(monkeypatch)
-        for err in keeps_no_arrays(self.run(self.FIXED), StepRejected):
+        setup = self.rejected_after_two_steps(monkeypatch, self.FIXED)
+        for err in keeps_no_arrays(setup, StepRejected):
             assert str(err) == "forced at t = 0.002"
 
     def test_stalled(self, keeps_no_arrays, monkeypatch):
-        self.reject_after_two_steps(monkeypatch)
-        for err in keeps_no_arrays(self.run(replace(self.FIXED, adapt=True)), RuntimeError):
+        setup = self.rejected_after_two_steps(monkeypatch, replace(self.FIXED, adapt=True))
+        for err in keeps_no_arrays(setup, RuntimeError):
             # the stall itself, not the StepRejected that caused it
             assert type(err) is RuntimeError
             assert str(err) == "dt underflow at t = 0.0022: forced at t = 0.0022"

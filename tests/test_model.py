@@ -166,11 +166,15 @@ class TestFlowConfig:
         with pytest.raises(ValueError, match=r"^\(delta1, delta2, epsilon\) = \(1.0, 1.0, 1.0\) is not one of "):
             FlowConfig(1.0, 1.0, 1.0, dt=1e-3, t_end=1.0)
 
-    @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(t_end=-1.0)])
+    # a t_end below the dt floor forces one step below it
+    @pytest.mark.parametrize(
+        "kwargs", [dict(dt=0.0), dict(t_end=-1.0), dict(t_end=5e-324), dict(t_end=1e-310)]
+    )
     def test_bad_times(self, kwargs):
         base = dict(delta1=1.0, delta2=1.0, epsilon=0.0, dt=1e-3, t_end=1.0)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} = {value!r} must be >= 1e-14$"):
             FlowConfig(**base)
 
     @pytest.mark.parametrize("dt", [5e-324, 1e-300, 9.9e-15])

@@ -1,6 +1,6 @@
 """No module of the package, the scripts or the tests imports a name it
-never uses, no module of the package defines a private name that the
-package never references, no module of the package defines a public
+never uses, no module of the package defines a private name that
+neither the package nor the benchmark references, no module of the package defines a public
 function or class that nothing but its own unit tests calls, and no module
 of the package defines an exception class that no caller tells apart.
 
@@ -8,8 +8,9 @@ A name bound by an import counts as used when the scope that imports it
 reads it (a module-level import anywhere in the module, a function's import
 within that function) or when it is listed in the module's ``__all__``.
 A module-level private function, class or constant counts as referenced
-when any module of the package reads a name or an attribute so spelled, or
-imports it.  A module-level public function or class counts as called when
+when any module of the package or the benchmark reads a name or an
+attribute so spelled, or imports it: the benchmark's tracer reads and
+patches ``flow._STEPPERS``, which the package itself no longer calls.  A module-level public function or class counts as called when
 the package, the scripts, the benchmark or the acceptance tests read a name
 or an attribute so spelled, or import it; the paper's functionals are kept
 by name.  An exception class counts as told apart only where the package,
@@ -146,11 +147,12 @@ def _references(tree):
     return found
 
 
-def unreferenced_privates(paths):
+def unreferenced_privates(paths, readers=()):
     """(file, line, name) of every module-level private definition in the
-    files that none of the files references."""
+    files that none of the files or the readers references."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
-    read = set().union(*map(_references, trees.values()))
+    others = [ast.parse(path.read_text(), filename=str(path)) for path in readers]
+    read = set().union(*map(_references, [*trees.values(), *others]))
     return sorted(
         (path.name, line, name)
         for path, tree in trees.items()
@@ -160,7 +162,7 @@ def unreferenced_privates(paths):
 
 
 def test_no_unreferenced_private_names():
-    assert unreferenced_privates(PACKAGE) == []
+    assert unreferenced_privates(PACKAGE, sorted((ROOT / "bench").glob("*.py"))) == []
 
 
 def test_scan_finds_an_unreferenced_private_name(tmp_path):
@@ -181,6 +183,10 @@ def test_scan_finds_an_unreferenced_private_name(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert unreferenced_privates(paths) == [("a.py", 1, "_LOST"), ("a.py", 6, "_Gone")]
+    reader = tmp_path / "reader" / "c.py"
+    reader.parent.mkdir()
+    reader.write_text("import a\nprint(a._LOST)\n")
+    assert unreferenced_privates(paths, [reader]) == [("a.py", 6, "_Gone")]
 
 
 def _public_definitions(tree):
