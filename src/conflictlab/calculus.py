@@ -25,6 +25,10 @@ already holds the face masses, face fluxes or Boltzmann exponential of a
 field reuses them; the public functions wrap the same cores.  _face_masses,
 _green, _face_flux, _entropy and _pairing also take fields stacked as rows
 and give, row by row, the same bits as one call per row.
+
+_solve_tridiag is the one entry to LAPACK.  Of its banded matrices,
+_pinned_tridiag builds only the diagonal, for the chemical Newton solve and
+the heat step: the grid makes the pinned Green rows once, on first use.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def entropy(rho: RadialField) -> float:
 def _entropy(grid: RadialGrid, v: np.ndarray):
     """entropy of a density's values, or an array of them for a stack of
     rows; each row's sum is the one dot product a single field gets."""
-    if (v < 0).any():
+    if np.logical_or.reduce(v < 0, axis=None):
         raise ValueError("entropy needs rho >= 0")
     pos = v > 0
     integrand = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
@@ -184,21 +188,28 @@ def _normalized_density(grid: RadialGrid, g: np.ndarray, m: float):
     exponential; all three are zero at zero mass."""
     if m == 0.0:
         return np.zeros_like(grid.r), 0.0, 0.0
-    top = float(g.max())
+    rho, top, z = _boltzmann(grid, g, m)
+    return rho, m * math.exp(-top) / z, m * (top + float(np.log(z)))
+
+
+def _boltzmann(grid: RadialGrid, g: np.ndarray, m: float):
+    """The density m e^g / integral(e^g) at a mass m > 0, with top = max g
+    and z = integral(e^(g - top)): the overflow-safe exponential of
+    _normalized_density, without its multiplier and log-partition term."""
+    top = float(np.maximum.reduce(g))
     e = np.exp(g - top)
-    z = float(np.dot(grid.weights, e))
-    return (m / z) * e, m * math.exp(-top) / z, m * (top + float(np.log(z)))
+    z = float(grid.weights.dot(e))
+    return (m / z) * e, top, z
 
 
-def _tridiag(grid: RadialGrid, diag, fpm=None) -> np.ndarray:
+def _tridiag(grid: RadialGrid, diag, fpm) -> np.ndarray:
     """Banded (3, k(n+1)) matrix of diag plus the face couplings t fp and
-    t fm, t = 1/log_ratio the grid's transmissibilities; fp, fm = fpm, or 1.
+    t fm, t = 1/log_ratio the grid's transmissibilities, fp, fm = fpm.
 
     fp and fm of shape (k, n) give k independent blocks side by side, one
     per row: the couplings across a block junction are zero."""
-    t = grid._transmissibility
-    bp, bm = (t, t) if fpm is None else t * fpm
-    ab = np.zeros((3, *bp.shape[:-1], grid.n + 1))
+    bp, bm = grid._transmissibility * fpm
+    ab = np.zeros((3, *bp.shape[:-1], bp.shape[-1] + 1))
     ab[1] = diag
     ab[1, ..., :-1] += bp
     ab[1, ..., 1:] += bm
@@ -207,12 +218,15 @@ def _tridiag(grid: RadialGrid, diag, fpm=None) -> np.ndarray:
     return ab.reshape(3, -1)
 
 
-def _pin_wall(ab: np.ndarray) -> None:
-    """Make the last row of a banded system the identity, decoupled from
-    the rest: its unknown then takes the right-hand side's wall value."""
-    ab[0][-1] = 0.0
-    ab[1][-1] = 1.0
-    ab[2][-2] = 0.0
+def _pinned_tridiag(grid: RadialGrid, diag: np.ndarray) -> np.ndarray:
+    """Banded (3, n+1) matrix of diag plus the face couplings t of
+    _tridiag, with the wall row the identity, decoupled from the rest: its
+    unknown takes the right-hand side's wall value.  Only the diagonal is
+    built here; the other two rows are the grid's _pinned_rows."""
+    upper, lower, outward, inward = grid._pinned_rows
+    main = diag + outward + inward
+    main[-1] = 1.0
+    return np.array((upper, main, lower))
 
 
 _gtsv = None

@@ -43,7 +43,8 @@ stack are the Boltzmann densities of its potentials under its Params, which
 the state remembers; the next potential step under equal Params takes its
 sources from them, and any other (a density regime's, or one under other
 Params) recomputes them.  The potential step's heat bands depend on dt
-alone, so run_flow makes them once per dt value.
+alone, so run_flow makes them once per dt value; they, like the chemical
+Newton solve's Jacobian, add a diagonal to the grid's pinned Green rows.
 
 Each accepted step appends a row (t, m1, m2, energy, sup rho1) to one
 array.array of doubles shared with the state's ancestors, in O(1)
@@ -59,7 +60,8 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from operator import truediv
+from itertools import repeat
+from operator import neg, truediv
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from .calculus import (
     _face_flux,
     _green,
     _pairing,
-    _pin_wall,
+    _pinned_tridiag,
     _refuse_overflow,
     _solve_tridiag,
     _tridiag,
@@ -141,7 +143,7 @@ def _bernoulli(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         b = x / np.expm1(x)
     small = np.abs(x) < 1e-5
-    if small.any():
+    if np.logical_or.reduce(small, axis=None):
         xs = x[small]
         b[small] = 1.0 - 0.5 * xs + xs * xs / 12.0
     return b
@@ -155,7 +157,7 @@ def _sg_step(grid, dt, rhos, phis):
     ab = _tridiag(grid, grid.volumes / dt, _bernoulli(np.array([pe, -pe])))
     new = _solve_tridiag(ab, (grid.volumes * rhos / dt).ravel()).reshape(rhos.shape)
     # max(high, 1.0) keeps a NaN high, as np.maximum does: the row check reports it
-    lows, highs = new.min(axis=1).tolist(), new.max(axis=1).tolist()
+    lows, highs = np.minimum.reduce(new, axis=1).tolist(), np.maximum.reduce(new, axis=1).tolist()
     if any(low < -1e-13 * max(high, 1.0) for low, high in zip(lows, highs)):
         raise StepRejected("positivity lost in the density solve")
     return np.maximum(new, 0.0)
@@ -164,9 +166,7 @@ def _sg_step(grid, dt, rhos, phis):
 def _heat_bands(grid, dt):
     """The banded matrix of an implicit diffusion step of dt, its wall row
     pinned: one per dt, whatever the fields."""
-    ab = _tridiag(grid, grid.volumes / dt)
-    _pin_wall(ab)
-    return ab
+    return _pinned_tridiag(grid, grid.volumes / dt)
 
 
 def _heat_step(grid, dt, us, sources, ab):
@@ -239,12 +239,13 @@ def _pair_core(grid, stack, boltzmann, p, dt, bands):
 def _potential_core(grid, stack, boltzmann, p, dt, bands):
     """step_potentials' core."""
     us = stack[1:3]
-    sources = stack[::3] if boltzmann == p else _densities(grid, p, *us)[0]
+    # run_flow passes the Params its last step stored: "is" spares the field compare
+    sources = stack[::3] if boltzmann is p or boltzmann == p else _densities(grid, p, *us)[0]
     us = _heat_step(grid, dt, us, sources, bands(dt))
     enforced = False
     if p.theta == -1:
         disc = p.alpha * p.gamma - p.beta * p.beta
-        if abs(disc) <= _DEGENERATE_TOL:
+        if -_DEGENERATE_TOL <= disc <= _DEGENERATE_TOL:
             warnings.warn(
                 DegenerateQuadraticForm(
                     "alpha*gamma - beta^2 is at the degenerate threshold; "
@@ -263,7 +264,7 @@ def _checked_rows(stack):
     """sup rho1 and the row scales max(1, sup |row|), as floats, of the
     stacked fields (rho1, u1, u2, rho2), after their one check, from the row
     maxima and minima; the rows are then read-only."""
-    hi, lo = stack.max(axis=1).tolist(), stack.min(axis=1).tolist()
+    hi, lo = np.maximum.reduce(stack, axis=1).tolist(), np.minimum.reduce(stack, axis=1).tolist()
     if not all(map(math.isfinite, hi + lo)):  # max and min carry NaN and inf through
         raise ValueError("state fields must be finite")
     if lo[0] < 0 or lo[3] < 0:
@@ -271,7 +272,7 @@ def _checked_rows(stack):
     if stack[1, -1] or stack[2, -1]:
         raise ValueError("potential tag requires an exact zero at r = 1")
     stack.flags.writeable = False
-    return hi[0], [max(1.0, h, -l) for h, l in zip(hi, lo)]
+    return hi[0], list(map(max, repeat(1.0), hi, map(neg, lo)))
 
 
 def _checked(regime, t, dt, e_old, stack, energy, enforced):
@@ -460,7 +461,7 @@ def run_flow(initial: FlowState, p: Params, cfg: FlowConfig) -> FlowState:
         trace = _appended(trace, k, grid, t, new, new_energy, sup)
         k += 1
         # the largest change of a row relative to max(1, its old sup norm)
-        change = max(map(truediv, abs(new - stack).max(axis=1).tolist(), scale)) / step_dt
+        change = max(map(truediv, np.maximum.reduce(np.abs(new - stack), axis=1).tolist(), scale)) / step_dt
         stack, scale, energy, boltzmann = new, new_scale, new_energy, made_by
         if change < _STEADY_TOL:
             break

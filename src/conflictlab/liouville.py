@@ -41,14 +41,14 @@ from operator import add, mul
 import numpy as np
 
 from .calculus import (
+    _boltzmann,
     _face_flux,
     _face_masses,
     _green,
     _normalized_density,
-    _pin_wall,
+    _pinned_tridiag,
     _refuse_overflow,
     _solve_tridiag,
-    _tridiag,
 )
 from .errors import Oscillation, SolverDiverged, _releasing
 from .model import Params, RadialField
@@ -139,18 +139,20 @@ class _DampingController:
 
 
 def _flux_defect(grid, delta_flux):
-    """Sup-norm of the finite-volume defect given a face-flux difference."""
-    n = grid.n
-    div = np.empty(n)
-    div[0] = delta_flux[0] / grid.volumes[0]
-    div[1:] = (delta_flux[1:] - delta_flux[:-1]) / grid.volumes[1:n]
-    return float(abs(div).max())
+    """Sup-norm of the finite-volume defect given a face-flux difference,
+    and the jumps of that difference across the cells it divides by their
+    volumes: delta_flux[0] at the axis, then delta_flux[j] - delta_flux[j-1],
+    and 0 at the wall, n+1 values."""
+    jumps = np.zeros(grid.r.shape)
+    jumps[:-1] = delta_flux
+    jumps[1:-1] -= delta_flux[:-1]
+    return float(np.maximum.reduce(np.abs(jumps / grid.volumes))), jumps
 
 
 def _exponents(a, us):
     """Row i of the coupling ``a`` times the potentials ``us``, summed in index order
     as plain products, one array per row (``@`` and ``np.dot`` round apart)."""
-    return tuple(reduce(add, map(mul, row, us)) for row in a)
+    return [reduce(add, map(mul, row, us)) for row in a]
 
 
 def _densities(grid, p, u1, u2):
@@ -192,7 +194,7 @@ def _picard_loop(grid, masses, exponents, state):
             new_us.append(u_new)
             new_cs.append(c_new)
             lams[s] = lam
-            res = max(res, _flux_defect(grid, c_new - cs[s]))
+            res = max(res, _flux_defect(grid, c_new - cs[s])[0])
         if res <= _TOL:
             return us, cs, res, it, tuple(lams)
         ctrl.update(res)
@@ -252,8 +254,8 @@ def solve_single(m, alpha, grid):
 
 def _seeded(grid, g, m):
     """Initial potentials and fluxes: one Green application of the
-    normalized density of exponent ``g`` at mass ``m``."""
-    u, c = _green(grid, _normalized_density(grid, g, m)[0])
+    normalized density of exponent ``g`` at mass ``m`` > 0."""
+    u, c = _green(grid, _boltzmann(grid, g, m)[0])
     return [u], [c]
 
 
@@ -325,48 +327,45 @@ def _newton_w(grid, w, c, drive, p):
     T is the Green operator's tridiagonal matrix and V the cell volumes;
     with rho = m2 e^{-gamma w + drive}/Z, -gamma the coupling's entry (2, 2),
     the Jacobian is T + gamma diag(V rho) - (gamma/m2)(V rho)(2 pi V rho)^T.
-    The face fluxes ``c`` of the iterate ``w`` advance by the face fluxes of
-    each step, so the defect stays the exact finite-volume residual.
-    Returns w with its density rho and m2 ln Z.
+    A step assembles only the Jacobian's diagonal, on the grid's pinned
+    rows of T, and its right-hand side is the jumps of the defect's face
+    fluxes that _flux_defect formed.  The face fluxes ``c`` of the iterate
+    ``w`` advance by the face fluxes of each step, so the defect stays the
+    exact finite-volume residual.  Returns w with its density rho and m2 ln Z,
+    which is formed for that iterate alone.
     """
     a_w, m2 = p.coupling[1][1], p.m2
-    rho, _, m_log_z = _normalized_density(grid, a_w * w + drive, m2)
-    d = _face_masses(grid, rho) - c
-    res = _flux_defect(grid, d)
+    k = -a_w / m2
+    rho, top, part = _boltzmann(grid, a_w * w + drive, m2)
+    res, jumps = _flux_defect(grid, _face_masses(grid, rho) - c)
     steps = 0
-    while res > _TOL * max(1.0, float(rho.max())):
+    while res > _TOL * max(1.0, float(np.maximum.reduce(rho))):
         if steps == _MAX_ITER:
             raise SolverDiverged(
                 f"residual {res:.3e} above tol {_TOL:.1e} "
                 f"after {_MAX_ITER} Newton steps"
             )
         steps += 1
+        # the wall row is the identity with zero right-hand sides (jumps and
+        # vr end in 0), so y and z vanish there and the rank-one term needs no
+        # restriction; the right-hand sides go in gtsv's column order, uncopied
         vr = grid.volumes * rho
-        ab = _tridiag(grid, -a_w * vr)
-        _pin_wall(ab)
-        # the wall row is the identity with zero right-hand sides, so y and z
-        # vanish there and the rank-one term needs no restriction
-        rhs = np.zeros((2, grid.n + 1)).T  # in gtsv's column order: passed uncopied
-        rhs[0, 0] = d[0]
-        rhs[1:-1, 0] = d[1:] - d[:-1]
-        rhs[:-1, 1] = vr[:-1]
-        y, z = _solve_tridiag(ab, rhs).T
+        vr[-1] = 0.0
+        y, z = _solve_tridiag(_pinned_tridiag(grid, -a_w * vr), np.array((jumps, vr)).T).T
         b = grid.weights * rho
-        k = -a_w / m2
         # in (0, 1], it rounds to 0 where gamma V rho outweighs T
-        den = 1.0 - k * np.dot(b, z)
+        den = 1.0 - k * b.dot(z)
         if den == 0.0:
             raise SolverDiverged(f"Sherman-Morrison denominator rounds to 0 at Newton step {steps}")
-        dw = y + (k * np.dot(b, y) / den) * z
+        dw = y + (k * b.dot(y) / den) * z
         dc = _face_flux(grid, dw)
         w_t, c_t, step = w + dw, c + dc, 1.0  # the full step: 1.0 * dw is dw
         for halving in range(_HALVINGS + 1):
             if halving:
                 step *= 0.5
                 w_t, c_t = w + step * dw, c + step * dc
-            rho_t, _, m_log_z_t = _normalized_density(grid, a_w * w_t + drive, m2)
-            d_t = _face_masses(grid, rho_t) - c_t
-            res_t = _flux_defect(grid, d_t)
+            rho_t, top_t, part_t = _boltzmann(grid, a_w * w_t + drive, m2)
+            res_t, jumps_t = _flux_defect(grid, _face_masses(grid, rho_t) - c_t)
             if res_t < res:
                 break
         else:
@@ -374,8 +373,8 @@ def _newton_w(grid, w, c, drive, p):
                 f"residual {res:.3e} above tol {_TOL:.1e} and not "
                 f"decreasing along Newton step {steps}"
             )
-        w, c, rho, m_log_z, d, res = w_t, c_t, rho_t, m_log_z_t, d_t, res_t
-    return w, rho, m_log_z
+        w, c, rho, top, part, jumps, res = w_t, c_t, rho_t, top_t, part_t, jumps_t, res_t
+    return w, rho, m2 * (top + float(np.log(part)))
 
 
 def _central_laplacian(grid, u):
@@ -405,7 +404,7 @@ def residual(sol, p):
     for u, rho_vals, flux in zip((u1, u2), rhos, (sol._flux1, sol._flux2)):
         if flux is not None:
             c_new = _face_masses(grid, rho_vals)
-            out.append(_flux_defect(grid, c_new - flux))
+            out.append(_flux_defect(grid, c_new - flux)[0])
         else:
             lap = _central_laplacian(grid, u)
             out.append(float(np.max(np.abs(lap + rho_vals[: grid.n]))))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,10 @@ class Params:
         if type(self.theta) is not int:
             object.__setattr__(self, "theta", int(self.theta))
 
-    @property
+    @cached_property
     def coupling(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """A = [[alpha, -beta], [-theta beta, -gamma]] by rows; the exponents are g = A u."""
+        """A = [[alpha, -beta], [-theta beta, -gamma]] by rows; the exponents are g = A u.
+        Made once per Params, on first use."""
         b = float(self.beta)
         return (float(self.alpha), -b), (-self.theta * b, -float(self.gamma))
 
@@ -91,8 +93,10 @@ class RadialGrid:
     log_ratio  face factors ln(r_{j+1}/r_j) per cell j = 1..n-1, and 2 at
                j = 0: the axis rule u_0 - u_1 = 2 mtilde_{1/2}
 
-    The face transmissibilities 1/log_ratio that every tridiagonal
-    assembly reads are kept as ``_transmissibility``.
+    The face transmissibilities t = 1/log_ratio that every tridiagonal
+    assembly reads are kept as ``_transmissibility``; ``_pinned_rows``, the
+    ones the chemical Newton solve and the heat step share, are made on first
+    use, so a grid that never assembles them carries nothing extra.
     """
 
     r: np.ndarray
@@ -118,6 +122,21 @@ class RadialGrid:
         np.log(r[2:] / r[1:-1], out=lr[1:])
         object.__setattr__(self, "log_ratio", lr)
         object.__setattr__(self, "_transmissibility", 1.0 / lr)
+
+    @cached_property
+    def _pinned_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(upper, lower, outward, inward): the off-diagonal rows, in gtsv's
+        banded layout, of the matrix with the couplings -t between cells and
+        the wall row the identity, decoupled from the rest; and t with a zero
+        appended and prepended, the couplings through each cell's outer and
+        inner face, which a diagonal adds in that order."""
+        t = self._transmissibility
+        upper, lower, pad = np.zeros(t.size + 1), np.zeros(t.size + 1), np.zeros(t.size + 2)
+        upper[1:-1] = lower[:-2] = -t[:-1]
+        pad[1:-1] = t
+        for row in (upper, lower, pad):
+            row.flags.writeable = False  # shared by every assembly on the grid
+        return upper, lower, pad[1:], pad[:-1]
 
     @property
     def n(self) -> int:

@@ -10,6 +10,7 @@ from conflictlab.calculus import (
     _face_masses,
     _green,
     _pairing,
+    _pinned_tridiag,
     dirichlet_energy,
     entropy,
     face_flux,
@@ -19,7 +20,9 @@ from conflictlab.calculus import (
     inv_laplacian,
     log_partition,
 )
-from conflictlab.model import RadialField, make_grid
+from conflictlab.flow import _heat_bands
+from conflictlab.liouville import _flux_defect, solve_pair, solve_single
+from conflictlab.model import Params, RadialField, make_grid
 
 G64 = make_grid(64)
 
@@ -230,3 +233,70 @@ class TestStackedRows:
         assert _pairing(grid, a, b).tolist() == [_pairing(grid, x, y) for x, y in zip(a, b)]
         gram = _pairing(grid, faces[:, None], faces[None]).tolist()
         assert gram == [[_pairing(grid, x, y) for y in faces] for x in faces]
+
+
+def tridiag_then_pin(grid, diag):
+    """The assembly the pinned rows replaced: the Green couplings t around
+    diag in a zeroed banded matrix, then the wall row made the identity."""
+    t = 1.0 / grid.log_ratio
+    ab = np.zeros((3, grid.n + 1))
+    ab[1] = diag
+    ab[1, :-1] += t
+    ab[1, 1:] += t
+    ab[0, 1:] = -t
+    ab[2, :-1] = -t
+    ab[0][-1] = 0.0
+    ab[1][-1] = 1.0
+    ab[2][-2] = 0.0
+    return ab
+
+
+class TestPinnedTridiag:
+    GRIDS = [(n, kind) for n in (8, 33, 4097) for kind in ("uniform", "graded")]
+
+    @pytest.mark.parametrize("n, kind", GRIDS)
+    def test_newton_diagonals_match_the_old_assembly(self, n, kind):
+        grid = make_grid(n, kind)
+        rng = np.random.default_rng(n)
+        for gamma in (0.5, 1.0, 26.737):
+            vr = grid.volumes * rng.uniform(0.0, 50.0, n + 1)
+            want = tridiag_then_pin(grid, gamma * vr)
+            vr[-1] = 0.0  # as the Newton step passes it
+            assert _pinned_tridiag(grid, gamma * vr).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, kind", GRIDS)
+    def test_heat_bands_match_the_old_assembly(self, n, kind):
+        grid = make_grid(n, kind)
+        for dt in (2.0**-11, 1e-3, 0.1, 1e-14, 3.0):
+            want = tridiag_then_pin(grid, grid.volumes / dt)
+            assert _heat_bands(grid, dt).tobytes() == want.tobytes()
+
+    def test_rows_made_once_on_first_use_and_read_only(self):
+        grid = make_grid(16)
+        assert "_pinned_rows" not in vars(grid)
+        _pinned_tridiag(grid, grid.volumes)
+        rows = vars(grid)["_pinned_rows"]
+        _pinned_tridiag(grid, grid.volumes)
+        assert grid._pinned_rows is rows
+        assert not any(row.flags.writeable for row in rows)
+
+    def test_steady_solves_make_no_rows(self):
+        grid = make_grid(64)
+        solve_pair(Params(1.0, 0.5, 1.0, 1, 10.0, 4.0), grid)
+        solve_single(5.0, 1.0, grid)
+        assert "_pinned_rows" not in vars(grid)
+
+
+class TestFluxDefect:
+    @pytest.mark.parametrize("n, kind", [(8, "uniform"), (33, "graded"), (4097, "uniform")])
+    def test_jumps_and_defect_match_their_definition(self, n, kind):
+        grid = make_grid(n, kind)
+        d = np.random.default_rng(n).standard_normal(n)
+        res, jumps = _flux_defect(grid, d)
+        want = np.empty(n + 1)
+        want[0], want[1:-1], want[-1] = d[0], d[1:] - d[:-1], 0.0
+        assert jumps.tobytes() == want.tobytes()
+        div = np.empty(n)
+        div[0] = d[0] / grid.volumes[0]
+        div[1:] = (d[1:] - d[:-1]) / grid.volumes[1:n]
+        assert res == float(abs(div).max())

@@ -218,3 +218,19 @@ class TestProjectDensity:
         assert np.isclose(integrate_disk(out), m, rtol=1e-12)
         again = project_density(out, m)
         np.testing.assert_allclose(again.values, out.values, rtol=1e-14)
+
+
+class TestCoupling:
+    def test_made_once_per_params(self):
+        p = Params(1.0, 2.0, 0.5, -1, 3.0, 4.0)
+        assert p.coupling is p.coupling
+        assert p.coupling == ((1.0, -2.0), (2.0, -0.5))
+
+    def test_replace_gives_the_new_coupling(self):
+        p = Params(1.0, 2.0, 0.5, -1, 3.0, 4.0)
+        p.coupling
+        q = replace(p, beta=3.0)
+        assert q.coupling == ((1.0, -3.0), (3.0, -0.5))
+        assert replace(q, theta=1).coupling == ((1.0, -3.0), (-3.0, -0.5))
+        assert p.coupling == ((1.0, -2.0), (2.0, -0.5))
+        assert q == Params(1.0, 3.0, 0.5, -1, 3.0, 4.0) and hash(q) == hash(Params(1.0, 3.0, 0.5, -1, 3.0, 4.0))
