@@ -29,10 +29,17 @@ and give, row by row, the same bits as one call per row.
 _solve_tridiag is the one entry to LAPACK.  Of its banded matrices,
 _pinned_tridiag builds only the diagonal, for the chemical Newton solve and
 the heat step: the grid makes the pinned Green rows once, on first use.
+
+Importing this module sets two process-wide glibc malloc parameters
+through mallopt, where the C library has it: the mmap threshold to 4 MiB
+and the heap trim threshold to 8 MiB, so that steady solves and flow steps
+on up to 16384 cells reuse their heap pages instead of faulting them in
+again at every iteration.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -54,6 +61,27 @@ __all__ = [
     "inv_laplacian",
     "log_partition",
 ]
+
+# glibc's malloc serves a request of M_MMAP_THRESHOLD bytes or more by its
+# own mmap, and gives the free top of its heap back to the kernel once that
+# exceeds M_TRIM_THRESHOLD.  Both start at 128 KiB and glibc raises them only
+# as mmapped blocks are freed, so a solve or a step on thousands of cells,
+# whose arrays are that large, unmaps or trims its pages at every free and
+# faults them in again at the next allocation.  One steady solve or flow
+# step on 16384 cells peaks under 4 MiB of arrays (tracemalloc): with every
+# block under 4 MiB taken from the heap and up to 8 MiB of free heap top
+# kept, its pages are reused.  A set threshold also ends glibc's own
+# adjustment.  The two settings hold for the whole process.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers
+_TRIM_BYTES, _MMAP_BYTES = 8 << 20, 4 << 20
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except AttributeError:  # not glibc: its allocator keeps its own policy
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    _mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 
 
 def integrate_disk(f: RadialField) -> float:
@@ -83,9 +111,11 @@ def inv_laplacian(rho: RadialField) -> RadialField:
 
 def _green(grid: RadialGrid, rho_vals: np.ndarray):
     """inv_laplacian on raw arrays: the potential values and face masses,
-    or their rows for densities stacked as rows."""
+    or their rows for densities stacked as rows.  The potential is written
+    into an uninitialised array whose wall value alone is set."""
     mt = _face_masses(grid, rho_vals)
-    u = np.zeros(rho_vals.shape)
+    u = np.empty(rho_vals.shape)
+    u[..., -1] = 0.0
     # the suffix sums of mt * log_ratio, written from the wall inwards into u[:-1]
     np.add.accumulate((mt * grid.log_ratio)[..., ::-1], axis=-1, out=u[..., -2::-1])
     return u, mt
@@ -195,11 +225,14 @@ def _normalized_density(grid: RadialGrid, g: np.ndarray, m: float):
 def _boltzmann(grid: RadialGrid, g: np.ndarray, m: float):
     """The density m e^g / integral(e^g) at a mass m > 0, with top = max g
     and z = integral(e^(g - top)): the overflow-safe exponential of
-    _normalized_density, without its multiplier and log-partition term."""
+    _normalized_density, without its multiplier and log-partition term.
+    The exponential and its scaling act in place on the one array g - top."""
     top = float(np.maximum.reduce(g))
-    e = np.exp(g - top)
+    e = g - top
+    np.exp(e, out=e)
     z = float(grid.weights.dot(e))
-    return (m / z) * e, top, z
+    e *= m / z
+    return e, top, z
 
 
 def _tridiag(grid: RadialGrid, diag, fpm) -> np.ndarray:
@@ -236,7 +269,8 @@ def _load_gtsv():
     """LAPACK's dgtsv from scipy's compiled _flapack extension, loaded from
     its file: the binary scipy.linalg.lapack.dgtsv wraps, without running
     the scipy or scipy.linalg package init.  A missing file raises
-    ImportError naming it."""
+    ImportError naming it.  Loading it leaves the heap as it was: the
+    module sets the heap thresholds once, at import."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         raise ImportError("the tridiagonal solver needs scipy", name="scipy")
@@ -254,13 +288,6 @@ def _load_gtsv():
     # that a later import of scipy.linalg loads it as its submodule and
     # binds it as the package attribute _flapack.
     sys.modules.pop(name, None)
-    # glibc raises its mmap threshold to the size of a freed mmapped block,
-    # and its heap trim threshold to twice that.  At the default thresholds
-    # a 4096-cell step, whose temporaries peak at 964 KiB (single density),
-    # gives its heap top back at every free and faults it in again.
-    # Freeing one 1 MiB block, never written and so never resident, raises
-    # both once: steps on up to 8192 cells then reuse their heap pages.
-    np.empty(1 << 17)
     return flapack.dgtsv
 
 

@@ -142,11 +142,15 @@ def _flux_defect(grid, delta_flux):
     """Sup-norm of the finite-volume defect given a face-flux difference,
     and the jumps of that difference across the cells it divides by their
     volumes: delta_flux[0] at the axis, then delta_flux[j] - delta_flux[j-1],
-    and 0 at the wall, n+1 values."""
-    jumps = np.zeros(grid.r.shape)
-    jumps[:-1] = delta_flux
-    jumps[1:-1] -= delta_flux[:-1]
-    return float(np.maximum.reduce(np.abs(jumps / grid.volumes))), jumps
+    and 0 at the wall, n+1 values.  The jumps are written once into an
+    uninitialised array; their quotient by the volumes takes its abs in
+    place."""
+    jumps = np.empty(grid.r.shape)
+    jumps[0] = delta_flux[0]
+    np.subtract(delta_flux[1:], delta_flux[:-1], out=jumps[1:-1])
+    jumps[-1] = 0.0
+    div = jumps / grid.volumes
+    return float(np.maximum.reduce(np.abs(div, out=div))), jumps
 
 
 def _exponents(a, us):
@@ -168,41 +172,48 @@ def _picard_loop(grid, masses, exponents, state):
     """Core damped fixed-point iteration of solve_pair.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
-    tuple of exponent arrays, one per species; a species with zero mass has
-    zero density, so its potential stays zero.  ``state`` is ``(us, cs)``
-    with ``cs`` the face fluxes that generated ``us``; mixing both with the
-    same damping keeps them consistent, which is what makes the flux-form
-    residual the exact finite-volume defect of the iterate.  Raises
-    SolverDiverged after ``_MAX_ITER`` iterations and Oscillation when
-    the damping controller gives up.
+    tuple of exponent arrays, one per species, each of positive mass.
+    ``state`` is ``(us, cs)`` with ``cs`` the face fluxes that generated
+    ``us``; mixing both with the same damping keeps them consistent, which
+    is what makes the flux-form residual the exact finite-volume defect of
+    the iterate.  Each iteration forms the Green update's differences from
+    the iterate once: they give the residual and, scaled by the damping
+    unless it is 1, the mixing step, which updates copies of the start
+    arrays in place.  The multipliers are formed for the iterate returned
+    alone.  Raises SolverDiverged after ``_MAX_ITER`` iterations and
+    Oscillation when the damping controller gives up.
     """
-    us, cs = state
+    # copies, which the loop mixes in place
+    us, cs = ([x.copy() for x in xs] for xs in state)
     ctrl = _DampingController(_DAMPING)
-    nsp = len(masses)
     du_prev = None
     cool = 0
     res = math.inf
-    lams = [0.0] * nsp
     for it in range(_MAX_ITER):
-        new_us = []
-        new_cs = []
+        du = []
+        dc = []
+        parts = []
         res = 0.0
-        gs = exponents(us)
-        for s in range(nsp):
-            rho_vals, lam, _ = _normalized_density(grid, gs[s], masses[s])
+        for g, m, u, c in zip(exponents(us), masses, us, cs):
+            rho_vals, top, z = _boltzmann(grid, g, m)
             u_new, c_new = _green(grid, rho_vals)
-            new_us.append(u_new)
-            new_cs.append(c_new)
-            lams[s] = lam
-            res = max(res, _flux_defect(grid, c_new - cs[s])[0])
+            u_new -= u
+            c_new -= c
+            du.append(u_new)
+            dc.append(c_new)
+            parts.append((top, z))
+            res = max(res, _flux_defect(grid, c_new)[0])
         if res <= _TOL:
-            return us, cs, res, it, tuple(lams)
+            lams = tuple(m * math.exp(-top) / z for m, (top, z) in zip(masses, parts))
+            return us, cs, res, it, lams
         ctrl.update(res)
         d = ctrl.d
-        du = [d * (new_us[s] - us[s]) for s in range(nsp)]
-        dc = [d * (new_cs[s] - cs[s]) for s in range(nsp)]
-        us = [us[s] + du[s] for s in range(nsp)]
-        cs = [cs[s] + dc[s] for s in range(nsp)]
+        if d != 1.0:  # 1.0 * x is x, bit for bit
+            for x in (*du, *dc):
+                x *= d
+        for u, c, x, y in zip(us, cs, du, dc):
+            u += x
+            c += y
         cool += 1
         if du_prev is not None and d == 1.0 and cool >= _ACCEL_COOLDOWN:
             flat = np.concatenate(du)
@@ -212,8 +223,9 @@ def _picard_loop(grid, masses, exponents, state):
                 lam_est = float(np.dot(flat, flat_prev)) / nrm
                 if 0.5 < lam_est < 0.9999:
                     boost = lam_est / (1.0 - lam_est)
-                    us = [us[s] + boost * du[s] for s in range(nsp)]
-                    cs = [cs[s] + boost * dc[s] for s in range(nsp)]
+                    for u, c, x, y in zip(us, cs, du, dc):
+                        u += boost * x
+                        c += boost * y
                     cool = 0
                     ctrl.poke()
         du_prev = du

@@ -1,3 +1,7 @@
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,3 +304,61 @@ class TestFluxDefect:
         div[0] = d[0] / grid.volumes[0]
         div[1:] = (d[1:] - d[:-1]) / grid.volumes[1:n]
         assert res == float(abs(div).max())
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter; its standard output."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestHeapThresholds:
+    """Importing calculus sets glibc's mmap threshold to 4 MiB and its trim
+    threshold to 8 MiB, and sets nothing where the C library has no
+    mallopt."""
+
+    # a C library stand-in: numpy is imported first, since it loads
+    # libraries through ctypes itself
+    LIBC = (
+        "import ctypes, numpy as np\n"
+        "calls = []\n"
+        "class Libc:\n"
+        "    def __init__(self, name):\n"
+        "        assert name is None\n"
+        "{}"
+        "ctypes.CDLL = Libc\n"
+        "from conflictlab import liouville, model\n"
+    )
+
+    def test_import_sets_both_thresholds(self):
+        code = self.LIBC.format(
+            "        self.mallopt = lambda param, value: calls.append((param, value)) or 1\n"
+        ) + "print(calls)\n"
+        assert run_fresh(code).strip() == str([(-3, 4 << 20), (-1, 8 << 20)])
+
+    def test_imports_without_mallopt(self):
+        code = self.LIBC.format("") + (
+            "print(liouville.solve_single(5.0, 1.0, model.make_grid(64)).u1.values.tobytes().hex())\n"
+        )
+        want = solve_single(5.0, 1.0, make_grid(64)).u1.values.tobytes().hex()
+        assert run_fresh(code).strip() == want
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+    def test_second_steady_solve_does_not_fault_the_heap(self):
+        """A repeated 16384-cell pair solve, which never loads LAPACK,
+        reuses its heap pages: at glibc's default thresholds it faulted
+        them in again at every Picard iteration, some 1,200 times."""
+        code = (
+            "import resource, sys\n"
+            "from conflictlab import liouville, model\n"
+            "g = model.make_grid(16384)\n"
+            "p = model.Params(1.0, 2.0, 1.0, -1, 22.0, 8.0)\n"
+            "liouville.solve_pair(p, g)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "liouville.solve_pair(p, g)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+            "print(after - before)\n"
+        )
+        assert int(run_fresh(code)) <= 16

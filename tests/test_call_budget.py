@@ -4,7 +4,13 @@ A 32-cell flow step costs per call, not per cell, so its wall time drifts
 with the host while its call count does not.  These tests count the
 ``call`` and ``c_call`` events of ``sys.setprofile`` (a Python function
 entered or a generator resumed; a builtin function or method called from
-Python code) and hold each count to its budget:
+Python code) and hold each count to its budget.  A numpy ufunc call raises
+no event, whether an operator (``a + b``, ``x *= d``) or a named call
+(``np.add``, ``np.exp``, ``np.subtract(..., out=)``); its methods and
+numpy's other builtins do (``np.maximum.reduce``, ``np.zeros``,
+``ndarray.dot``, ``ndarray.tolist``; checked on numpy 2.4).  So the counts
+leave out elementwise arithmetic, and a pass saved there shows in the wall
+time but not here.  The budgets:
 
 * one run_flow step of each regime on 32 cells, after a warm-up;
 * one Newton step of the chemical solve (liouville._newton_w);
@@ -35,7 +41,7 @@ RECORDED = {
         "step.pair": 66.5,
         "step.potentials": 44.6,
         "newton_step": 17.0,
-        "picard_iteration": 47.8,
+        "picard_iteration": 42.3,
     },
 }
 VERSION = (".".join(np.__version__.split(".")[:2]), f"{sys.version_info[0]}.{sys.version_info[1]}")
