@@ -71,7 +71,7 @@ __all__ = [
 # step on 16384 cells peaks under 4 MiB of arrays (tracemalloc): with every
 # block under 4 MiB taken from the heap and up to 8 MiB of free heap top
 # kept, its pages are reused.  A set threshold also ends glibc's own
-# adjustment.  The two settings hold for the whole process.
+# adjustment.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers
 _TRIM_BYTES, _MMAP_BYTES = 8 << 20, 4 << 20
 try:
