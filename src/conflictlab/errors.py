@@ -1,8 +1,8 @@
 """The exception classes some caller tells apart by type, and _releasing.
 
-A refused input raises a plain ValueError (exit 3) and a failed
-computation a plain RuntimeError (exit 2); a class lives here only where a
-caller catches, names or filters it by type.
+Three: SolverDiverged, its subclass Oscillation, and StepRejected.  A
+refused input is a plain ValueError (exit 3), a failed computation a
+plain RuntimeError (exit 2): a class lives here only if a caller names it.
 
 A failure keeps its message, not the solver's arrays.  The public entries
 that run a solver loop or a flow step are wrapped in ``_releasing``: a
@@ -57,8 +57,3 @@ class Oscillation(SolverDiverged):
 
 class StepRejected(RuntimeError):
     """A flow step violated positivity or increased the energy monitor."""
-
-
-class DegenerateQuadraticForm(Warning):
-    """|beta^2 + alpha*gamma*theta| below threshold: the energy monitor for
-    the potential flow is disabled, stepping proceeds."""

@@ -14,12 +14,13 @@ satisfy the same discrete steady equations the elliptic solvers produce.
 Potential equations advance by implicit diffusion with the normalized
 exponential sources of the current potentials, both in one solve with a
 column each; the wall value stays exactly zero.  The monitored energy is
-enforced only in the regimes where the underlying system is a gradient
-flow for it.  A step evaluates each exponential, Green sum and face flux
-once, on raw arrays, and derives the new fields, the energy and the
-trace row from them, through the same array cores as the public
-functionals; the two species of the pair regime go through the Green
-sum, the entropy and the pairings as the rows of one stack.
+enforced only where the system is a gradient flow for it: for the
+potentials, at theta = -1 with alpha*gamma > beta^2.  A step evaluates
+each exponential, Green sum and face flux once, on raw arrays, and
+derives the new fields, the energy and the trace row from them, through
+the same array cores as the public functionals; the two species of the
+pair regime go through the Green sum, the entropy and the pairings as
+the rows of one stack.
 
 The three regimes are the rows of one table, _REGIMES, keyed by their
 FLOW_LIMITS values.  A regime's row holds its core: one step of dt from the
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -76,7 +76,7 @@ from .calculus import (
     _tridiag,
     face_flux,
 )
-from .errors import DegenerateQuadraticForm, StepRejected, _releasing
+from .errors import StepRejected, _releasing
 from .functionals import _energy_rho, _energy_u, _total
 from .liouville import Solution, _densities, _exponents, _minimize_w
 from .model import _DT_FLOOR, FLOW_LIMITS, FlowConfig, Params, RadialField, RadialGrid
@@ -95,7 +95,6 @@ __all__ = [
 _ENERGY_SLACK = 1e-10
 _STEADY_TOL = 1e-10
 _GROWTH = 1.2
-_DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,26 +236,12 @@ def _pair_core(grid, stack, boltzmann, p, dt, bands):
 
 
 def _potential_core(grid, stack, boltzmann, p, dt, bands):
-    """step_potentials' core."""
+    """step_potentials' core; it enforces the energy where theta = -1 and alpha*gamma > beta^2."""
     us = stack[1:3]
     # run_flow passes the Params its last step stored: "is" spares the field compare
     sources = stack[::3] if boltzmann is p or boltzmann == p else _densities(grid, p, *us)[0]
     us = _heat_step(grid, dt, us, sources, bands(dt))
-    enforced = False
-    if p.theta == -1:
-        disc = p.alpha * p.gamma - p.beta * p.beta
-        if -_DEGENERATE_TOL <= disc <= _DEGENERATE_TOL:
-            warnings.warn(
-                DegenerateQuadraticForm(
-                    "alpha*gamma - beta^2 is at the degenerate threshold; "
-                    "energy monitoring disabled for this step"
-                ),
-                # past the caller (run_flow or step_potentials) and its
-                # _releasing entry, at their caller
-                stacklevel=4,
-            )
-        else:
-            enforced = disc > 0
+    enforced = p.theta == -1 and p.alpha * p.gamma > p.beta * p.beta
     return *_potential_fields(grid, us, p), enforced
 
 
@@ -375,9 +360,9 @@ def step_potentials(s: FlowState, p: Params, dt: float) -> FlowState:
 
     Implicit diffusion, explicit normalized exponential sources, Dirichlet
     wall values preserved exactly.  The two-potential energy is enforced
-    only in the conflict case with a definite quadratic form; at the
-    degenerate threshold a DegenerateQuadraticForm warning fires and the
-    step proceeds unmonitored.
+    where the step is a gradient flow of it: in the conflict case theta = -1
+    with the form alpha|u1'|^2 - 2beta u1'u2' + gamma|u2'|^2 definite, that
+    is alpha*gamma > beta^2.
     """
     name, _, _, _, core = _REGIMES[FLOW_LIMITS["potentials"]]
     bands = functools.partial(_heat_bands, s._grid)

@@ -109,6 +109,16 @@ def blowdown_coefficients(m1, m2, p: Params):
     return np.where(applies, lam, lam2), np.where(applies, lam1, math.nan)
 
 
+def _critical_mass(p: Params) -> float:
+    """8pi/alpha, the critical mass of species 1 alone; +inf at alpha = 0."""
+    return math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha
+
+
+def _strip_top(p: Params) -> float:
+    """m2* = (4pi/gamma)(2beta/alpha - 1), the top edge of the strip."""
+    return (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0)
+
+
 def strip_mass(p: Params) -> float:
     """Largest m1 the radial existence strip reaches, +inf when gamma = 0.
 
@@ -128,7 +138,7 @@ def strip_mass(p: Params) -> float:
         raise ValueError("strip_mass is defined for beta > alpha/2")
     if p.gamma == 0.0:
         return math.inf
-    m2s = (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0)
+    m2s = _strip_top(p)
     half = p.alpha / (2.0 * p.beta)
     root = math.hypot(
         p.beta * m2s - 2.0 * math.pi * p.alpha / p.beta,
@@ -195,7 +205,7 @@ def _conflict_table(p: Params, m1, m2):
     the name of each deciding quantity to its values.
     """
     lam, lam1, lam2 = lambda_values(m1, m2, p)
-    crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
+    crit_gap = _critical_mass(p) - m1
     beta_gap = p.beta - p.alpha / 2.0
     strip_gap = (
         math.inf
@@ -226,8 +236,7 @@ def _conflict_table(p: Params, m1, m2):
         if p.gamma == 0.0:
             best_m2 = np.where(p.beta * m1 / (2.0 * math.pi) - 2.0 > 0.0, m2, 0.0)
         else:
-            top = (_FOUR_PI / p.gamma) * (2.0 * p.beta / p.alpha - 1.0)
-            hi = np.minimum(m2, top)
+            hi = np.minimum(m2, _strip_top(p))
             with np.errstate(over="ignore"):  # subnormal gamma: an end of [0, hi]
                 best_m2 = np.clip((p.beta * m1 - _FOUR_PI) / p.gamma, 0.0, hi)
         best = lambda_values(m1, best_m2, p)[0]
@@ -272,7 +281,7 @@ def _cooperative_table(p: Params, m1, m2):
     Returns (verdicts, rules, fired) for broadcast m1, m2.
     """
     lam, lam1, lam2 = lambda_values(m1, m2, p)
-    crit_gap = math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha - m1
+    crit_gap = _critical_mass(p) - m1
     a2 = 0.5 * p.gamma
     a1 = _FOUR_PI - p.beta * m1
     a0 = 0.5 * m1 * (8.0 * math.pi - p.alpha * m1)
@@ -378,7 +387,7 @@ def _boundary_curves(p: Params, m1_range, m2_range, samples: int = 1024) -> dict
         lambda1_zero = in_range((p.beta * m1s - _FOUR_PI) / p.gamma)
     has_strip = p.theta == -1 and p.alpha > 0.0 and p.beta > p.alpha / 2.0
     return {
-        "m1_critical": vertical(math.inf if p.alpha == 0.0 else 8.0 * math.pi / p.alpha),
+        "m1_critical": vertical(_critical_mass(p)),
         "m1_half_critical": vertical(half_critical),
         "lambda_zero": lambda_zero,
         "lambda1_zero": lambda1_zero,
@@ -417,9 +426,8 @@ def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:
     lambdas = np.stack([fired["lambda"], fired["lambda1"], fired["lambda2"]])
 
     if p_base.theta == -1:
-        crit = math.inf if p_base.alpha == 0.0 else 8.0 * math.pi / p_base.alpha
         lam, _, lam2 = lambdas
-        overlap = (mm1 < crit - _TOL) & (lam < -_TOL) & (lam2 < -_TOL)
+        overlap = (mm1 < _critical_mass(p_base) - _TOL) & (lam < -_TOL) & (lam2 < -_TOL)
         if np.any(overlap):
             raise RuntimeError("rules (1) and (2) fired together; Lambda2 must "
                                "be positive below the critical mass")

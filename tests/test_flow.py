@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 
 from conflictlab import flow, liouville
 from conflictlab.calculus import integrate_disk, inv_laplacian
-from conflictlab.errors import DegenerateQuadraticForm, SolverDiverged, StepRejected
+from conflictlab.errors import SolverDiverged, StepRejected
 from conflictlab.functionals import (
     _joint_terms,
     relaxed_free_energy,
@@ -709,10 +709,25 @@ class TestTwoDensityStep:
 
 
 class TestPotentialStep:
-    def test_degenerate_form_warns_and_proceeds(self, g256):
+    @staticmethod
+    def rising(monkeypatch):
+        """Make the potential core report an energy risen by 1 plus its
+        size, leaving whether that energy is enforced to the core."""
+        *_, real = flow._REGIMES[FLOW_LIMITS["potentials"]]
+
+        def risen(*args):
+            stack, energy, boltzmann, enforced = real(*args)
+            return stack, energy + 1.0 + abs(energy), boltzmann, enforced
+
+        patch_core(monkeypatch, "potentials", risen)
+
+    def test_degenerate_form_proceeds_unmonitored(self, g256, monkeypatch):
+        # alpha*gamma = beta^2: no gradient flow, so a risen energy passes
         p = Params(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=4.0, m2=2.0)
         s = flow.initial_state(p, CFG_POT, u1=zero_potential(g256), u2=zero_potential(g256))
-        with pytest.warns(DegenerateQuadraticForm):
+        self.rising(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s = flow.step_potentials(s, p, 0.01)
         assert s.t == 0.01
 
@@ -720,8 +735,30 @@ class TestPotentialStep:
         p = Params(alpha=2.0, beta=1.0, gamma=1.0, theta=-1, m1=4.0, m2=2.0)
         s = flow.initial_state(p, CFG_POT, u1=zero_potential(g256), u2=zero_potential(g256))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DegenerateQuadraticForm)
+            warnings.simplefilter("error")
             flow.step_potentials(s, p, 0.01)
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [(1e-6, 0.0, 1e-6), (1e-7, 1e-8, 1e-7)])
+    def test_small_definite_forms_are_monitored(self, g256, monkeypatch, alpha, beta, gamma):
+        # alpha*gamma > beta^2, though alpha*gamma - beta^2 is below 1e-12
+        p = Params(alpha=alpha, beta=beta, gamma=gamma, theta=-1, m1=4.0, m2=2.0)
+        cfg = replace(CFG_POT, dt=0.01, t_end=0.05, adapt=False)
+        s = flow.initial_state(p, cfg, u1=zero_potential(g256), u2=zero_potential(g256))
+        self.rising(monkeypatch)
+        for run in (lambda: flow.step_potentials(s, p, 0.01), lambda: flow.run_flow(s, p, cfg)):
+            with pytest.raises(StepRejected, match="^monitored energy rose from "):
+                run()
+
+    def test_nearly_degenerate_form_keeps_its_energy_falling(self, g256):
+        # alpha*gamma - beta^2 = 2e-13: definite, so every step is checked
+        p = Params(alpha=1.0, beta=1.0 - 1e-13, gamma=1.0, theta=-1, m1=4.0, m2=2.0)
+        cfg = replace(CFG_POT, dt=1e-3, t_end=0.5, adapt=False)
+        s = flow.initial_state(p, cfg, u1=zero_potential(g256), u2=zero_potential(g256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            end = flow.run_flow(s, p, cfg)
+        assert end._rows == 501 and math.isclose(end.t, 0.5, rel_tol=1e-12)
+        assert np.all(np.diff(end.energy_trace[:, 1]) <= 0.0)
 
     def test_wall_values_stay_zero(self, g256):
         p = Params(alpha=2.0, beta=1.0, gamma=1.0, theta=-1, m1=4.0, m2=2.0)
@@ -973,19 +1010,16 @@ class TestRunFlowIsTheStepLoop:
         assert ends[0]._boltzmann == p
         assert len(calls) == 2 * 21
 
-    def test_degenerate_threshold_warns_at_every_step(self):
+    def test_degenerate_form_runs_without_warnings(self):
         p = Params(alpha=1.0, beta=1.0, gamma=1.0, theta=-1, m1=4.0, m2=2.0)
         cfg = FlowConfig(*FLOW_LIMITS["potentials"], dt=2.0**-10, t_end=20 * 2.0**-10, adapt=False)
         s = self.start("potentials", p, cfg, make_grid(64))
-        ends, counts = [], []
-        for run in (flow.run_flow, stepped_loop):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                ends.append(run(s, p, cfg))
-            counts.append(sum(issubclass(w.category, DegenerateQuadraticForm) for w in caught))
-            assert all(w.filename == __file__ for w in caught)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ends = [run(s, p, cfg) for run in (flow.run_flow, stepped_loop)]
+        assert caught == []
         self.assert_same_run(*ends)
-        assert counts == [20, 20]
+        assert ends[0]._rows == 21
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_nan_solve(self, monkeypatch, case):

@@ -171,6 +171,26 @@ def test_a_solver_failure_is_the_only_line_on_stderr(tmp_path):
     assert not (tmp_path / "flow_trace.csv").exists()
 
 
+@pytest.mark.parametrize("alpha, beta, gamma", [(1.0, 1.0, 1.0), (1e-6, 0.0, 1e-6)])
+def test_a_potential_flow_at_exit_0_leaves_stderr_empty(tmp_path, alpha, beta, gamma):
+    """A conflict potential flow in a fresh interpreter, where a warning
+    would reach stderr: at alpha*gamma = beta^2, and at a definite form
+    with alpha*gamma below 1e-12.  Exit 0, the trace, nothing on stderr."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"[run]\ncommand = flow\nalpha = {alpha!r}\nbeta = {beta!r}\ngamma = {gamma!r}\n"
+        "theta = -1\nm1 = 4.0\nm2 = 2.0\n" + SECTIONS["flow"].format(case="potentials")
+    )
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "conflictlab.cli",
+         "--config", str(cfg), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert (tmp_path / "flow_trace.csv").exists()
+
+
 def test_oracle_sum_past_its_bound_exit_3(tmp_path):
     """(m2/2pi)^2 is finite at m2 = 8e154, but the ratio's Simpson sum of
     1000 terms up to it is not."""
@@ -213,6 +233,8 @@ magnitudes = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
          alpha=1.0, beta=2.0, gamma=30.0, case="single")
 @example(command="flow", m1=487.5, m2=7.9027e15, theta=1, res=1, rungs=1,
          alpha=0.1005, beta=1.2153, gamma=26.737, case="single")
+@example(command="flow", m1=4.0, m2=2.0, theta=-1, res=1, rungs=1,
+         alpha=1.0, beta=1.0, gamma=1.0, case="potentials")
 @given(
     command=st.sampled_from(sorted(SECTIONS)),
     m1=magnitudes,
@@ -231,17 +253,19 @@ def test_any_magnitude_exits_0_2_or_3_with_finite_tables(
     """Every command, with every mass and constant drawn over 1e-3 to 1e300,
     succeeds with finite tables, fails as a solver (exit 2, only where it
     runs one) or is refused (exit 3), with that line alone on stderr and no
-    table.
+    table; a success leaves stderr empty.
     The first example is an annulus too thin for its masses, a band of m1
     just above 15 m2 + 2 pi at these constants: a configuration error, exit
     3.  The second is a cooperative flow whose chemical minimizer rounds to
     a w that rises by more than 1e-10 between cells: a solver failure, exit
-    2."""
+    2.  The third is a conflict potential flow at alpha*gamma = beta^2,
+    which runs unmonitored: exit 0."""
     psis = ", ".join(str(2.0**k) for k in range(1, rungs + 1))
     code, err, tables = run(tmp_path_factory.mktemp("fuzz"), command, m1, m2, theta, res, psis,
                             alpha, beta, gamma, case)
     assert code in ((0, 2, 3) if command in SOLVERS else (0, 3)), err
     if code == 0:
+        assert err == ""
         assert nonfinite_cells(tables) == []
     else:
         prefix = "solver failure: " if code == 2 else "configuration error: "
