@@ -9,8 +9,9 @@ single radial ODE there,
 In the log variable t = -ln r the equation becomes autonomous after a linear
 shift, carries a conserved energy, and has an explicit solution that blows
 down at t = ln(1/psi).  This module builds that solution, matches its energy
-to the wall slope, integrates the original equation directly as an
-independent route, and evaluates the Dirichlet-growth ratio
+to the wall slope, decides from it whether the profile is monotone on the
+outer window r >= sqrt(psi), integrates the original equation directly
+there as an independent route, and evaluates the Dirichlet-growth ratio
 
     integral_{sqrt(psi)}^1 r v_r^2 dr / ln(1/sqrt(psi))  ->  (m2/2pi)^2
 
@@ -38,8 +39,6 @@ TWO_PI = 2.0 * math.pi
 PSI_FLOOR = 1e-12
 """Smallest supported inner radius; below it ln(1/psi) roundoff dominates."""
 
-_MATCH_TOL = 1e-12
-_MONO_SLACK = 1e-12
 # match_energy doubles energies up to its bracket 2 s^2 and exact_solution
 # multiplies one by 4 gamma, for the slope limit s: 16 max(1, gamma) s^2
 # finite leaves a factor 2 over both
@@ -55,11 +54,12 @@ class AnnulusParams:
     m2      total mass of the profile species, > 0
     psi     inner radius of the annulus, in [PSI_FLOOR, 1)
 
-    Construction enforces the standing hypothesis
-    (beta_m - gamma*m2)/2pi - 2 > 0 under which the profile is monotone
-    away from the inner edge, and refuses, with ValueError, a slope limit
-    whose energy match would over- or underflow, or that no energy matches:
-    one at or below the e -> 0 limit 2/(gamma ln(1/psi)), an annulus too thin.
+    Construction enforces the standing hypothesis, a positive slope limit
+    (beta_m - gamma*m2)/2pi - 2 > 0, and refuses with ValueError a slope
+    limit whose energy match would over- or underflow, or that no energy
+    matches (at or below 2/(gamma ln(1/psi)), an annulus too thin).  The
+    hypothesis alone does not make the outer window monotone; see
+    integrate_annulus.
     """
 
     gamma: float
@@ -174,10 +174,10 @@ def match_energy(lp: AnnulusParams) -> float:
     """Energy of the blow-down profile matching the wall slope.
 
     Bisects sqrt(2e) coth(sqrt(e/2) gamma ln(1/psi)) = slope_limit on
-    e in (0, 2 slope_limit^2]; the left side is strictly increasing from
-    its e -> 0 limit 2/(gamma ln(1/psi)), which AnnulusParams keeps below
-    slope_limit, to above it at the bracket's top, so the root exists and
-    is unique.  Raises RuntimeError only when the bisection stalls.
+    e in (0, 2 slope_limit^2] down to adjacent doubles and returns the top
+    end; the left side is strictly increasing from its e -> 0 limit
+    2/(gamma ln(1/psi)), which AnnulusParams keeps below slope_limit, to
+    above it at the bracket's top, so the root exists and is unique.
     """
     r_target = lp.slope_limit
     width = lp.log_width
@@ -187,16 +187,11 @@ def match_energy(lp: AnnulusParams) -> float:
         return s / math.tanh(0.5 * s * lp.gamma * width) - r_target
 
     lo, hi = 0.0, 2.0 * r_target * r_target
-    for _ in range(500):
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if relation(mid) < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        gap = relation(mid)
-        if abs(gap) <= _MATCH_TOL:
-            return mid
-        if gap < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"bisection stalled at |gap| = {abs(gap):g}")
+    return hi
 
 
 def _rk4(b: float, gamma: float, v0: float, vt0: float, t: np.ndarray):
@@ -222,44 +217,38 @@ def _rk4(b: float, gamma: float, v0: float, vt0: float, t: np.ndarray):
     return np.array(vhat), np.array(vt)
 
 
-def _check_monotone(t: np.ndarray, vt: np.ndarray, width: float) -> None:
-    window = t <= 0.5 * width
-    if np.any(vt[window] < -_MONO_SLACK):
-        where = t[window][np.argmin(vt[window])]
-        raise RuntimeError(
-            f"integrate_annulus: v_r > 0 at r = {math.exp(-where):.3e} "
-            "inside the outer window [sqrt(psi), 1]"
-        )
-
-
 def integrate_annulus(lp: AnnulusParams, n: int = 4096) -> AnnulusSolution:
     """Direct integration of the annulus ODE, inward from the wall.
 
     Matches the energy, reconstructs the wall data from the closed form,
     and runs fourth-order steps in t = -ln r on a uniform log grid of n
     nodes covering [0, ln(1/psi)) one cell short of the blow-down.  The
-    profile slope is checked a posteriori on the outer window
-    r >= sqrt(psi), where the monotone regime lives; the matched solution
-    necessarily turns around within O(psi) of the inner edge, so a full
-    interval check would reject the exact profile itself.
+    closed-form slope v_t = (b - 2)/gamma - s coth(s gamma (W - t)/2), for
+    b = beta_m/2pi, s = sqrt(2e), W = ln(1/psi), is m2/2pi at the wall and
+    falls inward, so the outer window t <= W/2 (r >= sqrt(psi)) is monotone
+    exactly when (b - 2)/gamma > s coth(s gamma W/4), tested before any step.
 
-    Raises ValueError for n < 1000, and RuntimeError when the slope check
-    fails or the profile overflows.
+    Raises ValueError for n < 1000 or a window the profile turns in, and
+    RuntimeError when the profile overflows.
     """
     if n < 1000:
         raise ValueError(f"n = {n} < 1000")
     e = match_energy(lp)
     width = lp.log_width
     b = lp.beta_m / TWO_PI
+    shift = (b - 2.0) / lp.gamma
+    s = math.sqrt(2.0 * e)
+    if not shift > s / math.tanh(0.25 * s * lp.gamma * width):
+        raise ValueError(
+            f"the profile at psi = {lp.psi:g} turns inside the outer window [sqrt(psi), 1]"
+        )
     t = np.arange(n) * (width / n)
     try:
         vhat, vt = _rk4(b, lp.gamma, exact_solution(e, lp.gamma, lp.psi, 0.0),
                         lp.m2 / TWO_PI, t)
     except OverflowError:
         raise RuntimeError("integrate_annulus: the profile's exponent overflows") from None
-    _check_monotone(t, vt, width)
 
-    shift = (b - 2.0) / lp.gamma
     vbar = vhat - shift * t
     vbar_t = vt - shift
     with np.errstate(over="ignore", invalid="ignore"):  # outside the window it is unused

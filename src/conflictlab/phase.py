@@ -184,7 +184,7 @@ class _Table:
             self.open = np.zeros_like(self.open)
 
 
-def _conflict_table(p: Params, m1, m2):
+def _conflict_table(p: Params, m1, m2, table, fired):
     """Ordered rule table for the conflict convention, first match wins.
 
     (1) m1 below the critical mass: BoundedBelow for every m2.
@@ -201,36 +201,19 @@ def _conflict_table(p: Params, m1, m2):
 
     Any rule that lands within 1e-12 of its threshold makes the point
     Unknown: the underlying statements are all strict inequalities.
-    Returns (verdicts, rules, fired) for broadcast m1, m2; ``fired`` maps
-    the name of each deciding quantity to its values.
     """
-    lam, lam1, lam2 = lambda_values(m1, m2, p)
-    crit_gap = _critical_mass(p) - m1
     beta_gap = p.beta - p.alpha / 2.0
-    strip_gap = (
-        math.inf
-        if p.alpha == 0.0
-        else 2.0 * p.beta / p.alpha - p.gamma * m2 / _FOUR_PI - 1.0
-    )
+    strip_gap = (math.inf if p.alpha == 0.0
+                 else 2.0 * p.beta / p.alpha - p.gamma * m2 / _FOUR_PI - 1.0)
     strip_edge = strip_mass(p) if p.alpha > 0.0 and beta_gap > 0.0 else None
     edge_gap = math.nan if strip_edge is None else strip_edge - m1
-    fired = {
-        "lambda": lam,
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "critical_gap": crit_gap,
-        "strip_mass_gap": edge_gap,
-        "strip_gap": strip_gap,
-    }
+    fired.update(strip_mass_gap=edge_gap, strip_gap=strip_gap)
 
-    table = _Table(np.shape(lam))
-    table.settle(_decide([crit_gap]), "BoundedBelow", 1)
+    table.settle(_decide([fired["critical_gap"]]), "BoundedBelow", 1)
     table.settle(_decide([-blowdown_coefficients(m1, m2, p)[0]]), "UnboundedBelow", 2)
     if strip_edge is None:
-        return table.verdict, table.rule, fired
-    table.settle(
-        _decide([beta_gap, lam, strip_gap, edge_gap]), "RadiallyBounded", 3
-    )
+        return
+    table.settle(_decide([beta_gap, fired["lambda"], strip_gap, edge_gap]), "RadiallyBounded", 3)
     if beta_gap >= _TOL:
         table.open = table.open & (edge_gap >= _TOL)
         if p.gamma == 0.0:
@@ -241,7 +224,6 @@ def _conflict_table(p: Params, m1, m2):
                 best_m2 = np.clip((p.beta * m1 - _FOUR_PI) / p.gamma, 0.0, hi)
         best = lambda_values(m1, best_m2, p)[0]
         table.settle(_decide([best]), "RadiallyBounded", 4)
-    return table.verdict, table.rule, fired
 
 
 def _onset_mass(p: Params) -> float:
@@ -265,7 +247,7 @@ def _onset_mass(p: Params) -> float:
     return math.ldexp(_FOUR_PI * (beta + gamma + root) / lead, -e)
 
 
-def _cooperative_table(p: Params, m1, m2):
+def _cooperative_table(p: Params, m1, m2, table, fired):
     """Existence cases for the cooperative convention.
 
     Case (a) 2beta < alpha: any m2 works below the critical mass.
@@ -278,10 +260,8 @@ def _cooperative_table(p: Params, m1, m2):
     (0, m2]: its minimum there (``box_min``) captures the universal
     quantifier over intermediate masses, while q(m2) > 0 alone
     (``only_condition``) is the closed-curve condition.
-    Returns (verdicts, rules, fired) for broadcast m1, m2.
     """
-    lam, lam1, lam2 = lambda_values(m1, m2, p)
-    crit_gap = _critical_mass(p) - m1
+    crit_gap = fired["critical_gap"]
     a2 = 0.5 * p.gamma
     a1 = _FOUR_PI - p.beta * m1
     a0 = 0.5 * m1 * (8.0 * math.pi - p.alpha * m1)
@@ -293,16 +273,8 @@ def _cooperative_table(p: Params, m1, m2):
             vertex = (a2 * v + a1) * v + a0
         inside = (0.0 < v) & (v < m2)
         box_min = np.where(inside, np.minimum(box_min, vertex), box_min)
-    fired = {
-        "lambda": lam,
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "critical_gap": crit_gap,
-        "only_condition": only,
-        "box_min": box_min,
-    }
+    fired.update(only_condition=only, box_min=box_min)
 
-    table = _Table(np.shape(lam))
     if 2.0 * p.beta < p.alpha:
         table.settle(_decide([crit_gap]), "Exists", 1, "NotCovered")
     elif p.gamma == 0.0:
@@ -311,18 +283,26 @@ def _cooperative_table(p: Params, m1, m2):
         fired["onset_gap"] = onset_gap = _onset_mass(p) - m1
         table.settle(_decide([onset_gap]), "Exists", 3)
         table.settle(_decide([crit_gap, box_min]), "Exists", 3, "NotCovered")
+
+
+def _rule_table(p: Params, m1, m2):
+    """The rule table of p.theta at broadcast m1, m2, as (verdicts, rules,
+    fired): the shared Lambda values, critical gap and _Table, which
+    _conflict_table or _cooperative_table extends with its own quantities
+    and settles.  ``fired`` maps each deciding quantity's name to its values.
+    """
+    lam, lam1, lam2 = lambda_values(m1, m2, p)
+    fired = {"lambda": lam, "lambda1": lam1, "lambda2": lam2,
+             "critical_gap": _critical_mass(p) - m1}
+    table = _Table(np.shape(lam))
+    (_conflict_table if p.theta == -1 else _cooperative_table)(p, m1, m2, table, fired)
     return table.verdict, table.rule, fired
-
-
-def _rule_table(p: Params):
-    """The rule table of the sign convention p.theta."""
-    return _conflict_table if p.theta == -1 else _cooperative_table
 
 
 def classify(p: Params) -> PhaseVerdict:
     """The rule table of p.theta (see _conflict_table, _cooperative_table)
     at the point (p.m1, p.m2)."""
-    verdict, rule, fired = _rule_table(p)(p, p.m1, p.m2)
+    verdict, rule, fired = _rule_table(p, p.m1, p.m2)
     return PhaseVerdict(
         point=(p.m1, p.m2),
         verdict=str(verdict[()]),
@@ -422,7 +402,7 @@ def sweep(p_base: Params, m1_range, m2_range, resolution: int) -> SweepResult:
         m2s = np.empty(0)
 
     mm1, mm2 = np.meshgrid(m1s, m2s, indexing="ij")
-    verdicts, rules, fired = _rule_table(p_base)(p_base, mm1, mm2)
+    verdicts, rules, fired = _rule_table(p_base, mm1, mm2)
     lambdas = np.stack([fired["lambda"], fired["lambda1"], fired["lambda2"]])
 
     if p_base.theta == -1:

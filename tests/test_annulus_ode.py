@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -163,10 +163,26 @@ class TestMatchEnergy:
         assert np.isclose(2.0 - math.sqrt(2.0 * e), 4e-4, rtol=5e-3)
 
     def test_no_root_for_wide_psi(self):
-        # AnnulusParams refuses it before any bisection: a ValueError, not the
-        # RuntimeError of a stalled bisection
+        # AnnulusParams refuses it before any bisection, with ValueError
         with pytest.raises(ValueError, match="the annulus is too thin"):
             frozen_instance(0.5)
+
+    @pytest.mark.parametrize(
+        "lp",
+        [frozen_instance(psi) for psi in (1e-2, 1e-4, 1e-6, 1e-8)]
+        # a slope limit near 1.6e4, whose ulp 1.8e-12 no absolute 1e-12 stop
+        # can reach
+        + [AnnulusParams(1.0, 1e5, TWO_PI, 0.9998427796560113)],
+        ids=lambda lp: f"psi={lp.psi:g}",
+    )
+    def test_bisects_to_adjacent_doubles(self, lp):
+        # the smallest double whose gap is not negative, within ulps of the root
+        def gap(e):
+            s = math.sqrt(2.0 * e)
+            return s / math.tanh(0.5 * s * lp.gamma * lp.log_width) - lp.slope_limit
+
+        e = match_energy(lp)
+        assert gap(math.nextafter(e, 0.0)) < 0.0 <= gap(e) <= 4.0 * math.ulp(lp.slope_limit)
 
     @given(
         gamma=st.floats(0.4, 3.0),
@@ -237,17 +253,34 @@ class TestIntegrateAnnulus:
         with pytest.raises(ValueError, match="^n = 999 < 1000$"):
             integrate_annulus(frozen_instance(1e-4), n=999)
 
-    def test_slope_check_rejects_unsaturated_profile(self):
-        # without the e^(-gamma v) damping (gamma = 0) the profile turns
-        # around at O(1) radius, inside the outer window once psi is small
-        def check(psi):
-            width = -math.log(psi)
-            t = np.arange(4096) * (width / 4096)
-            annulus_ode._check_monotone(t, annulus_ode._rk4(5.0, 0.0, 0.0, 1.0, t)[1], width)
-
-        check(0.45)
-        with pytest.raises(RuntimeError, match=r"^integrate_annulus: v_r > 0 at r = "):
-            check(1e-4)
+    @given(
+        gamma=st.floats(0.1, 10.0),
+        log10_beta_m=st.floats(0.0, math.log10(1e5 * TWO_PI)),
+        m2=st.floats(0.1, 30.0),
+        log10_psi=st.floats(-12.0, math.log10(0.999)),
+    )
+    @example(gamma=1.0, log10_beta_m=math.log10(20.0), m2=1.0, log10_psi=-2.0)
+    @settings(max_examples=150, deadline=None)
+    def test_refuses_exactly_where_the_window_turns(self, gamma, log10_beta_m, m2, log10_psi):
+        # the closed-form test against the RK4 slope on the same nodes, away
+        # from the fence where the window's inner slope v_t(W/2) is near 0
+        try:
+            lp = AnnulusParams(gamma, 10.0**log10_beta_m, m2, 10.0**log10_psi)
+        except ValueError:
+            assume(False)
+        e, b, width = match_energy(lp), lp.beta_m / TWO_PI, lp.log_width
+        s = math.sqrt(2.0 * e)
+        inner_slope = (b - 2.0) / gamma - s / math.tanh(0.25 * s * gamma * width)
+        assume(abs(inner_slope) >= 1e-6 * m2 / TWO_PI)
+        t = np.arange(1024) * (width / 1024)
+        v0 = exact_solution(e, gamma, lp.psi, 0.0)
+        vt = annulus_ode._rk4(b, gamma, v0, m2 / TWO_PI, t)[1]
+        if np.any(vt[t <= 0.5 * width] < 0.0):
+            with pytest.raises(ValueError, match=r"^the profile at psi = .+ turns inside "
+                               r"the outer window \[sqrt\(psi\), 1\]$"):
+                integrate_annulus(lp, 1024)
+        else:
+            assert np.all(integrate_annulus(lp, 1024).rv_r[-513:] <= 0.0)
 
     @given(
         gamma=st.floats(0.5, 2.0),

@@ -365,7 +365,7 @@ PINNED_TABLES = {
         "functional.csv": "6f43d2aa3b57e6d8b6f194648de036f6c49d2ac485f753d95ff57d8ea7ca704e",
     }),
     "oracle": (config_text("oracle", beta=10.0 * math.pi, gamma=1.0, m1=1.0, m2=2.0 * math.pi, grid_n=1000), {
-        "oracle.csv": "5e69503c07aedf7d9fa78c51e25a95af3d0ffb2c172acb5c34f80c4a727b4ec4",
+        "oracle.csv": "3537923a6c49a5b8d6d6e23b298985e0c8e021bae59f1f50be1567ba4bbb16ab",
     }),
     "flow-single": (config_text("flow", **_FLOW, section=_sections("flow", case="single", dt=0.001, t_end=0.05)), {
         "flow_trace.csv": "23a3b4b227cd3b764cfe085824328aac22e54d03622c3454dc8c628902ab5986",
@@ -614,6 +614,18 @@ class TestMain:
         path.write_text(config_text("oracle", beta=10.0 * math.pi, gamma=1.0, m1=1.0, m2=1e300))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         assert "m2 = 1e+300" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.csv").exists()
+
+    def test_oracle_turning_window_exit(self, tmp_path, capsys):
+        # psi = 0.01: the matched profile turns inside [sqrt(psi), 1], which
+        # the closed form decides before any integration step
+        path = tmp_path / "turns.cfg"
+        path.write_text(config_text("oracle", beta=1.0, gamma=1.0, m1=20.0, m2=1.0,
+                                    grid_n=1024, section="[oracle]\nscales = 0.01, 0.001\n"))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert "psi = 0.01 " in err
         assert not (tmp_path / "oracle.csv").exists()
 
     def test_divergence_exit(self, tmp_path, capsys, monkeypatch):

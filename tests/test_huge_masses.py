@@ -31,7 +31,7 @@ SECTIONS = {
     "sweep": "[sweep]\nm1_range = 0, {m1!r}\nm2_range = 0, {m2!r}\nresolution = {res}\n",
     "blowdown": "grid_n = 16\n[blowdown]\npsis = 2, 4, 8, 16\n",
     "functional": "grid_n = 16\n[functional]\npsis = {psis}\n",
-    "oracle": "grid_n = 1000\n[oracle]\nscales = 1e-3\n",
+    "oracle": "grid_n = 1000\n[oracle]\nscales = {scale!r}\n",
     "steady": "grid_n = 16\n",
     "flow": "grid_n = 16\n[flow]\ncase = {case}\nt_end = 0.01\n",
 }
@@ -46,7 +46,7 @@ RUNS = itertools.count()
 
 
 def run(tmp_path, command, m1, m2, theta=-1, res=4, psis="2, 4, 8",
-        alpha=1.0, beta=2.0, gamma=30.0, case="single"):
+        alpha=1.0, beta=2.0, gamma=30.0, case="single", scale=1e-3):
     """Exit code, stderr and the written tables (file name to rows) of one run."""
     out = tmp_path / f"run{next(RUNS)}"
     out.mkdir()
@@ -54,7 +54,7 @@ def run(tmp_path, command, m1, m2, theta=-1, res=4, psis="2, 4, 8",
     cfg.write_text(
         f"[run]\ncommand = {command}\nalpha = {alpha!r}\nbeta = {beta!r}\n"
         f"gamma = {gamma!r}\ntheta = {theta}\nm1 = {m1!r}\nm2 = {m2!r}\n"
-        + SECTIONS[command].format(m1=m1, m2=m2, res=res, psis=psis, case=case)
+        + SECTIONS[command].format(m1=m1, m2=m2, res=res, psis=psis, case=case, scale=scale)
     )
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["--config", str(cfg), "--out", str(out)])
@@ -230,11 +230,13 @@ magnitudes = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
 
 @settings(max_examples=200, deadline=None)
 @example(command="oracle", m1=6.4, m2=1e-3, theta=-1, res=1, rungs=1,
-         alpha=1.0, beta=2.0, gamma=30.0, case="single")
+         alpha=1.0, beta=2.0, gamma=30.0, case="single", scale=1e-3)
 @example(command="flow", m1=487.5, m2=7.9027e15, theta=1, res=1, rungs=1,
-         alpha=0.1005, beta=1.2153, gamma=26.737, case="single")
+         alpha=0.1005, beta=1.2153, gamma=26.737, case="single", scale=1e-3)
 @example(command="flow", m1=4.0, m2=2.0, theta=-1, res=1, rungs=1,
-         alpha=1.0, beta=1.0, gamma=1.0, case="potentials")
+         alpha=1.0, beta=1.0, gamma=1.0, case="potentials", scale=1e-3)
+@example(command="oracle", m1=20.0, m2=1.0, theta=-1, res=1, rungs=1,
+         alpha=1.0, beta=1.0, gamma=1.0, case="single", scale=0.01)
 @given(
     command=st.sampled_from(sorted(SECTIONS)),
     m1=magnitudes,
@@ -246,9 +248,10 @@ magnitudes = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
     beta=magnitudes,
     gamma=magnitudes,
     case=st.sampled_from(["single", "pair", "potentials"]),
+    scale=st.floats(-12.0, math.log10(0.999)).map(lambda e: 10.0**e),
 )
 def test_any_magnitude_exits_0_2_or_3_with_finite_tables(
-    tmp_path_factory, command, m1, m2, theta, res, rungs, alpha, beta, gamma, case
+    tmp_path_factory, command, m1, m2, theta, res, rungs, alpha, beta, gamma, case, scale
 ):
     """Every command, with every mass and constant drawn over 1e-3 to 1e300,
     succeeds with finite tables, fails as a solver (exit 2, only where it
@@ -259,10 +262,13 @@ def test_any_magnitude_exits_0_2_or_3_with_finite_tables(
     3.  The second is a cooperative flow whose chemical minimizer rounds to
     a w that rises by more than 1e-10 between cells: a solver failure, exit
     2.  The third is a conflict potential flow at alpha*gamma = beta^2,
-    which runs unmonitored: exit 0."""
+    which runs unmonitored: exit 0.  The fourth is an oracle scale whose
+    profile turns inside its outer window: exit 3.  The oracle's scale is
+    drawn log-uniform over [1e-12, 0.999], and it fails as a solver only
+    where its profile overflows."""
     psis = ", ".join(str(2.0**k) for k in range(1, rungs + 1))
     code, err, tables = run(tmp_path_factory.mktemp("fuzz"), command, m1, m2, theta, res, psis,
-                            alpha, beta, gamma, case)
+                            alpha, beta, gamma, case, scale)
     assert code in ((0, 2, 3) if command in SOLVERS else (0, 3)), err
     if code == 0:
         assert err == ""
@@ -271,3 +277,5 @@ def test_any_magnitude_exits_0_2_or_3_with_finite_tables(
         prefix = "solver failure: " if code == 2 else "configuration error: "
         assert err.startswith(prefix) and err.count("\n") == 1, err
         assert tables == {}
+    if code == 2 and command == "oracle":
+        assert err.startswith("solver failure: integrate_annulus: the profile"), err
