@@ -92,8 +92,11 @@ class BlowdownFamily:
         for psi in psis.tolist():  # Python floats overflow to inf, unwarned
             if not math.isfinite(psi * psi * top):
                 raise ValueError(f"psi = {psi!r}: its rung's density psi^2 rho overflows")
-        if np.any(psis <= 1.0) or np.any(np.diff(psis) <= 0):
-            raise ValueError("psis must be strictly increasing and all > 1")
+        # a rung at or below 1 + _EPS_GAP leaves its geometric tail no width
+        low = psis[psis <= 1.0 + _EPS_GAP]
+        if low.size or np.any(np.diff(psis) <= 0):
+            named = f" (psi = {float(low[0])!r} is not)" if low.size else ""
+            raise ValueError(f"psis must be strictly increasing and all > 1 + {_EPS_GAP:g}{named}")
         object.__setattr__(self, "psis", psis)
 
 

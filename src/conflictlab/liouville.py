@@ -8,10 +8,12 @@ The two-species system couples the exponents ``alpha u1 - beta u2`` and
 The single equation and the system are solved by one fixed-point loop on
 potentials: form the normalized density from the current potentials,
 invert the Laplacian, and mix with a damping factor.  The damping starts
-at 1/2 and adapts geometrically (growth on sustained residual decrease,
-reduction on growth), and a dominant-mode extrapolation kicks in once the
-undamped iteration is stable, which removes the critical slowing near
-``m = 8 pi / alpha``.
+at 1/2 from the closed-form start and at 1 from a pair's nested start, its
+own solution on a 16 times coarser grid, which fine pairs take (see
+solve_pair).  It adapts geometrically (growth on sustained residual
+decrease, reduction on growth), and a dominant-mode extrapolation kicks in
+once the undamped iteration is stable, which removes the critical slowing
+near ``m = 8 pi / alpha``.
 
 Masses on or past the Pohozaev line ``alpha m1 >= 8 pi + 2 beta m2`` have
 no radial steady state and are refused before any iteration.
@@ -51,7 +53,7 @@ from .calculus import (
     _solve_tridiag,
 )
 from .errors import Oscillation, SolverDiverged, _releasing
-from .model import Params, RadialField
+from .model import Params, RadialField, RadialGrid
 
 _DAMPING = 0.5
 _MIN_DAMPING = 1.0 / 64.0
@@ -66,6 +68,13 @@ _HALVINGS = 10
 # whose budget counts Newton steps
 _TOL = 1e-10
 _MAX_ITER = 500
+# a pair on at least _NEST_RATIO * _NEST_MIN_CELLS cells starts from its own
+# solution on the grid of every _NEST_RATIO-th node: a 256-cell sub-grid
+# solve costs about 1.4 ms, which the fine iterations it saves repay only
+# from about 4096 cells (nesting from 1024 cells made those pairs about 13 %
+# slower, from 2048 cells about 5 % faster)
+_NEST_RATIO = 16
+_NEST_MIN_CELLS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +83,9 @@ class Solution:
 
     ``multipliers`` holds the normalization constants: the equation solved
     is ``laplacian(u_i) + lambda_i e^{g_i} = 0`` with
-    ``lambda_i = m_i / integral(e^{g_i})``.
+    ``lambda_i = m_i / integral(e^{g_i})``.  ``iterations`` counts the
+    Picard iterations on the solution's own grid, not those of a nested
+    start's sub-grid solve.
     """
 
     u1: RadialField
@@ -168,7 +179,7 @@ def _densities(grid, p, u1, u2):
     return tuple(zip(_normalized_density(grid, g1, p.m1), _normalized_density(grid, g2, p.m2)))
 
 
-def _picard_loop(grid, masses, exponents, state):
+def _picard_loop(grid, masses, exponents, state, damping=_DAMPING):
     """Core damped fixed-point iteration of solve_pair.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
@@ -180,12 +191,13 @@ def _picard_loop(grid, masses, exponents, state):
     the iterate once: they give the residual and, scaled by the damping
     unless it is 1, the mixing step, which updates copies of the start
     arrays in place.  The multipliers are formed for the iterate returned
-    alone.  Raises SolverDiverged after ``_MAX_ITER`` iterations and
-    Oscillation when the damping controller gives up.
+    alone.  The damping starts at ``damping``.  Raises SolverDiverged after
+    ``_MAX_ITER`` iterations and Oscillation when the damping controller
+    gives up.
     """
     # copies, which the loop mixes in place
     us, cs = ([x.copy() for x in xs] for xs in state)
-    ctrl = _DampingController(_DAMPING)
+    ctrl = _DampingController(damping)
     du_prev = None
     cool = 0
     res = math.inf
@@ -265,10 +277,9 @@ def solve_single(m, alpha, grid):
 
 
 def _seeded(grid, g, m):
-    """Initial potentials and fluxes: one Green application of the
+    """Initial potential and face fluxes: one Green application of the
     normalized density of exponent ``g`` at mass ``m`` > 0."""
-    u, c = _green(grid, _boltzmann(grid, g, m)[0])
-    return [u], [c]
+    return _green(grid, _boltzmann(grid, g, m)[0])
 
 
 def _start_exponent(p, grid):
@@ -279,6 +290,29 @@ def _start_exponent(p, grid):
     return np.zeros_like(grid.r)
 
 
+def _coarse_potentials(p, grid):
+    """Both potentials of the pair's solution on the grid of every
+    _NEST_RATIO-th node, with r = 1 appended when n is not a multiple of
+    the ratio, interpolated to the nodes of ``grid``."""
+    r = grid.r[::_NEST_RATIO]
+    if r[-1] != 1.0:
+        r = np.append(r, 1.0)
+    coarse = solve_pair(p, RadialGrid(r))
+    return [np.interp(grid.r, r, f.values) for f in (coarse.u1, coarse.u2)]
+
+
+def _nested_solve(p, grid, a):
+    """_picard_loop's result for a pair started from its _coarse_potentials,
+    each species seeded by one Green application at its row of the coupling
+    ``a`` times them, with the damping starting at 1.  None when the
+    sub-grid solve or this one raises SolverDiverged, Oscillation included."""
+    try:
+        seeds = map(partial(_seeded, grid), _exponents(a, _coarse_potentials(p, grid)), (p.m1, p.m2))
+        return _picard_loop(grid, (p.m1, p.m2), partial(_exponents, a), tuple(zip(*seeds)), 1.0)
+    except SolverDiverged:
+        return None
+
+
 @_releasing
 def solve_pair(p, grid):
     """Solve the coupled two-species system.
@@ -286,7 +320,12 @@ def solve_pair(p, grid):
     Species 1 starts from one Green application of the Boltzmann density
     at mass m1 of exponent alpha times the analytic bubble of that mass
     when 0 < alpha m1 < 8 pi, and of exponent 0 otherwise; species 2 starts
-    at rest.  At m2 = 0 species 1 is solved alone, which is solve_single.
+    at rest; the damping starts at 1/2.  A pair (m2 > 0) on at least
+    _NEST_RATIO * _NEST_MIN_CELLS = 4096 cells is first solved from its own
+    solution on the grid of every 16th node, undamped (_nested_solve); when
+    that sub-grid solve or the solve from it fails, the closed-form start
+    decides, bit for bit.  At m2 = 0 species 1 is solved alone, which is
+    solve_single.
     Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2 raise
     ValueError up front: species 1's Pohozaev identity, with rho1(1) > 0
     and int rho1 M2 <= m1 m2, leaves no radial steady state there, in either
@@ -303,10 +342,14 @@ def solve_pair(p, grid):
     k = 1 if alone else 2
     a = [row[:k] for row in p.coupling[:k]]
     _refuse_overflow(grid, (p.m1, p.m2)[:k], a)
-    us, cs = _seeded(grid, _start_exponent(p, grid), p.m1)
-    if not alone:
-        us, cs = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)]
-    us, cs, res, it, lams = _picard_loop(grid, (p.m1, p.m2)[:k], partial(_exponents, a), (us, cs))
+    out = None
+    if not alone and grid.n >= _NEST_RATIO * _NEST_MIN_CELLS:
+        out = _nested_solve(p, grid, a)
+    if out is None:
+        u, c = _seeded(grid, _start_exponent(p, grid), p.m1)
+        us, cs = ([u], [c]) if alone else ([u, np.zeros_like(grid.r)], [c, np.zeros(grid.n)])
+        out = _picard_loop(grid, (p.m1, p.m2)[:k], partial(_exponents, a), (us, cs))
+    us, cs, res, it, lams = out
     if alone:
         us, cs, lams = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)], (*lams, 0.0)
     return Solution(*(RadialField.potential(grid, u) for u in us), res, it, lams, *cs)
@@ -329,7 +372,7 @@ def _minimize_w(grid, u, p, w0=None):
         rho, _, m_log_z = _normalized_density(grid, a_w * w + drive, p.m2)
         return w, rho, m_log_z
     g0 = drive if w0 is None else a_w * w0 + drive
-    (w,), (c,) = _seeded(grid, g0, p.m2)
+    w, c = _seeded(grid, g0, p.m2)
     return _newton_w(grid, w, c, drive, p)
 
 

@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conflictlab import blowdown
 from conflictlab.blowdown import (
     DEFAULT_LADDER,
     BlowdownFamily,
@@ -162,6 +164,13 @@ class TestBlowdownFamily:
     def test_rejects_bad_ladders(self, gg, psis):
         with pytest.raises(ValueError):
             BlowdownFamily(smooth_rho(gg, 1.0), zero_w(gg), psis=psis)
+
+    def test_rejects_a_rung_within_the_epsilon_gap_of_1(self, gg):
+        at_the_gap = 1.0 + blowdown._EPS_GAP
+        with pytest.raises(ValueError, match=re.escape(f"(psi = {at_the_gap!r} is not)")):
+            BlowdownFamily(smooth_rho(gg, 1.0), zero_w(gg), psis=np.array([at_the_gap, 2.0]))
+        fam = BlowdownFamily(smooth_rho(gg, 1.0), zero_w(gg), psis=np.array([1.0 + 3e-12, 2.0]))
+        assert blowdown._scaled_grid(gg, fam.psis[0]).n > gg.n
 
     def test_rejects_mismatched_grids(self, gg):
         other = make_grid(256)

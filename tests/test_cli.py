@@ -517,6 +517,21 @@ class TestFunctionalCommand:
         assert not (tmp_path / f"{command}.csv").exists()
 
     @pytest.mark.parametrize("command", ["blowdown", "functional"])
+    @pytest.mark.parametrize("psi", ["1.000000000001", "1.000000000002", "1"])
+    def test_refuses_a_rung_within_the_epsilon_gap_of_1(self, tmp_path, capsys, command, psi):
+        # the rung's grid would have an exterior tail of no width
+        sec = f"[{command}]\npsis = {psi}, 2\n"
+        path = tmp_path / "gap.cfg"
+        path.write_text(config_text(command, m1=30.0, m2=4.0, gamma=1.0, grid_n=256, section=sec))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: psis must be strictly increasing and all > 1 + 2e-12 "
+            f"(psi = {float(psi)!r} is not)\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["blowdown", "functional"])
     @pytest.mark.parametrize("m1", [5e-324, 5.0])
     def test_refuses_a_rung_whose_square_overflows(self, tmp_path, capsys, command, m1):
         # psi*psi = inf: the rung's density would be inf, or inf * 0 = NaN

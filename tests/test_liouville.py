@@ -256,6 +256,86 @@ class TestSolvePair:
             solve_pair(p, g256)
 
 
+# the steady workload's five pairs and two more with alpha m1 above 8 pi
+NESTED_PAIRS = (
+    (1.0, 2.0, 1.0, -1, 10.0, 4.0),
+    (1.0, 2.0, 1.0, 1, 10.0, 4.0),
+    (1.0, 2.0, 0.0, -1, 20.0, 5.0),
+    (1.0, 2.0, 1.0, 1, 20.0, 10.0),
+    (1.0, 2.0, 1.0, -1, 22.0, 8.0),
+    (1.0, 0.6, 1.0, -1, 26.0, 8.0),
+    (1.0, 2.0, 0.0, -1, 30.0, 4.0),
+)
+# its 256-cell sub-grid solve raises Oscillation
+SUBGRID_OSCILLATES = Params(1.0, 2.0, 1.0, 1, 25.0, 40.0 / 3.0)
+
+
+class TestNestedStart:
+    """A pair on 4096 cells or more starts from its own solution on the
+    grid of every 16th node, and from the closed form when the sub-grid
+    solve or the solve from it fails."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    @pytest.mark.parametrize("n", [4096, 6000, 16384])
+    def test_agrees_with_the_closed_form_start(self, monkeypatch, kind, n):
+        grid = make_grid(n, kind)
+        params = [Params(*args) for args in NESTED_PAIRS]
+        nested = [solve_pair(p, grid) for p in params]
+        monkeypatch.setattr(liouville, "_NEST_MIN_CELLS", math.inf)
+        for p, sol in zip(params, nested):
+            ref = solve_pair(p, grid)
+            assert sol.iterations < ref.iterations, p
+            assert max(sol.residual, *residual(sol, p)) <= 1e-10, p
+            for u, v in ((sol.u1, ref.u1), (sol.u2, ref.u2)):
+                assert np.max(np.abs(u.values - v.values)) <= 1e-10, p
+
+    def test_subgrid_of_every_16th_node_and_the_wall(self, monkeypatch):
+        grids = []
+        solve = liouville.solve_pair
+
+        def recorded(p, grid):
+            grids.append(grid.r)
+            return solve(p, grid)
+
+        monkeypatch.setattr(liouville, "solve_pair", recorded)
+        fine, p = make_grid(4100), Params(*NESTED_PAIRS[0])
+        assert liouville._nested_solve(p, fine, p.coupling) is not None
+        (r,) = grids
+        assert np.array_equal(r, np.append(fine.r[:4097:16], 1.0))
+
+    def test_falls_back_when_the_nested_solve_fails(self, monkeypatch, g4096):
+        p = Params(*NESTED_PAIRS[0])
+        loop = liouville._picard_loop
+
+        def undamped_fails(grid, masses, exponents, state, damping=liouville._DAMPING):
+            if damping == 1.0:
+                raise Oscillation("the nested solve fails")
+            return loop(grid, masses, exponents, state, damping)
+
+        monkeypatch.setattr(liouville, "_picard_loop", undamped_fails)
+        sol = solve_pair(p, g4096)
+        monkeypatch.setattr(liouville, "_NEST_MIN_CELLS", math.inf)
+        assert _solution_print(sol) == _solution_print(solve_pair(p, g4096))
+
+    def test_falls_back_to_the_closed_form_start(self, g4096):
+        with pytest.raises(Oscillation):
+            solve_pair(SUBGRID_OSCILLATES, make_grid(256))
+        # recorded before the nested start: the same bits and iterations
+        assert _solution_print(solve_pair(SUBGRID_OSCILLATES, g4096)) == (
+            "10af91c43fb4d173c74f2cf56fdc38382aa4b1433e5c77e7e5f978010f78f0a3",
+            "(9.608883706350175e-11, (0.07067464694612746, 23.353902427560094), 231)",
+        )
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4095])
+    def test_below_4096_cells_no_subgrid(self, monkeypatch, n):
+        monkeypatch.setattr(liouville, "_nested_solve", None)  # a call would raise
+        assert solve_pair(Params(*NESTED_PAIRS[0]), make_grid(n)).residual <= 1e-10
+
+    def test_single_species_no_subgrid(self, monkeypatch, g4096):
+        monkeypatch.setattr(liouville, "_nested_solve", None)
+        assert solve_single(20.0, 1.0, g4096).residual <= 1e-10
+
+
 class TestExponents:
     @given(
         alpha=st.floats(0.0, 1e6),
@@ -444,6 +524,18 @@ class TestFailuresKeepNoArrays:
             assert RESIDUAL.search(str(err)) and "after 20 iterations" in str(err)
         with pytest.raises(AssertionError):  # the bare solve keeps its arrays
             keeps_no_arrays(lambda grid: (solve_pair.__wrapped__, p, grid), SolverDiverged)
+
+    def test_pair_after_a_caught_subgrid_failure(self, keeps_no_arrays, monkeypatch):
+        # the sub-grid solve fails too, and its failure is dropped, not chained
+        monkeypatch.setattr(liouville, "_MAX_ITER", 20)
+        starts, nested = [], liouville._nested_solve
+        monkeypatch.setattr(liouville, "_nested_solve", lambda *args: starts.append(nested(*args)))
+        p = Params(1.0, 2.0, 1.0, -1, 10.0, 4.0)
+        errs = keeps_no_arrays(lambda grid: (solve_pair, p, grid), SolverDiverged, sizes=(4096, 16384))
+        assert starts and not any(starts)
+        for err in errs:
+            assert "after 20 iterations" in str(err)
+            assert err.__context__ is None and err.__cause__ is None
 
     def test_chemical_solve_out_of_newton_steps(self, keeps_no_arrays, monkeypatch):
         monkeypatch.setattr(liouville, "_MAX_ITER", 1)
