@@ -92,11 +92,17 @@ class BlowdownFamily:
         for psi in psis.tolist():  # Python floats overflow to inf, unwarned
             if not math.isfinite(psi * psi * top):
                 raise ValueError(f"psi = {psi!r}: its rung's density psi^2 rho overflows")
-        # a rung at or below 1 + _EPS_GAP leaves its geometric tail no width
-        low = psis[psis <= 1.0 + _EPS_GAP]
-        if low.size or np.any(np.diff(psis) <= 0):
-            named = f" (psi = {float(low[0])!r} is not)" if low.size else ""
-            raise ValueError(f"psis must be strictly increasing and all > 1 + {_EPS_GAP:g}{named}")
+        # a rung at or below 1 + _EPS_GAP leaves its geometric tail no width;
+        # the first rung that is too low or does not exceed the one before is named
+        low = psis <= 1.0 + _EPS_GAP
+        bad = np.flatnonzero(low | (np.diff(psis, prepend=-math.inf) <= 0))
+        if bad.size:
+            i = int(bad[0])
+            why = "is not" if low[i] else f"follows {float(psis[i - 1])!r}"
+            raise ValueError(
+                f"psis must be strictly increasing and all > 1 + {_EPS_GAP:g} "
+                f"(psi = {float(psis[i])!r} {why})"
+            )
         object.__setattr__(self, "psis", psis)
 
 

@@ -23,8 +23,9 @@ reproduce exactly by construction.
 The underscored cores work on raw arrays, so a solver or a time step that
 already holds the face masses, face fluxes or Boltzmann exponential of a
 field reuses them; the public functions wrap the same cores.  _face_masses,
-_green, _face_flux, _entropy and _pairing also take fields stacked as rows
-and give, row by row, the same bits as one call per row.
+_green, _green_potential, _face_flux, _entropy and _pairing also take
+fields stacked as rows and give, row by row, the same bits as one call per
+row.
 
 _solve_tridiag is the one entry to LAPACK.  Of its banded matrices,
 _pinned_tridiag builds only the diagonal, for the chemical Newton solve and
@@ -111,14 +112,19 @@ def inv_laplacian(rho: RadialField) -> RadialField:
 
 def _green(grid: RadialGrid, rho_vals: np.ndarray):
     """inv_laplacian on raw arrays: the potential values and face masses,
-    or their rows for densities stacked as rows.  The potential is written
-    into an uninitialised array whose wall value alone is set."""
+    or their rows for densities stacked as rows."""
     mt = _face_masses(grid, rho_vals)
-    u = np.empty(rho_vals.shape)
+    return _green_potential(grid, mt), mt
+
+
+def _green_potential(grid: RadialGrid, mt: np.ndarray) -> np.ndarray:
+    """The potential values of face masses mt, or their rows: the suffix
+    sums of mt * log_ratio, written from the wall inwards into an
+    uninitialised array whose wall value alone is set."""
+    u = np.empty((*mt.shape[:-1], mt.shape[-1] + 1))
     u[..., -1] = 0.0
-    # the suffix sums of mt * log_ratio, written from the wall inwards into u[:-1]
     np.add.accumulate((mt * grid.log_ratio)[..., ::-1], axis=-1, out=u[..., -2::-1])
-    return u, mt
+    return u
 
 
 def face_flux(w: RadialField) -> np.ndarray:

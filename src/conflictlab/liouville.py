@@ -5,15 +5,18 @@ The single-species equation is ``laplacian(u) + m e^{alpha u}/Z = 0`` with
 The two-species system couples the exponents ``alpha u1 - beta u2`` and
 ``-gamma u2 - theta beta u1``, the rows of ``Params.coupling`` times them.
 
-The single equation and the system are solved by one fixed-point loop on
-potentials: form the normalized density from the current potentials,
-invert the Laplacian, and mix with a damping factor.  The damping starts
-at 1/2 from the closed-form start and at 1 from a pair's nested start, its
-own solution on a 16 times coarser grid, which fine pairs take (see
-solve_pair).  It adapts geometrically (growth on sustained residual
-decrease, reduction on growth), and a dominant-mode extrapolation kicks in
-once the undamped iteration is stable, which removes the critical slowing
-near ``m = 8 pi / alpha``.
+The single equation and the system are solved by one fixed-point map:
+form the normalized density from the current potentials and invert the
+Laplacian.  From the closed-form start the map is iterated on potentials
+and mixed with a damping factor that starts at 1/2 and adapts
+geometrically (growth on sustained residual decrease, reduction on
+growth), and a dominant-mode extrapolation kicks in once the undamped
+iteration is stable, which removes the critical slowing near
+``m = 8 pi / alpha``.  A pair on a fine grid is first solved by undamped
+Anderson acceleration of depth 2 on the face masses alone, on the grid of
+every 16th node from the closed-form start and then on its own grid from
+that solution (see solve_pair); the damped loop decides where either
+fails.
 
 Masses on or past the Pohozaev line ``alpha m1 >= 8 pi + 2 beta m2`` have
 no radial steady state and are refused before any iteration.
@@ -47,6 +50,7 @@ from .calculus import (
     _face_flux,
     _face_masses,
     _green,
+    _green_potential,
     _normalized_density,
     _pinned_tridiag,
     _refuse_overflow,
@@ -70,11 +74,18 @@ _TOL = 1e-10
 _MAX_ITER = 500
 # a pair on at least _NEST_RATIO * _NEST_MIN_CELLS cells starts from its own
 # solution on the grid of every _NEST_RATIO-th node: a 256-cell sub-grid
-# solve costs about 1.4 ms, which the fine iterations it saves repay only
-# from about 4096 cells (nesting from 1024 cells made those pairs about 13 %
-# slower, from 2048 cells about 5 % faster)
+# solve cost about 1.4 ms by the damped loop (0.9 ms by _anderson_loop),
+# which the fine iterations it saved repaid only from about 4096 cells
+# (nesting from 1024 cells made those pairs about 13 % slower, from 2048
+# cells about 5 % faster, both measured with the damped loop)
 _NEST_RATIO = 16
 _NEST_MIN_CELLS = 256
+# _anderson_loop's step combines the last _ANDERSON_DEPTH image differences,
+# by normal equations in closed form for up to two; it drops the older when
+# the squared sine of the angle between their defect differences is at most
+# _COLLINEAR
+_ANDERSON_DEPTH = 2
+_COLLINEAR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +190,7 @@ def _densities(grid, p, u1, u2):
     return tuple(zip(_normalized_density(grid, g1, p.m1), _normalized_density(grid, g2, p.m2)))
 
 
-def _picard_loop(grid, masses, exponents, state, damping=_DAMPING):
+def _picard_loop(grid, masses, exponents, state):
     """Core damped fixed-point iteration of solve_pair.
 
     ``exponents(us)`` maps the current tuple of potential arrays to the
@@ -191,13 +202,13 @@ def _picard_loop(grid, masses, exponents, state, damping=_DAMPING):
     the iterate once: they give the residual and, scaled by the damping
     unless it is 1, the mixing step, which updates copies of the start
     arrays in place.  The multipliers are formed for the iterate returned
-    alone.  The damping starts at ``damping``.  Raises SolverDiverged after
+    alone.  The damping starts at 1/2.  Raises SolverDiverged after
     ``_MAX_ITER`` iterations and Oscillation when the damping controller
     gives up.
     """
     # copies, which the loop mixes in place
     us, cs = ([x.copy() for x in xs] for xs in state)
-    ctrl = _DampingController(damping)
+    ctrl = _DampingController(_DAMPING)
     du_prev = None
     cool = 0
     res = math.inf
@@ -208,7 +219,9 @@ def _picard_loop(grid, masses, exponents, state, damping=_DAMPING):
         res = 0.0
         for g, m, u, c in zip(exponents(us), masses, us, cs):
             rho_vals, top, z = _boltzmann(grid, g, m)
-            u_new, c_new = _green(grid, rho_vals)
+            # _green's two cores, called directly: one Python call fewer
+            c_new = _face_masses(grid, rho_vals)
+            u_new = _green_potential(grid, c_new)
             u_new -= u
             c_new -= c
             du.append(u_new)
@@ -245,6 +258,70 @@ def _picard_loop(grid, masses, exponents, state, damping=_DAMPING):
         f"residual {res:.3e} above tol {_TOL:.1e} "
         f"after {_MAX_ITER} iterations"
     )
+
+
+def _anderson_loop(grid, masses, exponents, cs):
+    """Undamped Anderson acceleration of solve_pair's fixed-point map, of
+    depth _ANDERSON_DEPTH, on the face masses alone.
+
+    ``cs`` holds each species' start face masses and ``exponents`` is as
+    for _picard_loop.  Each iteration takes the potentials of the current
+    face masses by the Green suffix sum and the face masses of their
+    Boltzmann densities, the image: the flux-form defect of the image less
+    the face masses is the exact finite-volume residual of the iterate.
+    The first step takes the image itself; each later one the image minus
+    the least-squares combination of the last two image differences, whose
+    coefficients make the same combination of the last two defect
+    differences closest to the defect (Walker & Ni, 2011).  Returns what _picard_loop returns, for the
+    iterate whose defect met _TOL; raises SolverDiverged after _MAX_ITER
+    iterations.
+    """
+    c = np.array(cs)
+    last, diffs = None, []  # the last defect and image; older differences, newest first
+    res = math.inf
+    for it in range(_MAX_ITER):
+        us = _green_potential(grid, c)
+        image, parts = np.empty_like(c), []
+        for row, g, m in zip(image, exponents(us), masses):
+            rho, top, z = _boltzmann(grid, g, m)
+            row[...] = _face_masses(grid, rho)
+            parts.append((top, z))
+        f = image - c
+        res = max([_flux_defect(grid, x)[0] for x in f])
+        if res <= _TOL:
+            lams = tuple(m * math.exp(-top) / z for m, (top, z) in zip(masses, parts))
+            return list(us), list(c), res, it, lams
+        del us, c
+        if last is None:
+            c = image
+        else:
+            # the newest differences, written over the defect and image they leave
+            for new, old in zip((f, image), last):
+                np.subtract(new, old, out=old)
+            diffs.insert(0, last)
+            c = image - _least_squares_step(diffs, f)
+            del diffs[_ANDERSON_DEPTH - 1:]  # the oldest is not used again
+        last = f, image
+    raise SolverDiverged(
+        f"residual {res:.3e} above tol {_TOL:.1e} "
+        f"after {_MAX_ITER} iterations"
+    )
+
+
+def _least_squares_step(diffs, f):
+    """sum_i gamma_i dG_i over the one or two (dF_i, dG_i) of ``diffs``,
+    newest first, with gamma minimizing |f - sum_i gamma_i dF_i|: the 2 x 2
+    normal equations by Cramer's rule, or the newest pair alone when there
+    is one or the two dF are collinear to round-off (_COLLINEAR)."""
+    (df1, dg1), *older = diffs
+    a11, b1 = np.vdot(df1, df1), np.vdot(df1, f)
+    if older:
+        ((df2, dg2),) = older
+        a12, a22, b2 = np.vdot(df1, df2), np.vdot(df2, df2), np.vdot(df2, f)
+        det = a11 * a22 - a12 * a12
+        if det > _COLLINEAR * a11 * a22:
+            return ((a22 * b1 - a12 * b2) / det) * dg1 + ((a11 * b2 - a12 * b1) / det) * dg2
+    return (b1 / a11) * dg1 if a11 > 0.0 else 0.0
 
 
 def bubble(alpha, delta, grid):
@@ -290,25 +367,35 @@ def _start_exponent(p, grid):
     return np.zeros_like(grid.r)
 
 
-def _coarse_potentials(p, grid):
-    """Both potentials of the pair's solution on the grid of every
-    _NEST_RATIO-th node, with r = 1 appended when n is not a multiple of
-    the ratio, interpolated to the nodes of ``grid``."""
+def _closed_form_state(p, grid, alone):
+    """solve_pair's closed-form start, as lists of potentials and face
+    fluxes: species 1 seeded by _start_exponent and, unless it is alone,
+    species 2 at rest."""
+    u, c = _seeded(grid, _start_exponent(p, grid), p.m1)
+    return ([u], [c]) if alone else ([u, np.zeros_like(grid.r)], [c, np.zeros(grid.n)])
+
+
+def _nested_start(p, grid, a):
+    """The face masses a pair's nested solve starts from on ``grid``: both
+    potentials of its _anderson_loop solution from the closed-form start
+    on the grid of every _NEST_RATIO-th node, with r = 1 appended when n
+    is not a multiple of the ratio, are interpolated to the nodes of
+    ``grid``, and each species is seeded by the face masses of its
+    Boltzmann density at its row of the coupling ``a`` times them."""
     r = grid.r[::_NEST_RATIO]
     if r[-1] != 1.0:
         r = np.append(r, 1.0)
-    coarse = solve_pair(p, RadialGrid(r))
-    return [np.interp(grid.r, r, f.values) for f in (coarse.u1, coarse.u2)]
+    sub, masses = RadialGrid(r), (p.m1, p.m2)
+    us = _anderson_loop(sub, masses, partial(_exponents, a), _closed_form_state(p, sub, False)[1])[0]
+    gs = _exponents(a, [np.interp(grid.r, r, u) for u in us])
+    return [_seeded(grid, g, m)[1] for g, m in zip(gs, masses)]
 
 
 def _nested_solve(p, grid, a):
-    """_picard_loop's result for a pair started from its _coarse_potentials,
-    each species seeded by one Green application at its row of the coupling
-    ``a`` times them, with the damping starting at 1.  None when the
-    sub-grid solve or this one raises SolverDiverged, Oscillation included."""
+    """_anderson_loop's result for a pair started from its _nested_start.
+    None when the sub-grid solve or this one raises SolverDiverged."""
     try:
-        seeds = map(partial(_seeded, grid), _exponents(a, _coarse_potentials(p, grid)), (p.m1, p.m2))
-        return _picard_loop(grid, (p.m1, p.m2), partial(_exponents, a), tuple(zip(*seeds)), 1.0)
+        return _anderson_loop(grid, (p.m1, p.m2), partial(_exponents, a), _nested_start(p, grid, a))
     except SolverDiverged:
         return None
 
@@ -320,12 +407,13 @@ def solve_pair(p, grid):
     Species 1 starts from one Green application of the Boltzmann density
     at mass m1 of exponent alpha times the analytic bubble of that mass
     when 0 < alpha m1 < 8 pi, and of exponent 0 otherwise; species 2 starts
-    at rest; the damping starts at 1/2.  A pair (m2 > 0) on at least
-    _NEST_RATIO * _NEST_MIN_CELLS = 4096 cells is first solved from its own
-    solution on the grid of every 16th node, undamped (_nested_solve); when
-    that sub-grid solve or the solve from it fails, the closed-form start
-    decides, bit for bit.  At m2 = 0 species 1 is solved alone, which is
-    solve_single.
+    at rest; the damped Picard loop runs from there.  A pair (m2 > 0) on at
+    least _NEST_RATIO * _NEST_MIN_CELLS = 4096 cells is first solved by
+    _anderson_loop twice (_nested_solve): on the grid of every 16th node
+    from the closed-form start, and then on its own grid from that
+    solution; when either raises SolverDiverged, the closed-form Picard
+    solve decides, bit for bit.  At m2 = 0 species 1 is solved alone, which
+    is solve_single.
     Masses on or past the Pohozaev line alpha m1 >= 8 pi + 2 beta m2 raise
     ValueError up front: species 1's Pohozaev identity, with rho1(1) > 0
     and int rho1 M2 <= m1 m2, leaves no radial steady state there, in either
@@ -346,9 +434,8 @@ def solve_pair(p, grid):
     if not alone and grid.n >= _NEST_RATIO * _NEST_MIN_CELLS:
         out = _nested_solve(p, grid, a)
     if out is None:
-        u, c = _seeded(grid, _start_exponent(p, grid), p.m1)
-        us, cs = ([u], [c]) if alone else ([u, np.zeros_like(grid.r)], [c, np.zeros(grid.n)])
-        out = _picard_loop(grid, (p.m1, p.m2)[:k], partial(_exponents, a), (us, cs))
+        state = _closed_form_state(p, grid, alone)
+        out = _picard_loop(grid, (p.m1, p.m2)[:k], partial(_exponents, a), state)
     us, cs, res, it, lams = out
     if alone:
         us, cs, lams = us + [np.zeros_like(grid.r)], cs + [np.zeros(grid.n)], (*lams, 0.0)

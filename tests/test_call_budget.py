@@ -15,7 +15,9 @@ time but not here.  The budgets:
 * one run_flow step of each regime on 32 cells, after a warm-up;
 * one Newton step of the chemical solve (liouville._newton_w);
 * one Picard iteration of solve_pair on 1024 cells;
-* the fine-grid Picard iterations of solve_pair's nested start on 4096
+* one Anderson iteration of the fine-grid solve of solve_pair's nested
+  start on 4096 cells;
+* the fine-grid Anderson iterations of solve_pair's nested start on 4096
   and 16384 cells, for the benchmark's five steady pairs.
 
 Numpy's Python wrappers and the interpreter's own call events change from
@@ -29,6 +31,7 @@ are, without a margin: a start that gets worse shows as a count.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,12 +50,14 @@ RECORDED = {
         "step.potentials": 44.6,
         "newton_step": 17.0,
         "picard_iteration": 42.3,
-        "fine_iterations": {4096: (9, 13, 17, 10, 18), 16384: (7, 10, 13, 10, 14)},
+        "anderson_iteration": 40.2,
+        "fine_iterations": {4096: (5, 6, 8, 9, 7), 16384: (4, 5, 7, 8, 6)},
     },
 }
 # The steady workload's five pairs at their unjittered masses; their
-# "fine_iterations" are Solution.iterations, the Picard iterations on the
-# caller's grid (from the closed-form start: 22, 28, 38, 26, 38 on both grids)
+# "fine_iterations" are Solution.iterations, the Anderson iterations on the
+# caller's grid (Picard from the closed-form start: 22, 28, 38, 26, 38 on
+# both grids)
 STEADY_PAIRS = (
     (1.0, 2.0, 1.0, -1, 10.0, 4.0),
     (1.0, 2.0, 1.0, 1, 10.0, 4.0),
@@ -174,6 +179,20 @@ def test_picard_iteration():
     sol, count = events(lambda: liouville.solve_pair(p, grid))
     assert sol.iterations >= 20
     assert count / sol.iterations <= limit
+
+
+def test_anderson_iteration():
+    # the fine-grid solve of a 4096-cell nested start, from its seeds
+    limit = budget("anderson_iteration")
+    grid = make_grid(4096)
+    p = Params(1.0, 0.5, 1.0, 1, 10.0, 4.0)
+    a, masses = p.coupling, (p.m1, p.m2)
+    seeds = liouville._nested_start(p, grid, a)
+    solve = lambda: liouville._anderson_loop(grid, masses, partial(liouville._exponents, a), seeds)
+    solve()
+    out, count = events(solve)
+    assert out[3] >= 4
+    assert count / out[3] <= limit
 
 
 @pytest.mark.parametrize("n", (4096, 16384))

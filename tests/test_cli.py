@@ -509,12 +509,18 @@ class TestFunctionalCommand:
 
     @pytest.mark.parametrize("command", ["blowdown", "functional"])
     def test_refuses_a_ladder_out_of_order(self, tmp_path, capsys, command):
-        sec = f"[{command}]\npsis = 4, 2, 2, 1\n"
-        path = tmp_path / "ladder.cfg"
-        path.write_text(config_text(command, m1=30.0, m2=1.0, grid_n=64, section=sec))
-        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
-        assert "psis must be strictly increasing and all > 1" in capsys.readouterr().err
-        assert not (tmp_path / f"{command}.csv").exists()
+        # the message names the first rung that does not exceed the one before
+        ladders = (("4, 2, 8, 16", "2.0 follows 4.0"), ("4, 2, 2, 1", "2.0 follows 4.0"),
+                   ("2, 4, 4, 8", "4.0 follows 4.0"))
+        for i, (psis, named) in enumerate(ladders):
+            path, out = tmp_path / f"ladder{i}.cfg", tmp_path / f"out{i}"
+            sec = f"[{command}]\npsis = {psis}\n"
+            path.write_text(config_text(command, m1=30.0, m2=1.0, grid_n=64, section=sec))
+            assert main(["--config", str(path), "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                f"configuration error: psis must be strictly increasing and all > 1 + 2e-12 (psi = {named})\n"
+            )
+            assert not (out / f"{command}.csv").exists()
 
     @pytest.mark.parametrize("command", ["blowdown", "functional"])
     @pytest.mark.parametrize("psi", ["1.000000000001", "1.000000000002", "1"])

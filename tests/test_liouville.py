@@ -256,7 +256,7 @@ class TestSolvePair:
             solve_pair(p, g256)
 
 
-# the steady workload's five pairs and two more with alpha m1 above 8 pi
+# the steady workload's five pairs and five more, four with alpha m1 above 8 pi
 NESTED_PAIRS = (
     (1.0, 2.0, 1.0, -1, 10.0, 4.0),
     (1.0, 2.0, 1.0, 1, 10.0, 4.0),
@@ -265,9 +265,29 @@ NESTED_PAIRS = (
     (1.0, 2.0, 1.0, -1, 22.0, 8.0),
     (1.0, 0.6, 1.0, -1, 26.0, 8.0),
     (1.0, 2.0, 0.0, -1, 30.0, 4.0),
+    (1.0, 3.0, 2.0, -1, 40.0, 10.0),
+    (1.0, 1.0, 1.0, -1, 35.0, 20.0),
+    (1.0, 2.0, 1.0, 1, 22.0, 8.0),
 )
-# its 256-cell sub-grid solve raises Oscillation
+# solve_pair on its 256-cell sub-grid raises Oscillation; the sub-grid
+# Anderson solve of its nested start converges
 SUBGRID_OSCILLATES = Params(1.0, 2.0, 1.0, 1, 25.0, 40.0 / 3.0)
+
+
+def failing_level(monkeypatch, fails):
+    """Patch liouville._anderson_loop to raise Oscillation on the grids for
+    which fails(grid) holds and to run elsewhere; returns the list of the
+    cell counts of the grids it received, in order."""
+    grids, loop = [], liouville._anderson_loop
+
+    def patched(grid, *args):
+        grids.append(grid.n)
+        if fails(grid):
+            raise Oscillation(f"the Anderson solve on {grid.n} cells fails")
+        return loop(grid, *args)
+
+    monkeypatch.setattr(liouville, "_anderson_loop", patched)
+    return grids
 
 
 class TestNestedStart:
@@ -290,41 +310,55 @@ class TestNestedStart:
                 assert np.max(np.abs(u.values - v.values)) <= 1e-10, p
 
     def test_subgrid_of_every_16th_node_and_the_wall(self, monkeypatch):
-        grids = []
-        solve = liouville.solve_pair
+        grids, loop = [], liouville._anderson_loop
 
-        def recorded(p, grid):
+        def recorded(grid, *args):
             grids.append(grid.r)
-            return solve(p, grid)
+            return loop(grid, *args)
 
-        monkeypatch.setattr(liouville, "solve_pair", recorded)
+        monkeypatch.setattr(liouville, "_anderson_loop", recorded)
         fine, p = make_grid(4100), Params(*NESTED_PAIRS[0])
         assert liouville._nested_solve(p, fine, p.coupling) is not None
-        (r,) = grids
-        assert np.array_equal(r, np.append(fine.r[:4097:16], 1.0))
+        sub, top = grids
+        assert np.array_equal(sub, np.append(fine.r[:4097:16], 1.0))
+        assert top is fine.r
+
+    def test_calls_solve_pair_once(self, monkeypatch, g4096):
+        # the sub-grid solve does not go through the module's solve_pair,
+        # so a wrapper of that name sees the caller's solve alone
+        calls, solve = [], liouville.solve_pair
+
+        def counted(p, grid):
+            calls.append(grid.n)
+            return solve(p, grid)
+
+        monkeypatch.setattr(liouville, "solve_pair", counted)
+        assert liouville.solve_pair(Params(*NESTED_PAIRS[0]), g4096).residual <= 1e-10
+        assert calls == [4096]
 
     def test_falls_back_when_the_nested_solve_fails(self, monkeypatch, g4096):
         p = Params(*NESTED_PAIRS[0])
-        loop = liouville._picard_loop
-
-        def undamped_fails(grid, masses, exponents, state, damping=liouville._DAMPING):
-            if damping == 1.0:
-                raise Oscillation("the nested solve fails")
-            return loop(grid, masses, exponents, state, damping)
-
-        monkeypatch.setattr(liouville, "_picard_loop", undamped_fails)
+        grids = failing_level(monkeypatch, lambda grid: grid.n == 4096)
         sol = solve_pair(p, g4096)
+        assert grids == [256, 4096]  # the sub-grid solve ran, the fine one failed
         monkeypatch.setattr(liouville, "_NEST_MIN_CELLS", math.inf)
         assert _solution_print(sol) == _solution_print(solve_pair(p, g4096))
 
-    def test_falls_back_to_the_closed_form_start(self, g4096):
+    def test_falls_back_to_the_closed_form_start(self, monkeypatch, g4096):
         with pytest.raises(Oscillation):
             solve_pair(SUBGRID_OSCILLATES, make_grid(256))
+        nested = solve_pair(SUBGRID_OSCILLATES, g4096)
+        assert nested.iterations <= 30 and nested.residual <= 1e-10
+        grids = failing_level(monkeypatch, lambda grid: grid.n == 256)
+        fallback = solve_pair(SUBGRID_OSCILLATES, g4096)
+        assert grids == [256]
         # recorded before the nested start: the same bits and iterations
-        assert _solution_print(solve_pair(SUBGRID_OSCILLATES, g4096)) == (
+        assert _solution_print(fallback) == (
             "10af91c43fb4d173c74f2cf56fdc38382aa4b1433e5c77e7e5f978010f78f0a3",
             "(9.608883706350175e-11, (0.07067464694612746, 23.353902427560094), 231)",
         )
+        for u, v in ((nested.u1, fallback.u1), (nested.u2, fallback.u2)):
+            assert np.max(np.abs(u.values - v.values)) <= 1e-10
 
     @pytest.mark.parametrize("n", [1024, 2048, 4095])
     def test_below_4096_cells_no_subgrid(self, monkeypatch, n):
@@ -334,6 +368,32 @@ class TestNestedStart:
     def test_single_species_no_subgrid(self, monkeypatch, g4096):
         monkeypatch.setattr(liouville, "_nested_solve", None)
         assert solve_single(20.0, 1.0, g4096).residual <= 1e-10
+
+
+class TestLeastSquaresStep:
+    """_anderson_loop's step: the image differences combined with the
+    coefficients that fit the defect differences to the defect."""
+
+    @staticmethod
+    def columns(seed, k):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((k, 2, 50)), rng.standard_normal((k, 2, 50)), rng.standard_normal((2, 50))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_lstsq(self, seed, k):
+        dfs, dgs, f = self.columns(seed, k)
+        gamma = np.linalg.lstsq(dfs.reshape(k, -1).T, f.ravel(), rcond=None)[0]
+        want = np.tensordot(gamma, dgs, axes=1)
+        got = liouville._least_squares_step(list(zip(dfs, dgs)), f)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_collinear_differences_take_the_newest_alone(self):
+        dfs, dgs, f = self.columns(0, 2)
+        dfs[1] = 3.0 * dfs[0]
+        got = liouville._least_squares_step(list(zip(dfs, dgs)), f)
+        want = liouville._least_squares_step([(dfs[0], dgs[0])], f)
+        assert np.array_equal(got, want)
 
 
 class TestExponents:
@@ -518,23 +578,26 @@ class TestFailuresKeepNoArrays:
         assert updates[0] > 50
 
     def test_pair_out_of_iterations(self, keeps_no_arrays, monkeypatch):
-        monkeypatch.setattr(liouville, "_MAX_ITER", 20)
+        # 10 iterations: the sub-grid Anderson solve of the 8192-cell nested
+        # start takes 11 and the closed-form Picard solve 22
+        monkeypatch.setattr(liouville, "_MAX_ITER", 10)
         p = Params(1.0, 2.0, 1.0, -1, 10.0, 4.0)
         for err in keeps_no_arrays(lambda grid: (solve_pair, p, grid), SolverDiverged):
-            assert RESIDUAL.search(str(err)) and "after 20 iterations" in str(err)
+            assert RESIDUAL.search(str(err)) and "after 10 iterations" in str(err)
         with pytest.raises(AssertionError):  # the bare solve keeps its arrays
             keeps_no_arrays(lambda grid: (solve_pair.__wrapped__, p, grid), SolverDiverged)
 
     def test_pair_after_a_caught_subgrid_failure(self, keeps_no_arrays, monkeypatch):
-        # the sub-grid solve fails too, and its failure is dropped, not chained
-        monkeypatch.setattr(liouville, "_MAX_ITER", 20)
+        # the sub-grid Anderson solve fails too (it takes 11 iterations, the
+        # closed-form Picard solve 22), and its failure is dropped, not chained
+        monkeypatch.setattr(liouville, "_MAX_ITER", 10)
         starts, nested = [], liouville._nested_solve
         monkeypatch.setattr(liouville, "_nested_solve", lambda *args: starts.append(nested(*args)))
         p = Params(1.0, 2.0, 1.0, -1, 10.0, 4.0)
         errs = keeps_no_arrays(lambda grid: (solve_pair, p, grid), SolverDiverged, sizes=(4096, 16384))
         assert starts and not any(starts)
         for err in errs:
-            assert "after 20 iterations" in str(err)
+            assert "after 10 iterations" in str(err)
             assert err.__context__ is None and err.__cause__ is None
 
     def test_chemical_solve_out_of_newton_steps(self, keeps_no_arrays, monkeypatch):
